@@ -18,12 +18,14 @@ deployment needs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.discriminator import DifficultCaseDiscriminator
-from repro.core.thresholds import decide_rule
+from repro.core.features import extract_features
+from repro.core.thresholds import decide_one, decide_rule
 from repro.errors import CalibrationError, ConfigurationError
 from repro.metrics.classify import binary_metrics
 
@@ -104,6 +106,11 @@ class BudgetController:
     test), so the sign is positive.  The realised ratio is tracked with an
     exponential moving average, making the controller robust to drift in
     the scene distribution.
+
+    Only the area threshold ever moves, so an image's features are fixed
+    for the controller's lifetime: callers serving a known split extract
+    them once and feed :meth:`decide_features`; :meth:`decide` extracts
+    them from one image's detections first.
     """
 
     def __init__(
@@ -115,35 +122,50 @@ class BudgetController:
         ema_halflife: int = 50,
         area_bounds: tuple[float, float] = (0.0, 0.8),
     ) -> None:
-        if not 0.0 < target_ratio < 1.0:
-            raise ConfigurationError("target_ratio must be in (0, 1)")
-        if gain <= 0.0:
-            raise ConfigurationError("gain must be positive")
-        if ema_halflife < 1:
-            raise ConfigurationError("ema_halflife must be >= 1")
-        lo, hi = area_bounds
-        if not 0.0 <= lo < hi:
-            raise ConfigurationError("invalid area bounds")
+        self.check_parameters(target_ratio, gain=gain, ema_halflife=ema_halflife, area_bounds=area_bounds)
         self._initial = discriminator
         self._initial_target = target_ratio
-        self._discriminator = discriminator
+        self._count_threshold = discriminator.count_threshold
+        self._area = float(discriminator.area_threshold)
         self.target_ratio = target_ratio
         self.gain = gain
         self._alpha = 1.0 - 0.5 ** (1.0 / ema_halflife)
-        self._bounds = area_bounds
+        self._lo, self._hi = float(area_bounds[0]), float(area_bounds[1])
         self._ema = target_ratio
         self.decisions = 0
         self.uploads = 0
 
+    @staticmethod
+    def check_parameters(
+        target_ratio: float,
+        *,
+        gain: float,
+        ema_halflife: int,
+        area_bounds: tuple[float, float],
+    ) -> None:
+        """Raise :class:`ConfigurationError` unless the parameters are valid.
+
+        Every comparison is written so that NaN fails it.
+        """
+        if not 0.0 < target_ratio < 1.0:
+            raise ConfigurationError(f"target_ratio must be in (0, 1), got {target_ratio}")
+        if not 0.0 < gain < math.inf:
+            raise ConfigurationError(f"gain must be positive and finite, got {gain}")
+        if not ema_halflife >= 1:
+            raise ConfigurationError(f"ema_halflife must be >= 1, got {ema_halflife}")
+        lo, hi = area_bounds
+        if not 0.0 <= lo < hi:
+            raise ConfigurationError(f"invalid area bounds {area_bounds}")
+
     def reset(self) -> None:
         """Forget all adaptation: behave as freshly constructed.
 
-        Restores the discriminator, target ratio and EMA to their
+        Restores the area threshold, target ratio and EMA to their
         construction-time values and zeroes the decision counters, so the
         same controller can be reused across independent runs without
         leaking threshold state between them.
         """
-        self._discriminator = self._initial
+        self._area = float(self._initial.area_threshold)
         self.target_ratio = self._initial_target
         self._ema = self._initial_target
         self.decisions = 0
@@ -151,8 +173,10 @@ class BudgetController:
 
     @property
     def discriminator(self) -> DifficultCaseDiscriminator:
-        """The currently adapted discriminator."""
-        return self._discriminator
+        """The currently adapted discriminator (built on each read)."""
+        if self.decisions == 0:
+            return self._initial
+        return replace(self._initial, area_threshold=self._area)
 
     @property
     def realised_ratio(self) -> float:
@@ -163,17 +187,25 @@ class BudgetController:
 
     def decide(self, detections) -> bool:
         """Decide one image and adapt the area threshold."""
-        verdict = self._discriminator.decide(detections)
+        features = extract_features(
+            detections,
+            self._initial.confidence_threshold,
+            serving_threshold=self._initial.serving_threshold,
+        )
+        return self.decide_features(features.n_predict, features.n_estimated, features.min_area_estimated)
+
+    def decide_features(self, n_predict: int, n_estimated: int, min_area: float) -> bool:
+        """Decide one image from its precomputed features and adapt.
+
+        The features are :func:`~repro.core.features.extract_features`'
+        ``(n_predict, n_estimated, min_area_estimated)`` under the wrapped
+        discriminator's confidence and serving thresholds.
+        """
+        verdict = decide_one(n_predict, n_estimated, min_area, self._count_threshold, self._area)
         self.decisions += 1
-        self.uploads += int(verdict)
+        self.uploads += verdict
         self._ema = (1.0 - self._alpha) * self._ema + self._alpha * float(verdict)
         error = self.target_ratio - self._ema
-        new_area = float(
-            np.clip(
-                self._discriminator.area_threshold + self.gain * error,
-                self._bounds[0],
-                self._bounds[1],
-            )
-        )
-        self._discriminator = replace(self._discriminator, area_threshold=new_area)
+        # min/max in this order is np.clip bit for bit, signed zeros included.
+        self._area = min(max(self._area + self.gain * error, self._lo), self._hi)
         return verdict

@@ -16,6 +16,7 @@ from repro.core.cases import SERVING_THRESHOLD, label_cases
 from repro.core.features import extract_feature_arrays, extract_features
 from repro.core.thresholds import (
     ThresholdFit,
+    decide_one,
     decide_rule,
     fit_confidence_threshold,
     fit_decision_thresholds,
@@ -79,11 +80,13 @@ class DifficultCaseDiscriminator:
             self.confidence_threshold,
             serving_threshold=self.serving_threshold,
         )
-        # Scalar transcription of thresholds.decide_rule — keep the two in
-        # lockstep (the equivalence tests assert decide == decide_split).
-        if features.n_predict == features.n_estimated:
-            return False
-        return bool(features.n_estimated > self.count_threshold or features.min_area_estimated < self.area_threshold)
+        return decide_one(
+            features.n_predict,
+            features.n_estimated,
+            features.min_area_estimated,
+            self.count_threshold,
+            self.area_threshold,
+        )
 
     def decide_split(self, detections: DetectionBatch | list[Detections]) -> np.ndarray:
         """Vectorised verdicts for a whole split (True = difficult)."""

@@ -31,6 +31,7 @@ __all__ = [
     "fit_confidence_threshold",
     "count_loss_curve",
     "decide_rule",
+    "decide_one",
     "fit_decision_thresholds",
     "area_threshold_sweep",
 ]
@@ -104,14 +105,32 @@ def decide_rule(
     3. else ``min_area < area_threshold``     -> difficult (too small);
        otherwise easy.
 
-    ``DifficultCaseDiscriminator.decide`` carries a scalar transcription of
-    this rule for single-image serving — change both together.
+    :func:`decide_one` is the scalar transcription of this rule for
+    single-image serving — change both together.
     """
     n_predict = np.asarray(n_predict)
     n_estimated = np.asarray(n_estimated)
     min_area = np.asarray(min_area)
     uncertain = n_predict != n_estimated
     return uncertain & ((n_estimated > count_threshold) | (min_area < area_threshold))
+
+
+def decide_one(
+    n_predict: int,
+    n_estimated: int,
+    min_area: float,
+    count_threshold: int,
+    area_threshold: float,
+) -> bool:
+    """:func:`decide_rule` for one image, on plain scalars.  True = difficult.
+
+    The per-frame serving paths (:meth:`DifficultCaseDiscriminator.decide`,
+    :class:`~repro.core.adaptive.BudgetController`) call this instead of
+    allocating arrays; the equivalence tests pin it to :func:`decide_rule`.
+    """
+    if n_predict == n_estimated:
+        return False
+    return bool(n_estimated > count_threshold or min_area < area_threshold)
 
 
 def fit_decision_thresholds(

@@ -43,11 +43,12 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkabl
 import numpy as np
 
 from repro.core.adaptive import BudgetController
-from repro.detection.batch import DetectionBatch
+from repro.core.features import extract_feature_arrays
 from repro.errors import ConfigurationError, RuntimeModelError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.discriminator import DifficultCaseDiscriminator
+    from repro.detection.batch import DetectionBatch
     from repro.detection.types import Detections
     from repro.runtime.events import EventLoop
     from repro.runtime.serving import StreamConfig
@@ -314,11 +315,11 @@ class EstimatedDeadlineAware:
         min_observations: int = 1,
         schedule_aware: bool = True,
     ) -> None:
-        if freshness_s <= 0.0:
+        if not freshness_s > 0.0:
             raise RuntimeModelError(f"freshness_s must be positive, got {freshness_s}")
-        if halflife < 1:
+        if not halflife >= 1:
             raise ConfigurationError(f"halflife must be >= 1, got {halflife}")
-        if min_observations < 1:
+        if not min_observations >= 1:
             raise ConfigurationError(f"min_observations must be >= 1, got {min_observations}")
         self.freshness_s = freshness_s
         self.min_observations = min_observations
@@ -386,13 +387,13 @@ class UplinkCoordinator:
         min_observations: int = 1,
         schedule_aware: bool = True,
     ) -> None:
-        if freshness_s <= 0.0:
+        if not freshness_s > 0.0:
             raise RuntimeModelError(f"freshness_s must be positive, got {freshness_s}")
-        if interval_s <= 0.0:
+        if not interval_s > 0.0:
             raise ConfigurationError(f"interval_s must be positive, got {interval_s}")
-        if halflife < 1:
+        if not halflife >= 1:
             raise ConfigurationError(f"halflife must be >= 1, got {halflife}")
-        if min_observations < 1:
+        if not min_observations >= 1:
             raise ConfigurationError(f"min_observations must be >= 1, got {min_observations}")
         self.freshness_s = freshness_s
         self.interval_s = interval_s
@@ -527,15 +528,23 @@ class AdaptiveQuota:
         quality_gain: float = 0.5,
         target_bounds: tuple[float, float] = (0.02, 0.98),
     ) -> None:
-        if not 0.0 < target_ratio < 1.0:
-            raise ConfigurationError(f"target_ratio must be in (0, 1), got {target_ratio}")
+        BudgetController.check_parameters(target_ratio, gain=gain, ema_halflife=ema_halflife, area_bounds=area_bounds)
         lo, hi = target_bounds
         if not 0.0 < lo < hi < 1.0:
             raise ConfigurationError(f"target_bounds must satisfy 0 < lo < hi < 1, got {target_bounds}")
-        if quality_gain < 0.0:
+        if not quality_gain >= 0.0:
             raise ConfigurationError(f"quality_gain must be >= 0, got {quality_gain}")
         self._discriminator = discriminator
-        self._small = DetectionBatch.coerce(small_detections)
+        # Only the area threshold adapts, so each record's features are
+        # constants of the instance: extract them once, as plain scalars.
+        n_predict, n_estimated, min_area = extract_feature_arrays(
+            small_detections,
+            discriminator.confidence_threshold,
+            serving_threshold=discriminator.serving_threshold,
+        )
+        self._n_predict: list[int] = n_predict.tolist()
+        self._n_estimated: list[int] = n_estimated.tolist()
+        self._min_area: list[float] = min_area.tolist()
         self.target_ratio = target_ratio
         self.quality_gain = quality_gain
         self.target_bounds = target_bounds
@@ -547,10 +556,10 @@ class AdaptiveQuota:
         self._reference = 0.0
         if feedback is not None:
             self._feedback = np.asarray(feedback, dtype=np.float64).reshape(-1)
-            if self._feedback.shape[0] != len(self._small):
+            if self._feedback.shape[0] != len(self._n_predict):
                 raise ConfigurationError(
                     f"feedback has {self._feedback.shape[0]} entries for "
-                    f"{len(self._small)} records"
+                    f"{len(self._n_predict)} records"
                 )
             self._reference = float(self._feedback.mean()) if reference is None else float(reference)
         elif reference is not None:
@@ -588,7 +597,11 @@ class AdaptiveQuota:
         return controller
 
     def decide(self, camera: CameraView, record_index: int) -> bool:
-        return self.controller_for(camera).decide(self._small[record_index])
+        return self.controller_for(camera).decide_features(
+            self._n_predict[record_index],
+            self._n_estimated[record_index],
+            self._min_area[record_index],
+        )
 
     def observe(self, camera: CameraView, event: FrameEvent) -> None:
         if self._feedback is None or self.quality_gain == 0.0:

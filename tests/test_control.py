@@ -11,6 +11,8 @@ in ``test_experiments.py``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,12 @@ class TestEstimatedDeadlineAware:
         with pytest.raises(ConfigurationError):
             EstimatedDeadlineAware(min_observations=0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(RuntimeModelError):
+            EstimatedDeadlineAware(freshness_s=math.nan)
+        with pytest.raises(ConfigurationError):
+            EstimatedDeadlineAware(halflife=math.nan)
+
 
 class TestUplinkCoordinator:
     def test_sweeps_and_is_deterministic(self, deployment, helmet_mini, big_batch):
@@ -180,6 +188,14 @@ class TestUplinkCoordinator:
             UplinkCoordinator(halflife=0)
         with pytest.raises(ConfigurationError):
             UplinkCoordinator(min_observations=0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(RuntimeModelError):
+            UplinkCoordinator(freshness_s=math.nan)
+        with pytest.raises(ConfigurationError):
+            UplinkCoordinator(interval_s=math.nan)
+        with pytest.raises(ConfigurationError):
+            UplinkCoordinator(halflife=math.nan)
 
 
 class _SlackAware:
@@ -322,6 +338,24 @@ class TestAdaptiveQuota:
             AdaptiveQuota(discriminator, small_batch, 0.2, quality_gain=-0.1)
         with pytest.raises(ConfigurationError):
             AdaptiveQuota(discriminator, small_batch, 0.2, target_bounds=(0.5, 0.2))
+        with pytest.raises(ConfigurationError):
+            AdaptiveQuota(discriminator, small_batch, 0.2, quality_gain=math.nan)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"gain": 0.0},
+            {"gain": math.nan},
+            {"ema_halflife": 0},
+            {"ema_halflife": math.nan},
+            {"area_bounds": (0.5, 0.2)},
+        ],
+    )
+    def test_controller_parameters_fail_at_construction(self, discriminator, small_batch, kwargs):
+        """Bad BudgetController parameters are refused by the quota's
+        constructor, not by the first frame inside the event loop."""
+        with pytest.raises(ConfigurationError):
+            AdaptiveQuota(discriminator, small_batch, 0.2, **kwargs)
 
 
 class TestHeterogeneousControllers:

@@ -14,13 +14,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import _legacy_budget as legacy
 from repro._rng import generator_for
+from repro.core.discriminator import DifficultCaseDiscriminator
 from repro.data import load_dataset
 from repro.metrics.latency import summarize_latencies
 from repro.runtime import (
     JETSON_NANO,
     RTX3060_SERVER,
     WLAN,
+    AdaptiveQuota,
     CameraSpec,
     DeadlineAware,
     Deployment,
@@ -50,6 +53,7 @@ from repro.runtime import (
 )
 from repro.runtime.codec import detections_payload_bytes
 from repro.runtime.executor import DISCRIMINATOR_FLOPS
+from repro.simulate import make_detector
 
 
 @pytest.fixture(scope="module")
@@ -714,3 +718,56 @@ class TestSpecEquivalence:
         other = serve_stream(deployment, helmet_mini, spec, seed=8)
         assert first == second
         assert first.frames_offered != other.frames_offered or first != other
+
+
+class TestAdaptiveQuotaEquivalence:
+    """``AdaptiveQuota`` decides from per-record features extracted once;
+    the historical path re-extracted them from a ``Detections`` view per
+    frame inside a legacy controller (``_legacy_budget.py``).  A fleet
+    driven by either is the same run, bit for bit, across ``reset()``
+    reuse."""
+
+    CONFIG = StreamConfig(fps=1.5, poisson=True, duration_s=40.0, max_edge_queue=30)
+
+    @pytest.fixture(scope="class")
+    def detections(self, helmet_mini):
+        small = make_detector("small1", "helmet").detect_split(helmet_mini)
+        big = make_detector("ssd", "helmet").detect_split(helmet_mini)
+        return small, big
+
+    @pytest.mark.parametrize("feedback", [False, True])
+    def test_fleet_identical_to_legacy_controller(self, deployment, helmet_mini, detections, feedback):
+        small, big = detections
+        # Only 14 of the 80 records are uncertain, with minimum areas of
+        # 0.007-0.05: a 10% target keeps the area threshold moving through
+        # that band instead of pinning it at a bound.
+        discriminator = DifficultCaseDiscriminator(confidence_threshold=0.25, count_threshold=3, area_threshold=0.02)
+        kwargs = {"gain": 0.05, "ema_halflife": 5}
+        if feedback:
+            misses = generator_for(3, "quota-feedback").uniform(size=len(helmet_mini))
+            kwargs.update(feedback=misses, quality_gain=0.2)
+        quotas = [
+            AdaptiveQuota(discriminator, small, 0.1, **kwargs),
+            legacy.LegacyAdaptiveQuota(discriminator, small, 0.1, **kwargs),
+        ]
+        runs = []
+        for quota in quotas:
+            spec = FleetSpec(
+                scheme=collaborative_scheme(),
+                config=self.CONFIG,
+                cameras=4,
+                small_detections=small,
+                detections=big,
+                offload=quota,
+            )
+            reports = [serve_fleet(deployment, helmet_mini, spec, seed=seed) for seed in (11, 11, 12)]
+            states = sorted((c.discriminator.area_threshold, c.target_ratio) for c in quota._controllers.values())
+            runs.append((reports, quota.decisions, quota.uploads, states))
+        (ours, *counters), (reference, *legacy_counters) = runs
+        assert ours[0] == ours[1]
+        for report, expected in zip(ours, reference):
+            assert report == expected
+            assert report.trace() == expected.trace()
+        assert counters == legacy_counters
+        decisions, uploads, _ = counters
+        assert 0 < uploads < decisions
