@@ -15,8 +15,7 @@ bypass the per-image ``Detections`` constructor entirely.
 
 :class:`DetectionBatchBuilder` is the streaming producer of the same layout:
 an appendable accumulator with amortised (doubling) growth, so shard workers
-and per-frame simulators fill flat arrays directly instead of staging a
-``list[Detections]``.  :class:`GroundTruthBatch` is the annotation-side
+fill flat arrays directly instead of staging a ``list[Detections]``.  :class:`GroundTruthBatch` is the annotation-side
 mirror (flat ``boxes``/``labels`` + ``offsets``), cached on ``Dataset`` so
 evaluation never re-flattens a split's ground truth.
 """
@@ -508,8 +507,7 @@ class DetectionBatchBuilder:
     Per-image results are copied straight into flat buffers that grow by
     doubling, so appending a whole split is amortised O(total boxes) with no
     ``list[Detections]`` staging hop.  Producers: shard workers of the
-    parallel split runner, the stream simulator's served-frame collector,
-    and :meth:`DetectionBatch.from_list`.
+    parallel split runner and :meth:`DetectionBatch.from_list`.
 
     ``build()`` snapshots the current contents (validated through the public
     :class:`DetectionBatch` constructor); the builder stays appendable

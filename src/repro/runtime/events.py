@@ -14,6 +14,15 @@ entirely when no queued event could fire first, and the resource queue is a
 ``deque`` so a saturated uplink with tens of thousands of waiting jobs
 dequeues in O(1) instead of ``list.pop(0)``'s O(n).
 
+A stream's frame arrivals are known before the run starts, so
+:meth:`EventLoop.schedule_series` keeps them lazy: one heap entry per series
+instead of one per arrival.  The series reserves, when it is scheduled, the
+block of sequence numbers its per-element :meth:`EventLoop.schedule` calls
+would have taken, and pushes element ``i + 1`` (with its reserved key) just
+before element ``i`` fires.  Heap keys, zero-delay fast-path decisions and
+firing order are therefore exactly those of scheduling every element up
+front, while the heap stays as small as the number of live streams.
+
 Resources optionally carry a *fault hook* (``faults``): a callable the
 server consults when a job enters service, mapping ``(start_time,
 service_time)`` to ``(actual_occupancy, success)``.  An unreliable uplink
@@ -24,12 +33,16 @@ begins fails at the outage instant instead of silently completing.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from functools import partial
 
 from repro.errors import ConfigurationError, RuntimeModelError
 
 __all__ = ["EventLoop", "FifoResource"]
+
+_INF = math.inf
 
 
 class EventLoop:
@@ -59,11 +72,12 @@ class EventLoop:
         """Run ``action`` ``delay`` seconds from the current time.
 
         ``delay`` must be a finite number >= 0: scheduling into the past
-        would corrupt the event order, and NaN would silently sort anywhere
-        in the heap.  Both are caller configuration errors.
+        would corrupt the event order, NaN would silently sort anywhere in
+        the heap, and infinity would drive the clock to ``inf``.  All three
+        are caller configuration errors.
         """
-        if not delay >= 0.0:  # also catches NaN
-            raise ConfigurationError(f"cannot schedule into the past: {delay}")
+        if not 0.0 <= delay < _INF:  # also catches NaN
+            raise ConfigurationError(f"delay must be finite and >= 0, got {delay}")
         heap = self._heap
         if delay == 0.0 and (not heap or heap[0][0] > self._now):
             # No queued event can fire at the current instant, so FIFO order
@@ -72,6 +86,52 @@ class EventLoop:
             return
         self._sequence += 1
         heapq.heappush(heap, (self._now + delay, self._sequence, action))
+
+    def schedule_series(self, times: Sequence[float], action: Callable[[int, float], None]) -> None:
+        """Run ``action(i, times[i])`` at absolute time ``times[i]``, for each ``i``.
+
+        ``times`` must be finite, non-decreasing and no earlier than
+        :attr:`now`.  The result is exactly that of calling
+        ``schedule(times[i] - now, ...)`` for every element now, in order
+        (the heap keys are the absolute times themselves, so the two agree
+        whenever ``times[i] - now + now == times[i]``, e.g. at time zero),
+        but the series holds a single heap entry: before element ``i``
+        fires, element ``i + 1`` is pushed under the sequence number its
+        own ``schedule()`` call would have taken.
+        """
+        now = self._now
+        previous = now
+        for index, time in enumerate(times):
+            if not previous <= time < _INF:  # also catches NaN
+                raise ConfigurationError(
+                    f"series times must be finite, non-decreasing and >= now ({now}); "
+                    f"element {index} is {time} after {previous}"
+                )
+            previous = time
+        count = len(times)
+        heap = self._heap
+        first = 0
+        if not heap or heap[0][0] > now:
+            # the zero-delay elements ride the FIFO fast path, as schedule() would send them
+            while first < count and times[first] == now:
+                self._pending.append(partial(action, first, times[first]))
+                first += 1
+        if first == count:
+            return
+        # element i's reserved sequence number is base + i
+        base = self._sequence + 1 - first
+        self._sequence += count - first
+        cursor = first
+
+        def fire() -> None:
+            nonlocal cursor
+            index = cursor
+            cursor = index + 1
+            if cursor < count:
+                heapq.heappush(heap, (times[cursor], base + cursor, fire))
+            action(index, times[index])
+
+        heapq.heappush(heap, (times[first], base + first, fire))
 
     def schedule_repeating(
         self,
@@ -89,8 +149,8 @@ class EventLoop:
         still coming or queues still hold frames, then let the loop drain.
         The first firing happens one interval from now.
         """
-        if not interval > 0.0:  # also catches NaN
-            raise ConfigurationError(f"repeating interval must be positive, got {interval}")
+        if not 0.0 < interval < _INF:  # also catches NaN
+            raise ConfigurationError(f"repeating interval must be finite and positive, got {interval}")
 
         def tick() -> None:
             action()
@@ -222,8 +282,9 @@ class FifoResource:
 
         Returns a handle accepted by :meth:`cancel`.
         """
-        if service_time < 0.0:
-            raise RuntimeModelError(f"negative service time: {service_time}")
+        if not 0.0 <= service_time < _INF:  # also catches NaN
+            kind = "negative" if service_time < 0.0 else "non-finite"
+            raise RuntimeModelError(f"{kind} service time: {service_time}")
         if self._faults is not None and on_fail is None:
             raise ConfigurationError(
                 f"resource {self.name!r} can fail jobs; acquire() needs an on_fail callback"
@@ -276,13 +337,14 @@ class FifoResource:
         service_time, on_done, on_fail, service_fn = self._queue.popleft()
         if service_fn is not None:
             service_time = service_fn(self._loop.now)
-            if service_time < 0.0:
-                raise RuntimeModelError(f"service_fn returned negative duration: {service_time}")
+            if not 0.0 <= service_time < _INF:  # also catches NaN
+                kind = "negative" if service_time < 0.0 else "non-finite"
+                raise RuntimeModelError(f"service_fn returned {kind} duration: {service_time}")
         if self._faults is None:
             occupancy, ok = service_time, True
         else:
             occupancy, ok = self._faults(self._loop.now, service_time)
-            if occupancy < 0.0 or occupancy > service_time:
+            if not 0.0 <= occupancy <= service_time:  # also catches NaN
                 raise RuntimeModelError(
                     f"fault hook returned occupancy {occupancy} outside [0, {service_time}]"
                 )

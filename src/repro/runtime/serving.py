@@ -34,6 +34,7 @@ takes ``online`` to select between the two readings.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -43,7 +44,7 @@ import numpy as np
 
 from repro._rng import DEFAULT_SEED, generator_for
 from repro.data.datasets import Dataset, ImageRecord
-from repro.detection.batch import DetectionBatch, DetectionBatchBuilder
+from repro.detection.batch import DetectionBatch
 from repro.detection.types import Detections
 from repro.errors import ConfigurationError, RuntimeModelError
 from repro.metrics.latency import LatencySummary, summarize_latencies
@@ -380,10 +381,14 @@ class EscalationPolicy:
             raise ConfigurationError(f"capacity must be >= 0, got {self.capacity}")
         if self.max_retries < 1:
             raise ConfigurationError(f"max_retries must be >= 1, got {self.max_retries}")
-        if self.base_backoff_s <= 0.0 or self.backoff_factor < 1.0:
-            raise ConfigurationError("base_backoff_s must be > 0 and backoff_factor >= 1")
-        if self.max_backoff_s < self.base_backoff_s:
-            raise ConfigurationError("max_backoff_s must be >= base_backoff_s")
+        # written as `not <valid range>` so NaN, which fails every comparison, is refused too
+        if not 0.0 < self.base_backoff_s < math.inf or not 1.0 <= self.backoff_factor < math.inf:
+            raise ConfigurationError(
+                "base_backoff_s must be finite and > 0 and backoff_factor finite and >= 1, "
+                f"got {self.base_backoff_s} and {self.backoff_factor}"
+            )
+        if not self.base_backoff_s <= self.max_backoff_s < math.inf:
+            raise ConfigurationError(f"max_backoff_s must be finite and >= base_backoff_s, got {self.max_backoff_s}")
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter}")
 
@@ -718,8 +723,11 @@ class StreamConfig:
     max_edge_queue: int = 30
 
     def __post_init__(self) -> None:
-        if self.fps <= 0.0 or self.duration_s <= 0.0:
-            raise RuntimeModelError("fps and duration_s must be positive")
+        # written as `not <valid range>` so NaN, which fails every comparison, is refused too
+        if not 0.0 < self.fps < math.inf or not 0.0 < self.duration_s < math.inf:
+            raise RuntimeModelError(
+                f"fps and duration_s must be finite and positive, got {self.fps} and {self.duration_s}"
+            )
         if self.max_edge_queue < 1:
             raise RuntimeModelError("max_edge_queue must be >= 1")
 
@@ -748,9 +756,9 @@ class StreamReport:
     """Outcome of one streaming run.
 
     ``served`` (present when the run was given per-record detections) is the
-    stream's served output in completion order, accumulated frame by frame
-    through a :class:`DetectionBatchBuilder` — no per-frame container
-    staging.  ``trace`` (same condition) is the columnar
+    stream's served output in completion order, gathered once from the
+    source batches when the run has drained — no per-frame copy.  ``trace``
+    (same condition) is the columnar
     :class:`~repro.runtime.trace.FrameTrace` logging every *offered* frame
     in event order — arrival time, result-ready time (arrival again for
     drops), dataset record index, served flag, served-batch segment, and the
@@ -989,9 +997,12 @@ class _CameraStream:
     :meth:`shed_expired` before deciding on the newcomer.
 
     A fleet allocates one of these per camera, so the per-instance state is
-    slotted and the frame log lands in a preallocated columnar
-    :class:`FrameTraceBuilder` (reserved to the arrival count up front)
-    instead of per-frame Python list appends.
+    slotted and per-frame bookkeeping is kept to the events themselves: the
+    arrivals enter the loop as one lazy :meth:`EventLoop.schedule_series`,
+    the frame log lands in a columnar :class:`FrameTraceBuilder`, and each
+    served frame records only its source row (``served_rows``; fallback
+    rows offset by ``len(detections)``), which :meth:`report` gathers into
+    the served batch in one :meth:`DetectionBatch.select`.
     """
 
     __slots__ = (
@@ -1030,7 +1041,7 @@ class _CameraStream:
         "in_uplink",
         "_waiting",
         "_min_remaining_cache",
-        "builder",
+        "served_rows",
         "trace",
         "escalation_queue",
         "frames_offered",
@@ -1123,16 +1134,16 @@ class _CameraStream:
         # entry stage, oldest first; entries leave on completion or shed.
         self._waiting: deque[tuple[object, float, int]] = deque()
         self._min_remaining_cache: dict[int, float] = {}
-        self.builder: DetectionBatchBuilder | None = None
+        self.served_rows: list[int] | None = None
         self.trace: FrameTraceBuilder | None = None
         if detections is not None:
-            self.builder = DetectionBatchBuilder(detector=detections.detector)
+            self.served_rows = []
             self.trace = FrameTraceBuilder()
         if (
             (uplink.can_fail or cloud.can_fail)
             and self.escalation.fallback
             and scheme.edge_compute
-            and self.builder is not None
+            and self.served_rows is not None
             and self.fallback_detections is None
             and bool(mask.any())
         ):
@@ -1146,7 +1157,7 @@ class _CameraStream:
                     "an offload controller decides as each edge stage finishes; "
                     f"the {scheme.name!r} scheme has no edge stage"
                 )
-            if self.builder is not None and self.fallback_detections is None:
+            if self.served_rows is not None and self.fallback_detections is None:
                 raise ConfigurationError(
                     "an offload controller serving detections needs small_detections: "
                     "frames it keeps local serve the edge verdict"
@@ -1158,12 +1169,8 @@ class _CameraStream:
             self.escalation_queue = EscalationQueue(self, self.escalation, escalation_rng)
 
     def schedule(self, arrivals: np.ndarray) -> None:
-        """Queue every arrival of this camera onto the shared loop."""
-        if self.trace is not None:
-            # one upfront reservation covers the run's whole frame log
-            self.trace.reserve(int(arrivals.shape[0]))
-        for index, arrival in enumerate(arrivals):
-            self.loop.schedule(arrival, lambda i=index, a=arrival: self._on_frame(i, a))
+        """Feed every arrival of this camera to the shared loop as one series."""
+        self.loop.schedule_series(arrivals.tolist(), self._on_frame)
         self.frames_offered = int(arrivals.shape[0])
 
     # ------------------------------------------------------------------ #
@@ -1175,34 +1182,37 @@ class _CameraStream:
             return None
         return self.trace.append(arrival, time, record_index, served, -1 if segment is None else segment)
 
-    def _append_segment(self, batch: DetectionBatch, record_index: int) -> int:
-        lo = int(batch.offsets[record_index])
-        hi = int(batch.offsets[record_index + 1])
-        self.builder.append(
-            batch.image_ids[record_index],
-            batch.boxes[lo:hi],
-            batch.scores[lo:hi],
-            batch.labels[lo:hi],
-        )
-        return len(self.builder) - 1
+    def _collect(self, row: int) -> int | None:
+        """Record one served frame's source row; returns its served segment.
 
-    def _collect(self, record_index: int) -> int | None:
-        if self.builder is None:
+        ``row`` indexes ``detections``; a fallback serve passes its record
+        index offset by ``len(detections)`` (see :meth:`_collect_fallback`).
+        """
+        rows = self.served_rows
+        if rows is None:
             return None
-        return self._append_segment(self.detections, record_index)
+        rows.append(row)
+        return len(rows) - 1
 
     def _collect_local(self, record_index: int) -> int | None:
-        if self.builder is None:
-            return None
         # Under an offload controller the static `detections` batch is the
         # *cloud* verdict; frames kept local serve the edge verdict instead.
-        batch = self.detections if self.offload is None else self.fallback_detections
-        return self._append_segment(batch, record_index)
+        if self.offload is None:
+            return self._collect(record_index)
+        return self._collect_fallback(record_index)
 
     def _collect_fallback(self, record_index: int) -> int | None:
-        if self.builder is None:
+        if self.served_rows is None:
             return None
-        return self._append_segment(self.fallback_detections, record_index)
+        return self._collect(len(self.detections) + record_index)
+
+    def _served_batch(self) -> DetectionBatch:
+        """Gather the served frames' segments, in serve order, in one pass."""
+        detections = self.detections
+        rows = np.array(self.served_rows, dtype=np.int64)
+        if rows.size and int(rows.max()) >= len(detections):
+            detections = DetectionBatch.concat([detections, self.fallback_detections], detector=detections.detector)
+        return detections.select(rows)
 
     def _emit(self, event: FrameEvent) -> None:
         for observe in self.observers:
@@ -1654,7 +1664,7 @@ class _CameraStream:
     # ------------------------------------------------------------------ #
     def report(self, elapsed: float) -> StreamReport:
         """Summarise this camera once the loop has drained."""
-        has_frames = self.builder is not None
+        has_frames = self.served_rows is not None
         return StreamReport(
             scheme=self.scheme.name,
             latency=summarize_latencies(self.latencies),
@@ -1669,7 +1679,7 @@ class _CameraStream:
             edge_utilization=self.edge.utilization(elapsed),
             uplink_utilization=self.uplink.utilization(elapsed),
             cloud_utilization=self.cloud.utilization(elapsed),
-            served=self.builder.build() if has_frames else None,
+            served=self._served_batch() if has_frames else None,
             trace=self.trace.build() if has_frames else None,
         )
 

@@ -14,12 +14,14 @@ arrays anyway.
 columns, one row per offered frame — so the rolling-quality evaluator, the
 admission/availability experiments and the latency-percentile helpers all
 read the same flat arrays with zero re-packing.  :class:`FrameTraceBuilder`
-is the streaming producer (amortised doubling growth, in-place verdict
-reconciliation), mirroring :class:`~repro.detection.batch.DetectionBatchBuilder`.
+is the streaming producer: typed ``array.array`` columns appended per frame,
+reconciled in place for deferred verdicts, and converted to NumPy once.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -214,12 +216,12 @@ class FrameTrace:
 class FrameTraceBuilder:
     """Appendable accumulator producing :class:`FrameTrace` layouts.
 
-    Rows land straight in flat numpy buffers that grow by doubling, so a
-    camera logging tens of thousands of frames does amortised O(frames)
-    array writes with no per-frame Python list churn.  Deferred-verdict
-    reconciliation mutates rows in place by position — exactly the contract
-    the durable escalation queue needs — so :meth:`build` should be called
-    once the run has drained.
+    Rows land in seven typed :class:`array.array` columns (``d``/``q``/``b``),
+    so logging a frame is seven native appends with no per-row NumPy scalar
+    store and no capacity bookkeeping.  Deferred-verdict reconciliation
+    mutates rows in place by position — exactly the contract the durable
+    escalation queue needs — so :meth:`build` should be called once the run
+    has drained; it converts each column to NumPy once.
     """
 
     __slots__ = (
@@ -230,35 +232,19 @@ class FrameTraceBuilder:
         "_segments",
         "_verdict_times",
         "_verdict_segments",
-        "_count",
     )
 
-    def __init__(self, capacity: int = 0) -> None:
-        capacity = max(int(capacity), 0)
-        self._arrivals = np.empty(capacity, dtype=np.float64)
-        self._times = np.empty(capacity, dtype=np.float64)
-        self._records = np.empty(capacity, dtype=np.int64)
-        self._served = np.empty(capacity, dtype=bool)
-        self._segments = np.empty(capacity, dtype=np.int64)
-        self._verdict_times = np.empty(capacity, dtype=np.float64)
-        self._verdict_segments = np.empty(capacity, dtype=np.int64)
-        self._count = 0
+    def __init__(self) -> None:
+        self._arrivals = array("d")
+        self._times = array("d")
+        self._records = array("q")
+        self._served = array("b")
+        self._segments = array("q")
+        self._verdict_times = array("d")
+        self._verdict_segments = array("q")
 
     def __len__(self) -> int:
-        return self._count
-
-    def reserve(self, extra: int) -> None:
-        """Grow the buffers to hold ``extra`` more rows (one reallocation)."""
-        needed = self._count + max(int(extra), 0)
-        capacity = int(self._arrivals.shape[0])
-        if needed <= capacity:
-            return
-        capacity = max(needed, capacity * 2, 16)
-        for name in ("_arrivals", "_times", "_records", "_served", "_segments", "_verdict_times", "_verdict_segments"):
-            old = getattr(self, name)
-            grown = np.empty(capacity, dtype=old.dtype)
-            grown[: self._count] = old[: self._count]
-            setattr(self, name, grown)
+        return len(self._arrivals)
 
     def append(self, arrival: float, time: float, record: int, served: bool, segment: int = -1) -> int:
         """Log one offered frame; returns its row position.
@@ -267,17 +253,14 @@ class FrameTraceBuilder:
         for drops); the deferred-verdict columns start empty and are filled
         later through :meth:`set_verdict` / :meth:`mark_served`.
         """
-        position = self._count
-        if position >= self._arrivals.shape[0]:
-            self.reserve(1)
-        self._arrivals[position] = arrival
-        self._times[position] = time
-        self._records[position] = record
-        self._served[position] = served
-        self._segments[position] = segment
-        self._verdict_times[position] = -np.inf
-        self._verdict_segments[position] = -1
-        self._count = position + 1
+        position = len(self._arrivals)
+        self._arrivals.append(arrival)
+        self._times.append(time)
+        self._records.append(record)
+        self._served.append(served)
+        self._segments.append(segment)
+        self._verdict_times.append(-math.inf)
+        self._verdict_segments.append(-1)
         return position
 
     def set_verdict(self, position: int, time: float, segment: int) -> None:
@@ -293,13 +276,12 @@ class FrameTraceBuilder:
 
     def build(self) -> "FrameTrace":
         """Snapshot the logged rows as a validated :class:`FrameTrace`."""
-        count = self._count
         return FrameTrace(
-            arrivals=self._arrivals[:count],
-            times=self._times[:count],
-            records=self._records[:count],
-            served=self._served[:count],
-            segments=self._segments[:count],
-            verdict_times=self._verdict_times[:count],
-            verdict_segments=self._verdict_segments[:count],
+            arrivals=np.array(self._arrivals, dtype=np.float64),
+            times=np.array(self._times, dtype=np.float64),
+            records=np.array(self._records, dtype=np.int64),
+            served=np.array(self._served, dtype=bool),
+            segments=np.array(self._segments, dtype=np.int64),
+            verdict_times=np.array(self._verdict_times, dtype=np.float64),
+            verdict_segments=np.array(self._verdict_segments, dtype=np.int64),
         )

@@ -2,13 +2,17 @@
 
 The fleet simulator multiplies the event volume through :class:`EventLoop`
 and :class:`FifoResource`; these tests pin the semantics the engines lean
-on — zero-delay self-scheduling, deterministic same-instant ordering, and
-the bounded-buffer backpressure that drops frames arriving at a full queue.
+on — zero-delay self-scheduling, deterministic same-instant ordering, the
+bounded-buffer backpressure that drops frames arriving at a full queue,
+fail-fast rejection of non-finite times, and the lazy arrival series that
+must fire exactly like scheduling every element up front.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import load_dataset
 from repro.errors import ConfigurationError, RuntimeModelError
@@ -292,3 +296,152 @@ class TestScheduleRepeating:
         loop = EventLoop()
         with pytest.raises(ConfigurationError):
             loop.schedule_repeating(interval, lambda: None, keep_going=lambda: True)
+
+
+class TestNonFiniteTimesRejected:
+    """Infinite and NaN times fail at the call, not deep inside ``run()``."""
+
+    @pytest.mark.parametrize("delay", [float("inf"), float("nan")])
+    def test_schedule_rejects_non_finite_delay(self, delay):
+        loop = EventLoop()
+        with pytest.raises(ConfigurationError):
+            loop.schedule(delay, lambda: None)
+        assert loop.run() == 0.0
+
+    def test_repeating_rejects_infinite_interval(self):
+        with pytest.raises(ConfigurationError):
+            EventLoop().schedule_repeating(float("inf"), lambda: None, keep_going=lambda: True)
+
+    @pytest.mark.parametrize("service_time", [float("inf"), float("nan")])
+    def test_acquire_rejects_non_finite_service_time(self, service_time):
+        loop = EventLoop()
+        resource = FifoResource(loop, "dev")
+        with pytest.raises(RuntimeModelError):
+            resource.acquire(service_time, lambda _t: None)
+        assert resource.queue_depth == 0
+
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan"), -1.0])
+    def test_acquire_rejects_bad_service_fn_duration(self, duration):
+        loop = EventLoop()
+        resource = FifoResource(loop, "link")
+        with pytest.raises(RuntimeModelError):
+            resource.acquire(1.0, lambda _t: None, service_fn=lambda _grant: duration)
+
+    @pytest.mark.parametrize(
+        "times",
+        [[1.0, float("nan")], [float("inf")], [2.0, 1.0], [-1.0]],
+        ids=["nan", "inf", "decreasing", "past"],
+    )
+    def test_schedule_series_rejects_bad_times(self, times):
+        loop = EventLoop()
+        with pytest.raises(ConfigurationError):
+            loop.schedule_series(times, lambda _i, _t: None)
+        assert loop.run() == 0.0
+
+    def test_schedule_series_rejects_times_before_now(self):
+        loop = EventLoop()
+        loop.schedule(2.0, lambda: None)
+        loop.run()
+        with pytest.raises(ConfigurationError):
+            loop.schedule_series([1.5, 3.0], lambda _i, _t: None)
+
+
+# A tiny event program: series (launched up front or from an event), single
+# events, per-element follow-ups and run(until=...) stops.  Times sit on a
+# quarter-second grid so `t - now + now == t` exactly and the per-element
+# reference schedules the very same heap keys.
+_TICKS = st.lists(st.integers(0, 6), max_size=6).map(sorted)
+_FOLLOW_UPS = ("none", "zero-delay", "same-instant-series", "later")
+
+
+@st.composite
+def _event_programs(draw):
+    series = draw(
+        st.lists(
+            st.tuples(
+                st.none() | st.integers(0, 6),  # launch tick (None: before run)
+                _TICKS,
+                st.lists(st.sampled_from(_FOLLOW_UPS), min_size=6, max_size=6),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    singles = draw(st.lists(st.integers(0, 8), max_size=4))
+    order = draw(st.permutations(range(len(series) + len(singles))))
+    stops = sorted(draw(st.lists(st.integers(0, 10), max_size=3)))
+    return series, singles, order, stops
+
+
+def _per_element(loop, times, action):
+    now = loop.now
+    for index, time in enumerate(times):
+        loop.schedule(time - now, lambda i=index, t=time: action(i, t))
+
+
+def _play(program, launch):
+    """Run ``program`` launching every series through ``launch``; returns
+    the firing log, the clock after each run() and the sequence counter."""
+    series, singles, order, stops = program
+    loop = EventLoop()
+    log: list[tuple] = []
+
+    def make_action(name, follow_ups):
+        def action(index, time):
+            assert time == loop.now
+            log.append((name, index, time))
+            follow_up = follow_ups[index] if follow_ups else "none"
+            if follow_up == "zero-delay":
+                loop.schedule(0.0, lambda: log.append((name, index, "zero", loop.now)))
+            elif follow_up == "same-instant-series":
+                now = loop.now
+                launch(loop, [now, now, now + 0.25], make_action(f"{name}/{index}", None))
+            elif follow_up == "later":
+                loop.schedule(0.5, lambda: log.append((name, index, "later", loop.now)))
+
+        return action
+
+    for slot in order:
+        if slot < len(series):
+            launch_tick, ticks, follow_ups = series[slot]
+            action = make_action(f"s{slot}", follow_ups)
+            if launch_tick is None:
+                launch(loop, [tick / 4 for tick in ticks], action)
+            else:
+
+                def start(ticks=ticks, action=action):
+                    launch(loop, [loop.now + tick / 4 for tick in ticks], action)
+
+                loop.schedule(launch_tick / 4, start)
+        else:
+            tick = singles[slot - len(series)]
+            loop.schedule(tick / 4, lambda tick=tick, slot=slot: log.append(("single", slot, loop.now)))
+    clocks = [loop.run(until=stop / 4) for stop in stops]
+    clocks.append(loop.run())
+    return log, clocks, loop._sequence
+
+
+class TestScheduleSeries:
+    """``schedule_series`` is one lazily advanced heap entry, yet fires
+    exactly like scheduling every element up front."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(program=_event_programs())
+    def test_matches_per_element_schedule(self, program):
+        lazy = _play(program, lambda loop, times, action: loop.schedule_series(times, action))
+        eager = _play(program, _per_element)
+        assert lazy == eager
+
+    def test_holds_one_heap_entry_per_series(self):
+        loop = EventLoop()
+        fired: list[tuple[int, float]] = []
+        loop.schedule_series([1.0, 2.0, 2.0, 3.0], lambda i, t: fired.append((i, t)))
+        loop.schedule_series([0.5, 2.0], lambda i, t: fired.append((10 + i, t)))
+        assert len(loop._heap) == 2
+        assert loop.run() == 3.0
+        assert fired == [(10, 0.5), (0, 1.0), (1, 2.0), (2, 2.0), (11, 2.0), (3, 3.0)]
+
+    def test_empty_series_is_a_no_op(self):
+        loop = EventLoop()
+        loop.schedule_series([], lambda _i, _t: None)
+        assert loop.run() == 0.0

@@ -222,6 +222,22 @@ class TestEscalationPolicy:
         with pytest.raises(ConfigurationError):
             EscalationPolicy.durable_queue(capacity=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("base_backoff_s", float("nan")),
+            ("base_backoff_s", float("inf")),
+            ("backoff_factor", float("nan")),
+            ("backoff_factor", float("inf")),
+            ("max_backoff_s", float("nan")),
+            ("max_backoff_s", float("inf")),
+        ],
+    )
+    def test_non_finite_backoff_rejected_at_construction(self, field, value):
+        # a NaN used to pass construction and fail mid-simulation
+        with pytest.raises(ConfigurationError):
+            EscalationPolicy.durable_queue(**{field: value})
+
 
 # --------------------------------------------------------------------- #
 # stream-level failure behaviour

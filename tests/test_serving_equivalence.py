@@ -18,6 +18,7 @@ import _legacy_budget as legacy
 from repro._rng import generator_for
 from repro.core.discriminator import DifficultCaseDiscriminator
 from repro.data import load_dataset
+from repro.detection.batch import DetectionBatchBuilder
 from repro.metrics.latency import summarize_latencies
 from repro.runtime import (
     JETSON_NANO,
@@ -53,6 +54,7 @@ from repro.runtime import (
 )
 from repro.runtime.codec import detections_payload_bytes
 from repro.runtime.executor import DISCRIMINATOR_FLOPS
+from repro.runtime.serving import _CameraStream
 from repro.simulate import make_detector
 
 
@@ -771,3 +773,94 @@ class TestAdaptiveQuotaEquivalence:
         assert counters == legacy_counters
         decisions, uploads, _ = counters
         assert 0 < uploads < decisions
+
+
+# --------------------------------------------------------------------- #
+# served batch: one gather at report time == frame-by-frame copies
+# --------------------------------------------------------------------- #
+class TestServedGatherEquivalence:
+    """A camera records each served frame's source row and gathers the
+    served batch once at report time.  The oracle below reinstates the
+    historical collector — every served frame's segment copied into a
+    ``DetectionBatchBuilder`` as it is served — and the two runs must agree
+    bit for bit, on a durable-queue fleet where fallback serves, recovered
+    verdicts and offload-local serves all feed the batch."""
+
+    CONFIG = StreamConfig(fps=1.5, poisson=True, duration_s=40.0)
+
+    @pytest.fixture(scope="class")
+    def detections(self, helmet_mini):
+        small = make_detector("small1", "helmet").detect_split(helmet_mini)
+        big = make_detector("ssd", "helmet").detect_split(helmet_mini)
+        return small, big
+
+    @pytest.fixture(scope="class")
+    def faulty(self, deployment):
+        return Deployment(
+            edge=deployment.edge,
+            cloud=deployment.cloud,
+            link=UnreliableLink.wrap(
+                WLAN,
+                outages=OutageSchedule.periodic(period_s=10.0, downtime_s=3.0, duration_s=40.0, offset_s=2.0),
+                loss_probability=0.05,
+            ),
+            small_model_flops=deployment.small_model_flops,
+            big_model_flops=deployment.big_model_flops,
+        )
+
+    @staticmethod
+    def _frame_by_frame(monkeypatch):
+        builders: dict[_CameraStream, DetectionBatchBuilder] = {}
+
+        def builder(camera):
+            return builders.setdefault(camera, DetectionBatchBuilder(detector=camera.detections.detector))
+
+        def copy(camera, batch, record_index):
+            segment = batch[record_index]
+            target = builder(camera)
+            target.append(segment.image_id, segment.boxes, segment.scores, segment.labels)
+            return len(target) - 1
+
+        monkeypatch.setattr(_CameraStream, "_collect", lambda self, r: copy(self, self.detections, r))
+        monkeypatch.setattr(_CameraStream, "_collect_fallback", lambda self, r: copy(self, self.fallback_detections, r))
+        monkeypatch.setattr(_CameraStream, "_served_batch", lambda self: builder(self).build())
+
+    @pytest.mark.parametrize("offload", [False, True], ids=["static-mask", "adaptive-quota"])
+    def test_gathered_batch_matches_frame_by_frame_copies(
+        self, monkeypatch, faulty, helmet_mini, half_mask, detections, offload
+    ):
+        small, big = detections
+
+        def run():
+            quota = None
+            if offload:
+                discriminator = DifficultCaseDiscriminator(
+                    confidence_threshold=0.25, count_threshold=3, area_threshold=0.02
+                )
+                quota = AdaptiveQuota(discriminator, small, 0.3)
+            spec = FleetSpec(
+                scheme=collaborative_scheme(),
+                config=self.CONFIG,
+                cameras=4,
+                mask=None if offload else half_mask,
+                small_detections=small,
+                detections=big,
+                escalation=EscalationPolicy.durable_queue(capacity=64, max_retries=6, max_backoff_s=8.0),
+                offload=quota,
+            )
+            return serve_fleet(faulty, helmet_mini, spec, seed=5)
+
+        gathered = run()
+        with monkeypatch.context() as patch:
+            self._frame_by_frame(patch)
+            reference = run()
+        assert gathered == reference
+        for ours, theirs in zip(gathered.cameras, reference.cameras):
+            for column in ("boxes", "scores", "labels", "offsets"):
+                assert getattr(ours.served, column).dtype == getattr(theirs.served, column).dtype
+            # every first serve and every recovered verdict owns one segment
+            recovered = int((ours.trace.verdict_segments >= 0).sum())
+            assert len(ours.served) == int(ours.trace.served.sum()) + recovered
+        assert gathered.escalations_recovered > 0
+        # fallback served first, cloud verdict recovered later
+        assert (gathered.trace().verdict_segments >= 0).any()

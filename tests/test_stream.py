@@ -181,3 +181,18 @@ class TestStreamSimulator:
             StreamConfig(fps=0.0)
         with pytest.raises(RuntimeModelError):
             StreamConfig(max_edge_queue=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fps", float("nan")),
+            ("fps", float("inf")),
+            ("duration_s", float("nan")),
+            ("duration_s", float("inf")),
+            ("duration_s", -1.0),
+        ],
+    )
+    def test_non_finite_rate_and_duration_rejected_at_construction(self, field, value):
+        # these used to pass construction and fail inside the arrival draw
+        with pytest.raises(RuntimeModelError):
+            StreamConfig(**{field: value})

@@ -2,7 +2,7 @@
 
 The trace is the storage layer behind every streaming report's frame log, so
 these tests pin its contracts directly — validation, value equality,
-fleet-level concatenation with segment shifting, builder growth and in-place
+fleet-level concatenation with segment shifting, builder appends and in-place
 verdict reconciliation, latency percentiles, and the ``.npz`` round-trip —
 plus the report-level percentile helpers that read it.
 """
@@ -161,14 +161,6 @@ class TestFrameTraceBuilder:
         assert trace.arrivals.tolist() == [float(i) for i in range(100)]
         assert trace.segments.tolist() == list(range(100))
         assert not np.isfinite(trace.verdict_times).any()
-
-    def test_reserve_is_single_allocation(self):
-        builder = FrameTraceBuilder()
-        builder.reserve(1000)
-        buffer = builder._arrivals
-        for i in range(1000):
-            builder.append(float(i), float(i), i, False)
-        assert builder._arrivals is buffer
 
     def test_set_verdict_and_mark_served_mutate_in_place(self):
         builder = FrameTraceBuilder()
