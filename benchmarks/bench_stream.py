@@ -27,13 +27,14 @@ from repro.runtime import (
     OutageSchedule,
     RateSchedule,
     StreamConfig,
+    StreamSpec,
     UnreliableLink,
     bundled_trace,
     cloud_only_scheme,
     collaborative_scheme,
     edge_only_scheme,
+    serve_stream,
     simulate_fleet,
-    simulate_stream,
 )
 
 
@@ -100,13 +101,8 @@ def test_micro_stream_collaborative_1200_frames(benchmark, deployment, helmet_sl
     config = StreamConfig(fps=40.0, duration_s=30.0, poisson=False, max_edge_queue=30)
 
     def run():
-        return simulate_stream(
-            collaborative_scheme(),
-            deployment,
-            helmet_slice,
-            config,
-            mask=half_mask,
-            seed=1,
+        return serve_stream(
+            deployment, helmet_slice, StreamSpec(collaborative_scheme(), config, mask=half_mask), seed=1
         )
 
     report = benchmark(run)

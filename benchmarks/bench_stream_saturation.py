@@ -14,7 +14,9 @@ from repro.runtime import (
     WLAN,
     Deployment,
     StreamConfig,
-    StreamSimulator,
+    StreamSpec,
+    paper_schemes,
+    serve_stream,
 )
 from repro.zoo.registry import build_model
 
@@ -29,11 +31,18 @@ def _sweep(harness):
         small_model_flops=float(build_model("small1", num_classes=2).flops),
         big_model_flops=float(build_model("ssd", num_classes=2).flops),
     )
-    simulator = StreamSimulator(deployment, dataset, seed=harness.config.seed)
     rows = {}
     for fps in (2.0, 5.0, 10.0):
         config = StreamConfig(fps=fps, duration_s=45.0)
-        rows[fps] = simulator.compare(config, run.uploaded)
+        rows[fps] = {
+            name: serve_stream(
+                deployment,
+                dataset,
+                StreamSpec(scheme, config, mask=run.uploaded if name == "collaborative" else None),
+                seed=harness.config.seed,
+            )
+            for name, scheme in paper_schemes().items()
+        }
     return rows
 
 

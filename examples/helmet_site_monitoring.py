@@ -20,7 +20,10 @@ from repro.runtime import (
     RTX3060_SERVER,
     WLAN,
     Deployment,
-    EdgeCloudRuntime,
+    cloud_only_scheme,
+    collaborative_scheme,
+    edge_only_scheme,
+    run_cost,
 )
 from repro.simulate import make_detector
 from repro.zoo import build_model
@@ -46,10 +49,9 @@ def main() -> None:
         small_model_flops=float(build_model("small1", num_classes=2).flops),
         big_model_flops=float(build_model("ssd", num_classes=2).flops),
     )
-    runtime = EdgeCloudRuntime(deployment=deployment)
-    edge_cost = runtime.run_edge_only(test)
-    cloud_cost = runtime.run_cloud_only(test)
-    ours_cost = runtime.run_collaborative(test, run.uploaded)
+    edge_cost = run_cost(edge_only_scheme(), deployment, test)
+    cloud_cost = run_cost(cloud_only_scheme(), deployment, test)
+    ours_cost = run_cost(collaborative_scheme(), deployment, test, mask=run.uploaded)
 
     def served_map(detections):
         return mean_average_precision([d.above(0.5) for d in detections], test.truths, test.num_classes)

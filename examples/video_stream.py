@@ -18,9 +18,13 @@ from repro.runtime import (
     RTX3060_SERVER,
     WLAN,
     Deployment,
-    EdgeCloudRuntime,
     StreamConfig,
-    StreamSimulator,
+    StreamSpec,
+    cloud_only_scheme,
+    collaborative_scheme,
+    paper_schemes,
+    run_cost,
+    serve_stream,
 )
 from repro.simulate import make_detector
 from repro.zoo import build_model
@@ -44,13 +48,13 @@ def main() -> None:
         small_model_flops=float(build_model("small1", num_classes=2).flops),
         big_model_flops=float(build_model("ssd", num_classes=2).flops),
     )
-    simulator = StreamSimulator(deployment, test)
 
     print(f"{'fps':>5}  {'scheme':<14}{'p50 (ms)':>10}{'p99 (ms)':>10}" f"{'drops':>8}{'uplink util':>13}")
     for fps in (2.0, 5.0, 10.0, 20.0):
         config = StreamConfig(fps=fps, duration_s=60.0)
-        reports = simulator.compare(config, run.uploaded)
-        for name, report in reports.items():
+        for name, scheme in paper_schemes().items():
+            mask = run.uploaded if name == "collaborative" else None
+            report = serve_stream(deployment, test, StreamSpec(scheme, config, mask=mask))
             print(
                 f"{fps:>5.0f}  {name:<14}{1000 * report.latency.p50:>10.1f}"
                 f"{1000 * report.latency.p99:>10.1f}"
@@ -63,9 +67,8 @@ def main() -> None:
     print("difficult fraction of frames crosses the network.")
 
     # Sanity anchor: the static Table XI totals for the same deployment.
-    runtime = EdgeCloudRuntime(deployment=deployment)
-    cloud = runtime.run_cloud_only(test)
-    ours = runtime.run_collaborative(test, run.uploaded)
+    cloud = run_cost(cloud_only_scheme(), deployment, test)
+    ours = run_cost(collaborative_scheme(), deployment, test, mask=run.uploaded)
     print(
         f"\n(batch totals for reference: cloud-only {cloud.latency.total:.1f}s, "
         f"ours {ours.latency.total:.1f}s -> {100 * ours.latency.saving_over(cloud.latency):.0f}% saved)"

@@ -8,11 +8,13 @@ they upload exactly a fixed fraction, which makes the mAP comparison at
 equal bandwidth fair.
 
 Every :class:`UploadPolicy` structurally satisfies the serving pipeline's
-:class:`~repro.runtime.serving.OffloadPolicy` protocol, so the baselines
-plug directly into :func:`~repro.runtime.serving.run_cost`,
-:func:`~repro.runtime.serving.simulate_stream` and
-:func:`~repro.runtime.serving.simulate_fleet` via
-:func:`~repro.runtime.serving.collaborative_scheme`.
+:class:`~repro.runtime.serving.OffloadPolicy` protocol, so a baseline wrapped
+in :func:`~repro.runtime.serving.collaborative_scheme` serves through every
+engine: the static :func:`~repro.runtime.serving.run_cost` and the event
+engines :func:`~repro.runtime.serving.serve_stream` and
+:func:`~repro.runtime.serving.serve_fleet` (the scheme goes in a
+:class:`~repro.runtime.serving.StreamSpec` or
+:class:`~repro.runtime.serving.FleetSpec`).
 """
 
 from __future__ import annotations

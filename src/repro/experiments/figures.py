@@ -220,7 +220,7 @@ def figure_10_fleet_quality(harness: Harness) -> FigureResult:
         x_label="window end (s)",
         x_values=x_values,
         series={
-            outcome.policy: [window.map_percent for window in outcome.windows]
+            outcome.labels["policy"]: [window.map_percent for window in outcome.windows]
             for outcome in outcomes
         },
         notes="Windows score every arriving frame; dropped and stale results "
@@ -242,7 +242,7 @@ def figure_11_staleness_tradeoff(harness: Harness) -> FigureResult:
     from repro.experiments.fleet import FLEET_FRESHNESS_S, admission_policy_outcomes
 
     outcomes = admission_policy_outcomes(harness)
-    labels = [f"{outcome.scheme}/{outcome.admission}" for outcome in outcomes]
+    labels = ["/".join(outcome.labels.values()) for outcome in outcomes]
     return FigureResult(
         figure_id="11",
         title="Served-frame staleness vs rolling online mAP for each "
@@ -272,7 +272,7 @@ def figure_12_outage_recovery(harness: Harness) -> FigureResult:
     """
     from repro.experiments.fleet import availability_outcomes
 
-    outcomes = [o for o in availability_outcomes(harness) if o.outage == "periodic-30"]
+    outcomes = [o for o in availability_outcomes(harness) if o.labels["outage"] == "periodic-30"]
     x_values = [window.t_end for window in outcomes[0].windows]
     return FigureResult(
         figure_id="12",
@@ -281,7 +281,7 @@ def figure_12_outage_recovery(harness: Harness) -> FigureResult:
         x_label="window end (s)",
         x_values=x_values,
         series={
-            f"{outcome.scheme}/{outcome.escalation}": [
+            f"{outcome.labels['scheme']}/{outcome.labels['escalation']}": [
                 window.map_percent for window in outcome.windows
             ]
             for outcome in outcomes
@@ -314,7 +314,7 @@ def figure_13_control_plane(harness: Harness) -> FigureResult:
         x_label="window end (s)",
         x_values=x_values,
         series={
-            f"{outcome.group}/{outcome.label}": [
+            "/".join(outcome.labels.values()): [
                 window.map_percent for window in outcome.windows
             ]
             for outcome in outcomes
@@ -338,7 +338,7 @@ def figure_14_network(harness: Harness) -> FigureResult:
     """
     from repro.experiments.fleet import FLEET_FRESHNESS_S, network_outcomes
 
-    outcomes = [o for o in network_outcomes(harness) if o.profile == "lte-trace"]
+    outcomes = [o for o in network_outcomes(harness) if o.labels["profile"] == "lte-trace"]
     x_values = [window.t_end for window in outcomes[0].windows]
     return FigureResult(
         figure_id="14",
@@ -347,7 +347,7 @@ def figure_14_network(harness: Harness) -> FigureResult:
         x_label="window end (s)",
         x_values=x_values,
         series={
-            f"{outcome.scheme}/{outcome.admission}": [
+            f"{outcome.labels['scheme']}/{outcome.labels['admission']}": [
                 window.map_percent for window in outcome.windows
             ]
             for outcome in outcomes

@@ -4,7 +4,7 @@ The extension workload behind Table XVIII and Figure 10: every offload
 policy — the difficult-case discriminator, the Sec. VI.E baselines at the
 discriminator's measured upload quota, and the degenerate edge/cloud-only
 schemes — drives the *same* eight-camera helmet-site fleet
-(:func:`repro.runtime.serving.simulate_fleet`) over the Table XI deployment,
+(:func:`repro.runtime.serving.serve_fleet`) over the Table XI deployment,
 and the served streams are scored online with
 :func:`repro.metrics.rolling.rolling_quality`.  Saturation of the shared
 WLAN uplink therefore shows up where it matters: as measured rolling mAP
@@ -46,18 +46,30 @@ schedule-aware vs constant-estimate variants of
 what folding the link schedule into every doom test buys once the rate
 actually moves, and how much more gracefully the discriminator scheme rides
 a bandwidth dip than cloud-only.
+
+All five tables run through one grid runner, :func:`run_grid`.  A table
+declares only its cells: the axis labels, the deployment, the
+:class:`~repro.runtime.serving.FleetSpec`, the freshness deadline and, where
+the table reports something other than ``frames_uploaded``, how to count
+uploads.  The runner serves each cell with ``serve_fleet``, scores it with
+``rolling_quality`` and returns one :class:`FleetOutcome` per cell, whose
+metrics are defined once for every table.  :meth:`Harness.fleet_grid`
+memoises each grid by name, so a table and its figure share the same runs;
+the ``*_outcomes`` functions are the front doors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.baselines.blur_upload import BlurUploadPolicy
 from repro.baselines.confidence_upload import ConfidenceUploadPolicy
 from repro.baselines.random_upload import RandomUploadPolicy
-from repro.core.discriminator import DiscriminatorPolicy
+from repro.core.discriminator import DifficultCaseDiscriminator, DiscriminatorPolicy
+from repro.data.datasets import Dataset
 from repro.data.degrade import DegradationModel
 from repro.detection.batch import DetectionBatch
 from repro.experiments.harness import Harness
@@ -75,12 +87,13 @@ from repro.runtime.serving import (
     EscalationPolicy,
     FleetReport,
     FleetSpec,
+    ServingScheme,
     StreamConfig,
     cloud_only_scheme,
     collaborative_scheme,
     edge_only_scheme,
     serve_fleet,
-    simulate_fleet,
+    simulate_fleet,  # noqa: F401 - perfbench/ rebinds this module global by name
 )
 from repro.runtime.traces import bundled_trace
 from repro.zoo.registry import build_model
@@ -93,19 +106,10 @@ __all__ = [
     "FLEET_WINDOW_S",
     "DRIFT_BANDWIDTH_MBPS",
     "DRIFT_UPLOAD_BUDGET",
-    "AdmissionOutcome",
-    "AvailabilityOutcome",
-    "ControlOutcome",
     "FleetOutcome",
-    "NetworkOutcome",
     "admission_policies",
     "admission_policy_outcomes",
     "availability_outcomes",
-    "compute_admission_outcomes",
-    "compute_availability_outcomes",
-    "compute_control_outcomes",
-    "compute_fleet_outcomes",
-    "compute_network_outcomes",
     "control_plane_outcomes",
     "drift_degradation",
     "escalation_policies",
@@ -116,6 +120,7 @@ __all__ = [
     "network_outcomes",
     "network_profiles",
     "outage_schedules",
+    "run_grid",
 ]
 
 #: Cameras contending for the shared uplink/cloud in the reported fleet.
@@ -132,14 +137,72 @@ FLEET_WINDOW_S = 8.0
 #: results trail by tens of seconds score as misses, as an operator would.
 FLEET_FRESHNESS_S = 2.0
 
+#: Per-transfer loss probability of the lossy uplink in the availability runs
+#: (congestion loss on top of the outage schedule).
+FLEET_LOSS_PROBABILITY = 0.05
+
+#: Seed of the ``random-30`` schedule (fixed: the schedule is part of the
+#: workload definition, not of a run's randomness).
+DEFAULT_OUTAGE_SEED = 2023
+
+#: Per-camera upload budget (fraction of frames) the adaptive-quota rows
+#: hold every camera to on the congested drift uplink.
+DRIFT_UPLOAD_BUDGET = 0.10
+
+#: Shared-uplink bandwidth (Mbps) of the drift fleet — tight enough that the
+#: static thresholds' night-time upload surge saturates it, while the
+#: budgeted fleet stays comfortably inside capacity.
+DRIFT_BANDWIDTH_MBPS = 2.2
+
+
+# --------------------------------------------------------------------- #
+# the one grid runner
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class _Grid:
+    """What every cell of a fleet grid draws on: the helmet test split, both
+    models' detections, the fitted discriminator and the Table XI testbed."""
+
+    harness: Harness
+    dataset: Dataset
+    small: DetectionBatch
+    big: DetectionBatch
+    discriminator: DifficultCaseDiscriminator
+    deployment: Deployment
+    cameras: int
+    config: StreamConfig
+
+    @property
+    def seed(self) -> int:
+        return self.harness.config.seed
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """One run of a fleet grid, as a table declares it.
+
+    ``labels`` place the run on the grid's axes (axis name -> value, in
+    column order).  ``freshness_s`` is the rolling-quality deadline
+    (``None`` scores eventual quality).  ``uploads`` counts the finished
+    run's uploads when ``report.frames_uploaded`` is not the figure the
+    table reports.
+    """
+
+    labels: dict[str, str]
+    deployment: Deployment
+    spec: FleetSpec
+    freshness_s: float | None = FLEET_FRESHNESS_S
+    uploads: Callable[[FleetReport], int] | None = None
+
 
 @dataclass(frozen=True)
 class FleetOutcome:
-    """One policy's fleet run plus its rolling online quality."""
+    """One fleet-grid cell served and scored online."""
 
-    policy: str
+    labels: dict[str, str]
     report: FleetReport
     windows: list[RollingWindow]
+    uploads: int
 
     @property
     def mean_map(self) -> float:
@@ -152,6 +215,67 @@ class FleetOutcome:
         """Mean rolling count-error percent over windows that saw frames."""
         values = [w.count_error_percent for w in self.windows if w.frames]
         return float(np.mean(values)) if values else 0.0
+
+    @property
+    def mean_staleness_s(self) -> float:
+        """Mean served-frame result age (completion minus arrival) in seconds."""
+        ages = [camera.trace.latencies() for camera in self.report.cameras]
+        stacked = np.concatenate(ages) if ages else np.zeros(0)
+        return float(stacked.mean()) if stacked.size else 0.0
+
+    @property
+    def fresh_percent(self) -> float:
+        """Percent of *offered* frames served within the freshness deadline."""
+        served = sum(w.served for w in self.windows)
+        offered = sum(w.frames for w in self.windows)
+        return 100.0 * served / offered if offered else 0.0
+
+    @property
+    def frames_lost_percent(self) -> float:
+        """Percent of offered frames that never produced a served result."""
+        return 100.0 * self.report.drop_rate
+
+
+def run_grid(
+    harness: Harness,
+    name: str,
+    *,
+    cameras: int,
+    config: StreamConfig,
+    window_s: float,
+) -> tuple[FleetOutcome, ...]:
+    """Serve and score every cell of the fleet grid ``name``, in order.
+
+    Uncached — go through the ``*_outcomes`` front doors (memoised by
+    :meth:`Harness.fleet_grid`) so each table and its figure consume the
+    same runs.
+    """
+    dataset = harness.dataset(FLEET_SETTING, "test")
+    small = harness.detections("small1", FLEET_SETTING, "test")
+    big = harness.detections("ssd", FLEET_SETTING, "test")
+    discriminator, _ = harness.discriminator("small1", "ssd", FLEET_SETTING)
+    grid = _Grid(harness, dataset, small, big, discriminator, fleet_deployment(dataset.num_classes), cameras, config)
+    outcomes = []
+    # cells are generated lazily, so a cell may read state its predecessors' runs left behind
+    for cell in _GRIDS[name](grid):
+        report = serve_fleet(cell.deployment, dataset, cell.spec, seed=grid.seed)
+        windows = rolling_quality(
+            report,
+            dataset,
+            window_s=window_s,
+            duration_s=config.duration_s,
+            freshness_s=cell.freshness_s,
+        )
+        uploads = report.frames_uploaded if cell.uploads is None else cell.uploads(report)
+        outcomes.append(FleetOutcome(cell.labels, report, windows, uploads))
+    return tuple(outcomes)
+
+
+def _outcomes(
+    harness: Harness, name: str, cameras: int, config: StreamConfig | None, window_s: float
+) -> tuple[FleetOutcome, ...]:
+    config = fleet_config() if config is None else config
+    return harness.fleet_grid(name, cameras=cameras, config=config, window_s=window_s)
 
 
 def fleet_config() -> StreamConfig:
@@ -176,6 +300,21 @@ def fleet_deployment(num_classes: int) -> Deployment:
     )
 
 
+def _discriminator_entry(grid: _Grid) -> tuple[str, ServingScheme, np.ndarray, DetectionBatch]:
+    """The discriminator's collaborative scheme, its upload mask and served outputs."""
+    policy = DiscriminatorPolicy(grid.discriminator)
+    mask = policy.select(grid.dataset, grid.small)
+    served = DetectionBatch.where(mask, grid.big, grid.small)
+    return "discriminator", collaborative_scheme(policy, name="discriminator"), mask, served
+
+
+def _cloud_only_entry(grid: _Grid) -> tuple[str, ServingScheme, np.ndarray, DetectionBatch]:
+    return "cloud-only", cloud_only_scheme(), np.ones(len(grid.dataset), dtype=bool), grid.big
+
+
+# --------------------------------------------------------------------- #
+# Table XVIII / Figure 10: offload policies
+# --------------------------------------------------------------------- #
 def fleet_policy_outcomes(
     harness: Harness,
     *,
@@ -183,130 +322,42 @@ def fleet_policy_outcomes(
     config: StreamConfig | None = None,
     window_s: float = FLEET_WINDOW_S,
 ) -> tuple[FleetOutcome, ...]:
-    """Fleet comparison outcomes, memoised by the harness.
-
-    Convenience front door over :meth:`Harness.fleet_outcomes` (the cache
-    owner), which delegates the actual runs to
-    :func:`compute_fleet_outcomes`.
-    """
-    return harness.fleet_outcomes(cameras=cameras, config=config, window_s=window_s)
+    """Table XVIII / Figure 10 outcomes (axis ``policy``), memoised by the harness."""
+    return _outcomes(harness, "policies", cameras, config, window_s)
 
 
-def compute_fleet_outcomes(
-    harness: Harness,
-    *,
-    cameras: int = FLEET_CAMERAS,
-    config: StreamConfig | None = None,
-    window_s: float = FLEET_WINDOW_S,
-) -> tuple[FleetOutcome, ...]:
-    """Run the fleet under every offload policy, scored online.
+def _policy_cells(grid: _Grid) -> Iterator[_Cell]:
+    """Every offload policy on the same fleet, scored at the deadline.
 
     The four upload policies run through the shared
     :class:`~repro.runtime.serving.OffloadPolicy` protocol inside a
     collaborative-shaped scheme (the baselines at the discriminator's
     measured upload quota, the fair-bandwidth protocol of Tables XII-XVII);
-    edge-only and cloud-only are their degenerate schemes.  Every run shares
-    one arrival process per camera, so the comparison isolates the policy.
-
-    Uncached — go through :meth:`Harness.fleet_outcomes` (or the
-    :func:`fleet_policy_outcomes` front door) so Table XVIII and Figure 10
-    consume the same runs.
+    edge-only and cloud-only are their degenerate schemes.  The mask each
+    policy selected is passed through, so expensive policies (blur renders
+    every image) run ``select()`` exactly once.
     """
-    if config is None:
-        config = fleet_config()
-    setting = FLEET_SETTING
-    dataset = harness.dataset(setting, "test")
-    small = harness.detections("small1", setting, "test")
-    big = harness.detections("ssd", setting, "test")
-    discriminator, _ = harness.discriminator("small1", "ssd", setting)
-    quota = float(np.mean(discriminator.decide_split(small)))
-    seed = harness.config.seed
+    dataset, small, big = grid.dataset, grid.small, grid.big
+    quota = float(np.mean(grid.discriminator.decide_split(small)))
     policies = [
-        ("discriminator", DiscriminatorPolicy(discriminator)),
-        ("random", RandomUploadPolicy(ratio=quota, seed=seed)),
+        ("discriminator", DiscriminatorPolicy(grid.discriminator)),
+        ("random", RandomUploadPolicy(ratio=quota, seed=grid.seed)),
         ("blur", BlurUploadPolicy(ratio=quota)),
         ("confidence", ConfidenceUploadPolicy(ratio=quota)),
     ]
-    zeros = np.zeros(len(dataset), dtype=bool)
-    entries = [
-        ("edge-only", edge_only_scheme(), zeros, small),
-        ("cloud-only", cloud_only_scheme(), ~zeros, big),
-    ]
+    entries = [("edge-only", edge_only_scheme(), np.zeros(len(dataset), dtype=bool), small), _cloud_only_entry(grid)]
     for label, policy in policies:
         mask = policy.select(dataset, small)
         served = DetectionBatch.where(mask, big, small)
         entries.append((label, collaborative_scheme(policy, name=label), mask, served))
-
-    deployment = fleet_deployment(dataset.num_classes)
-    outcomes = []
     for label, scheme, mask, served in entries:
-        # the mask each policy selected is passed through, so expensive
-        # policies (blur renders every image) run select() exactly once
-        report = simulate_fleet(
-            scheme,
-            deployment,
-            dataset,
-            config,
-            cameras=cameras,
-            mask=mask,
-            detections=served,
-            seed=seed,
-        )
-        windows = rolling_quality(
-            report,
-            dataset,
-            window_s=window_s,
-            duration_s=config.duration_s,
-            freshness_s=FLEET_FRESHNESS_S,
-        )
-        outcomes.append(FleetOutcome(policy=label, report=report, windows=windows))
-    return tuple(outcomes)
+        spec = FleetSpec(scheme=scheme, config=grid.config, cameras=grid.cameras, mask=mask, detections=served)
+        yield _Cell({"policy": label}, grid.deployment, spec)
 
 
 # --------------------------------------------------------------------- #
 # Table XIX / Figure 11: admission policy x serving scheme
 # --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class AdmissionOutcome:
-    """One (serving scheme, admission policy) fleet run, scored online."""
-
-    scheme: str
-    admission: str
-    report: FleetReport
-    windows: list[RollingWindow]
-
-    @property
-    def mean_map(self) -> float:
-        """Mean rolling mAP over windows that saw frames."""
-        values = [w.map_percent for w in self.windows if w.frames]
-        return float(np.mean(values)) if values else 0.0
-
-    @property
-    def mean_count_error(self) -> float:
-        """Mean rolling count-error percent over windows that saw frames."""
-        values = [w.count_error_percent for w in self.windows if w.frames]
-        return float(np.mean(values)) if values else 0.0
-
-    @property
-    def staleness(self) -> np.ndarray:
-        """Result age (completion minus arrival, s) of every served frame."""
-        ages = [camera.trace.latencies() for camera in self.report.cameras]
-        return np.concatenate(ages) if ages else np.zeros(0)
-
-    @property
-    def mean_staleness_s(self) -> float:
-        """Mean served-frame result age in seconds."""
-        ages = self.staleness
-        return float(ages.mean()) if ages.size else 0.0
-
-    @property
-    def fresh_percent(self) -> float:
-        """Percent of *offered* frames served within the freshness deadline."""
-        served = sum(w.served for w in self.windows)
-        offered = sum(w.frames for w in self.windows)
-        return 100.0 * served / offered if offered else 0.0
-
-
 def admission_policies(freshness_s: float = FLEET_FRESHNESS_S) -> tuple[tuple[str, AdmissionPolicy], ...]:
     """The camera-buffer admission policies Table XIX compares."""
     return (
@@ -322,119 +373,34 @@ def admission_policy_outcomes(
     cameras: int = FLEET_CAMERAS,
     config: StreamConfig | None = None,
     window_s: float = FLEET_WINDOW_S,
-) -> tuple[AdmissionOutcome, ...]:
-    """Admission-control comparison outcomes, memoised by the harness.
+) -> tuple[FleetOutcome, ...]:
+    """Table XIX / Figure 11 outcomes (axes ``scheme``, ``admission``), memoised by the harness."""
+    return _outcomes(harness, "admission", cameras, config, window_s)
 
-    Convenience front door over :meth:`Harness.admission_outcomes` (the
-    cache owner), which delegates the actual runs to
-    :func:`compute_admission_outcomes`.
+
+def _admission_cells(grid: _Grid) -> Iterator[_Cell]:
+    """Every admission policy x serving scheme, scored at the deadline.
+
+    ``cloud-only`` saturates the shared uplink (every admission decision
+    matters); the discriminator scheme runs within budget (a control:
+    admission must not perturb an unsaturated fleet).
     """
-    return harness.admission_outcomes(cameras=cameras, config=config, window_s=window_s)
-
-
-def compute_admission_outcomes(
-    harness: Harness,
-    *,
-    cameras: int = FLEET_CAMERAS,
-    config: StreamConfig | None = None,
-    window_s: float = FLEET_WINDOW_S,
-) -> tuple[AdmissionOutcome, ...]:
-    """Run the fleet under every admission policy x serving scheme.
-
-    Two schemes span the interesting regimes: ``cloud-only`` saturates the
-    shared uplink (every admission decision matters) and the
-    discriminator-driven ``collaborative`` scheme runs within budget (a
-    control: admission must not perturb an unsaturated fleet).  Each pair
-    shares the per-camera arrival processes, so rows differ only in what
-    the camera buffer sheds; rolling quality is scored at the
-    :data:`FLEET_FRESHNESS_S` deadline.
-
-    Uncached — go through :meth:`Harness.admission_outcomes` (or the
-    :func:`admission_policy_outcomes` front door) so Table XIX and
-    Figure 11 consume the same runs.
-    """
-    if config is None:
-        config = fleet_config()
-    dataset = harness.dataset(FLEET_SETTING, "test")
-    small = harness.detections("small1", FLEET_SETTING, "test")
-    big = harness.detections("ssd", FLEET_SETTING, "test")
-    discriminator, _ = harness.discriminator("small1", "ssd", FLEET_SETTING)
-    policy = DiscriminatorPolicy(discriminator)
-    mask = policy.select(dataset, small)
-    served = DetectionBatch.where(mask, big, small)
-    zeros = np.zeros(len(dataset), dtype=bool)
-    schemes = [
-        ("cloud-only", cloud_only_scheme(), ~zeros, big),
-        ("discriminator", collaborative_scheme(policy, name="discriminator"), mask, served),
-    ]
-    deployment = fleet_deployment(dataset.num_classes)
-    seed = harness.config.seed
-    outcomes = []
-    for scheme_label, scheme, scheme_mask, scheme_served in schemes:
+    for scheme_label, scheme, mask, served in (_cloud_only_entry(grid), _discriminator_entry(grid)):
         for admission_label, admission in admission_policies():
-            report = simulate_fleet(
-                scheme,
-                deployment,
-                dataset,
-                config,
-                cameras=cameras,
-                mask=scheme_mask,
-                detections=scheme_served,
+            spec = FleetSpec(
+                scheme=scheme,
+                config=grid.config,
+                cameras=grid.cameras,
+                mask=mask,
+                detections=served,
                 admission=admission,
-                seed=seed,
             )
-            windows = rolling_quality(
-                report,
-                dataset,
-                window_s=window_s,
-                duration_s=config.duration_s,
-                freshness_s=FLEET_FRESHNESS_S,
-            )
-            outcomes.append(
-                AdmissionOutcome(
-                    scheme=scheme_label,
-                    admission=admission_label,
-                    report=report,
-                    windows=windows,
-                )
-            )
-    return tuple(outcomes)
+            yield _Cell({"scheme": scheme_label, "admission": admission_label}, grid.deployment, spec)
 
 
 # --------------------------------------------------------------------- #
 # Table XX / Figure 12: availability under failure (escalation policies)
 # --------------------------------------------------------------------- #
-#: Per-transfer loss probability of the lossy uplink in the availability runs
-#: (congestion loss on top of the outage schedule).
-FLEET_LOSS_PROBABILITY = 0.05
-
-#: Seed of the ``random-30`` schedule (fixed: the schedule is part of the
-#: workload definition, not of a run's randomness).
-DEFAULT_OUTAGE_SEED = 2023
-
-
-@dataclass(frozen=True)
-class AvailabilityOutcome:
-    """One (outage schedule, serving scheme, escalation policy) fleet run."""
-
-    outage: str
-    scheme: str
-    escalation: str
-    report: FleetReport
-    windows: list[RollingWindow]
-
-    @property
-    def mean_map(self) -> float:
-        """Mean rolling mAP over windows that saw frames (no deadline)."""
-        values = [w.map_percent for w in self.windows if w.frames]
-        return float(np.mean(values)) if values else 0.0
-
-    @property
-    def frames_lost_percent(self) -> float:
-        """Percent of offered frames that never produced a served result."""
-        return 100.0 * self.report.drop_rate
-
-
 def outage_schedules(duration_s: float) -> tuple[tuple[str, OutageSchedule], ...]:
     """The ~30 %-downtime uplink outage schedules Table XX compares.
 
@@ -452,7 +418,6 @@ def outage_schedules(duration_s: float) -> tuple[tuple[str, OutageSchedule], ...
     )
 
 
-
 def escalation_policies() -> tuple[tuple[str, EscalationPolicy], ...]:
     """The escalation policies Table XX compares on failed uplink transfers."""
     return (
@@ -468,149 +433,46 @@ def availability_outcomes(
     cameras: int = FLEET_CAMERAS,
     config: StreamConfig | None = None,
     window_s: float = FLEET_WINDOW_S,
-) -> tuple[AvailabilityOutcome, ...]:
-    """Availability comparison outcomes, memoised by the harness.
-
-    Convenience front door over :meth:`Harness.availability_outcomes` (the
-    cache owner), which delegates the actual runs to
-    :func:`compute_availability_outcomes`.
-    """
-    return harness.availability_outcomes(cameras=cameras, config=config, window_s=window_s)
+) -> tuple[FleetOutcome, ...]:
+    """Table XX / Figure 12 outcomes (axes ``outage``, ``scheme``, ``escalation``), memoised by the harness."""
+    return _outcomes(harness, "availability", cameras, config, window_s)
 
 
-def compute_availability_outcomes(
-    harness: Harness,
-    *,
-    cameras: int = FLEET_CAMERAS,
-    config: StreamConfig | None = None,
-    window_s: float = FLEET_WINDOW_S,
-) -> tuple[AvailabilityOutcome, ...]:
-    """Run the fleet under every outage schedule x scheme x escalation policy.
+def _availability_cells(grid: _Grid) -> Iterator[_Cell]:
+    """Every outage schedule x scheme x escalation policy, eventual quality.
 
     The shared WLAN uplink is wrapped in an
     :class:`~repro.runtime.network.UnreliableLink` with the schedule's down
-    windows plus :data:`FLEET_LOSS_PROBABILITY` per-transfer loss.  Two
-    schemes span the regimes: ``cloud-only`` stakes every frame on the
-    uplink (a failed transfer loses the frame unless the spool recovers it),
-    while the discriminator-driven ``collaborative`` scheme degrades
-    gracefully — a failed escalation serves the frame's *edge* verdict
-    immediately and the durable queue lands the cloud verdict late.  Rolling
-    quality is scored **without** a freshness deadline: the comparison
-    measures eventual quality, i.e. what each escalation policy permanently
-    loses versus eventually recovers.
-
-    Uncached — go through :meth:`Harness.availability_outcomes` (or the
-    :func:`availability_outcomes` front door) so Table XX and Figure 12
-    consume the same runs.
+    windows plus :data:`FLEET_LOSS_PROBABILITY` per-transfer loss.
+    ``cloud-only`` stakes every frame on the uplink; the discriminator
+    scheme serves the frame's *edge* verdict when an escalation fails and
+    the durable queue lands the cloud verdict late.  Scored **without** a
+    freshness deadline: what each policy permanently loses versus
+    eventually recovers.
     """
-    if config is None:
-        config = fleet_config()
-    dataset = harness.dataset(FLEET_SETTING, "test")
-    small = harness.detections("small1", FLEET_SETTING, "test")
-    big = harness.detections("ssd", FLEET_SETTING, "test")
-    discriminator, _ = harness.discriminator("small1", "ssd", FLEET_SETTING)
-    policy = DiscriminatorPolicy(discriminator)
-    mask = policy.select(dataset, small)
-    served = DetectionBatch.where(mask, big, small)
-    zeros = np.zeros(len(dataset), dtype=bool)
-    schemes = [
-        ("cloud-only", cloud_only_scheme(), ~zeros, big),
-        ("discriminator", collaborative_scheme(policy, name="discriminator"), mask, served),
-    ]
-    base = fleet_deployment(dataset.num_classes)
-    seed = harness.config.seed
-    outcomes = []
-    for outage_label, outages in outage_schedules(config.duration_s):
+    schemes = (_cloud_only_entry(grid), _discriminator_entry(grid))
+    base = grid.deployment
+    for outage_label, outages in outage_schedules(grid.config.duration_s):
         link = UnreliableLink.wrap(base.link, outages=outages, loss_probability=FLEET_LOSS_PROBABILITY)
-        deployment = Deployment(
-            edge=base.edge,
-            cloud=base.cloud,
-            link=link,
-            small_model_flops=base.small_model_flops,
-            big_model_flops=base.big_model_flops,
-        )
-        for scheme_label, scheme, scheme_mask, scheme_served in schemes:
+        deployment = replace(base, link=link)
+        for scheme_label, scheme, mask, served in schemes:
             for escalation_label, escalation in escalation_policies():
-                report = simulate_fleet(
-                    scheme,
-                    deployment,
-                    dataset,
-                    config,
-                    cameras=cameras,
-                    mask=scheme_mask,
-                    small_detections=small,
-                    detections=scheme_served,
+                spec = FleetSpec(
+                    scheme=scheme,
+                    config=grid.config,
+                    cameras=grid.cameras,
+                    mask=mask,
+                    small_detections=grid.small,
+                    detections=served,
                     escalation=escalation,
-                    seed=seed,
                 )
-                windows = rolling_quality(
-                    report,
-                    dataset,
-                    window_s=window_s,
-                    duration_s=config.duration_s,
-                )
-                outcomes.append(
-                    AvailabilityOutcome(
-                        outage=outage_label,
-                        scheme=scheme_label,
-                        escalation=escalation_label,
-                        report=report,
-                        windows=windows,
-                    )
-                )
-    return tuple(outcomes)
+                labels = {"outage": outage_label, "scheme": scheme_label, "escalation": escalation_label}
+                yield _Cell(labels, deployment, spec, freshness_s=None)
 
 
 # --------------------------------------------------------------------- #
 # Table XXI / Figure 13: the closed-loop control plane
 # --------------------------------------------------------------------- #
-#: Per-camera upload budget (fraction of frames) the adaptive-quota rows
-#: hold every camera to on the congested drift uplink.
-DRIFT_UPLOAD_BUDGET = 0.10
-
-#: Shared-uplink bandwidth (Mbps) of the drift fleet — tight enough that the
-#: static thresholds' night-time upload surge saturates it, while the
-#: budgeted fleet stays comfortably inside capacity.
-DRIFT_BANDWIDTH_MBPS = 2.2
-
-
-@dataclass(frozen=True)
-class ControlOutcome:
-    """One closed-loop control-plane fleet run, scored online.
-
-    ``group`` names the workload: ``admission`` rows run the saturated
-    cloud-only fleet (estimated-time admission vs its omniscient upper
-    bound), ``drift`` rows run the half-night fleet on the congested
-    uplink (adaptive quotas vs static thresholds).
-    """
-
-    group: str
-    label: str
-    report: FleetReport
-    windows: list[RollingWindow]
-    uploads: int
-
-    @property
-    def mean_map(self) -> float:
-        """Mean rolling mAP over windows that saw frames."""
-        values = [w.map_percent for w in self.windows if w.frames]
-        return float(np.mean(values)) if values else 0.0
-
-    @property
-    def mean_staleness_s(self) -> float:
-        """Mean served-frame result age in seconds."""
-        ages = [camera.trace.latencies() for camera in self.report.cameras]
-        stacked = np.concatenate(ages) if ages else np.zeros(0)
-        return float(stacked.mean()) if stacked.size else 0.0
-
-    @property
-    def fresh_percent(self) -> float:
-        """Percent of *offered* frames served within the freshness deadline."""
-        served = sum(w.served for w in self.windows)
-        offered = sum(w.frames for w in self.windows)
-        return 100.0 * served / offered if offered else 0.0
-
-
 def drift_degradation() -> DegradationModel:
     """The night-shift image degradation of the Table XXI drift fleet.
 
@@ -627,27 +489,17 @@ def control_plane_outcomes(
     cameras: int = FLEET_CAMERAS,
     config: StreamConfig | None = None,
     window_s: float = FLEET_WINDOW_S,
-) -> tuple[ControlOutcome, ...]:
-    """Control-plane comparison outcomes, memoised by the harness.
-
-    Convenience front door over :meth:`Harness.control_outcomes` (the
-    cache owner), which delegates the actual runs to
-    :func:`compute_control_outcomes`.
-    """
-    return harness.control_outcomes(cameras=cameras, config=config, window_s=window_s)
+) -> tuple[FleetOutcome, ...]:
+    """Table XXI / Figure 13 outcomes (axes ``group``, ``policy``), memoised by the harness."""
+    return _outcomes(harness, "control", cameras, config, window_s)
 
 
-def compute_control_outcomes(
-    harness: Harness,
-    *,
-    cameras: int = FLEET_CAMERAS,
-    config: StreamConfig | None = None,
-    window_s: float = FLEET_WINDOW_S,
-) -> tuple[ControlOutcome, ...]:
-    """Run the Table XXI / Figure 13 closed-loop control-plane fleets.
+def _served_uploads(report: FleetReport) -> int:
+    return sum(int(camera.trace.served.sum()) for camera in report.cameras)
 
-    Two workloads, all runs through the :class:`~repro.runtime.serving.FleetSpec`
-    front door:
+
+def _control_cells(grid: _Grid) -> Iterator[_Cell]:
+    """The closed-loop control-plane fleets, scored at the deadline.
 
     ``admission`` — the cloud-only fleet saturates the shared WLAN uplink,
     and the rows climb the information ladder: ``drop-newest`` (no deadline
@@ -668,33 +520,9 @@ def compute_control_outcomes(
     (:class:`~repro.core.adaptive.BudgetController` per camera) holding its
     realised upload ratio to the affordable :data:`DRIFT_UPLOAD_BUDGET`,
     trading cloud verdicts it cannot afford for freshness it can.
-
-    Uncached — go through :meth:`Harness.control_outcomes` (or the
-    :func:`control_plane_outcomes` front door) so Table XXI and Figure 13
-    consume the same runs.
     """
-    if config is None:
-        config = fleet_config()
-    dataset = harness.dataset(FLEET_SETTING, "test")
-    small = harness.detections("small1", FLEET_SETTING, "test")
-    big = harness.detections("ssd", FLEET_SETTING, "test")
-    discriminator, _ = harness.discriminator("small1", "ssd", FLEET_SETTING)
-    deployment = fleet_deployment(dataset.num_classes)
-    seed = harness.config.seed
-    outcomes = []
-
-    def scored(group: str, label: str, report: FleetReport, uploads: int) -> ControlOutcome:
-        windows = rolling_quality(
-            report,
-            dataset,
-            window_s=window_s,
-            duration_s=config.duration_s,
-            freshness_s=FLEET_FRESHNESS_S,
-        )
-        return ControlOutcome(group=group, label=label, report=report, windows=windows, uploads=uploads)
-
-    # -- admission rows: saturated cloud-only fleet ---------------------- #
-    everything = ~np.zeros(len(dataset), dtype=bool)
+    config, cameras = grid.config, grid.cameras
+    _, cloud_only, everything, big = _cloud_only_entry(grid)
     admission_rows = (
         ("drop-newest", DropNewest(), None),
         ("deadline-aware", DeadlineAware(freshness_s=FLEET_FRESHNESS_S), None),
@@ -707,7 +535,7 @@ def compute_control_outcomes(
     )
     for label, admission, controller in admission_rows:
         spec = FleetSpec(
-            scheme=cloud_only_scheme(),
+            scheme=cloud_only,
             config=config,
             cameras=cameras,
             mask=everything,
@@ -715,112 +543,59 @@ def compute_control_outcomes(
             admission=admission,
             controller=controller,
         )
-        report = serve_fleet(deployment, dataset, spec, seed=seed)
-        uploads = sum(int(camera.trace.served.sum()) for camera in report.cameras)
-        outcomes.append(scored("admission", label, report, uploads))
+        yield _Cell({"group": "admission", "policy": label}, grid.deployment, spec, uploads=_served_uploads)
 
-    # -- drift rows: half-night fleet on the congested uplink ------------ #
-    night = dataset.with_degradation(drift_degradation(), scope="night-shift")
-    night_small = DetectionBatch.coerce(harness.detector("small1", FLEET_SETTING).detect_split(night))
-    night_big = DetectionBatch.coerce(harness.detector("ssd", FLEET_SETTING).detect_split(night))
+    discriminator, small = grid.discriminator, grid.small
+    night = grid.dataset.with_degradation(drift_degradation(), scope="night-shift")
+    night_small = DetectionBatch.coerce(grid.harness.detector("small1", FLEET_SETTING).detect_split(night))
+    night_big = DetectionBatch.coerce(grid.harness.detector("ssd", FLEET_SETTING).detect_split(night))
     day_mask = np.asarray(discriminator.decide_split(small), dtype=bool)
     night_mask = np.asarray(discriminator.decide_split(night_small), dtype=bool)
     scheme = collaborative_scheme(DiscriminatorPolicy(discriminator), name="discriminator")
-    drift_deployment = Deployment(
-        edge=deployment.edge,
-        cloud=deployment.cloud,
-        link=replace(WLAN, name="wlan-congested", bandwidth_mbps=DRIFT_BANDWIDTH_MBPS),
-        small_model_flops=deployment.small_model_flops,
-        big_model_flops=deployment.big_model_flops,
-    )
+    congested = replace(grid.deployment, link=replace(WLAN, name="wlan-congested", bandwidth_mbps=DRIFT_BANDWIDTH_MBPS))
     night_cameras = cameras // 2
     day_cameras = cameras - night_cameras
 
+    def static_uploads(report: FleetReport) -> int:
+        uploads = 0
+        for index, camera in enumerate(report.cameras):
+            mask = day_mask if index < day_cameras else night_mask
+            uploads += int(mask[camera.trace.records[camera.trace.served]].sum())
+        return uploads
+
+    night_camera = CameraSpec(dataset=night, detections=night_big, small_detections=night_small, mask=night_mask)
     static = FleetSpec(
         scheme=scheme,
         config=config,
-        cameras=(CameraSpec(),) * day_cameras
-        + (
-            CameraSpec(
-                dataset=night,
-                detections=night_big,
-                small_detections=night_small,
-                mask=night_mask,
-            ),
-        )
-        * night_cameras,
+        cameras=(CameraSpec(),) * day_cameras + (night_camera,) * night_cameras,
         mask=day_mask,
         detections=big,
         small_detections=small,
     )
-    report = serve_fleet(drift_deployment, dataset, static, seed=seed)
-    uploads = 0
-    for index, camera in enumerate(report.cameras):
-        mask = day_mask if index < day_cameras else night_mask
-        trace = camera.trace
-        uploads += int(mask[trace.records[trace.served]].sum())
-    outcomes.append(scored("drift", "static-threshold", report, uploads))
+    yield _Cell({"group": "drift", "policy": "static-threshold"}, congested, static, uploads=static_uploads)
 
     day_quota = AdaptiveQuota(discriminator, small, DRIFT_UPLOAD_BUDGET)
     night_quota = AdaptiveQuota(discriminator, night_small, DRIFT_UPLOAD_BUDGET)
+    night_adaptive = CameraSpec(dataset=night, detections=night_big, small_detections=night_small, offload=night_quota)
     adaptive = FleetSpec(
         scheme=scheme,
         config=config,
-        cameras=(CameraSpec(offload=day_quota),) * day_cameras
-        + (
-            CameraSpec(
-                dataset=night,
-                detections=night_big,
-                small_detections=night_small,
-                offload=night_quota,
-            ),
-        )
-        * night_cameras,
+        cameras=(CameraSpec(offload=day_quota),) * day_cameras + (night_adaptive,) * night_cameras,
         detections=big,
         small_detections=small,
     )
-    report = serve_fleet(drift_deployment, dataset, adaptive, seed=seed)
-    outcomes.append(
-        scored("drift", "adaptive-quota", report, day_quota.uploads + night_quota.uploads)
+    yield _Cell(
+        {"group": "drift", "policy": "adaptive-quota"},
+        congested,
+        adaptive,
+        uploads=lambda _report: day_quota.uploads + night_quota.uploads,
     )
-    return tuple(outcomes)
 
 
 # --------------------------------------------------------------------- #
 # Table XXII / Figure 14: time-varying links x scheme x admission
 # --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class NetworkOutcome:
-    """One (bandwidth profile, scheme, admission policy) fleet run."""
-
-    profile: str
-    scheme: str
-    admission: str
-    report: FleetReport
-    windows: list[RollingWindow]
-
-    @property
-    def mean_map(self) -> float:
-        """Mean rolling mAP over windows that saw frames."""
-        values = [w.map_percent for w in self.windows if w.frames]
-        return float(np.mean(values)) if values else 0.0
-
-    @property
-    def mean_staleness_s(self) -> float:
-        """Mean served-frame result age in seconds."""
-        ages = [camera.trace.latencies() for camera in self.report.cameras]
-        stacked = np.concatenate(ages) if ages else np.zeros(0)
-        return float(stacked.mean()) if stacked.size else 0.0
-
-    @property
-    def fresh_percent(self) -> float:
-        """Percent of *offered* frames served within the freshness deadline."""
-        served = sum(w.served for w in self.windows)
-        offered = sum(w.frames for w in self.windows)
-        return 100.0 * served / offered if offered else 0.0
-
-
-def network_profiles() -> tuple[tuple[str, "RateSchedule | None"], ...]:
+def network_profiles() -> tuple[tuple[str, RateSchedule | None], ...]:
     """The Table XXII bandwidth profiles on the shared fleet uplink.
 
     ``constant`` is the plain scalar WLAN (the pre-schedule baseline, bit
@@ -860,91 +635,44 @@ def network_outcomes(
     cameras: int = FLEET_CAMERAS,
     config: StreamConfig | None = None,
     window_s: float = FLEET_WINDOW_S,
-) -> tuple[NetworkOutcome, ...]:
-    """Trace-driven network outcomes, memoised by the harness.
-
-    Convenience front door over :meth:`Harness.network_outcomes` (the
-    cache owner), which delegates the actual runs to
-    :func:`compute_network_outcomes`.
-    """
-    return harness.network_outcomes(cameras=cameras, config=config, window_s=window_s)
+) -> tuple[FleetOutcome, ...]:
+    """Table XXII / Figure 14 outcomes (axes ``profile``, ``scheme``, ``admission``), memoised by the harness."""
+    return _outcomes(harness, "network", cameras, config, window_s)
 
 
-def compute_network_outcomes(
-    harness: Harness,
-    *,
-    cameras: int = FLEET_CAMERAS,
-    config: StreamConfig | None = None,
-    window_s: float = FLEET_WINDOW_S,
-) -> tuple[NetworkOutcome, ...]:
-    """Run the Table XXII / Figure 14 time-varying-link fleets.
+def _network_cells(grid: _Grid) -> Iterator[_Cell]:
+    """Every bandwidth profile x scheme x admission policy, scored at the deadline.
 
-    The eight-camera fleet runs under every bandwidth profile
-    (:func:`network_profiles`) x serving scheme (cloud-only vs the
-    discriminator's collaborative scheme) x admission policy
-    (:func:`network_admissions`), all sharing one arrival process, so the
-    grid isolates two orderings: what schedule awareness buys the
+    The grid isolates two orderings: what schedule awareness buys the
     estimated admission policy once the rate actually varies, and how much
     more gracefully the discriminator scheme rides a bandwidth dip than
     cloud-only (its edge verdicts keep serving while the uplink crawls).
-
-    Uncached — go through :meth:`Harness.network_outcomes` (or the
-    :func:`network_outcomes` front door) so the table and the figure
-    consume the same runs.
     """
-    if config is None:
-        config = fleet_config()
-    dataset = harness.dataset(FLEET_SETTING, "test")
-    small = harness.detections("small1", FLEET_SETTING, "test")
-    big = harness.detections("ssd", FLEET_SETTING, "test")
-    discriminator, _ = harness.discriminator("small1", "ssd", FLEET_SETTING)
-    base_deployment = fleet_deployment(dataset.num_classes)
-    seed = harness.config.seed
-
-    disc_mask = np.asarray(discriminator.decide_split(small), dtype=bool)
-    disc_served = DetectionBatch.where(disc_mask, big, small)
-    everything = ~np.zeros(len(dataset), dtype=bool)
-    schemes = (
-        ("cloud-only", cloud_only_scheme(), everything, big, None),
-        (
-            "discriminator",
-            collaborative_scheme(DiscriminatorPolicy(discriminator), name="discriminator"),
-            disc_mask,
-            disc_served,
-            small,
-        ),
-    )
-
-    outcomes = []
+    # the discriminator scheme's failed escalations fall back on the edge verdicts
+    schemes = ((*_cloud_only_entry(grid), None), (*_discriminator_entry(grid), grid.small))
+    base = grid.deployment
     for profile, schedule in network_profiles():
-        link = base_deployment.link if schedule is None else base_deployment.link.with_rate_schedule(schedule)
-        deployment = replace(base_deployment, link=link)
+        link = base.link if schedule is None else base.link.with_rate_schedule(schedule)
+        deployment = replace(base, link=link)
         for scheme_label, scheme, mask, served, small_detections in schemes:
             for admission_label, admission in network_admissions():
                 spec = FleetSpec(
                     scheme=scheme,
-                    config=config,
-                    cameras=cameras,
+                    config=grid.config,
+                    cameras=grid.cameras,
                     mask=mask,
                     detections=served,
                     small_detections=small_detections,
                     admission=admission,
                 )
-                report = serve_fleet(deployment, dataset, spec, seed=seed)
-                windows = rolling_quality(
-                    report,
-                    dataset,
-                    window_s=window_s,
-                    duration_s=config.duration_s,
-                    freshness_s=FLEET_FRESHNESS_S,
-                )
-                outcomes.append(
-                    NetworkOutcome(
-                        profile=profile,
-                        scheme=scheme_label,
-                        admission=admission_label,
-                        report=report,
-                        windows=windows,
-                    )
-                )
-    return tuple(outcomes)
+                labels = {"profile": profile, "scheme": scheme_label, "admission": admission_label}
+                yield _Cell(labels, deployment, spec)
+
+
+_GRIDS: dict[str, Callable[[_Grid], Iterator[_Cell]]] = {
+    "policies": _policy_cells,
+    "admission": _admission_cells,
+    "availability": _availability_cells,
+    "control": _control_cells,
+    "network": _network_cells,
+}

@@ -53,6 +53,7 @@ from repro.runtime.parallel import (
     shard_spans,
 )
 from repro.runtime.pool import WorkerPool, register_inherited, resolve_workers
+from repro.runtime.serving import StreamConfig
 from repro.simulate.detector import SimulatedDetector
 from repro.simulate.presets import make_detector
 
@@ -270,104 +271,19 @@ class Harness:
             self._counts[key] = count_summary(self.detections(model, setting, "test"), dataset.truth_batch)
         return self._counts[key]
 
-    def fleet_outcomes(self, *, cameras=None, config=None, window_s=None) -> tuple:
-        """Fleet policy comparison (Table XVIII / Figure 10), memoised.
+    def fleet_grid(self, name: str, *, cameras: int, config: StreamConfig, window_s: float) -> tuple:
+        """One fleet experiment grid (Tables XVIII–XXII / Figures 10–14), memoised.
 
-        Thin cache owner over
-        :func:`repro.experiments.fleet.compute_fleet_outcomes` — the fleet
-        runs are the suite's heaviest non-detection workload, and the table
-        and figure consume identical inputs.  Defaults resolve to the fleet
-        module's reported configuration.
+        Cache owner over :func:`repro.experiments.fleet.run_grid`, keyed by
+        grid name and sizing: the fleet runs are the suite's heaviest
+        non-detection workload, and each table and its figure consume the
+        same runs.
         """
-        from repro.experiments import fleet as _fleet
+        from repro.experiments.fleet import run_grid
 
-        cameras = _fleet.FLEET_CAMERAS if cameras is None else cameras
-        config = _fleet.fleet_config() if config is None else config
-        window_s = _fleet.FLEET_WINDOW_S if window_s is None else window_s
-        key = (cameras, config, window_s)
+        key = (name, cameras, config, window_s)
         if key not in self._fleet:
-            self._fleet[key] = _fleet.compute_fleet_outcomes(self, cameras=cameras, config=config, window_s=window_s)
-        return self._fleet[key]
-
-    def admission_outcomes(self, *, cameras=None, config=None, window_s=None) -> tuple:
-        """Admission-policy comparison (Table XIX / Figure 11), memoised.
-
-        Cache owner over
-        :func:`repro.experiments.fleet.compute_admission_outcomes`, exactly
-        as :meth:`fleet_outcomes` is for the policy comparison — the table
-        and the figure consume identical runs.
-        """
-        from repro.experiments import fleet as _fleet
-
-        cameras = _fleet.FLEET_CAMERAS if cameras is None else cameras
-        config = _fleet.fleet_config() if config is None else config
-        window_s = _fleet.FLEET_WINDOW_S if window_s is None else window_s
-        key = ("admission", cameras, config, window_s)
-        if key not in self._fleet:
-            self._fleet[key] = _fleet.compute_admission_outcomes(
-                self, cameras=cameras, config=config, window_s=window_s
-            )
-        return self._fleet[key]
-
-    def availability_outcomes(self, *, cameras=None, config=None, window_s=None) -> tuple:
-        """Availability comparison (Table XX / Figure 12), memoised.
-
-        Cache owner over
-        :func:`repro.experiments.fleet.compute_availability_outcomes` —
-        outage schedule x serving scheme x escalation policy on the shared
-        fleet, consumed identically by the table and the figure.
-        """
-        from repro.experiments import fleet as _fleet
-
-        cameras = _fleet.FLEET_CAMERAS if cameras is None else cameras
-        config = _fleet.fleet_config() if config is None else config
-        window_s = _fleet.FLEET_WINDOW_S if window_s is None else window_s
-        key = ("availability", cameras, config, window_s)
-        if key not in self._fleet:
-            self._fleet[key] = _fleet.compute_availability_outcomes(
-                self, cameras=cameras, config=config, window_s=window_s
-            )
-        return self._fleet[key]
-
-    def control_outcomes(self, *, cameras=None, config=None, window_s=None) -> tuple:
-        """Closed-loop control-plane comparison (Table XXI / Figure 13), memoised.
-
-        Cache owner over
-        :func:`repro.experiments.fleet.compute_control_outcomes` — the
-        estimated/coordinated admission ladder on the saturated fleet plus
-        the static-vs-adaptive drift fleet, consumed identically by the
-        table and the figure.
-        """
-        from repro.experiments import fleet as _fleet
-
-        cameras = _fleet.FLEET_CAMERAS if cameras is None else cameras
-        config = _fleet.fleet_config() if config is None else config
-        window_s = _fleet.FLEET_WINDOW_S if window_s is None else window_s
-        key = ("control", cameras, config, window_s)
-        if key not in self._fleet:
-            self._fleet[key] = _fleet.compute_control_outcomes(
-                self, cameras=cameras, config=config, window_s=window_s
-            )
-        return self._fleet[key]
-
-    def network_outcomes(self, *, cameras=None, config=None, window_s=None) -> tuple:
-        """Trace-driven network comparison (Table XXII / Figure 14), memoised.
-
-        Cache owner over
-        :func:`repro.experiments.fleet.compute_network_outcomes` — every
-        bandwidth profile x serving scheme x admission policy on the shared
-        fleet, consumed identically by the table and the figure.
-        """
-        from repro.experiments import fleet as _fleet
-
-        cameras = _fleet.FLEET_CAMERAS if cameras is None else cameras
-        config = _fleet.fleet_config() if config is None else config
-        window_s = _fleet.FLEET_WINDOW_S if window_s is None else window_s
-        key = ("network", cameras, config, window_s)
-        if key not in self._fleet:
-            self._fleet[key] = _fleet.compute_network_outcomes(
-                self, cameras=cameras, config=config, window_s=window_s
-            )
+            self._fleet[key] = run_grid(self, name, cameras=cameras, config=config, window_s=window_s)
         return self._fleet[key]
 
     # ------------------------------------------------------------------ #

@@ -16,10 +16,8 @@ from repro.baselines.policy import UploadPolicy
 from repro.baselines.random_upload import RandomUploadPolicy
 from repro.experiments.harness import Harness
 from repro.experiments.results import TableResult
-from repro.runtime.devices import JETSON_NANO, RTX3060_SERVER
-from repro.runtime.executor import Deployment, EdgeCloudRuntime
-from repro.runtime.network import WLAN
-from repro.zoo.registry import build_model, model_zoo_table
+from repro.runtime.serving import cloud_only_scheme, collaborative_scheme, edge_only_scheme, run_cost
+from repro.zoo.registry import model_zoo_table
 
 __all__ = [
     "SSD_SETTINGS",
@@ -515,23 +513,16 @@ def table_10_counts_yolov4(harness: Harness) -> TableResult:
 # --------------------------------------------------------------------- #
 def table_11_helmet_realworld(harness: Harness) -> TableResult:
     """Table XI: Jetson Nano + WLAN + server on the Helmet dataset."""
+    from repro.experiments.fleet import fleet_deployment
+
     setting = "helmet"
     run = harness.system_run("small1", "ssd", setting)
     dataset = harness.dataset(setting, "test")
-
-    small_spec = build_model("small1", num_classes=dataset.num_classes)
-    big_spec = build_model("ssd", num_classes=dataset.num_classes)
-    deployment = Deployment(
-        edge=JETSON_NANO,
-        cloud=RTX3060_SERVER,
-        link=WLAN,
-        small_model_flops=float(small_spec.flops),
-        big_model_flops=float(big_spec.flops),
-    )
-    runtime = EdgeCloudRuntime(deployment=deployment, seed=harness.config.seed)
-    edge_cost = runtime.run_edge_only(dataset)
-    cloud_cost = runtime.run_cloud_only(dataset)
-    ours_cost = runtime.run_collaborative(dataset, run.uploaded)
+    deployment = fleet_deployment(dataset.num_classes)
+    seed = harness.config.seed
+    edge_cost = run_cost(edge_only_scheme(), deployment, dataset, seed=seed)
+    cloud_cost = run_cost(cloud_only_scheme(), deployment, dataset, seed=seed)
+    ours_cost = run_cost(collaborative_scheme(), deployment, dataset, mask=run.uploaded, seed=seed)
 
     big_counts = harness.model_counts("ssd", setting)
     small_counts = harness.model_counts("small1", setting)
@@ -670,7 +661,7 @@ def table_18_fleet_policies(harness: Harness) -> TableResult:
         report = outcome.report
         rows.append(
             {
-                "policy": outcome.policy,
+                **outcome.labels,
                 "upload_percent": round(100.0 * report.upload_ratio, 2),
                 "drop_percent": round(100.0 * report.drop_rate, 2),
                 "p50_ms": round(1000.0 * report.latency.p50, 1),
@@ -729,8 +720,7 @@ def table_19_admission_policies(harness: Harness) -> TableResult:
         report = outcome.report
         rows.append(
             {
-                "scheme": outcome.scheme,
-                "admission": outcome.admission,
+                **outcome.labels,
                 "drop_percent": round(100.0 * report.drop_rate, 2),
                 "shed_percent": round(100.0 * report.frames_shed / max(report.frames_offered, 1), 2),
                 "p50_ms": round(1000.0 * report.latency.p50, 1),
@@ -793,9 +783,7 @@ def table_20_availability(harness: Harness) -> TableResult:
         report = outcome.report
         rows.append(
             {
-                "outage": outcome.outage,
-                "scheme": outcome.scheme,
-                "escalation": outcome.escalation,
+                **outcome.labels,
                 "frames_lost_percent": round(outcome.frames_lost_percent, 2),
                 "failed_transfers": report.escalations_failed,
                 "dropped_escalations": report.escalations_dropped,
@@ -853,15 +841,14 @@ def table_21_control_plane(harness: Harness) -> TableResult:
     for outcome in outcomes:
         rows.append(
             {
-                "group": outcome.group,
-                "policy": outcome.label,
+                **outcome.labels,
                 "rolling_map": round(outcome.mean_map, 2),
                 "fresh_percent": round(outcome.fresh_percent, 2),
                 "mean_staleness_s": round(outcome.mean_staleness_s, 3),
                 "uploads": outcome.uploads,
             }
         )
-    by_label = {(o.group, o.label): o.mean_map for o in outcomes}
+    by_label = {tuple(o.labels.values()): o.mean_map for o in outcomes}
     floor = by_label[("admission", "drop-newest")]
     omniscient = by_label[("admission", "deadline-aware")]
     estimated = by_label[("admission", "estimated-deadline")]
@@ -911,16 +898,14 @@ def table_22_network(harness: Harness) -> TableResult:
     for outcome in outcomes:
         rows.append(
             {
-                "profile": outcome.profile,
-                "scheme": outcome.scheme,
-                "admission": outcome.admission,
+                **outcome.labels,
                 "rolling_map": round(outcome.mean_map, 2),
                 "fresh_percent": round(outcome.fresh_percent, 2),
                 "mean_staleness_s": round(outcome.mean_staleness_s, 3),
-                "uploads": outcome.report.frames_uploaded,
+                "uploads": outcome.uploads,
             }
         )
-    by_key = {(o.profile, o.scheme, o.admission): o.mean_map for o in outcomes}
+    by_key = {tuple(o.labels.values()): o.mean_map for o in outcomes}
     aware = by_key[("lte-trace", "cloud-only", "estimated-schedule")]
     blind = by_key[("lte-trace", "cloud-only", "estimated-constant")]
     return TableResult(

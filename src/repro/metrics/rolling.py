@@ -11,15 +11,16 @@ empty detection set against their ground truth, so backpressure and
 queueing delay both show up as measured mAP / object-count loss rather than
 as side-channel counters.
 
-Inputs are the columnar frame trace a
+Inputs are the served batch and the columnar
+:class:`~repro.runtime.trace.FrameTrace` a
 :class:`~repro.runtime.serving.StreamReport` carries when the simulation was
-given served detections (``served`` plus the ``frame_*`` trace columns);
-fleet runs evaluate the union of all camera logs.
+given served detections (``report.served`` and ``report.trace``); fleet runs
+evaluate the union of all camera traces.
 
 Failure injection adds one wrinkle: a frame whose escalation failed serves
 its *edge* verdict immediately, and a durable escalation queue may land the
-deferred *cloud* verdict later (``frame_verdict_segments`` /
-``frame_verdict_times``).  The evaluation reconciles the two — a late cloud
+deferred *cloud* verdict later (``trace.verdict_segments`` /
+``trace.verdict_times``).  The evaluation reconciles the two — a late cloud
 verdict inside the freshness deadline upgrades the scored frame, outside it
 the frame scores as edge-served — so graceful degradation and recovery are
 measured, not asserted.
@@ -110,27 +111,16 @@ class RollingWindow:
 
 
 def _frame_logs(report) -> list:
-    """Flatten one report (stream or fleet) into per-camera log tuples."""
+    """Flatten one report (stream or fleet) into per-camera ``(served, trace)`` pairs."""
     cameras = getattr(report, "cameras", None)
     if cameras is not None:
         logs = []
         for camera in cameras:
             logs.extend(_frame_logs(camera))
         return logs
-    if report.served is None or report.frame_arrivals is None:
+    if report.served is None or report.trace is None:
         raise ConfigurationError("stream report carries no served frames; simulate with detections=")
-    return [
-        (
-            report.served,
-            report.frame_arrivals,
-            report.frame_times,
-            report.frame_records,
-            report.frame_served,
-            getattr(report, "frame_segments", None),
-            getattr(report, "frame_verdict_times", None),
-            getattr(report, "frame_verdict_segments", None),
-        )
-    ]
+    return [(report.served, report.trace)]
 
 
 def _segment_maps(logs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,41 +128,19 @@ def _segment_maps(logs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns ``(positions, verdict_segments, verdict_times)`` aligned with the
     concatenated frame logs; ``-1`` marks "no segment".  Segment indices are
-    shifted by each camera's offset in the concatenated batch.  Logs without
-    an explicit segment map fall back to counting served flags — exact only
-    when every batch segment is a primary serve, so the fallback insists the
-    served-flag count equals the batch length instead of silently
-    misaligning segments (a batch carrying recovered verdicts has more
-    segments than served flags).
+    shifted by each camera's offset in the concatenated batch.
     """
     positions_parts: list[np.ndarray] = []
     verdict_parts: list[np.ndarray] = []
-    verdict_time_parts: list[np.ndarray] = []
     offset = 0
-    for batch, _arrivals, _times, _records, flags, segments, verdict_times, verdict_segments in logs:
-        if segments is None:
-            flagged = int(np.count_nonzero(flags))
-            if flagged != len(batch):
-                raise ConfigurationError(
-                    f"frame log has {flagged} served flags for a {len(batch)}-segment served batch; "
-                    "counting served flags only maps segments exactly when every segment is a "
-                    "primary serve — supply frame_segments for this report"
-                )
-            counted = np.cumsum(flags.astype(np.int64)) - 1
-            positions_parts.append(np.where(flags, counted + offset, -1))
-        else:
-            positions_parts.append(np.where(segments >= 0, segments + offset, -1))
-        if verdict_segments is None:
-            verdict_parts.append(np.full(flags.shape[0], -1, dtype=np.int64))
-            verdict_time_parts.append(np.full(flags.shape[0], -np.inf))
-        else:
-            verdict_parts.append(np.where(verdict_segments >= 0, verdict_segments + offset, -1))
-            verdict_time_parts.append(verdict_times)
+    for batch, trace in logs:
+        positions_parts.append(np.where(trace.segments >= 0, trace.segments + offset, -1))
+        verdict_parts.append(np.where(trace.verdict_segments >= 0, trace.verdict_segments + offset, -1))
         offset += len(batch)
     return (
         np.concatenate(positions_parts),
         np.concatenate(verdict_parts),
-        np.concatenate(verdict_time_parts),
+        np.concatenate([trace.verdict_times for _, trace in logs]),
     )
 
 
@@ -337,11 +305,11 @@ def rolling_quality(
         # "nothing" that reads like a measurement.
         raise ConfigurationError("no stream reports to evaluate")
 
-    arrivals = np.concatenate([log[1] for log in logs])
-    times = np.concatenate([log[2] for log in logs])
-    records = np.concatenate([log[3] for log in logs])
-    served_flags = np.concatenate([log[4] for log in logs])
-    batch = DetectionBatch.concat([log[0] for log in logs])
+    arrivals = np.concatenate([trace.arrivals for _, trace in logs])
+    times = np.concatenate([trace.times for _, trace in logs])
+    records = np.concatenate([trace.records for _, trace in logs])
+    served_flags = np.concatenate([trace.served for _, trace in logs])
+    batch = DetectionBatch.concat([served for served, _ in logs])
     # Map each offered frame to its segment in the concatenated served batch
     # (-1 for drops), plus any deferred cloud verdict a durable escalation
     # queue recovered for it.

@@ -17,6 +17,7 @@ schedule.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
@@ -65,15 +66,16 @@ class RateSchedule:
             )
         if self.times[0] != 0.0:
             raise ConfigurationError("rate schedule must start at t=0")
+        # written as `not <valid range>` so NaN, which fails every comparison, is refused too
         previous = self.times[0]
         for t in self.times[1:]:
-            if t <= previous:
-                raise ConfigurationError("rate schedule times must be strictly increasing")
+            if not previous < t < math.inf:
+                raise ConfigurationError("rate schedule times must be finite and strictly increasing")
             previous = t
         for rate in self.rates_mbps:
-            if rate <= 0.0:
+            if not 0.0 < rate < math.inf:
                 raise ConfigurationError(
-                    "rates_mbps must be > 0 (model zero-rate windows as an OutageSchedule)"
+                    "rates_mbps must be finite and > 0 (model zero-rate windows as an OutageSchedule)"
                 )
         # Prefix sums: megabits deliverable over [0, times[i]].  Frozen
         # dataclass, so the cache is installed via object.__setattr__ (same
@@ -264,10 +266,13 @@ class NetworkLink:
     schedule: RateSchedule | None = None
 
     def __post_init__(self) -> None:
-        if self.bandwidth_mbps <= 0.0:
-            raise ConfigurationError("bandwidth_mbps must be > 0")
-        if self.rtt_s < 0.0 or self.jitter_s < 0.0:
-            raise ConfigurationError("rtt_s and jitter_s must be >= 0")
+        # written as `not <valid range>` so NaN, which fails every comparison, is refused too
+        if not 0.0 < self.bandwidth_mbps < math.inf:
+            raise ConfigurationError(f"bandwidth_mbps must be finite and > 0, got {self.bandwidth_mbps}")
+        if not (0.0 <= self.rtt_s < math.inf and 0.0 <= self.jitter_s < math.inf):
+            raise ConfigurationError(
+                f"rtt_s and jitter_s must be finite and >= 0, got {self.rtt_s} and {self.jitter_s}"
+            )
         if self.schedule is not None and self.bandwidth_mbps != self.schedule.mean_rate_mbps:
             raise ConfigurationError(
                 f"link {self.name!r}: bandwidth_mbps ({self.bandwidth_mbps}) must equal the "
@@ -360,7 +365,7 @@ class OutageSchedule:
     def __post_init__(self) -> None:
         previous_end = 0.0
         for start, end in self.windows:
-            if start < 0.0 or end <= start:
+            if not 0.0 <= start < end:  # NaN bounds fail the comparison too
                 raise ConfigurationError(f"malformed outage window ({start}, {end})")
             if start < previous_end:
                 raise ConfigurationError("outage windows must be sorted and non-overlapping")

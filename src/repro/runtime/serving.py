@@ -16,12 +16,14 @@ escalate to the cloud*.  This module makes that structure explicit:
   :func:`cloud_only_scheme` and :func:`collaborative_scheme`.
 * Two engines over the same schemes: :func:`run_cost` reproduces the static
   Table XI accounting (one latency per frame, no contention) and
-  :func:`simulate_stream` the discrete-event queueing simulation
-  (:mod:`repro.runtime.events`).  Both are bit-for-bit identical to the
-  per-scheme code they replaced (``tests/test_serving_equivalence.py``).
-* :func:`simulate_fleet` — the workload the per-scheme code could not
-  express: N camera streams, each with its own edge accelerator, contending
-  for one shared uplink and one shared cloud GPU on a single event loop.
+  :func:`serve_stream` the discrete-event queueing simulation
+  (:mod:`repro.runtime.events`) of one stream described by a
+  :class:`StreamSpec`.  Both are bit-for-bit identical to the per-scheme
+  code they replaced (``tests/test_serving_equivalence.py``).
+* :func:`serve_fleet` — the workload the per-scheme code could not
+  express: N camera streams (a :class:`FleetSpec`), each with its own edge
+  accelerator, contending for one shared uplink and one shared cloud GPU on
+  a single event loop.
 
 One modelling note, inherited from the pre-refactor implementations: in the
 *static* accounting the edge-only scheme pays the bare small-model latency
@@ -35,7 +37,6 @@ takes ``online`` to select between the two readings.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence, runtime_checkable
@@ -86,7 +87,6 @@ __all__ = [
     "serve_fleet",
     "serve_stream",
     "simulate_fleet",
-    "simulate_stream",
 ]
 
 #: FLOPs of the threshold-based difficult-case discriminator.  It compares a
@@ -506,7 +506,11 @@ class EscalationQueue:
     def _backoff(self) -> float:
         policy = self.policy
         exponent = max(0, self._failures - 1)
-        delay = min(policy.max_backoff_s, policy.base_backoff_s * policy.backoff_factor**exponent)
+        try:
+            growth = policy.backoff_factor**exponent
+        except OverflowError:  # past the float range the cap binds anyway
+            growth = math.inf
+        delay = min(policy.max_backoff_s, policy.base_backoff_s * growth)
         if policy.jitter > 0.0:
             delay *= 1.0 + policy.jitter * float(self.rng.uniform(-1.0, 1.0))
         return delay
@@ -766,11 +770,6 @@ class StreamReport:
     ``-inf`` when there is none) — which is exactly what
     :func:`repro.metrics.rolling.rolling_quality` needs to score the stream
     online, drops, staleness and late verdicts included.
-
-    The historical per-column views (``frame_arrivals``/``frame_times``/
-    ``frame_records``/``frame_served``/``frame_segments``/
-    ``frame_verdict_times``/``frame_verdict_segments``) remain available as
-    read-only properties over the trace.
     """
 
     scheme: str
@@ -808,44 +807,6 @@ class StreamReport:
         if self.frames_served == 0:
             return 0.0
         return self.frames_uploaded / self.frames_served
-
-    # ------------------------------------------------------------------ #
-    # per-column views over the trace (the pre-columnar report fields)
-    # ------------------------------------------------------------------ #
-    @property
-    def frame_arrivals(self) -> np.ndarray | None:
-        """Arrival instant of every offered frame (``trace.arrivals``)."""
-        return None if self.trace is None else self.trace.arrivals
-
-    @property
-    def frame_times(self) -> np.ndarray | None:
-        """Result-ready instant per offered frame (``trace.times``)."""
-        return None if self.trace is None else self.trace.times
-
-    @property
-    def frame_records(self) -> np.ndarray | None:
-        """Dataset record index per offered frame (``trace.records``)."""
-        return None if self.trace is None else self.trace.records
-
-    @property
-    def frame_served(self) -> np.ndarray | None:
-        """Served flag per offered frame (``trace.served``)."""
-        return None if self.trace is None else self.trace.served
-
-    @property
-    def frame_segments(self) -> np.ndarray | None:
-        """Served-batch segment per offered frame (``trace.segments``)."""
-        return None if self.trace is None else self.trace.segments
-
-    @property
-    def frame_verdict_times(self) -> np.ndarray | None:
-        """Deferred-verdict landing time per frame (``trace.verdict_times``)."""
-        return None if self.trace is None else self.trace.verdict_times
-
-    @property
-    def frame_verdict_segments(self) -> np.ndarray | None:
-        """Deferred-verdict segment per frame (``trace.verdict_segments``)."""
-        return None if self.trace is None else self.trace.verdict_segments
 
     def latency_percentiles(self, percentiles: Sequence[float] = (50.0, 95.0, 99.0)) -> dict[float, float]:
         """Per-frame latency percentiles over this stream's served frames.
@@ -1738,11 +1699,8 @@ def _cloud_faults(
 class StreamSpec:
     """Everything one streaming run serves, minus deployment/dataset/seed.
 
-    The spec object consolidates :func:`simulate_stream`'s keyword sprawl
-    into one frozen value a caller can build once and reuse across
-    deployments and seeds.  :func:`serve_stream` is the front door;
-    :func:`simulate_stream` survives as a thin wrapper that builds a spec,
-    so both paths are the same code and stay bit-for-bit identical.
+    One frozen value a caller builds once and reuses across deployments
+    and seeds; :func:`serve_stream` serves it.
 
     ``mask`` and ``offload`` are mutually exclusive: a static mask decides
     the cloud escalations up front, a controller decides per frame as each
@@ -1875,45 +1833,9 @@ def serve_stream(
     return camera.report(elapsed)
 
 
-def simulate_stream(
-    scheme: ServingScheme,
-    deployment: Deployment,
-    dataset: Dataset,
-    config: StreamConfig,
-    *,
-    mask: np.ndarray | None = None,
-    small_detections: DetectionBatch | list[Detections] | None = None,
-    detections: DetectionBatch | None = None,
-    admission: AdmissionPolicy | None = None,
-    escalation: EscalationPolicy | None = None,
-    offload: OffloadController | None = None,
-    seed: int = DEFAULT_SEED,
-) -> StreamReport:
-    """Legacy keyword front door — builds a :class:`StreamSpec` and defers.
-
-    Identical to :func:`serve_stream` (same code path, bit for bit); see
-    there for semantics.  New code should build specs directly.
-    """
-    return serve_stream(
-        deployment,
-        dataset,
-        StreamSpec(
-            scheme=scheme,
-            config=config,
-            mask=mask,
-            small_detections=small_detections,
-            detections=detections,
-            admission=admission,
-            escalation=escalation,
-            offload=offload,
-        ),
-        seed=seed,
-    )
-
-
 @dataclass(frozen=True)
 class CameraSpec:
-    """Per-camera overrides for one :func:`simulate_fleet` camera.
+    """Per-camera overrides for one :func:`serve_fleet` camera.
 
     Every field defaults to "inherit the fleet-level argument", so
     ``CameraSpec()`` describes a camera identical to the homogeneous case.
@@ -1973,12 +1895,32 @@ class FleetSpec:
     controller: FleetController | None = None
 
 
-def _serve_fleet_impl(
+def serve_fleet(
     deployment: Deployment,
     dataset: Dataset,
     spec: FleetSpec,
-    seed: int,
+    *,
+    seed: int = DEFAULT_SEED,
 ) -> FleetReport:
+    """Serve a camera fleet described by ``spec`` contending for one deployment.
+
+    Each camera owns an edge accelerator (cameras are independent devices)
+    but every upload serialises through the *single* shared uplink and the
+    *single* shared cloud GPU — the contention that decides whether a scheme
+    scales to a fleet.  Camera ``c`` starts its cycle through the records at
+    offset ``c * len(records) // cameras`` so the fleet covers the split
+    rather than synchronising on the same frames; arrivals are seeded per
+    camera, so runs are deterministic for any camera count.
+
+    ``spec.cameras`` is either a count (a homogeneous fleet of identical
+    cameras) or a sequence of :class:`CameraSpec`, one per camera, whose
+    unset fields inherit the fleet-level spec fields — mixed frame rates,
+    per-camera schemes/offload policies, admission policies and per-camera
+    (e.g. quality-drifted) records all run over the same shared uplink and
+    cloud GPU.  ``spec.controller`` attaches a fleet controller that
+    observes every camera's completions and can shed across cameras;
+    stateful participants are ``reset()`` at entry so specs are reusable.
+    """
     scheme = spec.scheme
     config = spec.config
     mask = spec.mask
@@ -2121,52 +2063,6 @@ def _serve_fleet_impl(
         uplink_utilization=uplink.utilization(elapsed),
         cloud_utilization=cloud.utilization(elapsed),
     )
-
-
-def serve_fleet(
-    deployment: Deployment,
-    dataset: Dataset,
-    spec: FleetSpec,
-    *,
-    seed: int = DEFAULT_SEED,
-) -> FleetReport:
-    """Serve a camera fleet described by ``spec`` contending for one deployment.
-
-    Each camera owns an edge accelerator (cameras are independent devices)
-    but every upload serialises through the *single* shared uplink and the
-    *single* shared cloud GPU — the contention that decides whether a scheme
-    scales to a fleet.  Camera ``c`` starts its cycle through the records at
-    offset ``c * len(records) // cameras`` so the fleet covers the split
-    rather than synchronising on the same frames; arrivals are seeded per
-    camera, so runs are deterministic for any camera count.
-
-    ``spec.cameras`` is either a count (a homogeneous fleet of identical
-    cameras) or a sequence of :class:`CameraSpec`, one per camera, whose
-    unset fields inherit the fleet-level spec fields — mixed frame rates,
-    per-camera schemes/offload policies, admission policies and per-camera
-    (e.g. quality-drifted) records all run over the same shared uplink and
-    cloud GPU.  ``spec.controller`` attaches a fleet controller that
-    observes every camera's completions and can shed across cameras;
-    stateful participants are ``reset()`` at entry so specs are reusable.
-
-    Setting ``REPRO_PROFILE=1`` in the environment wraps the run in
-    :mod:`cProfile` and dumps ``simulate_fleet.prof`` into
-    ``$REPRO_PROFILE_DIR`` (default ``benchmarks/_output``) for hot-path
-    hunts — no ad-hoc instrumentation needed.
-    """
-    if not os.environ.get("REPRO_PROFILE"):
-        return _serve_fleet_impl(deployment, dataset, spec, seed)
-    import cProfile
-
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        return _serve_fleet_impl(deployment, dataset, spec, seed)
-    finally:
-        profile.disable()
-        out_dir = os.environ.get("REPRO_PROFILE_DIR", os.path.join("benchmarks", "_output"))
-        os.makedirs(out_dir, exist_ok=True)
-        profile.dump_stats(os.path.join(out_dir, "simulate_fleet.prof"))
 
 
 def simulate_fleet(

@@ -4,7 +4,9 @@ This is the per-frame/per-window implementation the vectorized evaluator
 replaced, kept as the equality oracle for ``test_rolling_equivalence.py`` —
 the rewrite is pinned *bit-for-bit* against it on every serving scheme and
 report shape.  Do not modernise this file; its value is that it does not
-change.
+change.  Only the input adapter (``_frame_logs``) has been touched since:
+it reads the columns of ``report.trace``, which replaced the report's
+per-column ``frame_*`` views; the docstring below names those columns.
 
 Original module docstring follows.
 
@@ -23,13 +25,13 @@ as side-channel counters.
 
 Inputs are the per-frame logs a :class:`~repro.runtime.serving.StreamReport`
 carries when the simulation was given served detections (``served``,
-``frame_arrivals``, ``frame_times``, ``frame_records``, ``frame_served``);
+``trace.arrivals``, ``trace.times``, ``trace.records``, ``trace.served``);
 fleet runs evaluate the union of all camera logs.
 
 Failure injection adds one wrinkle: a frame whose escalation failed serves
 its *edge* verdict immediately, and a durable escalation queue may land the
-deferred *cloud* verdict later (``frame_verdict_segments`` /
-``frame_verdict_times``).  The evaluation reconciles the two — a late cloud
+deferred *cloud* verdict later (``trace.verdict_segments`` /
+``trace.verdict_times``).  The evaluation reconciles the two — a late cloud
 verdict inside the freshness deadline upgrades the scored frame, outside it
 the frame scores as edge-served — so graceful degradation and recovery are
 measured, not asserted.
@@ -91,18 +93,19 @@ def _frame_logs(report) -> list:
         for camera in cameras:
             logs.extend(_frame_logs(camera))
         return logs
-    if report.served is None or report.frame_arrivals is None:
+    if report.served is None or report.trace is None:
         raise ConfigurationError("stream report carries no served frames; simulate with detections=")
+    trace = report.trace
     return [
         (
             report.served,
-            report.frame_arrivals,
-            report.frame_times,
-            report.frame_records,
-            report.frame_served,
-            getattr(report, "frame_segments", None),
-            getattr(report, "frame_verdict_times", None),
-            getattr(report, "frame_verdict_segments", None),
+            trace.arrivals,
+            trace.times,
+            trace.records,
+            trace.served,
+            trace.segments,
+            trace.verdict_times,
+            trace.verdict_segments,
         )
     ]
 

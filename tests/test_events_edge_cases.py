@@ -24,8 +24,9 @@ from repro.runtime import (
     EventLoop,
     FifoResource,
     StreamConfig,
+    StreamSpec,
     edge_only_scheme,
-    simulate_stream,
+    serve_stream,
 )
 
 
@@ -143,7 +144,7 @@ class TestBoundedBufferBackpressure:
         """Periodic arrivals far above the edge service rate with a tiny
         buffer: the report's drop accounting stays exact."""
         config = StreamConfig(fps=200.0, duration_s=1.0, poisson=False, max_edge_queue=2)
-        report = simulate_stream(edge_only_scheme(), deployment, helmet_mini, config, seed=1)
+        report = serve_stream(deployment, helmet_mini, StreamSpec(edge_only_scheme(), config), seed=1)
         assert report.frames_dropped > 0
         assert report.frames_served + report.frames_dropped == report.frames_offered
         # The buffer bound caps the backlog: served latency never exceeds
@@ -153,8 +154,8 @@ class TestBoundedBufferBackpressure:
 
     def test_drop_accounting_deterministic(self, deployment, helmet_mini):
         config = StreamConfig(fps=150.0, duration_s=2.0, max_edge_queue=1)
-        a = simulate_stream(edge_only_scheme(), deployment, helmet_mini, config, seed=2)
-        b = simulate_stream(edge_only_scheme(), deployment, helmet_mini, config, seed=2)
+        a = serve_stream(deployment, helmet_mini, StreamSpec(edge_only_scheme(), config), seed=2)
+        b = serve_stream(deployment, helmet_mini, StreamSpec(edge_only_scheme(), config), seed=2)
         assert a == b
         assert a.frames_dropped > 0
 
@@ -247,7 +248,7 @@ class TestBoundedBufferBackpressure:
         from repro.runtime import cloud_only_scheme
 
         config = StreamConfig(fps=50.0, duration_s=2.0, poisson=False, max_edge_queue=4)
-        report = simulate_stream(cloud_only_scheme(), deployment, helmet_mini, config, seed=3)
+        report = serve_stream(deployment, helmet_mini, StreamSpec(cloud_only_scheme(), config), seed=3)
         assert report.frames_dropped > 0
         assert report.frames_uploaded == report.frames_served
         assert report.edge_utilization == 0.0  # nothing touched the edge

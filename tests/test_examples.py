@@ -1,9 +1,11 @@
-"""Static checks of the example scripts.
+"""Static checks of the example scripts (and the bench files' imports).
 
 The examples run full calibrations (minutes each), so executing them is the
 job of humans/CI-nightly; here we verify each one compiles, is documented,
 and exposes the ``main()``/``__main__`` entry-point contract the README
-promises.
+promises.  Most ``benchmarks/*.py`` files run in no CI job either, so their
+``repro`` imports are checked here too: a deleted name fails tier-1 instead
+of rotting a bench file.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[1] / "examples"
 EXAMPLE_FILES = sorted(EXAMPLES_DIR.glob("*.py"))
+BENCH_FILES = sorted((EXAMPLES_DIR.parent / "benchmarks").glob("*.py"))
 
 
 def test_expected_examples_present():
@@ -58,9 +61,13 @@ def test_example_has_main_guard(path):
     assert "main" in functions
 
 
-@pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    EXAMPLE_FILES + BENCH_FILES,
+    ids=lambda p: p.name if p.parent == EXAMPLES_DIR else f"benchmarks/{p.name}",
+)
 def test_example_imports_resolve(path):
-    """Every repro import in an example must exist in the package."""
+    """Every repro import in an example or bench file must exist in the package."""
     import importlib
 
     tree = ast.parse(path.read_text())

@@ -14,6 +14,9 @@ import pytest
 from repro.experiments import (
     Harness,
     HarnessConfig,
+    admission_policy_outcomes,
+    availability_outcomes,
+    control_plane_outcomes,
     figure_04_case_scatter,
     figure_07_threshold_sweep,
     figure_08_map_vs_upload,
@@ -21,6 +24,7 @@ from repro.experiments import (
     format_figure,
     format_table,
     format_table_markdown,
+    network_outcomes,
     table_01_discriminator,
     table_02_model_zoo,
     table_03_map_small1,
@@ -155,8 +159,8 @@ class TestAdmissionExperiment:
     """Table XIX / Figure 11: admission policy x scheme on the fleet."""
 
     def test_outcomes_memoised_and_shared(self, harness):
-        first = harness.admission_outcomes()
-        assert harness.admission_outcomes() is first
+        first = admission_policy_outcomes(harness)
+        assert admission_policy_outcomes(harness) is first
         assert len(first) == 6  # 2 schemes x 3 admission policies
 
     def test_table19_deadline_aware_wins_saturated(self, harness):
@@ -196,8 +200,8 @@ class TestAvailabilityExperiment:
     """Table XX / Figure 12: escalation policies under uplink outages."""
 
     def test_outcomes_memoised_and_shaped(self, harness):
-        first = harness.availability_outcomes()
-        assert harness.availability_outcomes() is first
+        first = availability_outcomes(harness)
+        assert availability_outcomes(harness) is first
         assert len(first) == 12  # 2 outage schedules x 2 schemes x 3 escalations
 
     def test_table20_durable_queue_recovers(self, harness):
@@ -235,10 +239,10 @@ class TestControlExperiment:
     """Table XXI / Figure 13: the closed-loop fleet control plane."""
 
     def test_outcomes_memoised_and_shaped(self, harness):
-        first = harness.control_outcomes()
-        assert harness.control_outcomes() is first
+        first = control_plane_outcomes(harness)
+        assert control_plane_outcomes(harness) is first
         assert len(first) == 6  # 4 admission rows + 2 drift rows
-        assert [outcome.group for outcome in first].count("admission") == 4
+        assert [outcome.labels["group"] for outcome in first].count("admission") == 4
 
     def test_table21_estimated_recovers_omniscient_gap(self, harness):
         from repro.experiments import table_21_control_plane
@@ -289,17 +293,17 @@ class TestNetworkExperiment:
     """Table XXII / Figure 14: trace-driven bandwidth through the stack."""
 
     def test_outcomes_memoised_and_shaped(self, harness):
-        first = harness.network_outcomes()
-        assert harness.network_outcomes() is first
+        first = network_outcomes(harness)
+        assert network_outcomes(harness) is first
         # 3 profiles x 2 schemes x 3 admission policies
         assert len(first) == 18
-        assert {o.profile for o in first} == {"constant", "periodic-dip", "lte-trace"}
-        assert {o.scheme for o in first} == {"cloud-only", "discriminator"}
+        assert {o.labels["profile"] for o in first} == {"constant", "periodic-dip", "lte-trace"}
+        assert {o.labels["scheme"] for o in first} == {"cloud-only", "discriminator"}
 
     def test_constant_profile_schedule_aware_is_identical(self, harness):
         """On the constant profile the schedule-aware floor is exactly zero,
         so both estimator variants are the same run."""
-        by = {(o.profile, o.scheme, o.admission): o for o in harness.network_outcomes()}
+        by = {tuple(o.labels.values()): o for o in network_outcomes(harness)}
         for scheme in ("cloud-only", "discriminator"):
             aware = by[("constant", scheme, "estimated-schedule")]
             blind = by[("constant", scheme, "estimated-constant")]

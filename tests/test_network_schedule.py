@@ -46,10 +46,17 @@ class TestRateScheduleConstruction:
     def test_times_strictly_increasing(self):
         with pytest.raises(ConfigurationError, match="strictly increasing"):
             RateSchedule(times=(0.0, 2.0, 2.0), rates_mbps=(5.0, 3.0, 4.0))
+        # NaN fails every comparison, so it used to pass the ordering check
+        for times in ((0.0, float("nan")), (0.0, float("inf")), (0.0, 1.0, float("nan"))):
+            with pytest.raises(ConfigurationError, match="finite and strictly increasing"):
+                RateSchedule(times=times, rates_mbps=(5.0,) * len(times))
 
     def test_zero_rate_directed_to_outage_schedule(self):
         with pytest.raises(ConfigurationError, match="OutageSchedule"):
             RateSchedule(times=(0.0, 1.0), rates_mbps=(5.0, 0.0))
+        for rates in ((float("nan"), 3.0), (5.0, float("inf"))):
+            with pytest.raises(ConfigurationError, match="finite and > 0"):
+                RateSchedule(times=(0.0, 1.0), rates_mbps=rates)
 
     def test_trace_starting_late_extends_backwards(self):
         schedule = RateSchedule.from_trace([3.0, 5.0], [2.0, 4.0])
@@ -153,6 +160,23 @@ class TestNetworkLinkSchedule:
         schedule = RateSchedule.from_trace([0.0, 10.0], [8.0, 2.0])
         with pytest.raises(ConfigurationError, match="with_rate_schedule"):
             NetworkLink(name="bad", bandwidth_mbps=5.5, schedule=schedule)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bandwidth_mbps", float("nan")),
+            ("bandwidth_mbps", float("inf")),
+            ("rtt_s", float("nan")),
+            ("rtt_s", float("inf")),
+            ("jitter_s", float("nan")),
+            ("jitter_s", float("inf")),
+        ],
+    )
+    def test_non_finite_link_parameters_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            NetworkLink(name="bad", **{"bandwidth_mbps": 10.0, field: value})
+        with pytest.raises(ConfigurationError):
+            UnreliableLink(name="bad", **{"bandwidth_mbps": 10.0, field: value})
 
     def test_constant_schedule_is_not_time_varying(self):
         link = WLAN.with_rate_schedule(RateSchedule.always(WLAN.bandwidth_mbps))

@@ -26,17 +26,19 @@ from repro.runtime import (
     WLAN,
     Deployment,
     EscalationPolicy,
+    EscalationQueue,
     EventLoop,
     FifoResource,
     FrameTrace,
     OutageSchedule,
     StreamConfig,
     StreamReport,
+    StreamSpec,
     UnreliableLink,
     cloud_only_scheme,
     collaborative_scheme,
+    serve_stream,
     simulate_fleet,
-    simulate_stream,
 )
 from repro.simulate import make_detector
 
@@ -108,6 +110,9 @@ class TestOutageSchedule:
     def test_malformed_windows_rejected(self):
         with pytest.raises(ConfigurationError):
             OutageSchedule(windows=((5.0, 2.0),))
+        for window in ((float("nan"), 2.0), (1.0, float("nan")), (float("nan"), float("nan"))):
+            with pytest.raises(ConfigurationError):
+                OutageSchedule(windows=(window,))
         with pytest.raises(ConfigurationError):
             OutageSchedule(windows=((0.0, 3.0), (2.0, 4.0)))  # overlapping
         with pytest.raises(ConfigurationError):
@@ -239,6 +244,31 @@ class TestEscalationPolicy:
             EscalationPolicy.durable_queue(**{field: value})
 
 
+class TestEscalationBackoff:
+    @staticmethod
+    def _queue(policy):
+        return EscalationQueue(camera=None, policy=policy, rng=np.random.default_rng(0))
+
+    def test_backoff_saturates_past_the_float_range(self):
+        # backoff_factor ** (failures - 1) overflows a float at 1025
+        # consecutive failures with factor 2; the delay must saturate at
+        # max_backoff_s instead of raising OverflowError, and stay the same
+        # float below the overflow
+        policy = EscalationPolicy.durable_queue(max_backoff_s=8.0, jitter=0.0)
+        queue = self._queue(policy)
+        for failures in range(1, 1101):
+            queue.note_failure()
+            expected = min(8.0, 0.5 * 2.0 ** (failures - 1)) if failures < 1025 else 8.0
+            assert queue._backoff() == expected
+
+    def test_saturated_backoff_keeps_its_jitter(self):
+        policy = EscalationPolicy.durable_queue(max_backoff_s=8.0, jitter=0.1)
+        queue = self._queue(policy)
+        for _ in range(2000):
+            queue.note_failure()
+        assert 8.0 * 0.9 <= queue._backoff() <= 8.0 * 1.1
+
+
 # --------------------------------------------------------------------- #
 # stream-level failure behaviour
 # --------------------------------------------------------------------- #
@@ -264,8 +294,8 @@ class TestStreamUnderOutage:
                 dict(mask=self._mask(helmet_mini), small_detections=small_batch, detections=big_batch),
             ),
         ):
-            report = simulate_stream(
-                scheme, deployment, helmet_mini, self.CONFIG, escalation=policy, seed=7, **kwargs
+            report = serve_stream(
+                deployment, helmet_mini, StreamSpec(scheme, self.CONFIG, escalation=policy, **kwargs), seed=7
             )
             assert report.frames_served + report.frames_dropped == report.frames_offered
             assert report.escalations_failed > 0
@@ -275,22 +305,18 @@ class TestStreamUnderOutage:
 
     def test_cloud_only_drop_vs_durable(self, helmet_mini, big_batch):
         deployment = _deployment(UnreliableLink.wrap(WLAN, outages=OUTAGE))
-        drop = simulate_stream(
-            cloud_only_scheme(),
+        drop = serve_stream(
             deployment,
             helmet_mini,
-            self.CONFIG,
-            detections=big_batch,
-            escalation=EscalationPolicy.drop_on_failure(),
+            StreamSpec(
+                cloud_only_scheme(), self.CONFIG, detections=big_batch, escalation=EscalationPolicy.drop_on_failure()
+            ),
             seed=7,
         )
-        durable = simulate_stream(
-            cloud_only_scheme(),
+        durable = serve_stream(
             deployment,
             helmet_mini,
-            self.CONFIG,
-            detections=big_batch,
-            escalation=DURABLE,
+            StreamSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch, escalation=DURABLE),
             seed=7,
         )
         # cloud-only has no edge verdict: failures drop frames unless recovered
@@ -304,15 +330,17 @@ class TestStreamUnderOutage:
     def test_collaborative_fallback_serves_edge_verdict(self, helmet_mini, small_batch, big_batch):
         deployment = _deployment(UnreliableLink.wrap(WLAN, outages=OUTAGE))
         mask = self._mask(helmet_mini)
-        report = simulate_stream(
-            collaborative_scheme(),
+        report = serve_stream(
             deployment,
             helmet_mini,
-            self.CONFIG,
-            mask=mask,
-            small_detections=small_batch,
-            detections=big_batch,
-            escalation=EscalationPolicy.drop_on_failure(),
+            StreamSpec(
+                collaborative_scheme(),
+                self.CONFIG,
+                mask=mask,
+                small_detections=small_batch,
+                detections=big_batch,
+                escalation=EscalationPolicy.drop_on_failure(),
+            ),
             seed=7,
         )
         # graceful degradation: every failed escalation still served a frame
@@ -320,50 +348,46 @@ class TestStreamUnderOutage:
         assert report.escalations_failed > 0
         assert report.escalations_dropped == report.escalations_failed
         # the log maps every frame to a segment; no deferred verdicts landed
-        assert (report.frame_segments >= 0).all()
-        assert (report.frame_verdict_segments == -1).all()
+        assert (report.trace.segments >= 0).all()
+        assert (report.trace.verdict_segments == -1).all()
 
     def test_collaborative_durable_records_deferred_verdicts(self, helmet_mini, small_batch, big_batch):
         deployment = _deployment(UnreliableLink.wrap(WLAN, outages=OUTAGE))
-        report = simulate_stream(
-            collaborative_scheme(),
+        report = serve_stream(
             deployment,
             helmet_mini,
-            self.CONFIG,
-            mask=self._mask(helmet_mini),
-            small_detections=small_batch,
-            detections=big_batch,
-            escalation=DURABLE,
+            StreamSpec(
+                collaborative_scheme(),
+                self.CONFIG,
+                mask=self._mask(helmet_mini),
+                small_detections=small_batch,
+                detections=big_batch,
+                escalation=DURABLE,
+            ),
             seed=7,
         )
         assert report.escalations_recovered > 0
-        recovered = report.frame_verdict_segments >= 0
+        recovered = report.trace.verdict_segments >= 0
         assert int(recovered.sum()) == report.escalations_recovered
         # the deferred verdict lands strictly after the fallback serve
-        assert (report.frame_verdict_times[recovered] > report.frame_times[recovered]).all()
+        assert (report.trace.verdict_times[recovered] > report.trace.times[recovered]).all()
         # the served batch carries the recovered segments on top of the serves
         assert len(report.served) == report.frames_served + report.escalations_recovered
 
     def test_fallback_requires_small_detections(self, helmet_mini, big_batch):
         deployment = _deployment(_deployment(WLAN).link)  # plain link first: fine
-        simulate_stream(
-            collaborative_scheme(),
+        serve_stream(
             deployment,
             helmet_mini,
-            self.CONFIG,
-            mask=self._mask(helmet_mini),
-            detections=big_batch,
+            StreamSpec(collaborative_scheme(), self.CONFIG, mask=self._mask(helmet_mini), detections=big_batch),
             seed=7,
         )
         faulty = _deployment(UnreliableLink.wrap(WLAN, outages=OUTAGE))
         with pytest.raises(ConfigurationError):
-            simulate_stream(
-                collaborative_scheme(),
+            serve_stream(
                 faulty,
                 helmet_mini,
-                self.CONFIG,
-                mask=self._mask(helmet_mini),
-                detections=big_batch,
+                StreamSpec(collaborative_scheme(), self.CONFIG, mask=self._mask(helmet_mini), detections=big_batch),
                 seed=7,
             )
 
@@ -371,13 +395,15 @@ class TestStreamUnderOutage:
         # a very lossy link with a tight retry budget must abandon cases
         deployment = _deployment(UnreliableLink.wrap(WLAN, loss_probability=0.9))
         policy = EscalationPolicy.durable_queue(capacity=8, max_retries=2, base_backoff_s=0.1, max_backoff_s=0.2)
-        report = simulate_stream(
-            cloud_only_scheme(),
+        report = serve_stream(
             deployment,
             helmet_mini,
-            StreamConfig(fps=1.0, duration_s=20.0, poisson=False, max_edge_queue=10),
-            detections=big_batch,
-            escalation=policy,
+            StreamSpec(
+                cloud_only_scheme(),
+                StreamConfig(fps=1.0, duration_s=20.0, poisson=False, max_edge_queue=10),
+                detections=big_batch,
+                escalation=policy,
+            ),
             seed=11,
         )
         assert report.escalations_dropped > 0
@@ -386,15 +412,17 @@ class TestStreamUnderOutage:
     def test_outage_runs_deterministic(self, helmet_mini, small_batch, big_batch):
         deployment = _deployment(UnreliableLink.wrap(WLAN, outages=OUTAGE, loss_probability=0.05))
         runs = [
-            simulate_stream(
-                collaborative_scheme(),
+            serve_stream(
                 deployment,
                 helmet_mini,
-                self.CONFIG,
-                mask=self._mask(helmet_mini),
-                small_detections=small_batch,
-                detections=big_batch,
-                escalation=DURABLE,
+                StreamSpec(
+                    collaborative_scheme(),
+                    self.CONFIG,
+                    mask=self._mask(helmet_mini),
+                    small_detections=small_batch,
+                    detections=big_batch,
+                    escalation=DURABLE,
+                ),
                 seed=13,
             )
             for _ in range(2)
@@ -424,21 +452,26 @@ class TestCloudOutages:
 
     def test_always_up_cloud_is_bit_for_bit_plain(self, helmet_mini, big_batch):
         """An empty (or None) cloud schedule keeps the pre-outage path."""
-        plain = simulate_stream(
-            cloud_only_scheme(), _deployment(WLAN), helmet_mini, self.CONFIG,
-            detections=big_batch, seed=7,
+        plain = serve_stream(
+            _deployment(WLAN), helmet_mini, StreamSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch), seed=7
         )
-        empty = simulate_stream(
-            cloud_only_scheme(), self._cloudy(OutageSchedule.always_up()), helmet_mini,
-            self.CONFIG, detections=big_batch, seed=7,
+        empty = serve_stream(
+            self._cloudy(OutageSchedule.always_up()),
+            helmet_mini,
+            StreamSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch),
+            seed=7,
         )
         assert plain == empty
 
     def test_cloud_failures_escalate_on_reliable_link(self, helmet_mini, big_batch):
         """Escalations fire even though the link itself never fails."""
-        report = simulate_stream(
-            cloud_only_scheme(), self._cloudy(), helmet_mini, self.CONFIG,
-            detections=big_batch, escalation=EscalationPolicy.drop_on_failure(), seed=7,
+        report = serve_stream(
+            self._cloudy(),
+            helmet_mini,
+            StreamSpec(
+                cloud_only_scheme(), self.CONFIG, detections=big_batch, escalation=EscalationPolicy.drop_on_failure()
+            ),
+            seed=7,
         )
         assert report.escalations_failed > 0
         assert report.frames_served + report.frames_dropped == report.frames_offered
@@ -447,13 +480,19 @@ class TestCloudOutages:
         assert report.frames_uploaded > report.frames_served
 
     def test_durable_queue_recovers_cloud_failures(self, helmet_mini, big_batch):
-        drop = simulate_stream(
-            cloud_only_scheme(), self._cloudy(), helmet_mini, self.CONFIG,
-            detections=big_batch, escalation=EscalationPolicy.drop_on_failure(), seed=7,
+        drop = serve_stream(
+            self._cloudy(),
+            helmet_mini,
+            StreamSpec(
+                cloud_only_scheme(), self.CONFIG, detections=big_batch, escalation=EscalationPolicy.drop_on_failure()
+            ),
+            seed=7,
         )
-        durable = simulate_stream(
-            cloud_only_scheme(), self._cloudy(), helmet_mini, self.CONFIG,
-            detections=big_batch, escalation=DURABLE, seed=7,
+        durable = serve_stream(
+            self._cloudy(),
+            helmet_mini,
+            StreamSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch, escalation=DURABLE),
+            seed=7,
         )
         assert durable.escalations_recovered > 0
         assert durable.frames_served > drop.frames_served
@@ -463,9 +502,11 @@ class TestCloudOutages:
         mask = np.zeros(len(helmet_mini), dtype=bool)
         mask[::2] = True
         with pytest.raises(ConfigurationError):
-            simulate_stream(
-                collaborative_scheme(), self._cloudy(), helmet_mini, self.CONFIG,
-                mask=mask, detections=big_batch, seed=7,
+            serve_stream(
+                self._cloudy(),
+                helmet_mini,
+                StreamSpec(collaborative_scheme(), self.CONFIG, mask=mask, detections=big_batch),
+                seed=7,
             )
 
     def test_cloud_and_link_outages_compose(self, helmet_mini, small_batch, big_batch):
@@ -484,10 +525,18 @@ class TestCloudOutages:
         mask = np.zeros(len(helmet_mini), dtype=bool)
         mask[::2] = True
         runs = [
-            simulate_stream(
-                collaborative_scheme(), deployment, helmet_mini, self.CONFIG,
-                mask=mask, small_detections=small_batch, detections=big_batch,
-                escalation=DURABLE, seed=13,
+            serve_stream(
+                deployment,
+                helmet_mini,
+                StreamSpec(
+                    collaborative_scheme(),
+                    self.CONFIG,
+                    mask=mask,
+                    small_detections=small_batch,
+                    detections=big_batch,
+                    escalation=DURABLE,
+                ),
+                seed=13,
             )
             for _ in range(2)
         ]

@@ -9,6 +9,7 @@ builder accumulation and cache round-trips must not change a single byte.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -369,18 +370,17 @@ def test_harness_workers_from_env(monkeypatch, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# stream simulator served-batch collection
+# streaming engine served-batch collection
 # --------------------------------------------------------------------- #
 def test_stream_collects_served_batch(split_small, serial_batch):
-    from repro.runtime import StreamConfig, StreamSimulator
-    from repro.runtime.executor import Deployment
+    from repro.runtime import StreamConfig, StreamSpec, edge_only_scheme, serve_stream
     from repro.runtime.devices import JETSON_NANO, RTX3060_SERVER
     from repro.runtime.network import WLAN
+    from repro.runtime.serving import Deployment
 
     deployment = Deployment(edge=JETSON_NANO, cloud=RTX3060_SERVER, link=WLAN)
-    simulator = StreamSimulator(deployment, split_small)
-    config = StreamConfig(fps=30.0, duration_s=4.0, poisson=False)
-    report = simulator.run("edge", config, detections=serial_batch)
+    spec = StreamSpec(edge_only_scheme(), StreamConfig(fps=30.0, duration_s=4.0, poisson=False))
+    report = serve_stream(deployment, split_small, replace(spec, detections=serial_batch))
     assert report.served is not None
     assert len(report.served) == report.frames_served
     assert report.served.detector == serial_batch.detector
@@ -392,4 +392,4 @@ def test_stream_collects_served_batch(split_small, serial_batch):
         assert np.array_equal(view.scores, source.scores)
         assert np.array_equal(view.labels, source.labels)
     # Without detections the report stays lean.
-    assert simulator.run("edge", config).served is None
+    assert serve_stream(deployment, split_small, spec).served is None

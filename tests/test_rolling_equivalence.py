@@ -23,7 +23,6 @@ float product ``i * step_s`` rounded just below ``duration_s`` (e.g. ``3 *
 from __future__ import annotations
 
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ import pytest
 import _legacy_rolling as legacy
 from repro.data import load_dataset
 from repro.detection import DetectionBatch
-from repro.errors import ConfigurationError
 from repro.metrics import rolling_quality
 from repro.runtime import (
     JETSON_NANO,
@@ -43,11 +41,12 @@ from repro.runtime import (
     EscalationPolicy,
     OutageSchedule,
     StreamConfig,
+    StreamSpec,
     UnreliableLink,
     cloud_only_scheme,
     collaborative_scheme,
+    serve_stream,
     simulate_fleet,
-    simulate_stream,
 )
 from repro.simulate import make_detector
 
@@ -94,8 +93,8 @@ class TestBitForBitEquality:
         )
 
     def test_single_stream_adjacent_windows(self, deployment, helmet_mini, big_batch):
-        report = simulate_stream(
-            cloud_only_scheme(), deployment, helmet_mini, self.CONFIG, detections=big_batch, seed=5
+        report = serve_stream(
+            deployment, helmet_mini, StreamSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch), seed=5
         )
         self._compare(report, helmet_mini, window_s=8.0, duration_s=40.0, freshness_s=2.0)
         self._compare(report, helmet_mini, window_s=8.0, duration_s=40.0)  # no freshness deadline
@@ -191,12 +190,10 @@ class TestWindowGridRegression:
     def test_product_rounding_no_longer_emits_phantom_window(self, deployment, helmet_mini, big_batch):
         # 3 * 0.3 == 0.8999… < 0.9 in floats, yet 0.9 / 0.3 == 3.0 exactly:
         # the legacy loop emitted a 4th window starting *at* the horizon
-        report = simulate_stream(
-            cloud_only_scheme(),
+        report = serve_stream(
             deployment,
             helmet_mini,
-            StreamConfig(fps=10.0, poisson=True, duration_s=0.9),
-            detections=big_batch,
+            StreamSpec(cloud_only_scheme(), StreamConfig(fps=10.0, poisson=True, duration_s=0.9), detections=big_batch),
             seed=5,
         )
         new = rolling_quality(report, helmet_mini, window_s=0.6, step_s=0.3, duration_s=0.9)
@@ -216,64 +213,3 @@ class TestWindowGridRegression:
         assert _window_count(40.0, 8.0) == 5
         assert _window_count(20.0, 3.0) == 7
         assert _window_count(0.0, 1.0) == 1
-
-
-class TestSegmentMapFallbackExactness:
-    def _stub(self, flags, batch_len):
-        served = DetectionBatch(
-            image_ids=tuple(f"img-{index}" for index in range(batch_len)),
-            boxes=np.zeros((0, 4)),
-            scores=np.zeros(0),
-            labels=np.zeros(0, dtype=np.int64),
-            offsets=np.zeros(batch_len + 1, dtype=np.int64),
-            detector="stub",
-        )
-        count = flags.shape[0]
-        return SimpleNamespace(
-            cameras=None,
-            served=served,
-            frame_arrivals=np.linspace(0.0, 1.0, count),
-            frame_times=np.linspace(0.0, 1.0, count),
-            frame_records=np.zeros(count, dtype=np.int64),
-            frame_served=flags,
-            frame_segments=None,
-            frame_verdict_times=None,
-            frame_verdict_segments=None,
-        )
-
-    def test_served_flag_count_mismatch_rejected(self, helmet_mini):
-        # a served batch with MORE segments than served flags (recovered
-        # verdicts) cannot be mapped by counting flags — must refuse loudly
-        # instead of silently misaligning every frame's detections
-        report = self._stub(np.array([True, False, True]), batch_len=3)
-        with pytest.raises(ConfigurationError, match="served flags"):
-            rolling_quality(report, helmet_mini, window_s=1.0)
-
-    def test_exact_flag_count_accepted(self, deployment, helmet_mini, big_batch):
-        # strip the explicit segment map from a real report: counting flags
-        # is exact here (every segment is a primary serve) and must
-        # reproduce the mapped evaluation
-        report = simulate_stream(
-            cloud_only_scheme(),
-            deployment,
-            helmet_mini,
-            StreamConfig(fps=1.5, poisson=True, duration_s=20.0),
-            detections=big_batch,
-            seed=5,
-        )
-        trace = report.trace
-        stripped = SimpleNamespace(
-            cameras=None,
-            served=report.served,
-            frame_arrivals=trace.arrivals,
-            frame_times=trace.times,
-            frame_records=trace.records,
-            frame_served=trace.served,
-            frame_segments=None,
-            frame_verdict_times=None,
-            frame_verdict_segments=None,
-        )
-        assert_identical(
-            rolling_quality(stripped, helmet_mini, window_s=5.0, duration_s=20.0, freshness_s=2.0),
-            rolling_quality(report, helmet_mini, window_s=5.0, duration_s=20.0, freshness_s=2.0),
-        )

@@ -9,8 +9,8 @@ from repro.data.datasets import load_dataset
 from repro.errors import ConfigurationError, RuntimeModelError
 from repro.runtime.codec import JpegCodec, detections_payload_bytes
 from repro.runtime.devices import JETSON_NANO, RTX3060_SERVER, ComputeDevice
-from repro.runtime.executor import Deployment, EdgeCloudRuntime
 from repro.runtime.network import ETHERNET_1G, WLAN, NetworkLink
+from repro.runtime.serving import Deployment, cloud_only_scheme, collaborative_scheme, edge_only_scheme, run_cost
 
 
 @pytest.fixture(scope="module")
@@ -19,15 +19,26 @@ def helmet_mini():
 
 
 @pytest.fixture(scope="module")
-def runtime():
-    deployment = Deployment(
+def deployment():
+    return Deployment(
         edge=JETSON_NANO,
         cloud=RTX3060_SERVER,
         link=WLAN,
         small_model_flops=5.6e9,
         big_model_flops=61.2e9,
     )
-    return EdgeCloudRuntime(deployment=deployment, seed=99)
+
+
+def edge_only(deployment, dataset, seed=99):
+    return run_cost(edge_only_scheme(), deployment, dataset, seed=seed)
+
+
+def cloud_only(deployment, dataset, seed=99):
+    return run_cost(cloud_only_scheme(), deployment, dataset, seed=seed)
+
+
+def collaborative(deployment, dataset, mask, seed=99):
+    return run_cost(collaborative_scheme(), deployment, dataset, mask=mask, seed=seed)
 
 
 class TestDevices:
@@ -114,50 +125,43 @@ class TestCodec:
             detections_payload_bytes(-1)
 
 
-class TestExecutor:
-    def test_edge_only_no_uplink(self, runtime, helmet_mini):
-        cost = runtime.run_edge_only(helmet_mini)
+class TestRunCost:
+    def test_edge_only_no_uplink(self, deployment, helmet_mini):
+        cost = edge_only(deployment, helmet_mini)
         assert cost.uplink_bytes == 0 and cost.upload_ratio == 0.0
 
-    def test_cloud_only_uploads_everything(self, runtime, helmet_mini):
-        cost = runtime.run_cloud_only(helmet_mini)
+    def test_cloud_only_uploads_everything(self, deployment, helmet_mini):
+        cost = cloud_only(deployment, helmet_mini)
         assert cost.upload_ratio == 1.0
         assert cost.uplink_bytes > 0
 
-    def test_ordering_edge_ours_cloud(self, runtime, helmet_mini):
-        edge = runtime.run_edge_only(helmet_mini)
-        cloud = runtime.run_cloud_only(helmet_mini)
+    def test_ordering_edge_ours_cloud(self, deployment, helmet_mini):
+        edge = edge_only(deployment, helmet_mini)
+        cloud = cloud_only(deployment, helmet_mini)
         half = np.zeros(len(helmet_mini), dtype=bool)
         half[:: 2] = True
-        ours = runtime.run_collaborative(helmet_mini, half)
+        ours = collaborative(deployment, helmet_mini, half)
         assert edge.latency.total < ours.latency.total < cloud.latency.total
 
-    def test_collaborative_bandwidth_saving(self, runtime, helmet_mini):
-        cloud = runtime.run_cloud_only(helmet_mini)
+    def test_collaborative_bandwidth_saving(self, deployment, helmet_mini):
+        cloud = cloud_only(deployment, helmet_mini)
         half = np.zeros(len(helmet_mini), dtype=bool)
         half[: len(helmet_mini) // 2] = True
-        ours = runtime.run_collaborative(helmet_mini, half)
+        ours = collaborative(deployment, helmet_mini, half)
         assert ours.bandwidth_saving_over(cloud) == pytest.approx(0.5, abs=0.1)
 
-    def test_mask_misalignment_rejected(self, runtime, helmet_mini):
+    def test_mask_misalignment_rejected(self, deployment, helmet_mini):
         with pytest.raises(RuntimeModelError):
-            runtime.run_collaborative(helmet_mini, np.zeros(3, dtype=bool))
+            collaborative(deployment, helmet_mini, np.zeros(3, dtype=bool))
 
-    def test_deterministic_totals(self, helmet_mini):
-        deployment = Deployment(
-            edge=JETSON_NANO,
-            cloud=RTX3060_SERVER,
-            link=WLAN,
-            small_model_flops=5.6e9,
-            big_model_flops=61.2e9,
-        )
-        a = EdgeCloudRuntime(deployment=deployment, seed=1).run_cloud_only(helmet_mini)
-        b = EdgeCloudRuntime(deployment=deployment, seed=1).run_cloud_only(helmet_mini)
+    def test_deterministic_totals(self, deployment, helmet_mini):
+        a = cloud_only(deployment, helmet_mini, seed=1)
+        b = cloud_only(deployment, helmet_mini, seed=1)
         assert a.latency.total == pytest.approx(b.latency.total)
 
-    def test_empty_upload_equals_edge_plus_discriminator(self, runtime, helmet_mini):
-        none = runtime.run_collaborative(helmet_mini, np.zeros(len(helmet_mini), dtype=bool))
-        edge = runtime.run_edge_only(helmet_mini)
+    def test_empty_upload_equals_edge_plus_discriminator(self, deployment, helmet_mini):
+        none = collaborative(deployment, helmet_mini, np.zeros(len(helmet_mini), dtype=bool))
+        edge = edge_only(deployment, helmet_mini)
         # Collaborative adds the (tiny) discriminator cost per image.
         assert none.latency.total >= edge.latency.total
         assert none.latency.total < edge.latency.total * 1.2

@@ -36,18 +36,18 @@ from repro.runtime import (
     Deployment,
     DropNewest,
     DropOldest,
-    EdgeCloudRuntime,
     NeverOffload,
     OffloadPolicy,
     RunCost,
     StreamConfig,
-    StreamSimulator,
+    StreamSpec,
     cloud_only_scheme,
     collaborative_scheme,
     edge_only_scheme,
     paper_schemes,
+    run_cost,
+    serve_stream,
     simulate_fleet,
-    simulate_stream,
 )
 from repro.simulate import make_detector
 
@@ -125,16 +125,14 @@ class TestOffloadProtocol:
         assert schemes["collaborative"].edge_discriminates
 
     def test_policyless_scheme_requires_mask(self, deployment, helmet_mini):
-        runtime = EdgeCloudRuntime(deployment=deployment)
         with pytest.raises(RuntimeModelError):
-            runtime.run_scheme(collaborative_scheme(), helmet_mini)
+            run_cost(collaborative_scheme(), deployment, helmet_mini)
 
     def test_detection_needing_policy_without_detections_is_diagnosable(self, deployment, helmet_mini, discriminator):
         """Every policy that needs the small model's output raises the same
         configuration error naming the missing input, not a bare TypeError."""
         from repro.errors import ConfigurationError
 
-        runtime = EdgeCloudRuntime(deployment=deployment)
         for policy in (
             ConfidenceUploadPolicy(ratio=0.3),
             RandomUploadPolicy(ratio=0.3),
@@ -142,7 +140,7 @@ class TestOffloadProtocol:
             DiscriminatorPolicy(discriminator),
         ):
             with pytest.raises(ConfigurationError, match="detections"):
-                runtime.run_scheme(collaborative_scheme(policy), helmet_mini)
+                run_cost(collaborative_scheme(policy), deployment, helmet_mini)
 
 
 class TestPoliciesThroughBothEngines:
@@ -150,20 +148,19 @@ class TestPoliciesThroughBothEngines:
     simulator through the one shared protocol."""
 
     def test_static_engine_accepts_every_policy(self, deployment, helmet_mini, small_batch, discriminator):
-        runtime = EdgeCloudRuntime(deployment=deployment, seed=3)
         for policy in all_policies(discriminator):
             scheme = collaborative_scheme(policy, name=policy.name)
-            cost = runtime.run_scheme(scheme, helmet_mini, small_detections=small_batch)
+            cost = run_cost(scheme, deployment, helmet_mini, small_detections=small_batch, seed=3)
             expected = policy.select(helmet_mini, small_batch)
             assert cost.uploaded_images == int(expected.sum())
             assert cost.total_images == len(helmet_mini)
 
     def test_stream_engine_accepts_every_policy(self, deployment, helmet_mini, small_batch, discriminator):
-        simulator = StreamSimulator(deployment, helmet_mini, seed=3)
         config = StreamConfig(fps=2.0, duration_s=10.0, poisson=False)
         for policy in all_policies(discriminator):
             scheme = collaborative_scheme(policy, name=policy.name)
-            report = simulator.run_scheme(scheme, config, small_detections=small_batch)
+            spec = StreamSpec(scheme, config, small_detections=small_batch)
+            report = serve_stream(deployment, helmet_mini, spec, seed=3)
             assert report.scheme == policy.name
             assert report.frames_served == report.frames_offered  # light load
             mask = policy.select(helmet_mini, small_batch)
@@ -174,12 +171,12 @@ class TestPoliciesThroughBothEngines:
 
     def test_policy_mask_equals_explicit_mask(self, deployment, helmet_mini, small_batch, discriminator):
         """A policy-driven run is identical to supplying its mask explicitly."""
-        runtime = EdgeCloudRuntime(deployment=deployment, seed=11)
         policy = DiscriminatorPolicy(discriminator)
-        scheme = collaborative_scheme(policy)
         mask = policy.select(helmet_mini, small_batch)
-        by_policy = runtime.run_scheme(scheme, helmet_mini, small_detections=small_batch)
-        by_mask = runtime.run_collaborative(helmet_mini, mask)
+        by_policy = run_cost(
+            collaborative_scheme(policy), deployment, helmet_mini, small_detections=small_batch, seed=11
+        )
+        by_mask = run_cost(collaborative_scheme(), deployment, helmet_mini, mask=mask, seed=11)
         assert by_policy == by_mask
 
 
@@ -257,7 +254,7 @@ class TestFleetSimulator:
             detections=small_batch,
             seed=5,
         )
-        starts = [int(camera.frame_records[0]) for camera in fleet.cameras]
+        starts = [int(camera.trace.records[0]) for camera in fleet.cameras]
         assert len(set(starts)) == 4  # staggered offsets into the split
 
     def test_invalid_camera_count_rejected(self, deployment, helmet_mini):
@@ -270,7 +267,9 @@ class TestRollingQuality:
 
     def _stream(self, deployment, dataset, batch, scheme, cameras=None, **kwargs):
         if cameras is None:
-            return simulate_stream(scheme, deployment, dataset, self.CONFIG, detections=batch, seed=9, **kwargs)
+            return serve_stream(
+                deployment, dataset, StreamSpec(scheme, self.CONFIG, detections=batch, **kwargs), seed=9
+            )
         return simulate_fleet(
             scheme,
             deployment,
@@ -300,12 +299,12 @@ class TestRollingQuality:
 
     def test_drops_degrade_measured_quality(self, deployment, helmet_mini, big_batch):
         """The same scheme, saturated, must score worse — drops are quality."""
-        light = simulate_stream(
-            cloud_only_scheme(),
+        light = serve_stream(
             deployment,
             helmet_mini,
-            StreamConfig(fps=1.0, duration_s=24.0, poisson=False),
-            detections=big_batch,
+            StreamSpec(
+                cloud_only_scheme(), StreamConfig(fps=1.0, duration_s=24.0, poisson=False), detections=big_batch
+            ),
             seed=9,
         )
         saturated = self._stream(deployment, helmet_mini, big_batch, cloud_only_scheme(), cameras=8)
@@ -319,13 +318,13 @@ class TestRollingQuality:
         windows = rolling_quality(fleet, helmet_mini, window_s=24.0, duration_s=24.0)
         assert len(windows) == 1
         assert windows[0].frames == sum(
-            int(((c.frame_times >= 0) & (c.frame_times < 24.0)).sum()) for c in fleet.cameras
+            int(((c.trace.times >= 0) & (c.trace.times < 24.0)).sum()) for c in fleet.cameras
         )
 
     def test_report_without_frame_log_rejected(self, deployment, helmet_mini):
         from repro.errors import ConfigurationError
 
-        report = simulate_stream(edge_only_scheme(), deployment, helmet_mini, self.CONFIG, seed=9)
+        report = serve_stream(deployment, helmet_mini, StreamSpec(edge_only_scheme(), self.CONFIG), seed=9)
         with pytest.raises(ConfigurationError):
             rolling_quality(report, helmet_mini)
 
@@ -382,8 +381,8 @@ class TestAdmissionPolicies:
             assert camera.frames_served + camera.frames_dropped == camera.frames_offered
             assert 0 <= camera.frames_shed <= camera.frames_dropped
             # every offered frame appears in the per-frame log exactly once
-            assert camera.frame_served.shape[0] == camera.frames_offered
-            assert int(camera.frame_served.sum()) == camera.frames_served
+            assert camera.trace.served.shape[0] == camera.frames_offered
+            assert int(camera.trace.served.sum()) == camera.frames_served
 
     @pytest.mark.parametrize(
         "admission",
@@ -401,9 +400,10 @@ class TestAdmissionPolicies:
         assert fleet.frames_shed > 0
         shed_total = refused_total = 0
         for camera in fleet.cameras:
-            lost = ~camera.frame_served
-            shed = lost & (camera.frame_times > camera.frame_arrivals)
-            refused = lost & (camera.frame_times == camera.frame_arrivals)
+            trace = camera.trace
+            lost = ~trace.served
+            shed = lost & (trace.times > trace.arrivals)
+            refused = lost & (trace.times == trace.arrivals)
             shed_total += int(shed.sum())
             refused_total += int(refused.sum())
             assert int(shed.sum()) == camera.frames_shed
@@ -413,22 +413,16 @@ class TestAdmissionPolicies:
     def test_drop_oldest_sheds_on_a_saturated_edge_queue(self, deployment, helmet_mini, small_batch):
         """Edge-compute schemes shed from the camera's own edge buffer."""
         config = StreamConfig(fps=40.0, duration_s=20.0, poisson=False, max_edge_queue=4)
-        report = simulate_stream(
-            edge_only_scheme(),
+        report = serve_stream(
             deployment,
             helmet_mini,
-            config,
-            detections=small_batch,
-            admission=DropOldest(),
+            StreamSpec(edge_only_scheme(), config, detections=small_batch, admission=DropOldest()),
             seed=5,
         )
-        baseline = simulate_stream(
-            edge_only_scheme(),
+        baseline = serve_stream(
             deployment,
             helmet_mini,
-            config,
-            detections=small_batch,
-            admission=DropNewest(),
+            StreamSpec(edge_only_scheme(), config, detections=small_batch, admission=DropNewest()),
             seed=5,
         )
         assert report.frames_shed > 0
@@ -494,13 +488,10 @@ class TestAdmissionPolicies:
         """With no buffer pressure every admission policy is a no-op."""
         config = StreamConfig(fps=2.0, duration_s=15.0, poisson=False)
         reports = [
-            simulate_stream(
-                edge_only_scheme(),
+            serve_stream(
                 deployment,
                 helmet_mini,
-                config,
-                detections=small_batch,
-                admission=admission,
+                StreamSpec(edge_only_scheme(), config, detections=small_batch, admission=admission),
                 seed=5,
             )
             for admission in (DropNewest(), DropOldest(), DeadlineAware(freshness_s=5.0))

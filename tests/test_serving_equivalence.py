@@ -1,15 +1,17 @@
 """Bit-for-bit equivalence of the unified serving pipeline.
 
 The three paper schemes used to be implemented twice — once as per-scheme
-loops in ``runtime/executor.py`` (static Table XI accounting) and once as a
-per-scheme event simulation in ``runtime/stream.py``.  Both now route
-through :mod:`repro.runtime.serving`.  This module keeps verbatim copies of
+loops for the static Table XI accounting and once as a per-scheme event
+simulation.  Both now route through :mod:`repro.runtime.serving`
+(:func:`run_cost` and :func:`serve_stream`).  This module keeps verbatim copies of
 the *pre-refactor* per-scheme implementations and asserts exact equality —
 every float, byte count and counter — against the shared-pipeline path, so
 the refactor can never drift from the published numbers.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.data import load_dataset
 from repro.detection.batch import DetectionBatchBuilder
 from repro.metrics.latency import summarize_latencies
 from repro.runtime import (
+    DISCRIMINATOR_FLOPS,
     JETSON_NANO,
     RTX3060_SERVER,
     WLAN,
@@ -30,7 +33,6 @@ from repro.runtime import (
     Deployment,
     DropNewest,
     DropOldest,
-    EdgeCloudRuntime,
     EscalationPolicy,
     EventLoop,
     FifoResource,
@@ -39,7 +41,6 @@ from repro.runtime import (
     RateSchedule,
     RunCost,
     StreamConfig,
-    StreamSimulator,
     StreamSpec,
     UnreliableLink,
     cloud_only_scheme,
@@ -50,10 +51,8 @@ from repro.runtime import (
     serve_fleet,
     serve_stream,
     simulate_fleet,
-    simulate_stream,
 )
 from repro.runtime.codec import detections_payload_bytes
-from repro.runtime.executor import DISCRIMINATOR_FLOPS
 from repro.runtime.serving import _CameraStream
 from repro.simulate import make_detector
 
@@ -266,34 +265,32 @@ def assert_stream_reports_identical(report, reference: dict) -> None:
 class TestStaticEquivalence:
     @pytest.mark.parametrize("seed", [0, 99, 20230701])
     def test_edge_only_identical(self, deployment, helmet_mini, seed):
-        runtime = EdgeCloudRuntime(deployment=deployment, seed=seed)
+        cost = run_cost(edge_only_scheme(), deployment, helmet_mini, seed=seed)
         reference = ReferenceRuntime(deployment, seed)
-        assert_run_costs_identical(runtime.run_edge_only(helmet_mini), reference.run_edge_only(helmet_mini))
+        assert_run_costs_identical(cost, reference.run_edge_only(helmet_mini))
 
     @pytest.mark.parametrize("seed", [0, 99, 20230701])
     def test_cloud_only_identical(self, deployment, helmet_mini, seed):
-        runtime = EdgeCloudRuntime(deployment=deployment, seed=seed)
+        cost = run_cost(cloud_only_scheme(), deployment, helmet_mini, seed=seed)
         reference = ReferenceRuntime(deployment, seed)
-        assert_run_costs_identical(runtime.run_cloud_only(helmet_mini), reference.run_cloud_only(helmet_mini))
+        assert_run_costs_identical(cost, reference.run_cloud_only(helmet_mini))
 
     @pytest.mark.parametrize("seed", [0, 99])
     def test_collaborative_identical(self, deployment, helmet_mini, half_mask, seed):
-        runtime = EdgeCloudRuntime(deployment=deployment, seed=seed)
         reference = ReferenceRuntime(deployment, seed)
         assert_run_costs_identical(
-            runtime.run_collaborative(helmet_mini, half_mask),
+            run_cost(collaborative_scheme(), deployment, helmet_mini, mask=half_mask, seed=seed),
             reference.run_collaborative(helmet_mini, half_mask),
         )
 
     def test_collaborative_empty_and_full_masks(self, deployment, helmet_mini):
-        runtime = EdgeCloudRuntime(deployment=deployment, seed=7)
         reference = ReferenceRuntime(deployment, 7)
         for mask in (
             np.zeros(len(helmet_mini), dtype=bool),
             np.ones(len(helmet_mini), dtype=bool),
         ):
             assert_run_costs_identical(
-                runtime.run_collaborative(helmet_mini, mask),
+                run_cost(collaborative_scheme(), deployment, helmet_mini, mask=mask, seed=7),
                 reference.run_collaborative(helmet_mini, mask),
             )
 
@@ -310,39 +307,37 @@ class TestStreamEquivalence:
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["light", "poisson", "saturating"])
     def test_edge_identical(self, deployment, helmet_mini, config):
-        simulator = StreamSimulator(deployment, helmet_mini, seed=42)
-        report = simulator.run("edge", config)
+        report = serve_stream(deployment, helmet_mini, StreamSpec(edge_only_scheme(), config), seed=42)
         reference = reference_stream_run(deployment, helmet_mini, 42, "edge", config)
         assert_stream_reports_identical(report, reference)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["light", "poisson", "saturating"])
     def test_cloud_identical(self, deployment, helmet_mini, config):
-        simulator = StreamSimulator(deployment, helmet_mini, seed=42)
-        report = simulator.run("cloud", config)
+        report = serve_stream(deployment, helmet_mini, StreamSpec(cloud_only_scheme(), config), seed=42)
         reference = reference_stream_run(deployment, helmet_mini, 42, "cloud", config)
         assert_stream_reports_identical(report, reference)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["light", "poisson", "saturating"])
     def test_collaborative_identical(self, deployment, helmet_mini, half_mask, config):
-        simulator = StreamSimulator(deployment, helmet_mini, seed=42)
-        report = simulator.run("collaborative", config, half_mask)
+        spec = StreamSpec(collaborative_scheme(), config, mask=half_mask)
+        report = serve_stream(deployment, helmet_mini, spec, seed=42)
         reference = reference_stream_run(deployment, helmet_mini, 42, "collaborative", config, half_mask)
         assert_stream_reports_identical(report, reference)
 
     def test_served_batch_unchanged_by_frame_log(self, deployment, helmet_mini, half_mask):
         """The new per-frame log must not perturb the served accumulation."""
-        simulator = StreamSimulator(deployment, helmet_mini, seed=42)
         config = StreamConfig(fps=5.0, duration_s=12.0)
         from repro.simulate import make_detector
 
         detections = make_detector("small1", "helmet").detect_split(helmet_mini)
-        report = simulator.run("collaborative", config, half_mask, detections=detections)
+        spec = StreamSpec(collaborative_scheme(), config, mask=half_mask, detections=detections)
+        report = serve_stream(deployment, helmet_mini, spec, seed=42)
         reference = reference_stream_run(deployment, helmet_mini, 42, "collaborative", config, half_mask)
         assert_stream_reports_identical(report, reference)
         assert report.served is not None
         assert len(report.served) == report.frames_served
-        assert report.frame_times.shape[0] == report.frames_offered
-        assert int(report.frame_served.sum()) == report.frames_served
+        assert report.trace.times.shape[0] == report.frames_offered
+        assert int(report.trace.served.sum()) == report.frames_served
 
 
 # --------------------------------------------------------------------- #
@@ -363,9 +358,9 @@ class TestAdmissionEquivalence:
     @pytest.mark.parametrize("scheme", ["edge", "cloud", "collaborative"])
     @pytest.mark.parametrize("config", CONFIGS, ids=["light", "poisson", "saturating"])
     def test_drop_newest_identical_to_reference(self, deployment, helmet_mini, half_mask, scheme, config):
-        simulator = StreamSimulator(deployment, helmet_mini, seed=42)
         uploaded = half_mask if scheme == "collaborative" else None
-        report = simulator.run(scheme, config, uploaded, admission=DropNewest())
+        spec = StreamSpec(paper_schemes()[scheme], config, mask=uploaded, admission=DropNewest())
+        report = serve_stream(deployment, helmet_mini, spec, seed=42)
         reference = reference_stream_run(deployment, helmet_mini, 42, scheme, config, uploaded)
         assert_stream_reports_identical(report, reference)
         assert report.frames_shed == 0
@@ -378,10 +373,10 @@ class TestAdmissionEquivalence:
         from repro.simulate import make_detector
 
         detections = make_detector("small1", "helmet").detect_split(helmet_mini)
-        simulator = StreamSimulator(deployment, helmet_mini, seed=42)
         uploaded = half_mask if scheme == "collaborative" else None
-        explicit = simulator.run(scheme, config, uploaded, detections=detections, admission=DropNewest())
-        default = simulator.run(scheme, config, uploaded, detections=detections)
+        spec = StreamSpec(paper_schemes()[scheme], config, mask=uploaded, detections=detections)
+        explicit = serve_stream(deployment, helmet_mini, replace(spec, admission=DropNewest()), seed=42)
+        default = serve_stream(deployment, helmet_mini, spec, seed=42)
         assert explicit == default
 
     @pytest.mark.parametrize(
@@ -418,10 +413,8 @@ class TestAdmissionEquivalence:
         """The new shedding policies reproduce exactly in the seed."""
         config = StreamConfig(fps=14.0, duration_s=25.0, max_edge_queue=5)
         uploaded = half_mask if scheme == "collaborative" else None
-        runs = [
-            StreamSimulator(deployment, helmet_mini, seed=42).run(scheme, config, uploaded, admission=admission)
-            for _ in range(2)
-        ]
+        spec = StreamSpec(paper_schemes()[scheme], config, mask=uploaded, admission=admission)
+        runs = [serve_stream(deployment, helmet_mini, spec, seed=42) for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_paper_schemes_cover_all_shapes(self):
@@ -480,17 +473,11 @@ class TestAvailabilityEquivalence:
     ):
         config = StreamConfig(fps=6.0, duration_s=15.0)
         uploaded = half_mask if scheme_name == "collaborative" else None
-        plain = StreamSimulator(deployment, helmet_mini, seed=42).run(
-            scheme_name, config, uploaded, detections=small_batch, small_detections=small_batch
+        spec = StreamSpec(
+            paper_schemes()[scheme_name], config, mask=uploaded, detections=small_batch, small_detections=small_batch
         )
-        wrapped = StreamSimulator(unreliable_deployment, helmet_mini, seed=42).run(
-            scheme_name,
-            config,
-            uploaded,
-            detections=small_batch,
-            small_detections=small_batch,
-            escalation=escalation,
-        )
+        plain = serve_stream(deployment, helmet_mini, spec, seed=42)
+        wrapped = serve_stream(unreliable_deployment, helmet_mini, replace(spec, escalation=escalation), seed=42)
         assert plain == wrapped
         assert wrapped.escalations_failed == 0
         assert wrapped.escalations_dropped == 0
@@ -564,10 +551,9 @@ class TestScheduleEquivalence:
         self, deployment, scheduled_deployment, helmet_mini, half_mask, scheme_name, config
     ):
         uploaded = half_mask if scheme_name == "collaborative" else None
-        plain = StreamSimulator(deployment, helmet_mini, seed=42).run(scheme_name, config, uploaded)
-        scheduled = StreamSimulator(scheduled_deployment, helmet_mini, seed=42).run(
-            scheme_name, config, uploaded
-        )
+        spec = StreamSpec(paper_schemes()[scheme_name], config, mask=uploaded)
+        plain = serve_stream(deployment, helmet_mini, spec, seed=42)
+        scheduled = serve_stream(scheduled_deployment, helmet_mini, spec, seed=42)
         assert plain == scheduled
 
     @pytest.mark.parametrize(
@@ -627,53 +613,18 @@ class TestScheduleEquivalence:
             big_model_flops=deployment.big_model_flops,
         )
         config = StreamConfig(fps=6.0, duration_s=15.0)
-        plain = StreamSimulator(deployment, helmet_mini, seed=42).run(
-            "collaborative", config, half_mask
-        )
-        scheduled = StreamSimulator(wrapped, helmet_mini, seed=42).run(
-            "collaborative", config, half_mask
-        )
+        spec = StreamSpec(collaborative_scheme(), config, mask=half_mask)
+        plain = serve_stream(deployment, helmet_mini, spec, seed=42)
+        scheduled = serve_stream(wrapped, helmet_mini, spec, seed=42)
         assert plain == scheduled
 
 
 class TestSpecEquivalence:
-    """The spec front doors (`serve_stream`/`serve_fleet`) and the legacy
-    keyword entry points (`simulate_stream`/`simulate_fleet`) are the same
-    run, bit for bit — the API redesign may not move a single byte."""
+    """The fleet spec front door (`serve_fleet`) and the keyword entry point
+    (`simulate_fleet`) are the same run, bit for bit, and spec values are
+    reusable."""
 
     CONFIG = StreamConfig(fps=6.0, duration_s=15.0)
-
-    @pytest.mark.parametrize("scheme", ["edge", "cloud", "collaborative"])
-    def test_stream_spec_identical_to_kwargs(self, deployment, helmet_mini, half_mask, scheme):
-        factory = {
-            "edge": edge_only_scheme,
-            "cloud": cloud_only_scheme,
-            "collaborative": collaborative_scheme,
-        }[scheme]
-        mask = half_mask if scheme == "collaborative" else None
-        spec = StreamSpec(scheme=factory(), config=self.CONFIG, mask=mask)
-        via_spec = serve_stream(deployment, helmet_mini, spec, seed=42)
-        via_kwargs = simulate_stream(
-            factory(), deployment, helmet_mini, self.CONFIG, mask=mask, seed=42
-        )
-        assert via_spec == via_kwargs
-
-    def test_stream_spec_with_admission_identical(self, deployment, helmet_mini):
-        config = StreamConfig(fps=14.0, duration_s=25.0, max_edge_queue=30)
-        spec = StreamSpec(
-            scheme=cloud_only_scheme(), config=config, admission=DeadlineAware(freshness_s=2.0)
-        )
-        via_spec = serve_stream(deployment, helmet_mini, spec, seed=42)
-        via_kwargs = simulate_stream(
-            cloud_only_scheme(),
-            deployment,
-            helmet_mini,
-            config,
-            admission=DeadlineAware(freshness_s=2.0),
-            seed=42,
-        )
-        assert via_spec == via_kwargs
-        assert via_spec.frames_shed > 0
 
     def test_fleet_spec_identical_to_kwargs(self, deployment, helmet_mini, half_mask):
         spec = FleetSpec(

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event loop and the streaming simulator."""
+"""Tests for the discrete-event loop and the streaming engine."""
 
 from __future__ import annotations
 
@@ -15,7 +15,11 @@ from repro.runtime import (
     EventLoop,
     FifoResource,
     StreamConfig,
-    StreamSimulator,
+    StreamSpec,
+    cloud_only_scheme,
+    collaborative_scheme,
+    edge_only_scheme,
+    serve_stream,
 )
 
 
@@ -25,7 +29,7 @@ def helmet_mini():
 
 
 @pytest.fixture(scope="module")
-def simulator(helmet_mini):
+def serve(helmet_mini):
     deployment = Deployment(
         edge=JETSON_NANO,
         cloud=RTX3060_SERVER,
@@ -33,7 +37,11 @@ def simulator(helmet_mini):
         small_model_flops=5.5e9,
         big_model_flops=60e9,
     )
-    return StreamSimulator(deployment, helmet_mini, seed=42)
+
+    def run(scheme, config, mask=None):
+        return serve_stream(deployment, helmet_mini, StreamSpec(scheme, config, mask=mask), seed=42)
+
+    return run
 
 
 class TestEventLoop:
@@ -106,63 +114,53 @@ class TestFifoResource:
             resource.acquire(-0.1, lambda _t: None)
 
 
-class TestStreamSimulator:
-    def test_light_load_all_served(self, simulator, helmet_mini):
+class TestServeStream:
+    def test_light_load_all_served(self, serve, helmet_mini):
         config = StreamConfig(fps=2.0, duration_s=20.0, poisson=False)
         mask = np.zeros(len(helmet_mini), dtype=bool)
-        report = simulator.run("collaborative", config, mask)
+        report = serve(collaborative_scheme(), config, mask)
         assert report.frames_dropped == 0
         assert report.frames_served == report.frames_offered
 
-    def test_cloud_saturates_before_collaborative(self, simulator, helmet_mini):
+    def test_cloud_saturates_before_collaborative(self, serve, helmet_mini):
         config = StreamConfig(fps=12.0, duration_s=30.0)
         mask = np.zeros(len(helmet_mini), dtype=bool)
         mask[::5] = True
-        cloud = simulator.run("cloud", config)
-        ours = simulator.run("collaborative", config, mask)
+        cloud = serve(cloud_only_scheme(), config)
+        ours = serve(collaborative_scheme(), config, mask)
         assert cloud.latency.p50 > ours.latency.p50
         assert cloud.drop_rate >= ours.drop_rate
 
-    def test_edge_scheme_never_uploads(self, simulator):
+    def test_edge_scheme_never_uploads(self, serve):
         config = StreamConfig(fps=5.0, duration_s=10.0)
-        report = simulator.run("edge", config)
+        report = serve(edge_only_scheme(), config)
         assert report.frames_uploaded == 0 and report.upload_ratio == 0.0
 
-    def test_cloud_scheme_uploads_everything_served(self, simulator):
+    def test_cloud_scheme_uploads_everything_served(self, serve):
         config = StreamConfig(fps=2.0, duration_s=10.0, poisson=False)
-        report = simulator.run("cloud", config)
+        report = serve(cloud_only_scheme(), config)
         assert report.frames_uploaded == report.frames_offered
 
-    def test_upload_ratio_matches_mask(self, simulator, helmet_mini):
+    def test_upload_ratio_matches_mask(self, serve, helmet_mini):
         config = StreamConfig(fps=2.0, duration_s=30.0, poisson=False)
         mask = np.zeros(len(helmet_mini), dtype=bool)
         mask[::4] = True
-        report = simulator.run("collaborative", config, mask)
+        report = serve(collaborative_scheme(), config, mask)
         assert report.upload_ratio == pytest.approx(0.25, abs=0.05)
 
-    def test_deterministic(self, simulator, helmet_mini):
+    def test_deterministic(self, serve, helmet_mini):
         config = StreamConfig(fps=6.0, duration_s=15.0)
-        a = simulator.run("cloud", config)
-        b = simulator.run("cloud", config)
+        a = serve(cloud_only_scheme(), config)
+        b = serve(cloud_only_scheme(), config)
         assert a.latency.total == pytest.approx(b.latency.total)
 
-    def test_unknown_scheme_rejected(self, simulator):
+    def test_collaborative_without_mask_rejected(self, serve):
         with pytest.raises(RuntimeModelError):
-            simulator.run("hybrid", StreamConfig())
+            serve(collaborative_scheme(), StreamConfig())
 
-    def test_collaborative_without_mask_rejected(self, simulator):
+    def test_misaligned_mask_rejected(self, serve):
         with pytest.raises(RuntimeModelError):
-            simulator.run("collaborative", StreamConfig())
-
-    def test_misaligned_mask_rejected(self, simulator):
-        with pytest.raises(RuntimeModelError):
-            simulator.run("collaborative", StreamConfig(), np.zeros(3, dtype=bool))
-
-    def test_compare_runs_all_schemes(self, simulator, helmet_mini):
-        config = StreamConfig(fps=2.0, duration_s=10.0, poisson=False)
-        mask = np.zeros(len(helmet_mini), dtype=bool)
-        reports = simulator.compare(config, mask)
-        assert set(reports) == {"edge", "cloud", "collaborative"}
+            serve(collaborative_scheme(), StreamConfig(), np.zeros(3, dtype=bool))
 
     def test_empty_dataset_rejected(self, helmet_mini):
         deployment = Deployment(
@@ -174,7 +172,7 @@ class TestStreamSimulator:
         )
         empty = helmet_mini.subset(0)
         with pytest.raises(RuntimeModelError):
-            StreamSimulator(deployment, empty)
+            serve_stream(deployment, empty, StreamSpec(edge_only_scheme()))
 
     def test_bad_config_rejected(self):
         with pytest.raises(RuntimeModelError):

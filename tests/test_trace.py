@@ -23,10 +23,11 @@ from repro.runtime import (
     FrameTrace,
     FrameTraceBuilder,
     StreamConfig,
+    StreamSpec,
     cloud_only_scheme,
     edge_only_scheme,
+    serve_stream,
     simulate_fleet,
-    simulate_stream,
 )
 from repro.simulate import make_detector
 
@@ -180,8 +181,8 @@ class TestReportPercentiles:
     CONFIG = StreamConfig(fps=1.0, poisson=True, duration_s=12.0)
 
     def test_stream_report_percentiles_from_trace(self, deployment, helmet_mini, big_batch):
-        report = simulate_stream(
-            cloud_only_scheme(), deployment, helmet_mini, self.CONFIG, detections=big_batch, seed=3
+        report = serve_stream(
+            deployment, helmet_mini, StreamSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch), seed=3
         )
         points = report.latency_percentiles()
         ages = report.trace.latencies()
@@ -189,7 +190,7 @@ class TestReportPercentiles:
         assert points[50.0] <= points[95.0] <= points[99.0]
 
     def test_stream_report_without_trace_raises(self, deployment, helmet_mini):
-        report = simulate_stream(edge_only_scheme(), deployment, helmet_mini, self.CONFIG, seed=3)
+        report = serve_stream(deployment, helmet_mini, StreamSpec(edge_only_scheme(), self.CONFIG), seed=3)
         assert report.trace is None
         with pytest.raises(ConfigurationError, match="no frame trace"):
             report.latency_percentiles()
@@ -219,25 +220,3 @@ class TestReportPercentiles:
         fleet = simulate_fleet(edge_only_scheme(), deployment, helmet_mini, self.CONFIG, cameras=2, seed=3)
         with pytest.raises(ConfigurationError, match="fleet camera 0"):
             fleet.trace()
-
-
-class TestProfileHook:
-    def test_repro_profile_dumps_stats(self, deployment, helmet_mini, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path))
-        config = StreamConfig(fps=1.0, poisson=True, duration_s=4.0)
-        report = simulate_fleet(edge_only_scheme(), deployment, helmet_mini, config, cameras=2, seed=3)
-        assert report.frames_offered > 0
-        profile = tmp_path / "simulate_fleet.prof"
-        assert profile.exists()
-        import pstats
-
-        stats = pstats.Stats(str(profile))
-        assert stats.total_calls > 0
-
-    def test_profile_off_by_default(self, deployment, helmet_mini, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path))
-        config = StreamConfig(fps=1.0, poisson=True, duration_s=4.0)
-        simulate_fleet(edge_only_scheme(), deployment, helmet_mini, config, cameras=2, seed=3)
-        assert not (tmp_path / "simulate_fleet.prof").exists()
