@@ -14,8 +14,9 @@ score.  Construction validates all of them with array passes, so views can
 bypass the per-image ``Detections`` constructor entirely.
 
 :class:`DetectionBatchBuilder` is the streaming producer of the same layout:
-an appendable accumulator with amortised (doubling) growth, so shard workers
-fill flat arrays directly instead of staging a ``list[Detections]``.  :class:`GroundTruthBatch` is the annotation-side
+an appendable accumulator with amortised (doubling) growth, so per-image
+results fill flat arrays directly instead of staging a
+``list[Detections]``.  :class:`GroundTruthBatch` is the annotation-side
 mirror (flat ``boxes``/``labels`` + ``offsets``), cached on ``Dataset`` so
 evaluation never re-flattens a split's ground truth.
 """
@@ -506,8 +507,8 @@ class DetectionBatchBuilder:
 
     Per-image results are copied straight into flat buffers that grow by
     doubling, so appending a whole split is amortised O(total boxes) with no
-    ``list[Detections]`` staging hop.  Producers: shard workers of the
-    parallel split runner and :meth:`DetectionBatch.from_list`.
+    ``list[Detections]`` staging hop.  Producer:
+    :meth:`DetectionBatch.from_list`.
 
     ``build()`` snapshots the current contents (validated through the public
     :class:`DetectionBatch` constructor); the builder stays appendable

@@ -547,8 +547,8 @@ def _control_cells(grid: _Grid) -> Iterator[_Cell]:
 
     discriminator, small = grid.discriminator, grid.small
     night = grid.dataset.with_degradation(drift_degradation(), scope="night-shift")
-    night_small = DetectionBatch.coerce(grid.harness.detector("small1", FLEET_SETTING).detect_split(night))
-    night_big = DetectionBatch.coerce(grid.harness.detector("ssd", FLEET_SETTING).detect_split(night))
+    night_small = grid.harness.detector("small1", FLEET_SETTING).detect_split(night)
+    night_big = grid.harness.detector("ssd", FLEET_SETTING).detect_split(night)
     day_mask = np.asarray(discriminator.decide_split(small), dtype=bool)
     night_mask = np.asarray(discriminator.decide_split(night_small), dtype=bool)
     scheme = collaborative_scheme(DiscriminatorPolicy(discriminator), name="discriminator")

@@ -15,8 +15,8 @@ Data movement between the parent and the workers is minimised end to end:
   started.  Snapshots registered *after* pool start — and non-fork
   platforms — fall back to pickling the record slice, bit-for-bit
   identical.
-* **Results** — each worker fills a
-  :class:`~repro.detection.batch.DetectionBatchBuilder` and, when the
+* **Results** — each worker detects its span into one
+  :class:`~repro.detection.batch.DetectionBatch` and, when the
   pool's shared-memory arena is enabled (parallel pool, Linux,
   ``REPRO_SHM`` not ``0``), parks the finished batch's flat columns in a
   named ``/dev/shm`` segment (:mod:`repro.runtime.shm`) and returns only a
@@ -40,7 +40,7 @@ from __future__ import annotations
 from concurrent.futures import as_completed
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.detection.batch import DetectionBatch, DetectionBatchBuilder
+from repro.detection.batch import DetectionBatch
 from repro.errors import ConfigurationError
 from repro.runtime.pool import (
     WorkerPool,
@@ -98,12 +98,12 @@ def detect_records(
     span: tuple[int, int] | None = None,
 ) -> DetectionBatch:
     """Run ``detector`` over ``records`` (or the ``[lo, hi)`` span of them)
-    serially into one batch — indexing in place, never copying the list."""
-    lo, hi = span if span is not None else (0, len(records))
-    builder = DetectionBatchBuilder(detector=detector.name)
-    for index in range(lo, hi):
-        builder.append_detections(detector.detect(records[index]))
-    return builder.build()
+    serially into one batch: one columnar
+    :meth:`~repro.simulate.detector.SimulatedDetector.detect_split` pass."""
+    if span is not None:
+        lo, hi = span
+        records = records[lo:hi]
+    return detector.detect_split(records)
 
 
 def _detect_task(
@@ -273,8 +273,7 @@ def run_split(
 ) -> DetectionBatch:
     """Run a detector over a whole split, sharded across the pool's workers.
 
-    Drop-in replacement for
-    ``DetectionBatch.from_list(detector.detect_split(dataset))`` with
+    Drop-in replacement for ``detector.detect_split(dataset)`` with
     identical output: contiguous image-range shards are detected in
     parallel on ``pool`` and concatenated in order.  The dataset's record
     list is used in place (never copied), so repeated calls over the same

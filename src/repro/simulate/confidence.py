@@ -12,6 +12,10 @@ the paper's Fig. 6 dump of raw SSD output:
   estimated-count feature exploits;
 * **noise boxes** — an exponential tail hugging zero, occasionally crossing
   into the sub-threshold band, very rarely past 0.5.
+
+Each model is split into its draw and its arithmetic (``served_beta`` /
+``served_from_beta``, ``noise_from_exponential``) so the split-level
+detector can draw per image and run the arithmetic once over the split.
 """
 
 from __future__ import annotations
@@ -20,7 +24,35 @@ import numpy as np
 
 from repro.simulate.profile import DetectorProfile
 
-__all__ = ["served_scores", "miss_scores", "noise_scores"]
+__all__ = [
+    "served_beta",
+    "served_from_beta",
+    "noise_from_exponential",
+    "served_scores",
+    "miss_scores",
+    "noise_scores",
+]
+
+
+def served_beta(profile: DetectorProfile, difficulty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Beta-distribution shape ``(alpha, beta)`` of served scores.
+
+    ``difficulty`` is the per-object detection probability; easier objects
+    (higher probability) get a distribution leaning towards 1.
+    """
+    q = np.clip(np.asarray(difficulty, dtype=np.float64).reshape(-1), 0.05, 0.995)
+    kappa = profile.score_sharpness
+    return 1.0 + kappa * q, 1.0 + kappa * (1.0 - q)
+
+
+def served_from_beta(draws: np.ndarray) -> np.ndarray:
+    """Map ``Beta(alpha, beta)`` draws into the serving band ``[0.5, 1)``."""
+    return 0.5 + 0.4999 * draws
+
+
+def noise_from_exponential(draws: np.ndarray) -> np.ndarray:
+    """Map ``Exponential(fp_score_scale)`` draws to noise scores in ``[0.01, 0.98]``."""
+    return np.clip(0.01 + draws, 0.01, 0.98)
 
 
 def served_scores(
@@ -34,11 +66,7 @@ def served_scores(
     (higher probability) receive higher scores on average, which is what
     makes the simulated PR curves decrease plausibly.
     """
-    q = np.clip(np.asarray(difficulty, dtype=np.float64).reshape(-1), 0.05, 0.995)
-    kappa = profile.score_sharpness
-    alpha = 1.0 + kappa * q
-    beta = 1.0 + kappa * (1.0 - q)
-    return 0.5 + 0.4999 * rng.beta(alpha, beta)
+    return served_from_beta(rng.beta(*served_beta(profile, difficulty)))
 
 
 def miss_scores(profile: DetectorProfile, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -48,5 +76,4 @@ def miss_scores(profile: DetectorProfile, count: int, rng: np.random.Generator) 
 
 def noise_scores(profile: DetectorProfile, count: int, rng: np.random.Generator) -> np.ndarray:
     """Scores of spurious noise boxes: exponential, clipped to [0.01, 0.98]."""
-    raw = 0.01 + rng.exponential(profile.fp_score_scale, size=count)
-    return np.clip(raw, 0.01, 0.98)
+    return noise_from_exponential(rng.exponential(profile.fp_score_scale, size=count))

@@ -1,49 +1,64 @@
-"""The simulated detector: profile + image -> class-scored boxes.
+"""The simulated detector: profile + images -> class-scored boxes.
 
 Detections are a *pure function* of ``(seed, profile name, image id)``:
 running the small model during discrimination and again during evaluation
 yields identical boxes, exactly like a deterministic neural network.  All
 downstream numbers (mAP, counts, difficult-case labels, baselines) are
 measured from these boxes with the real VOC evaluator.
+
+A split is detected in one columnar pass.  Only the random draws stay per
+image: each image draws from its own ``generator_for(seed, "detect", name,
+image_id)`` stream, in a fixed order and with sizes that depend only on
+that image.  The arithmetic on the draws (box jitter, scores, label
+confusion), the per-image score sort and class-aware greedy NMS run once
+over the split's flat arrays.  :meth:`SimulatedDetector.detect` is the
+one-image case of the same pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro._rng import DEFAULT_SEED, generator_for
 from repro.data.datasets import Dataset, ImageRecord
+from repro.detection.batch import DetectionBatch, GroundTruthBatch
 from repro.detection.boxes import clip_boxes
-from repro.detection.nms import class_aware_nms
+from repro.detection.nms import grouped_nms_keep
 from repro.detection.types import Detections
-from repro.simulate.confidence import miss_scores, noise_scores, served_scores
-from repro.simulate.profile import DetectorProfile, detection_probability
+from repro.simulate.confidence import miss_scores, noise_from_exponential, served_beta, served_from_beta
+from repro.simulate.profile import DetectorProfile, capped_probability, probability_terms
 
 __all__ = ["SimulatedDetector"]
 
 
-def _jitter_boxes(boxes: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Perturb box centres and sizes by relative Gaussian noise."""
-    if boxes.shape[0] == 0 or sigma <= 0.0:
-        return boxes.copy()
+def _jitter_draws(sigma: float, count: int, rng: np.random.Generator, out: tuple[list, list, list, list]) -> None:
+    """Draw one image's relative Gaussian box noise: centre x, centre y, log
+    width scale, log height scale, ``count`` each (nothing when ``sigma`` is 0)."""
+    if sigma > 0.0:
+        for part in out:
+            part.append(rng.normal(0.0, sigma, count))
+
+
+def _jittered(boxes: np.ndarray, draws: tuple[list, list, list, list]) -> np.ndarray:
+    """Perturb box centres and sizes by the collected :func:`_jitter_draws`;
+    boxes pass through unchanged when nothing was drawn."""
+    if not draws[0]:
+        return boxes
+    dx, dy, dw, dh = (np.concatenate(part) for part in draws)
     widths = boxes[:, 2] - boxes[:, 0]
     heights = boxes[:, 3] - boxes[:, 1]
-    cx = (boxes[:, 0] + boxes[:, 2]) / 2.0 + rng.normal(0.0, sigma, boxes.shape[0]) * widths
-    cy = (boxes[:, 1] + boxes[:, 3]) / 2.0 + rng.normal(0.0, sigma, boxes.shape[0]) * heights
-    scale_w = np.exp(rng.normal(0.0, sigma, boxes.shape[0]))
-    scale_h = np.exp(rng.normal(0.0, sigma, boxes.shape[0]))
-    half_w = widths * scale_w / 2.0
-    half_h = heights * scale_h / 2.0
-    jittered = np.stack([cx - half_w, cy - half_h, cx + half_w, cy + half_h], axis=1)
-    return clip_boxes(jittered)
+    cx = (boxes[:, 0] + boxes[:, 2]) / 2.0 + dx * widths
+    cy = (boxes[:, 1] + boxes[:, 3]) / 2.0 + dy * heights
+    half_w = widths * np.exp(dw) / 2.0
+    half_h = heights * np.exp(dh) / 2.0
+    return clip_boxes(np.stack([cx - half_w, cy - half_h, cx + half_w, cy + half_h], axis=1))
 
 
 def _random_fp_boxes(count: int, rng: np.random.Generator) -> np.ndarray:
     """Small random boxes for noise detections."""
-    if count == 0:
-        return np.zeros((0, 4))
     areas = np.exp(rng.normal(np.log(0.01), 1.0, size=count))
     areas = np.clip(areas, 5e-4, 0.2)
     aspect = np.exp(rng.normal(0.0, 0.4, size=count))
@@ -55,6 +70,10 @@ def _random_fp_boxes(count: int, rng: np.random.Generator) -> np.ndarray:
         [cx - widths / 2.0, cy - heights / 2.0, cx + widths / 2.0, cy + heights / 2.0],
         axis=1,
     )
+
+
+def _concat(parts: list, dtype=np.float64) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -84,61 +103,102 @@ class SimulatedDetector:
 
     def detect(self, record: ImageRecord) -> Detections:
         """Run the detector on one image record."""
+        return self.detect_split([record]).view(0)
+
+    def detect_split(self, dataset: Dataset | Sequence[ImageRecord]) -> DetectionBatch:
+        """Run the detector over every record of a split (or a record
+        sequence), in order, into one batch."""
+        if isinstance(dataset, Dataset):
+            records, truths = dataset.records, dataset.truth_batch
+        else:
+            records = dataset
+            truths = GroundTruthBatch.from_truths([record.truth for record in records])
         profile = self.profile
-        truth = record.truth
-        rng = generator_for(self.seed, "detect", profile.name, truth.image_id)
+        classes = self.num_classes
+        p = capped_probability(
+            profile.base_recall,
+            probability_terms(profile, truths, [record.quality for record in records]),
+        )
+        alpha, beta = served_beta(profile, p)
+        vis_sigma = profile.loc_sigma * 1.5
 
-        areas = truth.area_ratios
-        count = len(truth)
-        boxes_parts: list[np.ndarray] = []
-        scores_parts: list[np.ndarray] = []
-        labels_parts: list[np.ndarray] = []
+        # Per-image draws, collected in image order.  Row indices address
+        # the split's flat object arrays.
+        det_rows: list[np.ndarray] = []
+        det_jitter: tuple[list, list, list, list] = ([], [], [], [])
+        det_beta: list[np.ndarray] = []
+        confused_at: list[np.ndarray] = []
+        shifts: list[np.ndarray] = []
+        vis_rows: list[np.ndarray] = []
+        vis_jitter: tuple[list, list, list, list] = ([], [], [], [])
+        vis_scores: list[np.ndarray] = []
+        fp_boxes: list[np.ndarray] = []
+        fp_draws: list[np.ndarray] = []
+        fp_labels: list[np.ndarray] = []
+        fp_counts = np.zeros(len(truths), dtype=np.int64)
+        detected_so_far = 0
+        offsets = truths.offsets.tolist()
+        for index, image_id in enumerate(truths.image_ids):
+            rng = generator_for(self.seed, "detect", profile.name, image_id)
+            lo, hi = offsets[index], offsets[index + 1]
+            if hi > lo:
+                detected = rng.uniform(size=hi - lo) < p[lo:hi]
+                det = np.flatnonzero(detected) + lo
+                if det.size:
+                    _jitter_draws(profile.loc_sigma, det.size, rng, det_jitter)
+                    det_beta.append(rng.beta(alpha[det], beta[det]))
+                    confused = rng.uniform(size=det.size) < profile.class_confusion
+                    if confused.any() and classes > 1:
+                        confused_at.append(np.flatnonzero(confused) + detected_so_far)
+                        shifts.append(rng.integers(1, classes, size=int(confused.sum())))
+                    det_rows.append(det)
+                    detected_so_far += det.size
+                miss = np.flatnonzero(~detected)
+                if miss.size:
+                    visible = rng.uniform(size=miss.size) < profile.miss_visibility
+                    vis = miss[visible] + lo
+                    if vis.size:
+                        _jitter_draws(vis_sigma, vis.size, rng, vis_jitter)
+                        vis_scores.append(miss_scores(profile, vis.size, rng))
+                        vis_rows.append(vis)
+            num_fp = int(rng.poisson(profile.fp_rate))
+            if num_fp:
+                fp_boxes.append(_random_fp_boxes(num_fp, rng))
+                fp_draws.append(rng.exponential(profile.fp_score_scale, size=num_fp))
+                fp_labels.append(rng.integers(0, classes, size=num_fp))
+                fp_counts[index] = num_fp
 
-        if count:
-            p = detection_probability(profile, areas, count, record.quality)
-            detected = rng.uniform(size=count) < p
+        # Split-level arithmetic, rows category-major: detected, visible
+        # misses, noise — each image's rows in that order, as one image's
+        # detector concatenates them.
+        owner = truths.image_indices()
+        det_all = _concat(det_rows, np.int64)
+        labels = truths.labels[det_all]
+        if shifts:
+            at = np.concatenate(confused_at)
+            labels[at] = (labels[at] + np.concatenate(shifts)) % classes
+        vis_all = _concat(vis_rows, np.int64)
+        jittered = [_jittered(truths.boxes[det_all], det_jitter), _jittered(truths.boxes[vis_all], vis_jitter)]
+        boxes = np.concatenate(jittered + fp_boxes)
+        scores = np.concatenate(
+            [served_from_beta(_concat(det_beta)), _concat(vis_scores), noise_from_exponential(_concat(fp_draws))]
+        )
+        labels = np.concatenate([labels, truths.labels[vis_all], _concat(fp_labels, np.int64)])
+        images = np.concatenate(
+            [owner[det_all], owner[vis_all], np.repeat(np.arange(len(truths), dtype=np.int64), fp_counts)]
+        )
 
-            det_idx = np.flatnonzero(detected)
-            if det_idx.size:
-                det_boxes = _jitter_boxes(truth.boxes[det_idx], profile.loc_sigma, rng)
-                det_scores = served_scores(profile, p[det_idx], rng)
-                det_labels = truth.labels[det_idx].copy()
-                confused = rng.uniform(size=det_idx.size) < profile.class_confusion
-                if confused.any() and self.num_classes > 1:
-                    shift = rng.integers(1, self.num_classes, size=int(confused.sum()))
-                    det_labels[confused] = (det_labels[confused] + shift) % self.num_classes
-                boxes_parts.append(det_boxes)
-                scores_parts.append(det_scores)
-                labels_parts.append(det_labels)
-
-            miss_idx = np.flatnonzero(~detected)
-            if miss_idx.size:
-                visible = rng.uniform(size=miss_idx.size) < profile.miss_visibility
-                vis_idx = miss_idx[visible]
-                if vis_idx.size:
-                    vis_boxes = _jitter_boxes(truth.boxes[vis_idx], profile.loc_sigma * 1.5, rng)
-                    vis_scores = miss_scores(profile, vis_idx.size, rng)
-                    boxes_parts.append(vis_boxes)
-                    scores_parts.append(vis_scores)
-                    labels_parts.append(truth.labels[vis_idx].copy())
-
-        num_fp = int(rng.poisson(profile.fp_rate))
-        if num_fp:
-            boxes_parts.append(_random_fp_boxes(num_fp, rng))
-            scores_parts.append(noise_scores(profile, num_fp, rng))
-            labels_parts.append(rng.integers(0, self.num_classes, size=num_fp).astype(np.int64))
-
-        if not boxes_parts:
-            return Detections.empty(truth.image_id, detector=profile.name)
-        raw = Detections(
-            image_id=truth.image_id,
-            boxes=np.concatenate(boxes_parts, axis=0),
-            scores=np.concatenate(scores_parts),
-            labels=np.concatenate(labels_parts),
+        # Stable per-image score sort: ties keep the category-major order.
+        order = np.lexsort((-scores, images))
+        boxes, scores, labels, images = boxes[order], scores[order], labels[order], images[order]
+        keep = grouped_nms_keep(boxes, labels, images)
+        offsets = np.zeros(len(truths) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(images[keep], minlength=len(truths)), out=offsets[1:])
+        return DetectionBatch(
+            image_ids=truths.image_ids,
+            boxes=boxes[keep],
+            scores=scores[keep],
+            labels=labels[keep],
+            offsets=offsets,
             detector=profile.name,
         )
-        return class_aware_nms(raw)
-
-    def detect_split(self, dataset: Dataset) -> list[Detections]:
-        """Run the detector over every record of a split, in order."""
-        return [self.detect(record) for record in dataset.records]

@@ -89,6 +89,18 @@ class TestSystem:
         finals = run.final_detections
         for i, sent in enumerate(run.uploaded):
             expected = run.big_detections[i] if sent else run.small_detections[i]
+            assert finals[i].image_id == expected.image_id
+            for name in ("boxes", "scores", "labels"):
+                np.testing.assert_array_equal(getattr(finals[i], name), getattr(expected, name))
+        # List inputs compose the original per-image objects themselves.
+        listed = system.run(
+            train,
+            small_detections=list(run.small_detections),
+            big_detections=list(run.big_detections),
+        )
+        finals = listed.final_detections
+        for i, sent in enumerate(listed.uploaded):
+            expected = listed.big_detections[i] if sent else listed.small_detections[i]
             assert finals[i] is expected
 
     def test_upload_ratio_bounds(self, fitted, detectors_module):

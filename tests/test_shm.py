@@ -68,6 +68,9 @@ class _ExplodingDetector:
     def detect(self, record):
         raise RuntimeError("boom")
 
+    def detect_split(self, records):
+        raise RuntimeError("boom")
+
 
 # --------------------------------------------------------------------- #
 # share/adopt round-trip

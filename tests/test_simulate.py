@@ -87,6 +87,40 @@ class TestProfileValidation:
         with pytest.raises(ConfigurationError):
             _profile(base_recall=0.0)
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("base_recall", float("nan")),
+            ("base_recall", float("inf")),
+            ("area_half", float("inf")),
+            ("area_half", float("nan")),
+            ("area_gamma", float("nan")),
+            ("crowd_half", float("nan")),
+            ("crowd_half", float("inf")),
+            ("crowd_gamma", float("nan")),
+            ("quality_sensitivity", float("nan")),
+            ("quality_sensitivity", -0.5),
+            ("loc_sigma", -0.01),
+            ("loc_sigma", float("nan")),
+            ("loc_sigma", float("inf")),
+            ("score_sharpness", float("nan")),
+            ("score_sharpness", -1.0),
+            ("fp_rate", float("nan")),
+            ("fp_rate", float("inf")),
+            ("fp_score_scale", float("nan")),
+            ("fp_score_scale", float("inf")),
+            ("miss_visibility", float("nan")),
+            ("class_confusion", float("nan")),
+        ],
+    )
+    def test_non_finite_or_out_of_range_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            _profile(**{field: value})
+
+    def test_edge_values_accepted(self):
+        profile = _profile(loc_sigma=0.0, score_sharpness=0.0, fp_rate=0.0, quality_sensitivity=0.0)
+        assert profile.loc_sigma == 0.0 and profile.fp_rate == 0.0
+
     def test_with_base_recall_copy(self):
         profile = _profile(base_recall=1.0)
         copy = profile.with_base_recall(2.0)
@@ -198,6 +232,18 @@ class TestPresets:
         summary = count_summary(detections, voc_mini.truths)
         target = RECALL_TARGETS[("small1", "voc07")]
         assert summary.detected_fraction == pytest.approx(target, abs=0.08)
+
+    @pytest.mark.parametrize(
+        ("model", "expected"),
+        [
+            # 3.6164185424804685 and 1.6816118286132813, as calibrated by
+            # the per-image reference implementation.
+            ("small1", "0x1.cee6cd844d013p+1"),
+            ("ssd", "0x1.ae7e1ce075f70p+0"),
+        ],
+    )
+    def test_helmet_calibration_pinned(self, model, expected):
+        assert make_detector(model, "helmet").profile.base_recall.hex() == expected
 
     def test_detector_cache_returns_same_object(self):
         a = make_detector("small1", "voc07")

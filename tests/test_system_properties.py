@@ -29,7 +29,8 @@ def context():
         big_model=big,
         discriminator=DifficultCaseDiscriminator(0.15, 2, 0.31),
     )
-    return system, dataset, small.detect_split(dataset), big.detect_split(dataset)
+    # Per-image lists, so the served mixture can be checked by identity.
+    return system, dataset, list(small.detect_split(dataset)), list(big.detect_split(dataset))
 
 
 class TestSystemProperties:
