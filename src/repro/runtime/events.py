@@ -22,16 +22,34 @@ would have taken, and pushes element ``i + 1`` (with its reserved key) just
 before element ``i`` fires.  Heap keys, zero-delay fast-path decisions and
 firing order are therefore exactly those of scheduling every element up
 front, while the heap stays as small as the number of live streams.
+A series may carry a ``skip`` gate, consulted as each element comes due:
+it may drop that element and a run after it unfired and resume the series
+at a later element under that element's reserved key.  The serving engine
+refuses a full camera buffer's arrivals this way, in bulk (see
+:mod:`repro.runtime.serving`).
+
+:meth:`EventLoop.run` pauses the cyclic garbage collector while it drains,
+re-enabling it on exit only if it was on.  The engine builds no per-frame
+reference cycles, so reference counting alone frees every finished frame;
+left on, the collector's full passes would re-scan every in-flight frame's
+closures and job tuples for nothing.
 
 Resources optionally carry a *fault hook* (``faults``): a callable the
 server consults when a job enters service, mapping ``(start_time,
 service_time)`` to ``(actual_occupancy, success)``.  An unreliable uplink
 plugs its outage schedule in here, so a transfer in flight when an outage
 begins fails at the outage instant instead of silently completing.
+
+A resource whose jobs all have service times fixed at enqueue (no fault
+hook, no ``service_fn``, no cancellation) knows each job's completion
+instant the moment it is enqueued — ``max(now, free_at) + service``, the
+very float operations the loop performs — and reports it through
+:meth:`FifoResource.completion_of`.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 from collections import deque
@@ -87,7 +105,13 @@ class EventLoop:
         self._sequence += 1
         heapq.heappush(heap, (self._now + delay, self._sequence, action))
 
-    def schedule_series(self, times: Sequence[float], action: Callable[[int, float], None]) -> None:
+    def schedule_series(
+        self,
+        times: Sequence[float],
+        action: Callable[[int, float], None],
+        *,
+        skip: Callable[[int], int] | None = None,
+    ) -> None:
         """Run ``action(i, times[i])`` at absolute time ``times[i]``, for each ``i``.
 
         ``times`` must be finite, non-decreasing and no earlier than
@@ -98,6 +122,15 @@ class EventLoop:
         but the series holds a single heap entry: before element ``i``
         fires, element ``i + 1`` is pushed under the sequence number its
         own ``schedule()`` call would have taken.
+
+        ``skip(i)``, when given, is consulted as element ``i`` comes due
+        through the heap (the clock already at ``times[i]``) and returns
+        the index of the next element to fire.  Returning ``i`` fires the
+        element as usual; returning ``j > i`` drops elements ``i .. j-1``
+        unfired and resumes the series at element ``j`` (``len(times)``
+        ends it) under ``j``'s reserved sequence number.  Elements due at
+        the launch instant itself ride the zero-delay fast path, as
+        ``schedule()`` would send them, and always fire.
         """
         now = self._now
         previous = now
@@ -124,11 +157,29 @@ class EventLoop:
         cursor = first
 
         def fire() -> None:
-            nonlocal cursor
+            # A finished series drops its own name, so reference counting
+            # alone frees it (and the camera its action is bound to).
+            nonlocal cursor, fire
             index = cursor
+            if skip is not None:
+                resume = skip(index)
+                if resume != index:
+                    if not index < resume <= count:
+                        raise ConfigurationError(
+                            f"series skip gate must resume after element {index} and no later than {count}, "
+                            f"got {resume}"
+                        )
+                    cursor = resume
+                    if resume < count:
+                        heapq.heappush(heap, (times[resume], base + resume, fire))
+                    else:
+                        fire = None
+                    return
             cursor = index + 1
             if cursor < count:
                 heapq.heappush(heap, (times[cursor], base + cursor, fire))
+            else:
+                fire = None
             action(index, times[index])
 
         heapq.heappush(heap, (times[first], base + first, fire))
@@ -162,8 +213,19 @@ class EventLoop:
     def run(self, until: float | None = None) -> float:
         """Drain the event queue (optionally stopping at time ``until``).
 
-        Returns the final simulation time.
+        Returns the final simulation time.  The cyclic garbage collector is
+        paused for the drain; however the drain ends, it is re-enabled only
+        if it was on when the run began.
         """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return self._drain(until)
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _drain(self, until: float | None) -> float:
         heap = self._heap
         pending = self._pending
         if until is None:
@@ -208,6 +270,11 @@ class FifoResource:
     occupancy, success)``.  Failed jobs occupy the server for the truncated
     time, then fire their ``on_fail`` callback (required at ``acquire``
     time for any job that can fail) instead of ``on_done``.
+
+    While every job so far has had a fixed service time (no fault hook, no
+    ``service_fn``, no cancellation), the server is *projectable*: each
+    job's completion instant is known at enqueue, and
+    :meth:`completion_of` reports it.
     """
 
     __slots__ = (
@@ -221,6 +288,7 @@ class FifoResource:
         "jobs_failed",
         "jobs_cancelled",
         "max_queue_depth",
+        "_free_at",
     )
 
     def __init__(
@@ -239,6 +307,7 @@ class FifoResource:
                 Callable[[float], None],
                 Callable[[float], None] | None,
                 Callable[[float], float] | None,
+                float | None,
             ]
         ] = deque()
         self._busy = False
@@ -247,6 +316,9 @@ class FifoResource:
         self.jobs_failed = 0
         self.jobs_cancelled = 0
         self.max_queue_depth = 0
+        # Completion instant of the last enqueued job; None once the server
+        # stops being projectable (see the class docstring).
+        self._free_at: float | None = None if faults is not None else 0.0
 
     @property
     def queue_depth(self) -> int:
@@ -289,7 +361,16 @@ class FifoResource:
             raise ConfigurationError(
                 f"resource {self.name!r} can fail jobs; acquire() needs an on_fail callback"
             )
-        job = (service_time, on_done, on_fail, service_fn)
+        free_at = self._free_at
+        if free_at is not None:
+            if service_fn is not None:
+                free_at = self._free_at = None
+            else:
+                # the loop's own float ops: the job starts when the server
+                # frees (now, if idle) and completes service_time later
+                now = self._loop._now
+                free_at = self._free_at = (now if now > free_at else free_at) + service_time
+        job = (service_time, on_done, on_fail, service_fn, free_at)
         self._queue.append(job)
         if len(self._queue) > self.max_queue_depth:
             self.max_queue_depth = len(self._queue)
@@ -313,6 +394,18 @@ class FifoResource:
             ahead += job[0]
         return waits
 
+    def completion_of(self, handle: object) -> float | None:
+        """Projected completion instant of the job ``handle`` names.
+
+        Exact — the very float the job's completion event will carry —
+        while the server is projectable; ``None`` once it is not (a fault
+        hook, a deferred-cost job or a cancellation makes service times
+        unknowable at enqueue).
+        """
+        if self._free_at is None:
+            return None
+        return handle[4]
+
     def cancel(self, handle: object) -> float | None:
         """Remove a still-waiting job from the queue.
 
@@ -326,6 +419,7 @@ class FifoResource:
             if job is handle:
                 del self._queue[index]
                 self.jobs_cancelled += 1
+                self._free_at = None  # the jobs behind it now start earlier
                 return job[0]
         return None
 
@@ -334,7 +428,7 @@ class FifoResource:
             self._busy = False
             return
         self._busy = True
-        service_time, on_done, on_fail, service_fn = self._queue.popleft()
+        service_time, on_done, on_fail, service_fn, _ = self._queue.popleft()
         if service_fn is not None:
             service_time = service_fn(self._loop.now)
             if not 0.0 <= service_time < _INF:  # also catches NaN

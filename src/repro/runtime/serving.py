@@ -25,6 +25,19 @@ escalate to the cloud*.  This module makes that structure explicit:
   accelerator, contending for one shared uplink and one shared cloud GPU on
   a single event loop.
 
+Scaling to large fleets.  Under load most frames are refused at a full
+camera buffer, so a refusal is made nearly free.  When a camera's admission
+policy declares itself ``occupancy_only`` (:class:`DropNewest` does) and
+nothing can cancel a job in its entry stage (no shedding policy there, no
+fleet or offload controller), a full buffer frees exactly when the
+camera's oldest entry-stage job completes — an instant the FIFO resource
+projects at enqueue (:meth:`~repro.runtime.events.FifoResource.completion_of`).
+The camera's arrival series (:meth:`~repro.runtime.events.EventLoop.schedule_series`)
+then refuses every arrival before that instant in one step, through its
+``skip`` gate, and logs the refused rows in bulk, held back so the trace
+keeps event order.  Every other case keeps the per-event path; both are
+bit-for-bit identical (``tests/test_bulk_refusal.py``).
+
 One modelling note, inherited from the pre-refactor implementations: in the
 *static* accounting the edge-only scheme pays the bare small-model latency
 (Table XI's definition), while the *streaming* engine always fuses the
@@ -37,9 +50,10 @@ takes ``online`` to select between the two readings.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, ClassVar, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -269,6 +283,14 @@ class AdmissionPolicy(Protocol):
     events are only built when some observer wants them.  Stateful policies
     should also define ``reset()``; the engines call it at the start of
     every run so an instance can be reused without leaking state.
+
+    A policy may also declare ``occupancy_only = True``: ``admit`` is then
+    promised to be stateless, to shed nothing and to admit exactly when
+    :meth:`~repro.runtime.control.CameraView.buffer_has_room` holds.  The
+    engines may then decide from ``buffer_has_room`` directly, without
+    calling ``admit``, and refuse a full buffer's arrivals in bulk (see
+    the module docstring).  Undeclared policies are consulted frame by
+    frame.
     """
 
     @property
@@ -290,6 +312,7 @@ class DropNewest:
     """
 
     name: str = "drop-newest"
+    occupancy_only: ClassVar[bool] = True
 
     def admit(self, camera: CameraView, arrival: float) -> bool:
         return camera.buffer_has_room()
@@ -963,7 +986,10 @@ class _CameraStream:
     the frame log lands in a columnar :class:`FrameTraceBuilder`, and each
     served frame records only its source row (``served_rows``; fallback
     rows offset by ``len(detections)``), which :meth:`report` gathers into
-    the served batch in one :meth:`DetectionBatch.select`.
+    the served batch in one :meth:`DetectionBatch.select`.  A bulk-refusing
+    camera (see :meth:`schedule`) skips a full buffer's doomed arrivals
+    unfired and holds their log rows as index ranges (``_held``) until the
+    next row it logs, so the trace keeps event order.
     """
 
     __slots__ = (
@@ -977,7 +1003,8 @@ class _CameraStream:
         "edge",
         "uplink",
         "cloud",
-        "record_for",
+        "record_offset",
+        "entry",
         "admission",
         "escalation",
         "offload",
@@ -1006,6 +1033,8 @@ class _CameraStream:
         "trace",
         "escalation_queue",
         "frames_offered",
+        "_arrivals",
+        "_held",
     )
 
     def __init__(
@@ -1021,7 +1050,7 @@ class _CameraStream:
         edge: FifoResource,
         uplink: FifoResource,
         cloud: FifoResource,
-        record_for: Callable[[int], int],
+        record_offset: int = 0,
         admission: AdmissionPolicy | None = None,
         escalation: EscalationPolicy | None = None,
         escalation_rng: np.random.Generator | None = None,
@@ -1039,7 +1068,11 @@ class _CameraStream:
         self.edge = edge
         self.uplink = uplink
         self.cloud = cloud
-        self.record_for = record_for
+        # arrival i shows record (record_offset + i) % len(records): the
+        # camera cycles through the split from its own starting record
+        self.record_offset = record_offset
+        # The stage an admitted frame waits in: the admission policy's domain.
+        self.entry = edge if scheme.edge_compute else uplink
         self.admission: AdmissionPolicy = DropNewest() if admission is None else admission
         self.escalation = EscalationPolicy.drop_on_failure() if escalation is None else escalation
         self.offload = offload
@@ -1097,6 +1130,10 @@ class _CameraStream:
         self._min_remaining_cache: dict[int, float] = {}
         self.served_rows: list[int] | None = None
         self.trace: FrameTraceBuilder | None = None
+        self.frames_offered = 0
+        self._arrivals: list[float] = []
+        # [lo, hi) arrival-index ranges refused in bulk, not yet logged
+        self._held: deque[tuple[int, int]] = deque()
         if detections is not None:
             self.served_rows = []
             self.trace = FrameTraceBuilder()
@@ -1129,10 +1166,68 @@ class _CameraStream:
                 raise ConfigurationError("a durable escalation queue needs an RNG for backoff jitter")
             self.escalation_queue = EscalationQueue(self, self.escalation, escalation_rng)
 
-    def schedule(self, arrivals: np.ndarray) -> None:
-        """Feed every arrival of this camera to the shared loop as one series."""
-        self.loop.schedule_series(arrivals.tolist(), self._on_frame)
-        self.frames_offered = int(arrivals.shape[0])
+    def schedule(self, arrivals: np.ndarray, *, bulk_refusal: bool = False) -> None:
+        """Feed every arrival of this camera to the shared loop as one series.
+
+        ``bulk_refusal`` (decided by :func:`_bulk_refusers`) gates the
+        series with :meth:`_refuse_while_full`, which then makes every
+        admission decision: the arrivals it lets through enter directly.
+        """
+        self._arrivals = arrivals.tolist()
+        self.frames_offered = len(self._arrivals)
+        if bulk_refusal:
+            self.loop.schedule_series(self._arrivals, self._enter, skip=self._refuse_while_full)
+        else:
+            self.loop.schedule_series(self._arrivals, self._on_frame)
+
+    def _refuse_while_full(self, index: int) -> int:
+        """Arrival-series gate: refuse a full buffer's arrivals in one step.
+
+        The admission policy is ``occupancy_only``, so an arrival is
+        admitted exactly when the buffer has room.  With the buffer full
+        and no one able to cancel an entry-stage job, room appears exactly
+        when this camera's oldest entry-stage job completes; when its stage
+        is projectable that instant is known, and every arrival strictly
+        before it — this one included — is refused.  The refusals are
+        counted now and their rows held for the log.  Returns the index of
+        the next arrival to enter.
+        """
+        if self.buffer_has_room():
+            return index
+        free_at = self.entry.completion_of(self._waiting[0][0])
+        if free_at is None:
+            resume = index + 1
+        else:
+            resume = bisect_left(self._arrivals, free_at, index + 1)
+        self.dropped += resume - index
+        if self.trace is not None:
+            held = self._held
+            if held and held[-1][1] == index:
+                held[-1] = (held[-1][0], resume)
+            else:
+                held.append((index, resume))
+        return resume
+
+    def _flush_held(self, until: float) -> None:
+        """Log the held refused arrivals due by ``until``, in arrival order.
+
+        Exact event order: every series is scheduled before the loop runs,
+        so an arrival fires before any run-time event at its instant.
+        """
+        held = self._held
+        arrivals = self._arrivals
+        offset = self.record_offset
+        count = len(self.records)
+        while held:
+            lo, hi = held[0]
+            cut = hi if arrivals[hi - 1] <= until else bisect_right(arrivals, until, lo, hi)
+            if cut > lo:
+                records = [(offset + index) % count for index in range(lo, cut)]
+                self.trace.extend_dropped(arrivals[lo:cut], records)
+            if cut < hi:
+                held[0] = (cut, hi)
+                return
+            held.popleft()
 
     # ------------------------------------------------------------------ #
     def _log(
@@ -1141,6 +1236,8 @@ class _CameraStream:
         """Append one frame-log entry; returns its position (``None`` without logs)."""
         if self.trace is None:
             return None
+        if self._held:
+            self._flush_held(self.loop.now)
         return self.trace.append(arrival, time, record_index, served, -1 if segment is None else segment)
 
     def _collect(self, row: int) -> int | None:
@@ -1399,8 +1496,7 @@ class _CameraStream:
         mid-service is beyond shedding, so policies judging the queue
         should not count it.
         """
-        stage = self.edge if self.scheme.edge_compute else self.uplink
-        waiting = {id(handle) for handle, _ in stage.queued_waits()}
+        waiting = {id(handle) for handle, _ in self.entry.queued_waits()}
         return tuple(arrival for handle, arrival, _ in self._waiting if id(handle) in waiting)
 
     def shed_frames(self, doomed: Callable[[int, float], bool]) -> int:
@@ -1418,7 +1514,7 @@ class _CameraStream:
         frames are logged as drops at the current time; returns the number
         shed.
         """
-        stage = self.edge if self.scheme.edge_compute else self.uplink
+        stage = self.entry
         positions = {id(handle): index for index, (handle, _) in enumerate(stage.queued_waits())}
         count = 0
         index = 0
@@ -1462,7 +1558,7 @@ class _CameraStream:
         frame was shed (the only frame in the stage may be mid-service,
         which cancellation cannot claw back).
         """
-        stage = self.edge if self.scheme.edge_compute else self.uplink
+        stage = self.entry
         for position, (handle, arrival, record_index) in enumerate(self._waiting):
             if stage.cancel(handle) is not None:
                 del self._waiting[position]
@@ -1484,7 +1580,7 @@ class _CameraStream:
         re-credited with each cancelled job's service time before the next
         entry is judged.  Returns the number shed.
         """
-        stage = self.edge if self.scheme.edge_compute else self.uplink
+        stage = self.entry
         wait_bounds = {id(handle): wait for handle, wait in stage.queued_waits()}
         now = self.loop.now
         count = 0
@@ -1596,11 +1692,15 @@ class _CameraStream:
 
     # ------------------------------------------------------------------ #
     def _on_frame(self, index: int, arrival: float) -> None:
-        record_index = self.record_for(index)
         if not self.admission.admit(self, arrival):
             self.dropped += 1
-            self._log(arrival, arrival, record_index, False)
+            self._log(arrival, arrival, (self.record_offset + index) % len(self.records), False)
             return
+        self._enter(index, arrival)
+
+    def _enter(self, index: int, arrival: float) -> None:
+        """Send an admitted arrival into its entry stage."""
+        record_index = (self.record_offset + index) % len(self.records)
         start = arrival
         if not self.scheme.edge_compute:
             self._cloud_path(self.records[record_index], start, record_index)
@@ -1626,6 +1726,8 @@ class _CameraStream:
     def report(self, elapsed: float) -> StreamReport:
         """Summarise this camera once the loop has drained."""
         has_frames = self.served_rows is not None
+        if self._held:
+            self._flush_held(math.inf)
         return StreamReport(
             scheme=self.scheme.name,
             latency=summarize_latencies(self.latencies),
@@ -1695,6 +1797,34 @@ def _cloud_faults(
     return outcome
 
 
+def _check_spec_mask(
+    owner: str,
+    mask: np.ndarray | None,
+    offload: OffloadController | None,
+    detections: DetectionBatch | list[Detections] | None,
+    small_detections: DetectionBatch | list[Detections] | None,
+) -> None:
+    """Fail fast on a spec's explicit mask, at construction.
+
+    The mask must not come with an offload controller, must be 1-D, and
+    must have one entry per record of the spec's own (small) detections.
+    Its alignment with the dataset is checked when the run resolves it.
+    """
+    if mask is None:
+        return
+    if offload is not None:
+        raise ConfigurationError(
+            f"{owner}: an explicit mask and an offload controller are mutually exclusive: "
+            "the mask decides escalations up front, the controller per frame"
+        )
+    shape = np.shape(mask)
+    if len(shape) != 1:
+        raise ConfigurationError(f"{owner}: mask must be 1-D, got shape {shape}")
+    for name, batch in (("detections", detections), ("small_detections", small_detections)):
+        if batch is not None and len(batch) != shape[0]:
+            raise ConfigurationError(f"{owner}: mask has {shape[0]} entries but {name} has {len(batch)}")
+
+
 @dataclass(frozen=True, eq=False)
 class StreamSpec:
     """Everything one streaming run serves, minus deployment/dataset/seed.
@@ -1704,7 +1834,8 @@ class StreamSpec:
 
     ``mask`` and ``offload`` are mutually exclusive: a static mask decides
     the cloud escalations up front, a controller decides per frame as each
-    edge stage finishes.
+    edge stage finishes.  Construction rejects that pairing, a mask that is
+    not 1-D, and a mask misaligned with the spec's own detections.
     """
 
     scheme: ServingScheme
@@ -1715,6 +1846,9 @@ class StreamSpec:
     admission: AdmissionPolicy | None = None
     escalation: EscalationPolicy | None = None
     offload: OffloadController | None = None
+
+    def __post_init__(self) -> None:
+        _check_spec_mask("StreamSpec", self.mask, self.offload, self.detections, self.small_detections)
 
 
 def _reset_stateful(*participants: object) -> None:
@@ -1763,15 +1897,41 @@ def _resolve_mask(
     mask: np.ndarray | None,
     offload: OffloadController | None,
 ) -> np.ndarray:
-    """The run's static offload mask — all-local placeholder under a controller."""
+    """The run's static offload mask — all-local placeholder under a controller.
+
+    The spec has already refused a mask paired with a controller.
+    """
     if offload is None:
         return scheme.offload_mask(dataset, small_detections, mask)
-    if mask is not None:
-        raise ConfigurationError(
-            "an explicit mask and an offload controller are mutually exclusive: "
-            "the mask decides escalations up front, the controller per frame"
-        )
     return np.zeros(len(dataset), dtype=bool)
+
+
+def _occupancy_only(admission: AdmissionPolicy) -> bool:
+    return getattr(admission, "occupancy_only", False) is True
+
+
+def _bulk_refusers(cameras: Sequence[_CameraStream], controller: FleetController | None) -> list[bool]:
+    """Which cameras may refuse a full buffer's arrivals in bulk (exactly).
+
+    A camera qualifies when its admission policy is ``occupancy_only`` and
+    nothing can cancel a job in its entry stage once the run starts: no
+    fleet controller, no offload controller on the camera (either holds
+    the :class:`CameraView` shedding surface), and — when the entry stage
+    is the shared uplink — no camera entering there with a policy that may
+    shed.  Whether the entry stage's completions are projectable (no fault
+    hook, no deferred-cost job ahead) is checked as each full buffer
+    occurs, by :meth:`FifoResource.completion_of`; while they are not, the
+    camera refuses its arrivals one at a time.
+    """
+    if controller is not None:
+        return [False] * len(cameras)
+    uplink_sheds = any(not camera.scheme.edge_compute and not _occupancy_only(camera.admission) for camera in cameras)
+    return [
+        _occupancy_only(camera.admission)
+        and camera.offload is None
+        and (camera.scheme.edge_compute or not uplink_sheds)
+        for camera in cameras
+    ]
 
 
 def serve_stream(
@@ -1808,7 +1968,6 @@ def serve_stream(
     detections = _check_stream_inputs(dataset, spec.detections)
     mask = _resolve_mask(spec.scheme, dataset, spec.small_detections, spec.mask, spec.offload)
     loop = EventLoop()
-    num_records = len(dataset)
     camera = _CameraStream(
         spec.scheme,
         deployment,
@@ -1820,7 +1979,6 @@ def serve_stream(
         edge=FifoResource(loop, "edge"),
         uplink=FifoResource(loop, "uplink", faults=_uplink_faults(deployment.link, seed)),
         cloud=FifoResource(loop, "cloud", faults=_cloud_faults(deployment)),
-        record_for=lambda index: index % num_records,
         admission=spec.admission,
         escalation=spec.escalation,
         escalation_rng=generator_for(seed, "stream-escalation"),
@@ -1828,7 +1986,8 @@ def serve_stream(
         offload=spec.offload,
     )
     _attach_observers(camera)
-    camera.schedule(_arrival_times(spec.config, seed, "stream-arrivals"))
+    (bulk_refusal,) = _bulk_refusers([camera], None)
+    camera.schedule(_arrival_times(spec.config, seed, "stream-arrivals"), bulk_refusal=bulk_refusal)
     elapsed = loop.run()
     return camera.report(elapsed)
 
@@ -1868,6 +2027,9 @@ class CameraSpec:
     offload: OffloadController | None = None
     link_scale: RateSchedule | None = None
 
+    def __post_init__(self) -> None:
+        _check_spec_mask("CameraSpec", self.mask, self.offload, self.detections, self.small_detections)
+
 
 @dataclass(frozen=True, eq=False)
 class FleetSpec:
@@ -1893,6 +2055,14 @@ class FleetSpec:
     escalation: EscalationPolicy | None = None
     offload: OffloadController | None = None
     controller: FleetController | None = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.cameras, int):
+            if self.cameras < 1:
+                raise RuntimeModelError(f"a fleet needs at least one camera, got {self.cameras}")
+        elif len(self.cameras) == 0:
+            raise RuntimeModelError("a fleet needs at least one camera, got an empty spec list")
+        _check_spec_mask("FleetSpec", self.mask, self.offload, self.detections, self.small_detections)
 
 
 def serve_fleet(
@@ -1929,13 +2099,9 @@ def serve_fleet(
     escalation = spec.escalation
     controller = spec.controller
     if isinstance(spec.cameras, int):
-        if spec.cameras < 1:
-            raise RuntimeModelError(f"a fleet needs at least one camera, got {spec.cameras}")
         specs: Sequence[CameraSpec] = (CameraSpec(),) * spec.cameras
     else:
         specs = tuple(spec.cameras)
-        if not specs:
-            raise RuntimeModelError("a fleet needs at least one camera, got an empty spec list")
     _reset_stateful(
         admission,
         spec.offload,
@@ -1972,6 +2138,7 @@ def serve_fleet(
     controller_observe = getattr(controller, "observe", None) if controller is not None else None
     horizon_s = 0.0
     runs: list[_CameraStream] = []
+    arrivals: list[np.ndarray] = []
     for camera, cam in enumerate(specs):
         cam_scheme = scheme if cam.scheme is None else cam.scheme
         cam_config = config if cam.config is None else cam.config
@@ -1992,7 +2159,9 @@ def serve_fleet(
         if cam_offload is not None:
             # A controller replaces the static mask: the camera's mask is an
             # all-local placeholder and the controller decides per frame.
-            if cam.mask is not None or (cam.offload is None and mask is not None):
+            # (The specs refused a mask next to a controller at their own
+            # level; only a camera mask under the fleet's controller is left.)
+            if cam.mask is not None:
                 raise ConfigurationError(
                     f"camera {camera} has both a mask and an offload controller; "
                     "the mask decides escalations up front, the controller per frame"
@@ -2016,8 +2185,6 @@ def serve_fleet(
             cam_fallback = fleet_fallback()
         else:
             cam_fallback = _check_stream_inputs(cam_dataset, cam.small_detections)
-        num_records = len(cam_dataset)
-        start = (camera * num_records) // len(specs)
         stream = _CameraStream(
             cam_scheme,
             deployment,
@@ -2029,7 +2196,7 @@ def serve_fleet(
             edge=FifoResource(loop, f"edge-{camera}"),
             uplink=uplink,
             cloud=cloud,
-            record_for=lambda index, start=start, count=num_records: (start + index) % count,
+            record_offset=(camera * len(cam_dataset)) // len(specs),
             admission=cam_admission,
             escalation=cam_escalation,
             escalation_rng=generator_for(seed, "fleet-escalation", camera),
@@ -2038,9 +2205,13 @@ def serve_fleet(
             link_scale=cam.link_scale,
         )
         _attach_observers(stream, controller_observe)
-        stream.schedule(_arrival_times(cam_config, seed, "fleet-arrivals", camera))
+        arrivals.append(_arrival_times(cam_config, seed, "fleet-arrivals", camera))
         horizon_s = max(horizon_s, cam_config.duration_s)
         runs.append(stream)
+    # nothing touches the loop while the cameras are built, so scheduling
+    # the series afterwards, in camera order, reserves the same keys
+    for stream, times, bulk_refusal in zip(runs, arrivals, _bulk_refusers(runs, controller)):
+        stream.schedule(times, bulk_refusal=bulk_refusal)
     if controller is not None:
         controller.attach(loop, runs, horizon_s=horizon_s)
     elapsed = loop.run()

@@ -15,7 +15,10 @@ columns, one row per offered frame — so the rolling-quality evaluator, the
 admission/availability experiments and the latency-percentile helpers all
 read the same flat arrays with zero re-packing.  :class:`FrameTraceBuilder`
 is the streaming producer: typed ``array.array`` columns appended per frame,
-reconciled in place for deferred verdicts, and converted to NumPy once.
+reconciled in place for deferred verdicts, and converted to NumPy once.  A
+run of frames refused at a full camera buffer lands in one
+:meth:`FrameTraceBuilder.extend_dropped` (seven column extends) instead of
+one seven-column append per frame.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 __all__ = ["FrameTrace", "FrameTraceBuilder"]
+
+#: Fill values of the deferred-verdict columns and of a drop's segment.
+_NO_SEGMENT = array("q", [-1])
+_NO_VERDICT_TIME = array("d", [-math.inf])
 
 #: Column order of the on-disk ``.npz`` payload (also the constructor order).
 _COLUMNS = (
@@ -262,6 +269,24 @@ class FrameTraceBuilder:
         self._verdict_times.append(-math.inf)
         self._verdict_segments.append(-1)
         return position
+
+    def extend_dropped(self, arrivals: Sequence[float], records: Sequence[int]) -> None:
+        """Log a run of dropped frames in one step.
+
+        Row for row the same as ``append(arrival, arrival, record, False)``
+        over ``zip(arrivals, records)``: each frame's result time is its
+        arrival, it is unserved, and it has no segment or verdict.
+        """
+        count = len(arrivals)
+        if len(records) != count:
+            raise ConfigurationError(f"extend_dropped: {len(records)} records for {count} arrivals")
+        self._arrivals.extend(arrivals)
+        self._times.extend(arrivals)
+        self._records.extend(records)
+        self._served.frombytes(bytes(count))
+        self._segments.extend(_NO_SEGMENT * count)
+        self._verdict_times.extend(_NO_VERDICT_TIME * count)
+        self._verdict_segments.extend(_NO_SEGMENT * count)
 
     def set_verdict(self, position: int, time: float, segment: int) -> None:
         """Attach a deferred cloud verdict to an already-served frame."""

@@ -315,11 +315,22 @@ class TestAdaptiveQuota:
 
     def test_mask_and_offload_conflict(self, deployment, helmet_mini, small_batch, big_batch, discriminator):
         quota = AdaptiveQuota(discriminator, small_batch, 0.2)
+        # refused when the spec is built, before any run
+        with pytest.raises(ConfigurationError):
+            FleetSpec(
+                scheme=collaborative_scheme(),
+                config=SATURATED,
+                cameras=2,
+                mask=np.zeros(len(helmet_mini), dtype=bool),
+                small_detections=small_batch,
+                detections=big_batch,
+                offload=quota,
+            )
+        # a camera mask under the fleet's controller is caught when the run resolves it
         spec = FleetSpec(
             scheme=collaborative_scheme(),
             config=SATURATED,
-            cameras=2,
-            mask=np.zeros(len(helmet_mini), dtype=bool),
+            cameras=(CameraSpec(mask=np.zeros(len(helmet_mini), dtype=bool)), CameraSpec()),
             small_detections=small_batch,
             detections=big_batch,
             offload=quota,

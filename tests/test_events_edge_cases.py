@@ -4,11 +4,15 @@ The fleet simulator multiplies the event volume through :class:`EventLoop`
 and :class:`FifoResource`; these tests pin the semantics the engines lean
 on — zero-delay self-scheduling, deterministic same-instant ordering, the
 bounded-buffer backpressure that drops frames arriving at a full queue,
-fail-fast rejection of non-finite times, and the lazy arrival series that
-must fire exactly like scheduling every element up front.
+fail-fast rejection of non-finite times, the lazy arrival series that
+must fire exactly like scheduling every element up front (skip gate
+included), and the cyclic collector the loop pauses while it drains.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -374,18 +378,69 @@ def _event_programs(draw):
     return series, singles, order, stops
 
 
-def _per_element(loop, times, action):
+def _resume_at(jumps, count):
+    """The static skip gate a jump list describes: element ``i`` fires when
+    ``jumps[i] == 0``, else the series resumes ``jumps[i]`` elements on."""
+    return lambda index: index if not jumps[index] else min(index + jumps[index], count)
+
+
+def _per_element(loop, times, action, jumps=None):
+    """The reference: one ``schedule()`` per element that comes due.
+
+    Under a skip gate an element is *due* when the series reaches it; a due
+    element the gate skips is a no-op event, and elements it jumps over
+    never enter the heap, keeping only their reserved sequence numbers.
+    """
     now = loop.now
+    due = fired = set(range(len(times)))
+    if jumps is not None:
+        resume_at = _resume_at(jumps, len(times))
+        due, fired, index = set(), set(), 0
+        while index < len(times):
+            due.add(index)
+            resume = resume_at(index)
+            if resume == index:
+                fired.add(index)
+                resume += 1
+            index = resume
     for index, time in enumerate(times):
-        loop.schedule(time - now, lambda i=index, t=time: action(i, t))
+        if index not in due:
+            loop._sequence += 1
+        elif index in fired:
+            loop.schedule(time - now, lambda i=index, t=time: action(i, t))
+        else:
+            loop.schedule(time - now, lambda: None)
 
 
-def _play(program, launch):
+def _lazy(loop, times, action, jumps=None):
+    skip = None
+    if jumps is not None:
+        resume_at = _resume_at(jumps, len(times))
+
+        def skip(index):
+            assert loop.now == times[index]
+            return resume_at(index)
+
+    loop.schedule_series(times, action, skip=skip)
+
+
+def _play(program, launch, gates=None):
     """Run ``program`` launching every series through ``launch``; returns
-    the firing log, the clock after each run() and the sequence counter."""
+    the firing log, the clock after each run() and the sequence counter.
+
+    ``gates`` (one jump list per top-level series) adds a skip gate."""
     series, singles, order, stops = program
     loop = EventLoop()
     log: list[tuple] = []
+
+    def launch_gated(slot, times, action):
+        if gates is None:
+            launch(loop, times, action)
+        else:
+            # an element due at the launch instant may ride the fast path,
+            # where no gate applies: keep the reference unambiguous
+            jumps = [0 if time == loop.now else jump for time, jump in zip(times, gates[slot])]
+            launch(loop, times, action, jumps)
 
     def make_action(name, follow_ups):
         def action(index, time):
@@ -407,11 +462,11 @@ def _play(program, launch):
             launch_tick, ticks, follow_ups = series[slot]
             action = make_action(f"s{slot}", follow_ups)
             if launch_tick is None:
-                launch(loop, [tick / 4 for tick in ticks], action)
+                launch_gated(slot, [tick / 4 for tick in ticks], action)
             else:
 
-                def start(ticks=ticks, action=action):
-                    launch(loop, [loop.now + tick / 4 for tick in ticks], action)
+                def start(slot=slot, ticks=ticks, action=action):
+                    launch_gated(slot, [loop.now + tick / 4 for tick in ticks], action)
 
                 loop.schedule(launch_tick / 4, start)
         else:
@@ -433,6 +488,63 @@ class TestScheduleSeries:
         eager = _play(program, _per_element)
         assert lazy == eager
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        program=_event_programs(),
+        gates=st.lists(st.lists(st.integers(0, 7), min_size=6, max_size=6), min_size=4, max_size=4),
+    )
+    def test_skip_gate_matches_per_element_schedule_of_kept_elements(self, program, gates):
+        """A gated series fires its kept elements exactly as per-element
+        ``schedule`` calls would: same firing log, clocks and sequence
+        counter.  Jumps reach past the end (skip-to-end) and the quarter
+        grid makes equal-time ties common."""
+        assert _play(program, _lazy, gates) == _play(program, _per_element, gates)
+
+    def test_skip_to_end_and_across_equal_time_ties(self):
+        loop = EventLoop()
+        fired: list[tuple] = []
+        times = [1.0, 2.0, 2.0, 2.0, 3.0, 4.0]
+        # element 1 skips its two equal-time successors; element 4 skips to the end
+        resume_at = {1: 3, 4: len(times)}
+        loop.schedule_series(times, lambda i, t: fired.append((i, t)), skip=lambda index: resume_at.get(index, index))
+        loop.schedule(2.0, lambda: fired.append(("single", loop.now)))
+        # element 4 comes due (the clock reaches 3.0); element 5 never enters the heap
+        assert loop.run() == 3.0
+        assert fired == [(0, 1.0), (3, 2.0), ("single", 2.0)]
+        assert loop._sequence == len(times) + 1
+
+    @pytest.mark.parametrize(
+        "skip", [None, lambda index: index, lambda index: 3], ids=["plain", "gated", "skip-to-end"]
+    )
+    def test_finished_series_is_freed_without_the_collector(self, skip):
+        """A finished series holds no reference cycle, so the object its
+        action is bound to goes as soon as the last reference does."""
+
+        class Owner:
+            def on_element(self, index, time):
+                pass
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loop = EventLoop()
+            owner = Owner()
+            loop.schedule_series([1.0, 2.0, 3.0], owner.on_element, skip=skip)
+            loop.run()
+            alive = weakref.ref(owner)
+            del owner
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("resume", [0, 9])
+    def test_skip_gate_must_move_forward_within_the_series(self, resume):
+        loop = EventLoop()
+        loop.schedule_series([1.0, 2.0], lambda _i, _t: None, skip=lambda index: resume if index else index)
+        with pytest.raises(ConfigurationError):
+            loop.run()
+
     def test_holds_one_heap_entry_per_series(self):
         loop = EventLoop()
         fired: list[tuple[int, float]] = []
@@ -446,3 +558,55 @@ class TestScheduleSeries:
         loop = EventLoop()
         loop.schedule_series([], lambda _i, _t: None)
         assert loop.run() == 0.0
+
+
+class TestCollectorPause:
+    """``run()`` pauses the cyclic collector and leaves it as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @staticmethod
+    def _loop(seen: list[bool]) -> EventLoop:
+        loop = EventLoop()
+        for delay in (1.0, 2.0, 3.0):
+            loop.schedule(delay, lambda: seen.append(gc.isenabled()))
+        return loop
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_normal_drain(self, enabled):
+        gc.enable() if enabled else gc.disable()
+        seen: list[bool] = []
+        assert self._loop(seen).run() == 3.0
+        assert seen == [False, False, False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_early_return_at_until(self, enabled):
+        gc.enable() if enabled else gc.disable()
+        seen: list[bool] = []
+        loop = self._loop(seen)
+        assert loop.run(until=1.5) == 1.5
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+        assert loop.run() == 3.0
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_action_that_raises(self, enabled):
+        gc.enable() if enabled else gc.disable()
+        loop = EventLoop()
+
+        def boom():
+            raise RuntimeError("action failed")
+
+        loop.schedule(1.0, boom)
+        with pytest.raises(RuntimeError, match="action failed"):
+            loop.run()
+        assert gc.isenabled() is enabled

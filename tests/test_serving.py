@@ -23,7 +23,7 @@ from repro.baselines import (
 from repro.core.discriminator import DifficultCaseDiscriminator, DiscriminatorPolicy
 from repro.data import load_dataset
 from repro.detection import DetectionBatch
-from repro.errors import RuntimeModelError
+from repro.errors import ConfigurationError, RuntimeModelError
 from repro.metrics import rolling_quality
 from repro.runtime import (
     JETSON_NANO,
@@ -36,6 +36,7 @@ from repro.runtime import (
     Deployment,
     DropNewest,
     DropOldest,
+    FleetSpec,
     NeverOffload,
     OffloadPolicy,
     RunCost,
@@ -469,7 +470,6 @@ class TestAdmissionPolicies:
             edge=FifoResource(loop, "edge"),
             uplink=(uplink := FifoResource(loop, "uplink")),
             cloud=FifoResource(loop, "cloud"),
-            record_for=lambda index: index % len(helmet_mini),
         )
         deadline = 2.0
         # a foreign long job holds the uplink, so neither frame starts service
@@ -688,3 +688,53 @@ class TestDegenerateGuards:
         # and the capped regular case still reports correctly
         assert resource.utilization(2.0) == pytest.approx(0.5)
         assert resource.utilization(0.5) == 1.0
+
+
+class TestSpecFailFast:
+    """A spec's own mask is checked when the spec is built, not mid-run."""
+
+    class KeepLocal:
+        """An offload controller that never escalates."""
+
+        name = "keep-local"
+
+        def decide(self, camera, record_index: int) -> bool:
+            return False
+
+    @pytest.fixture(params=["stream", "fleet", "camera"])
+    def build(self, request):
+        def build(**fields):
+            if request.param == "stream":
+                return StreamSpec(collaborative_scheme(), **fields)
+            if request.param == "fleet":
+                return FleetSpec(collaborative_scheme(), **fields)
+            return CameraSpec(**fields)
+
+        return build
+
+    def test_mask_with_offload_controller_rejected(self, build, helmet_mini):
+        mask = np.zeros(len(helmet_mini), dtype=bool)
+        with pytest.raises(ConfigurationError, match="mutually exclusive"):
+            build(mask=mask, offload=self.KeepLocal())
+
+    def test_non_1d_mask_rejected(self, build, helmet_mini):
+        with pytest.raises(ConfigurationError, match="1-D"):
+            build(mask=np.zeros((len(helmet_mini), 1), dtype=bool))
+        with pytest.raises(ConfigurationError, match="1-D"):
+            build(mask=True)
+
+    @pytest.mark.parametrize("field", ["detections", "small_detections"])
+    def test_mask_misaligned_with_own_detections_rejected(self, build, helmet_mini, small_batch, field):
+        with pytest.raises(ConfigurationError, match=field):
+            build(mask=np.zeros(len(helmet_mini) - 1, dtype=bool), **{field: small_batch})
+
+    def test_aligned_mask_accepted(self, build, helmet_mini, small_batch):
+        mask = np.zeros(len(helmet_mini), dtype=bool)
+        build(mask=mask, detections=small_batch, small_detections=list(small_batch))
+        build(offload=self.KeepLocal(), detections=small_batch)
+
+    def test_fleet_without_cameras_rejected_at_construction(self):
+        with pytest.raises(RuntimeModelError):
+            FleetSpec(edge_only_scheme(), cameras=0)
+        with pytest.raises(RuntimeModelError):
+            FleetSpec(edge_only_scheme(), cameras=())

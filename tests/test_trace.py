@@ -176,6 +176,60 @@ class TestFrameTraceBuilder:
         assert trace.times[dropped] == 5.0
         assert trace.segments[dropped] == 3
 
+    @staticmethod
+    def _log(builder, rows, bulk):
+        """Log ``rows`` — ``(arrival, time, record, served, segment)`` or a
+        list of ``(arrival, record)`` drops — appending or extending."""
+        positions = []
+        for row in rows:
+            if isinstance(row, list):
+                if bulk:
+                    builder.extend_dropped([arrival for arrival, _ in row], [record for _, record in row])
+                else:
+                    for arrival, record in row:
+                        builder.append(arrival, arrival, record, False)
+            else:
+                positions.append(builder.append(*row))
+        return positions
+
+    def test_extend_dropped_equals_per_row_appends(self):
+        rows = [
+            [],
+            (0.0, 0.3, 4, True, 0),
+            [(0.5, 5), (0.75, 6), (0.75, 7)],
+            [],
+            (1.0, 1.0, 8, False, -1),
+            [(1.5, 9)],
+            (2.0, 2.4, 10, True, 1),
+        ]
+        bulk, single = FrameTraceBuilder(), FrameTraceBuilder()
+        bulk_positions = self._log(bulk, rows, bulk=True)
+        single_positions = self._log(single, rows, bulk=False)
+        assert bulk_positions == single_positions == [0, 4, 6]
+        assert len(bulk) == len(single) == 7
+        # deferred-verdict reconciliation after an extend still lands on the right rows
+        for builder, (kept, dropped, _) in ((bulk, bulk_positions), (single, single_positions)):
+            builder.set_verdict(kept, 3.0, 2)
+            builder.mark_served(dropped, 3.5, 3)
+        assert bulk.build() == single.build()
+        trace = bulk.build()
+        assert trace.records.tolist() == [4, 5, 6, 7, 8, 9, 10]
+        assert trace.times.tolist() == [0.3, 0.5, 0.75, 0.75, 3.5, 1.5, 2.4]
+        assert trace.served.tolist() == [True, False, False, False, True, False, True]
+        assert trace.segments.tolist() == [0, -1, -1, -1, 3, -1, 1]
+        assert trace.verdict_segments.tolist() == [2, -1, -1, -1, -1, -1, -1]
+
+    def test_empty_extend_is_a_no_op(self):
+        builder = FrameTraceBuilder()
+        builder.extend_dropped([], [])
+        assert len(builder) == 0
+        assert builder.build() == FrameTrace.empty()
+        assert builder.append(1.0, 1.0, 0, False) == 0
+
+    def test_extend_dropped_rejects_misaligned_columns(self):
+        with pytest.raises(ConfigurationError):
+            FrameTraceBuilder().extend_dropped([1.0, 2.0], [0])
+
 
 class TestReportPercentiles:
     CONFIG = StreamConfig(fps=1.0, poisson=True, duration_s=12.0)
