@@ -3,8 +3,10 @@
 Unlike the table/figure benches (one-shot, full-scale), these measure
 steady-state throughput of the kernels every experiment leans on: IoU, NMS,
 per-image detection simulation, per-image discrimination, split-level mAP
-evaluation, and the structure-of-arrays batch operations (construction,
-feature extraction, split verdicts) that back them.
+evaluation, the structure-of-arrays batch operations (construction,
+feature extraction, split verdicts) that back them, and the two cold-path
+passes every calibration runs: split generation and detected-object
+counting.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ import numpy as np
 import pytest
 
 from repro.core.features import extract_feature_arrays
+from repro.data import load_dataset
 from repro.detection.batch import DetectionBatch, DetectionBatchBuilder
 from repro.detection.boxes import iou_matrix
 from repro.detection.nms import nms_indices
 from repro.experiments import Harness, HarnessConfig
+from repro.metrics.counting import count_detected_objects
 from repro.metrics.voc_ap import mean_average_precision
 
 
@@ -133,3 +137,20 @@ def test_micro_decide_split_batched_500_images(benchmark, harness):
     batch = harness.detections("small1", "voc07", "test")[:500]
     verdicts = benchmark(discriminator.decide_split, batch)
     assert verdicts.shape == (500,)
+
+
+def test_micro_load_dataset_helmet_train(benchmark):
+    """Cold generation of the 3,000-image helmet train split: per-image
+    draws, then one flat pass of scene arithmetic and one validated batch."""
+    dataset = benchmark.pedantic(load_dataset, args=("helmet", "train"), rounds=5, iterations=1)
+    assert len(dataset) == 3000
+
+
+def test_micro_count_detected_3000_images(benchmark, harness):
+    """Detected-object counting over the helmet train split: the serving
+    filter plus one block-diagonal greedy match of all 3,000 images."""
+    truths = harness.dataset("helmet", "train").truth_batch
+    detections = harness.detections("ssd", "helmet", "train")
+    assert len(detections) == 3000
+    count = benchmark(count_detected_objects, detections, truths)
+    assert 0 < count <= truths.total_objects

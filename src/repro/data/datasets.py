@@ -17,6 +17,17 @@ helmet    Sedna helmet dataset (3 000)               1 000
 VOC2007 test), which the registry reproduces by scoping the test generator
 to the same stream; what differs between those settings is the detector
 capability (models trained on more data — handled by the simulator presets).
+
+A split is generated in one columnar pass.  Image ``i`` still draws its
+scene, its degradation and its render seed from its own
+``generator_for(seed, "scene", scope, i)`` stream, but the scene arithmetic
+runs once over the split (:class:`~repro.data.scene.SceneDraws`), the
+split's annotations are validated once as one
+:class:`~repro.detection.batch.GroundTruthBatch`, and each record's
+:class:`GroundTruth` is a zero-copy view of its segment.  The batch is the
+dataset's ``truth_batch`` from the start, and ``subset`` and
+``with_degradation`` slice or reuse it, so a generated split is never
+flattened again.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ import numpy as np
 from repro._rng import DEFAULT_SEED, generator_for
 from repro.data.classes import COCO18_CLASSES, HELMET_CLASSES, VOC_CLASSES
 from repro.data.degrade import Degradation, DegradationModel
-from repro.data.scene import SceneProfile, sample_scene
+from repro.data.scene import SceneDraws, SceneProfile
 from repro.detection.batch import GroundTruthBatch
 from repro.detection.types import GroundTruth
 from repro.errors import DatasetError
@@ -85,24 +96,32 @@ class Dataset:
         """Ground-truth annotations in record order."""
         return [record.truth for record in self.records]
 
-    @cached_property
+    @property
     def image_ids(self) -> tuple[str, ...]:
-        """Image identifiers in record order (computed once per split)."""
-        return tuple(record.image_id for record in self.records)
+        """Image identifiers in record order."""
+        return self.truth_batch.image_ids
 
     @cached_property
     def truth_batch(self) -> GroundTruthBatch:
         """The split's annotations as a cached structure-of-arrays batch.
 
         Evaluation code (VOC AP pooling, counting, threshold fits) consumes
-        this directly, so a split's ground truth is flattened exactly once.
+        this directly.  A generated split comes with its batch already in
+        place (its records view it); any other dataset flattens its records
+        once, on first use.
         """
         return GroundTruthBatch.from_truths(self.truths)
+
+    def _with_truth_batch(self, batch: GroundTruthBatch) -> "Dataset":
+        """Seed the cached :attr:`truth_batch` with ``batch``, which must hold
+        exactly this dataset's record annotations."""
+        self.__dict__["truth_batch"] = batch
+        return self
 
     @property
     def total_objects(self) -> int:
         """Total annotated objects across the split."""
-        return sum(len(record.truth) for record in self.records)
+        return self.truth_batch.total_objects
 
     def record(self, image_id: str) -> ImageRecord:
         """Look up a record by image id."""
@@ -120,7 +139,7 @@ class Dataset:
             split=self.split,
             classes=self.classes,
             records=self.records[:count],
-        )
+        )._with_truth_batch(self.truth_batch.head(count))
 
     def with_degradation(
         self,
@@ -149,7 +168,8 @@ class Dataset:
                     render_seed=int(rng.integers(0, 2**31 - 1)),
                 )
             )
-        return Dataset(name=self.name, split=self.split, classes=self.classes, records=records)
+        dataset = Dataset(name=self.name, split=self.split, classes=self.classes, records=records)
+        return dataset._with_truth_batch(self.truth_batch)
 
 
 @dataclass(frozen=True)
@@ -311,24 +331,25 @@ def load_dataset(
 
     scope = entry.scope_for(split)
     size = int(np.ceil(entry.size_for(split) * fraction))
-    records: list[ImageRecord] = []
+    scenes = SceneDraws(entry.scene_profile, entry.num_classes)
+    degradations: list[Degradation] = []
+    render_seeds: list[int] = []
     for index in range(size):
         rng = generator_for(seed, "scene", scope, index)
-        scene = sample_scene(entry.scene_profile, entry.num_classes, rng)
-        degradation = entry.degradation.sample(rng)
-        image_id = f"{scope}-{index:06d}"
-        truth = GroundTruth(
-            image_id=image_id,
-            boxes=scene.boxes,
-            labels=scene.labels,
-            width=entry.image_width,
-            height=entry.image_height,
+        scenes.draw(rng)
+        degradations.append(entry.degradation.sample(rng))
+        render_seeds.append(int(rng.integers(0, 2**31 - 1)))
+    boxes, labels, offsets = scenes.scenes()
+    batch = GroundTruthBatch(
+        image_ids=tuple(f"{scope}-{index:06d}" for index in range(size)),
+        boxes=boxes,
+        labels=labels,
+        offsets=offsets,
+    )
+    records = [
+        ImageRecord(truth=truth, degradation=degradation, render_seed=render_seed)
+        for truth, degradation, render_seed in zip(
+            batch.views(width=entry.image_width, height=entry.image_height), degradations, render_seeds
         )
-        records.append(
-            ImageRecord(
-                truth=truth,
-                degradation=degradation,
-                render_seed=int(rng.integers(0, 2**31 - 1)),
-            )
-        )
-    return Dataset(name=setting, split=split, classes=entry.classes, records=records)
+    ]
+    return Dataset(name=setting, split=split, classes=entry.classes, records=records)._with_truth_batch(batch)

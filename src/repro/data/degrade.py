@@ -11,6 +11,7 @@ and small models are exercised end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,8 @@ class DegradationModel:
             raise ConfigurationError("degraded_fraction must be in [0, 1]")
         if not 0.0 < self.min_quality <= self.max_quality <= 1.0:
             raise ConfigurationError("quality bounds must satisfy 0 < min <= max <= 1")
+        if not 0.0 <= self.max_blur_sigma < math.inf:
+            raise ConfigurationError(f"max_blur_sigma must be finite and >= 0, got {self.max_blur_sigma}")
 
     def sample(self, rng: np.random.Generator) -> Degradation:
         """Draw one image's degradation."""
@@ -74,7 +77,10 @@ class DegradationModel:
         blur_sigma = 0.0
         brightness = 1.0
         if kind == "blur":
-            blur_sigma = self.max_blur_sigma * severity / (1.0 - self.min_quality)
+            # severity spans [0, 1 - min_quality]; with min_quality == 1 it
+            # is always 0, and so is the blur
+            if severity > 0.0:
+                blur_sigma = self.max_blur_sigma * severity / (1.0 - self.min_quality)
         elif kind == "low-light":
             brightness = max(0.25, 1.0 - 0.9 * severity)
             blur_sigma = 0.3 * severity

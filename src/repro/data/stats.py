@@ -38,9 +38,8 @@ def per_image_features(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     These are the two ground-truth semantics the discriminator is built on
     (Sec. V.B); Fig. 4 scatters exactly these values.
     """
-    counts = np.array([len(record.truth) for record in dataset.records], dtype=np.int64)
-    min_areas = np.array([record.truth.min_area_ratio for record in dataset.records], dtype=np.float64)
-    return counts, min_areas
+    truths = dataset.truth_batch
+    return truths.counts(), truths.min_area_ratios()
 
 
 def split_stats(dataset: Dataset) -> SplitStats:

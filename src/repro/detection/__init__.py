@@ -31,6 +31,7 @@ from repro.detection.boxes import (
 from repro.detection.matching import (
     MatchResult,
     greedy_match_arrays,
+    greedy_match_segments,
     match_detections,
     true_positive_count,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "GroundTruthBatch",
     "MatchResult",
     "greedy_match_arrays",
+    "greedy_match_segments",
     "match_detections",
     "true_positive_count",
     "class_aware_nms",

@@ -692,6 +692,35 @@ class GroundTruthBatch:
             return cached
         return cls.from_truths(truths)
 
+    def views(self, *, width: int = 500, height: int = 375) -> list[GroundTruth]:
+        """Every image's annotation as a zero-copy :class:`GroundTruth` over
+        this batch's segments (validated once by the batch, so the per-image
+        constructor is skipped); ``width``/``height`` are the images' pixel
+        size."""
+        bounds = self.offsets.tolist()
+        truths = []
+        for index, image_id in enumerate(self.image_ids):
+            lo, hi = bounds[index], bounds[index + 1]
+            view = object.__new__(GroundTruth)
+            object.__setattr__(view, "image_id", image_id)
+            object.__setattr__(view, "boxes", self.boxes[lo:hi])
+            object.__setattr__(view, "labels", self.labels[lo:hi])
+            object.__setattr__(view, "width", width)
+            object.__setattr__(view, "height", height)
+            truths.append(view)
+        return truths
+
+    def head(self, count: int) -> "GroundTruthBatch":
+        """The first ``count`` images as a zero-copy batch."""
+        count = min(max(count, 0), len(self))
+        end = int(self.offsets[count])
+        return GroundTruthBatch._trusted(
+            image_ids=self.image_ids[:count],
+            boxes=self.boxes[:end],
+            labels=self.labels[:end],
+            offsets=self.offsets[: count + 1],
+        )
+
     # ------------------------------------------------------------------ #
     # vectorised split-level ops
     # ------------------------------------------------------------------ #

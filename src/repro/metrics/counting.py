@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.detection.batch import DetectionBatch, GroundTruthBatch
-from repro.detection.matching import greedy_match_arrays
+from repro.detection.matching import check_thresholds, greedy_match_segments
 from repro.detection.types import Detections, GroundTruth
 from repro.errors import ConfigurationError
 
@@ -53,30 +55,20 @@ def count_detected_objects(
     """Total true-positive count over a split.
 
     Both sides are consumed as flat batches (coerced once for list inputs):
-    the serving filter runs in one pass over the detection arrays and the
-    per-image greedy matching works on offset slices of both pools — no
-    per-image container construction or annotation re-flattening.
+    the serving filter runs in one pass over the detection arrays and every
+    image is matched in one block-diagonal pass
+    (:func:`~repro.detection.matching.greedy_match_segments`), bit for bit
+    the per-image greedy VOC matching.
     """
+    check_thresholds(score_threshold=score_threshold, iou_threshold=iou_threshold)
     gt = GroundTruthBatch.coerce(truths)
     if len(detections) != len(gt):
         raise ConfigurationError(f"got {len(detections)} detection sets for {len(gt)} images")
     served = DetectionBatch.coerce(detections).above(score_threshold)
-    offsets = served.offsets
-    gt_offsets = gt.offsets
-    total = 0
-    for index in range(len(gt)):
-        lo, hi = int(offsets[index]), int(offsets[index + 1])
-        gt_lo, gt_hi = int(gt_offsets[index]), int(gt_offsets[index + 1])
-        if lo == hi or gt_lo == gt_hi:
-            continue
-        total += greedy_match_arrays(
-            served.boxes[lo:hi],
-            served.labels[lo:hi],
-            gt.boxes[gt_lo:gt_hi],
-            gt.labels[gt_lo:gt_hi],
-            iou_threshold=iou_threshold,
-        ).num_tp
-    return total
+    image_tp, _ = greedy_match_segments(
+        served, served.offsets[:-1], served.counts(), gt, np.arange(len(gt)), iou_threshold=iou_threshold
+    )
+    return int(image_tp.sum())
 
 
 def count_summary(

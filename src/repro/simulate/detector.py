@@ -9,10 +9,11 @@ measured from these boxes with the real VOC evaluator.
 A split is detected in one columnar pass.  Only the random draws stay per
 image: each image draws from its own ``generator_for(seed, "detect", name,
 image_id)`` stream, in a fixed order and with sizes that depend only on
-that image.  The arithmetic on the draws (box jitter, scores, label
-confusion), the per-image score sort and class-aware greedy NMS run once
-over the split's flat arrays.  :meth:`SimulatedDetector.detect` is the
-one-image case of the same pass.
+that image.  The arithmetic on the draws (box jitter, noise-box
+placement, shared with scene generation, scores, label confusion), the
+per-image score sort and class-aware greedy NMS run once over the split's
+flat arrays.  :meth:`SimulatedDetector.detect` is the one-image case of
+the same pass.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from repro._rng import DEFAULT_SEED, generator_for
 from repro.data.datasets import Dataset, ImageRecord
+from repro.data.scene import lognormal, place_boxes, split_halves
 from repro.detection.batch import DetectionBatch, GroundTruthBatch
 from repro.detection.boxes import clip_boxes
 from repro.detection.nms import grouped_nms_keep
@@ -57,19 +59,16 @@ def _jittered(boxes: np.ndarray, draws: tuple[list, list, list, list]) -> np.nda
     return clip_boxes(np.stack([cx - half_w, cy - half_h, cx + half_w, cy + half_h], axis=1))
 
 
-def _random_fp_boxes(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Small random boxes for noise detections."""
-    areas = np.exp(rng.normal(np.log(0.01), 1.0, size=count))
-    areas = np.clip(areas, 5e-4, 0.2)
-    aspect = np.exp(rng.normal(0.0, 0.4, size=count))
+def _noise_boxes(normals: np.ndarray, uniforms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Small random boxes for noise detections, from each noisy image's
+    ``standard_normal(2 * n)`` (log area, then log aspect) and
+    ``random(2 * n)`` (centres) draws; ``counts`` holds every image's ``n``."""
+    area_z, aspect_z = split_halves(normals, counts)
+    areas = np.clip(lognormal(np.log(0.01), 1.0, area_z), 5e-4, 0.2)
+    aspect = lognormal(0.0, 0.4, aspect_z)
     widths = np.minimum(np.sqrt(areas * aspect), 0.95)
     heights = np.minimum(np.sqrt(areas / aspect), 0.95)
-    cx = rng.uniform(widths / 2.0, 1.0 - widths / 2.0)
-    cy = rng.uniform(heights / 2.0, 1.0 - heights / 2.0)
-    return np.stack(
-        [cx - widths / 2.0, cy - heights / 2.0, cx + widths / 2.0, cy + heights / 2.0],
-        axis=1,
-    )
+    return place_boxes(widths, heights, uniforms, counts)
 
 
 def _concat(parts: list, dtype=np.float64) -> np.ndarray:
@@ -132,7 +131,8 @@ class SimulatedDetector:
         vis_rows: list[np.ndarray] = []
         vis_jitter: tuple[list, list, list, list] = ([], [], [], [])
         vis_scores: list[np.ndarray] = []
-        fp_boxes: list[np.ndarray] = []
+        fp_normals: list[np.ndarray] = []
+        fp_uniforms: list[np.ndarray] = []
         fp_draws: list[np.ndarray] = []
         fp_labels: list[np.ndarray] = []
         fp_counts = np.zeros(len(truths), dtype=np.int64)
@@ -163,7 +163,8 @@ class SimulatedDetector:
                         vis_rows.append(vis)
             num_fp = int(rng.poisson(profile.fp_rate))
             if num_fp:
-                fp_boxes.append(_random_fp_boxes(num_fp, rng))
+                fp_normals.append(rng.standard_normal(2 * num_fp))
+                fp_uniforms.append(rng.random(2 * num_fp))
                 fp_draws.append(rng.exponential(profile.fp_score_scale, size=num_fp))
                 fp_labels.append(rng.integers(0, classes, size=num_fp))
                 fp_counts[index] = num_fp
@@ -179,7 +180,8 @@ class SimulatedDetector:
             labels[at] = (labels[at] + np.concatenate(shifts)) % classes
         vis_all = _concat(vis_rows, np.int64)
         jittered = [_jittered(truths.boxes[det_all], det_jitter), _jittered(truths.boxes[vis_all], vis_jitter)]
-        boxes = np.concatenate(jittered + fp_boxes)
+        fp_boxes = _noise_boxes(_concat(fp_normals), _concat(fp_uniforms), fp_counts)
+        boxes = np.concatenate(jittered + [fp_boxes])
         scores = np.concatenate(
             [served_from_beta(_concat(det_beta)), _concat(vis_scores), noise_from_exponential(_concat(fp_draws))]
         )
