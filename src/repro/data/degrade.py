@@ -42,6 +42,9 @@ class Degradation:
 #: The identity degradation.
 PRISTINE = Degradation()
 
+#: The degradation kinds a degraded image draws from, by index.
+_KINDS = ("blur", "low-light", "smoke")
+
 
 @dataclass(frozen=True)
 class DegradationModel:
@@ -73,7 +76,8 @@ class DegradationModel:
             return PRISTINE
         quality = float(rng.uniform(self.min_quality, self.max_quality))
         severity = 1.0 - quality
-        kind = str(rng.choice(["blur", "low-light", "smoke"]))
+        # Same draw as ``rng.choice`` over the kinds, without building an array.
+        kind = _KINDS[int(rng.integers(3))]
         blur_sigma = 0.0
         brightness = 1.0
         if kind == "blur":

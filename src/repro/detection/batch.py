@@ -24,7 +24,6 @@ evaluation never re-flattens a split's ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -37,9 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids layering cycles
     from repro.runtime.shm import SharedBatchHandle
 
 __all__ = ["DetectionBatch", "DetectionBatchBuilder", "GroundTruthBatch"]
-
-#: The four flat columns of the on-disk / shared-memory batch layout.
-BATCH_COLUMNS = ("boxes", "scores", "labels", "offsets")
 
 
 def _segment_view(batch: "DetectionBatch", index: int) -> Detections:
@@ -414,62 +410,6 @@ class DetectionBatch:
             detector=detector,
         )
 
-    def save_npy(self, directory) -> None:
-        """Serialise as one uncompressed ``.npy`` per column in a directory.
-
-        The mmap-friendly sibling of :meth:`save`: raw ``.npy`` files can be
-        memory-mapped by :meth:`load_npy`, which a zip container (``.npz``,
-        compressed or not) cannot.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name in BATCH_COLUMNS:
-            np.save(directory / f"{name}.npy", getattr(self, name))
-
-    @classmethod
-    def load_npy(
-        cls,
-        directory,
-        image_ids: tuple[str, ...],
-        *,
-        detector: str = "unknown",
-        mmap: bool = True,
-    ) -> "DetectionBatch":
-        """Rebuild a batch from :meth:`save_npy` output, mmap-backed.
-
-        With ``mmap`` (the default) the columns are ``np.load(...,
-        mmap_mode="r")`` views: nothing is decompressed or copied into the
-        heap, pages fault in on first touch and are shared across every
-        process reading the same cache shard.  Validation is structural
-        only (dtypes, shapes, offset endpoints/monotonicity) — the full
-        data scans of the public constructor would fault in every page and
-        defeat the lazy read; content integrity is the cache key's job.
-        Raises on malformed payloads; callers treat that as a cache miss.
-        """
-        directory = Path(directory)
-        mode = "r" if mmap else None
-        arrays = {name: np.load(directory / f"{name}.npy", mmap_mode=mode) for name in BATCH_COLUMNS}
-        if not mmap:
-            return cls(image_ids=tuple(image_ids), detector=detector, **arrays)
-        boxes, scores, labels, offsets = (arrays[name] for name in BATCH_COLUMNS)
-        if boxes.ndim != 2 or boxes.shape[1] != 4:
-            raise GeometryError(f"load_npy: boxes must be (N, 4), got {boxes.shape}")
-        expected = {"boxes": np.float64, "scores": np.float64, "labels": np.int64, "offsets": np.int64}
-        for name, dtype in expected.items():
-            if arrays[name].dtype != dtype:
-                raise GeometryError(f"load_npy: {name} has dtype {arrays[name].dtype}, expected {dtype}")
-        total = boxes.shape[0]
-        if scores.ndim != 1 or labels.ndim != 1 or scores.shape[0] != total or labels.shape[0] != total:
-            raise GeometryError(f"load_npy: got {scores.shape}/{labels.shape} scores/labels for {total} boxes")
-        if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != total:
-            raise GeometryError("load_npy: offsets must run from 0 to len(boxes)")
-        if (np.diff(offsets) < 0).any():
-            raise GeometryError("load_npy: offsets must be non-decreasing")
-        image_ids = tuple(image_ids)
-        if len(image_ids) != offsets.size - 1:
-            raise GeometryError(f"load_npy: got {len(image_ids)} image ids for {offsets.size - 1} segments")
-        return cls._trusted(image_ids, boxes, scores, labels, offsets, detector)
-
     # ------------------------------------------------------------------ #
     # shared-memory transport (zero-copy worker-to-parent hand-off)
     # ------------------------------------------------------------------ #
@@ -712,13 +652,18 @@ class GroundTruthBatch:
 
     def head(self, count: int) -> "GroundTruthBatch":
         """The first ``count`` images as a zero-copy batch."""
-        count = min(max(count, 0), len(self))
-        end = int(self.offsets[count])
+        return self.span(0, min(max(count, 0), len(self)))
+
+    def span(self, lo: int, hi: int) -> "GroundTruthBatch":
+        """Images ``[lo, hi)`` as a batch over views of this one's columns
+        (only a nonzero start copies the offsets, to rebase them)."""
+        start, end = int(self.offsets[lo]), int(self.offsets[hi])
+        offsets = self.offsets[lo : hi + 1]
         return GroundTruthBatch._trusted(
-            image_ids=self.image_ids[:count],
-            boxes=self.boxes[:end],
-            labels=self.labels[:end],
-            offsets=self.offsets[: count + 1],
+            image_ids=self.image_ids[lo:hi],
+            boxes=self.boxes[start:end],
+            labels=self.labels[start:end],
+            offsets=offsets - start if start else offsets,
         )
 
     # ------------------------------------------------------------------ #

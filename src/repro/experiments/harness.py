@@ -6,25 +6,29 @@ discriminators.  The harness memoises all of them (detections additionally
 on disk), so the full benchmark suite runs each model/setting combination
 exactly once regardless of how many tables consume it.
 
-Detection production is sharded two ways:
+Detections are produced by one planner, :meth:`Harness.prefetch`;
+``detections()`` is its one-key case and the suite scheduler in
+:mod:`repro.experiments.suite` hands it whole artifact lists.  Production
+is sharded two ways:
 
 * **Disk cache shards** — the on-disk cache stores one ``.npz`` per
   contiguous image range of ``cache_shard_size`` images (fingerprinted over
   the shard's own records), so a partially warm cache recomputes only the
   missing ranges and differently-sized subset runs share their common
   full shards.
-* **Worker processes** — missing shards are detected on a harness-lifetime
-  :class:`~repro.runtime.pool.WorkerPool` via :mod:`repro.runtime.parallel`.
-  The worker count comes from ``HarnessConfig.workers`` when set, else the
-  ``REPRO_WORKERS`` environment variable, else 1 (serial).  Detections are a
-  pure function of ``(seed, profile, image id)``, so the parallel output is
-  bit-for-bit identical to the serial loop.
+* **Worker processes** — the missing shards of every requested artifact go
+  to :func:`repro.runtime.parallel.run_spans` together, on a
+  harness-lifetime :class:`~repro.runtime.pool.WorkerPool`, and each is
+  persisted the moment it completes.  The worker count comes from
+  ``HarnessConfig.workers`` when set, else the ``REPRO_WORKERS``
+  environment variable, else 1 (serial).  Detections are a pure function
+  of ``(seed, profile, image id)``, so the parallel output is bit-for-bit
+  identical to the serial loop.
 
 The pool starts lazily on the first parallel production and is reused by
-every later ``detections()`` call (and by the suite scheduler in
-:mod:`repro.experiments.suite`, which fans whole artifacts out across it).
-Use the harness as a context manager — or call :meth:`Harness.close` — to
-shut the workers down deterministically; a serial harness never starts any.
+every later one.  Use the harness as a context manager — or call
+:meth:`Harness.close` — to shut the workers down deterministically; a
+serial harness never starts any.
 """
 
 from __future__ import annotations
@@ -43,16 +47,13 @@ from repro.core.discriminator import DifficultCaseDiscriminator, DiscriminatorFi
 from repro.core.system import SmallBigSystem, SystemRun
 from repro.data.datasets import DATASET_SETTINGS, Dataset, ImageRecord, load_dataset
 from repro.detection.batch import DetectionBatch
-from repro.errors import GeometryError
+from repro.errors import ConfigurationError, GeometryError
 from repro.metrics.counting import CountSummary, count_summary
 from repro.metrics.voc_ap import mean_average_precision
-from repro.runtime.parallel import (
-    DEFAULT_MIN_SHARD_IMAGES,
-    detect_records,
-    run_spans,
-    shard_spans,
-)
-from repro.runtime.pool import WorkerPool, register_inherited, resolve_workers
+# ``detect_records`` is not called here: it is imported so that
+# perfbench/workloads.py can rebind both runner entry points on this module.
+from repro.runtime.parallel import detect_records, run_spans  # noqa: F401
+from repro.runtime.pool import WorkerPool, resolve_workers
 from repro.runtime.serving import StreamConfig
 from repro.simulate.detector import SimulatedDetector
 from repro.simulate.presets import make_detector
@@ -76,13 +77,9 @@ class HarnessConfig:
         changes wall time.
     cache_shard_size:
         Image-range width of one on-disk cache shard.
-    mmap_cache:
-        Store cache shards as uncompressed one-``.npy``-per-column
-        directories and read them back with ``np.load(mmap_mode="r")``:
-        warm-cache runs map the shard pages instead of decompressing and
-        materialising every ``.npz`` they touch.  The two layouts are
-        distinct cache entries — flipping the flag recomputes (or re-stores)
-        shards rather than silently reading the other format.
+
+    Every field is checked at construction; an out-of-range value raises
+    :class:`~repro.errors.ConfigurationError`.
     """
 
     seed: int = DEFAULT_SEED
@@ -91,7 +88,16 @@ class HarnessConfig:
     cache_dir: str | None = None
     workers: int | None = None
     cache_shard_size: int = 1024
-    mmap_cache: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.train_images >= 1:
+            raise ConfigurationError(f"train_images must be >= 1, got {self.train_images}")
+        if not 0.0 < self.test_fraction <= 1.0:
+            raise ConfigurationError(f"test_fraction must be in (0, 1], got {self.test_fraction}")
+        if not (self.workers is None or self.workers >= 1):
+            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+        if not self.cache_shard_size >= 1:
+            raise ConfigurationError(f"cache_shard_size must be >= 1, got {self.cache_shard_size}")
 
     @classmethod
     def quick(cls) -> "HarnessConfig":
@@ -175,15 +181,7 @@ class Harness:
                 fraction = min(1.0, self.config.train_images / entry.train_size)
             else:
                 fraction = self.config.test_fraction
-            dataset = load_dataset(setting, split, seed=self.config.seed, fraction=fraction)
-            if self.config.resolve_workers() > 1:
-                # Park the record list for fork inheritance: workers forked
-                # after this point resolve (token, span) tasks without the
-                # parent pickling a single record out.  Splits materialised
-                # only after the pool starts simply fall back to pickled
-                # slices (span_payload's matrix) — still bit-for-bit.
-                register_inherited(dataset.records)
-            self._datasets[key] = dataset
+            self._datasets[key] = load_dataset(setting, split, seed=self.config.seed, fraction=fraction)
         return self._datasets[key]
 
     def detector(self, model: str, setting: str) -> SimulatedDetector:
@@ -195,18 +193,52 @@ class Harness:
 
         Returned as a :class:`DetectionBatch` — the on-disk layout loads
         straight into the batch's flat arrays, and per-image views are
-        available through the batch's sequence protocol.  The disk cache is
-        sharded by image range: only shards missing (or corrupt) on disk are
-        recomputed, in parallel when the harness is configured with more
-        than one worker.
+        available through the batch's sequence protocol.  The one-key case
+        of :meth:`prefetch`.
         """
         key = (model, setting, split)
-        if key in self._detections:
-            return self._detections[key]
-        dataset = self.dataset(setting, split)
-        detector = self.detector(model, setting)
-        self._detections[key] = self._produce(detector, dataset)
+        if key not in self._detections:
+            self.prefetch([key])
         return self._detections[key]
+
+    def prefetch(self, keys: Sequence[tuple[str, str, str]]) -> dict[tuple[str, str, str], DetectionBatch]:
+        """Produce (once) the detections of many ``(model, setting, split)``
+        artifacts, returned in first-request order.
+
+        The disk cache is sharded by image range: warm shards load in the
+        parent, and the shards missing (or corrupt) on disk across *all*
+        requested artifacts go to one :func:`run_spans` call, so models,
+        settings and splits overlap on the shared pool.  Each shard is
+        persisted the moment it completes, so an interrupted run keeps every
+        finished shard.
+        """
+        plans: dict[tuple[str, str, str], tuple[SimulatedDetector, list]] = {}
+        jobs: list[tuple[SimulatedDetector, Dataset, tuple[int, int]]] = []
+        slots: list[tuple[list, int]] = []
+        for key in keys:
+            if key in self._detections or key in plans:
+                continue
+            model, setting, split = key
+            dataset = self.dataset(setting, split)
+            detector = self.detector(model, setting)
+            spans = self._cache_spans(len(dataset))
+            shards = [self._load_shard(detector, dataset, span) for span in spans]
+            plans[key] = (detector, shards)
+            for index, span in enumerate(spans):
+                if shards[index] is None:
+                    jobs.append((detector, dataset, span))
+                    slots.append((shards, index))
+
+        def store(position: int, batch: DetectionBatch) -> None:
+            # Runs as each shard completes, so an interrupted cold run
+            # keeps every shard already finished.
+            self._store_shard(*jobs[position], batch)
+
+        for (shards, index), batch in zip(slots, run_spans(jobs, pool=self.pool(), on_result=store)):
+            shards[index] = batch
+        for key, (detector, shards) in plans.items():
+            self._detections[key] = DetectionBatch.concat(shards, detector=detector.name)
+        return {key: self._detections[key] for key in keys}
 
     def discriminator(
         self,
@@ -287,101 +319,13 @@ class Harness:
         return self._fleet[key]
 
     # ------------------------------------------------------------------ #
-    # detection production (sharded disk cache + parallel runner)
-    # ------------------------------------------------------------------ #
-    def _produce(
-        self, detector: SimulatedDetector, dataset: Dataset
-    ) -> DetectionBatch:
-        """Assemble a split's detections from cache shards, computing (and
-        persisting) only the missing image ranges."""
-        spans, shards, missing = self._production_state(detector, dataset)
-        if missing:
-            missing_spans = [spans[index] for index in missing]
-
-            def store(position: int, batch: DetectionBatch) -> None:
-                # Runs as each shard completes, so an interrupted cold run
-                # keeps every shard already finished.
-                self._store_shard(detector, dataset, missing_spans[position], batch)
-
-            computed = self._detect_spans(detector, dataset, missing_spans, store)
-            for index, batch in zip(missing, computed):
-                shards[index] = batch
-        return self._assemble(detector, shards)
-
-    def _production_state(
-        self,
-        detector: SimulatedDetector,
-        dataset: Dataset,
-    ) -> tuple[list[tuple[int, int]], list[DetectionBatch | None], list[int]]:
-        """Cache spans, warm shard loads, and the indices still missing.
-
-        Shared by :meth:`_produce` (one artifact at a time) and the suite
-        scheduler in :mod:`repro.experiments.suite` (which fans the missing
-        spans of *many* artifacts out across the shared pool at once).
-        """
-        spans = self._cache_spans(len(dataset))
-        shards: list[DetectionBatch | None] = [self._load_shard(detector, dataset, span) for span in spans]
-        missing = [index for index, shard in enumerate(shards) if shard is None]
-        return spans, shards, missing
-
-    def _assemble(self, detector: SimulatedDetector, shards: Sequence[DetectionBatch]) -> DetectionBatch:
-        """Concatenate completed cache shards into one split batch."""
-        if not shards:
-            return DetectionBatch.from_list([], detector=detector.name)
-        if len(shards) == 1:
-            return shards[0]
-        return DetectionBatch.concat(shards, detector=detector.name)
-
-    def _cache_spans(self, count: int) -> list[tuple[int, int]]:
-        """Contiguous image ranges backing one cache shard each."""
-        size = max(1, self.config.cache_shard_size)
-        return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
-
-    def _detect_spans(
-        self,
-        detector: SimulatedDetector,
-        dataset: Dataset,
-        spans: list[tuple[int, int]],
-        on_result,
-    ) -> list[DetectionBatch]:
-        """Detect the given image ranges, one batch per range.
-
-        A single missing range parallelises internally (sub-sharded across
-        the shared pool's workers); several missing ranges parallelise at
-        range granularity, and ``on_result(position, batch)`` fires as each
-        range completes so it is persisted as its cache shard right away.
-        Workers receive ``(detector, span)`` against the dataset's
-        fork-inherited record snapshot — the parent never slices a record
-        list per shard unless the pool predates the snapshot.
-        """
-        records = dataset.records
-        pool = self.pool()
-        if len(spans) == 1:
-            lo, hi = spans[0]
-            effective = min(pool.workers, max(1, (hi - lo) // DEFAULT_MIN_SHARD_IMAGES))
-            if effective <= 1:
-                batch = detect_records(detector, records, (lo, hi))
-            else:
-                subs = [(lo + sub_lo, lo + sub_hi) for sub_lo, sub_hi in shard_spans(hi - lo, effective)]
-                parts = run_spans(detector, records, subs, pool=pool)
-                batch = DetectionBatch.concat(parts, detector=detector.name)
-            on_result(0, batch)
-            return [batch]
-        # Same tiny-split fallback as run_split: don't fork workers when the
-        # total missing work is under one pool-worthy shard per worker.
-        total = sum(hi - lo for lo, hi in spans)
-        workers = min(self.config.resolve_workers(), max(1, total // DEFAULT_MIN_SHARD_IMAGES))
-        return run_spans(
-            detector,
-            records,
-            spans,
-            pool=pool if workers > 1 else None,
-            on_result=on_result,
-        )
-
-    # ------------------------------------------------------------------ #
     # disk cache
     # ------------------------------------------------------------------ #
+    def _cache_spans(self, count: int) -> list[tuple[int, int]]:
+        """Contiguous image ranges backing one cache shard each."""
+        size = self.config.cache_shard_size
+        return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
     @staticmethod
     def _records_digest(records: Sequence[ImageRecord]) -> bytes:
         """Cheap content digest of an image range.
@@ -431,13 +375,7 @@ class Harness:
             ).encode()
             + self._records_digest(dataset.records[lo:hi])
         ).hexdigest()[:20]
-        stem = f"det-{fingerprint}-{lo:06d}-{hi:06d}"
-        # The two on-disk layouts are distinct cache entries: compressed
-        # single-file .npz vs a directory of raw per-column .npy files that
-        # numpy can memory-map (zip containers cannot be mmapped).
-        if self.config.mmap_cache:
-            return root / f"{stem}.mm"
-        return root / f"{stem}.npz"
+        return root / f"det-{fingerprint}-{lo:06d}-{hi:06d}.npz"
 
     def _load_shard(
         self,
@@ -450,10 +388,7 @@ class Harness:
             return None
         lo, hi = span
         try:
-            if self.config.mmap_cache:
-                batch = DetectionBatch.load_npy(path, dataset.image_ids[lo:hi], detector=detector.name)
-            else:
-                batch = DetectionBatch.load(path, dataset.image_ids[lo:hi], detector=detector.name)
+            return DetectionBatch.load(path, dataset.image_ids[lo:hi], detector=detector.name)
         except (
             OSError,
             KeyError,
@@ -463,7 +398,6 @@ class Harness:
             GeometryError,
         ):
             return None  # corrupt/stale cache entries are recomputed
-        return batch
 
     def _store_shard(
         self,
@@ -477,9 +411,6 @@ class Harness:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            if self.config.mmap_cache:
-                detections.save_npy(path)
-            else:
-                detections.save(path)
+            detections.save(path)
         except OSError:
             pass  # cache is best effort

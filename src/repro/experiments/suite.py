@@ -1,14 +1,13 @@
 """Suite-level fan-out: overlap whole detection artifacts on the shared pool.
 
-:mod:`repro.runtime.parallel` parallelises *within* one split (contiguous
-image-range shards of a single ``detections()`` call).  The table/figure
-suite, however, consumes dozens of distinct ``(model, setting, split)``
-artifacts — and until this module they were produced strictly one after
-another, leaving the pool idle between artifacts.  The scheduler here lifts
-the fan-out one level: it plans every artifact's cache shards up front,
-submits *all* missing shards of *all* artifacts to the harness's single
-persistent :class:`~repro.runtime.pool.WorkerPool`, and overlaps models and
-settings rather than only image ranges.
+The table/figure suite consumes dozens of distinct ``(model, setting,
+split)`` detection artifacts.  Produced one after another, they would leave
+the pool idle between artifacts.  :func:`prefetch_detections` instead hands
+the whole list to :meth:`~repro.experiments.harness.Harness.prefetch`, which
+plans every artifact's cache shards up front and submits *all* missing
+shards of *all* artifacts to the harness's single persistent
+:class:`~repro.runtime.pool.WorkerPool`, overlapping models and settings
+rather than only image ranges.
 
 Guarantees (enforced bit-for-bit by ``tests/test_suite_scheduler.py`` and
 the ``suite-parallel`` CI job):
@@ -26,7 +25,6 @@ the ``suite-parallel`` CI job):
 
 from __future__ import annotations
 
-from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -37,14 +35,6 @@ from repro.experiments.figures import all_figures
 from repro.experiments.harness import Harness
 from repro.experiments.results import FigureResult, TableResult
 from repro.experiments.tables import all_tables
-from repro.runtime.parallel import (
-    DEFAULT_MIN_SHARD_IMAGES,
-    _detect_task,
-    _discard_pending,
-    _materialize,
-    shard_spans,
-    span_payload,
-)
 
 __all__ = [
     "Artifact",
@@ -95,96 +85,19 @@ def _unique(artifacts: Iterable[Artifact]) -> tuple[Artifact, ...]:
     return tuple(ordered)
 
 
-@dataclass
-class _ArtifactPlan:
-    """One artifact's production state while its shards are in flight."""
-
-    key: Artifact
-    detector: object
-    dataset: object
-    spans: list[tuple[int, int]]
-    shards: list[DetectionBatch | None]
-
-
 def prefetch_detections(
     harness: Harness,
     artifacts: Sequence[Artifact] | None = None,
 ) -> dict[Artifact, DetectionBatch]:
     """Produce many detection artifacts at once on the shared worker pool.
 
-    Plans every requested artifact (memoised ones are returned as-is, warm
-    disk-cache shards are loaded in the parent), submits the union of all
-    missing cache shards to ``harness.pool()``, persists each shard the
-    moment it completes, and assembles the artifacts in deterministic
-    first-request order.  Afterwards ``harness.detections(...)`` hits the
-    memo cache for every prefetched key.
-
-    With a serial pool (``workers`` resolving to 1) the submissions run
-    inline in submission order — the result is identical either way, only
-    wall time changes.
+    Deduplicates the requested artifacts (default: the whole suite's) in
+    first-request order and hands them to :meth:`Harness.prefetch`.
+    Afterwards ``harness.detections(...)`` hits the memo cache for every
+    prefetched key.  With a serial pool (``workers`` resolving to 1) the
+    result is identical; only wall time changes.
     """
-    keys = _unique(artifacts if artifacts is not None else suite_artifacts())
-    pool = harness.pool()
-    plans: dict[Artifact, _ArtifactPlan] = {}
-    work = []
-    for key in keys:
-        if key in harness._detections:
-            continue
-        model, setting, split = key
-        dataset = harness.dataset(setting, split)
-        detector = harness.detector(model, setting)
-        spans, shards, missing = harness._production_state(detector, dataset)
-        plan = _ArtifactPlan(key, detector, dataset, spans, shards)
-        plans[key] = plan
-        for index in missing:
-            work.append((plan, index))
-    # When there are fewer missing cache spans than workers (few artifacts,
-    # or a split that fits in one shard), sub-shard each span so the pool
-    # still fills — the cross-artifact analogue of run_split's within-split
-    # sharding.  Sub-batches are concatenated in range order, so the stored
-    # shard stays bit-for-bit identical either way.
-    per_span = 1
-    if pool.parallel and work:
-        per_span = -(-pool.workers // len(work))  # ceil
-    transport = pool.shm_transport
-    pending = {}
-    for plan, index in work:
-        lo, hi = plan.spans[index]
-        pieces = min(per_span, max(1, (hi - lo) // DEFAULT_MIN_SHARD_IMAGES))
-        records = plan.dataset.records
-        subs = shard_spans(hi - lo, pieces)
-        parts: list[DetectionBatch | None] = [None] * len(subs)
-        for position, (sub_lo, sub_hi) in enumerate(subs):
-            source, span_arg = span_payload(pool, records, (lo + sub_lo, lo + sub_hi))
-            future = pool.submit(_detect_task, plan.detector, source, span_arg, transport)
-            pending[future] = (plan, index, position, parts)
-    # Drain in completion order, persisting each cache shard the moment its
-    # last sub-batch lands so an interrupted run keeps every finished shard.
-    # On any error the outstanding futures are drained and their shared
-    # segments unlinked before the exception propagates.
-    outstanding = set(pending)
-    try:
-        for future in as_completed(pending):
-            outstanding.discard(future)
-            plan, index, position, parts = pending[future]
-            parts[position] = _materialize(future.result())
-            if all(part is not None for part in parts):
-                if len(parts) == 1:
-                    batch = parts[0]
-                else:
-                    batch = DetectionBatch.concat(parts, detector=plan.detector.name)
-                plan.shards[index] = batch
-                harness._store_shard(plan.detector, plan.dataset, plan.spans[index], batch)
-    except BaseException:
-        _discard_pending(outstanding)
-        raise
-    results: dict[Artifact, DetectionBatch] = {}
-    for key in keys:
-        plan = plans.get(key)
-        if plan is not None:
-            harness._detections[key] = harness._assemble(plan.detector, plan.shards)
-        results[key] = harness.detections(*key)
-    return results
+    return harness.prefetch(_unique(artifacts if artifacts is not None else suite_artifacts()))
 
 
 def run_suite(

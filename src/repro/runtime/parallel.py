@@ -1,4 +1,4 @@
-"""Parallel sharded split runner with a zero-copy data plane.
+"""Parallel sharded detection runner with a shared-memory return path.
 
 Detections are a pure function of ``(seed, profile name, image id)`` —
 :mod:`repro._rng` derives every stream from SHA-256 digests, never from the
@@ -6,33 +6,35 @@ process-salted builtin ``hash`` — so a split can be partitioned into
 contiguous image-range shards and detected on separate processes with
 bit-for-bit identity to the serial loop.
 
-Data movement between the parent and the workers is minimised end to end:
+:func:`run_spans` is the one runner.  It takes a list of jobs — a detector,
+a split and one ``[lo, hi)`` image span of it — and returns one batch per
+job, in job order.  Every caller goes through it: the harness's cache
+planner (:meth:`repro.experiments.harness.Harness.prefetch`, one job per
+missing cache shard) and :func:`run_split` (one job covering a whole split,
+no cache).
 
-* **Inputs** — :func:`run_spans` ships ``(detector, token, lo, hi)`` instead
-  of pickled record lists: workers resolve the records from the
-  fork-inherited dataset snapshot registered (via
-  :func:`repro.runtime.pool.register_inherited`) before the executor
-  started.  Snapshots registered *after* pool start — and non-fork
-  platforms — fall back to pickling the record slice, bit-for-bit
-  identical.
-* **Results** — each worker detects its span into one
-  :class:`~repro.detection.batch.DetectionBatch` and, when the
-  pool's shared-memory arena is enabled (parallel pool, Linux,
-  ``REPRO_SHM`` not ``0``), parks the finished batch's flat columns in a
-  named ``/dev/shm`` segment (:mod:`repro.runtime.shm`) and returns only a
-  tiny handle; the parent adopts the segment as zero-copy numpy views.
-  Serial pools, non-Linux platforms and oversized shards return the batch
-  through the ordinary pickle pipe instead — same bytes either way.
+* **Sharding** — each job is cut into ``min(ceil(workers / jobs),
+  span // DEFAULT_MIN_SHARD_IMAGES)`` pieces, so a few large jobs still
+  fill the pool and no piece is smaller than the minimum.  When fewer than
+  two such pool-worthy pieces exist, or the pool is serial, every job runs
+  inline instead: shipping the work would cost more than it saves.
+* **Inputs** — a piece ships as ``(detector, ground-truth batch slice,
+  quality array)``: the only columns
+  :meth:`~repro.simulate.detector.SimulatedDetector.detect_columns` reads.
+  Workers hold no reference to the split itself.
+* **Results** — each worker detects its piece into one
+  :class:`~repro.detection.batch.DetectionBatch` and, when the pool's
+  shared-memory arena is enabled (parallel pool, Linux, ``REPRO_SHM`` not
+  ``0``), parks the batch's flat columns in a named ``/dev/shm`` segment
+  (:mod:`repro.runtime.shm`) and returns only a tiny handle; the parent
+  adopts the segment as zero-copy numpy views.  Oversized pieces and
+  non-Linux platforms return the batch through the pickle pipe instead —
+  same bytes either way.
 
 Pooling is external: callers pass a :class:`~repro.runtime.pool.WorkerPool`
 (typically the harness-lifetime pool owned by
 :class:`~repro.experiments.harness.Harness`) and this module only submits to
-it — no executor is ever constructed per call, so process startup is paid at
-most once per pool lifetime no matter how many splits run.  Without a pool
-(or with a serial pool) everything runs in-process, lazily slicing spans
-without ever materialising per-shard record lists.  Tiny splits (fewer than
-``min_shard_images`` per would-be worker) also fall back to the serial
-path — shipping the work to processes would cost more than it saves.
+it, so process startup is paid at most once per pool lifetime.
 """
 
 from __future__ import annotations
@@ -40,32 +42,31 @@ from __future__ import annotations
 from concurrent.futures import as_completed
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.detection.batch import DetectionBatch
-from repro.errors import ConfigurationError
-from repro.runtime.pool import (
-    WorkerPool,
-    inherited_token,
-    inherited_value,
-    register_inherited,
-    resolve_workers,
-)
-from repro.runtime.shm import SharedBatchHandle, ShmTransport, adopt_batch, discard_batch, share_batch
+import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids layering cycles
+from repro.detection.batch import DetectionBatch, GroundTruthBatch
+from repro.errors import ConfigurationError
+from repro.runtime.pool import WorkerPool, resolve_workers
+from repro.runtime.shm import SharedBatchHandle, ShmTransport, adopt_batch, discard_batch, share_batch
+from repro.simulate.detector import split_columns
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.data.datasets import Dataset, ImageRecord
     from repro.simulate.detector import SimulatedDetector
+
+    #: One detection job: a detector, a split and one ``[lo, hi)`` span of it.
+    SpanJob = tuple[SimulatedDetector, Dataset | Sequence[ImageRecord], tuple[int, int]]
 
 __all__ = [
     "DEFAULT_MIN_SHARD_IMAGES",
     "resolve_workers",
     "shard_spans",
     "detect_records",
-    "run_shards",
     "run_spans",
     "run_split",
 ]
 
-#: Below this many images per worker the pool is not worth engaging.
+#: Below this many images per piece the pool is not worth engaging.
 DEFAULT_MIN_SHARD_IMAGES = 32
 
 
@@ -94,58 +95,32 @@ def shard_spans(count: int, shards: int) -> list[tuple[int, int]]:
 
 def detect_records(
     detector: "SimulatedDetector",
-    records: Sequence["ImageRecord"],
+    records: "Dataset | Sequence[ImageRecord]",
     span: tuple[int, int] | None = None,
 ) -> DetectionBatch:
-    """Run ``detector`` over ``records`` (or the ``[lo, hi)`` span of them)
+    """Run ``detector`` over a split (or the ``[lo, hi)`` span of it)
     serially into one batch: one columnar
-    :meth:`~repro.simulate.detector.SimulatedDetector.detect_split` pass."""
-    if span is not None:
-        lo, hi = span
-        records = records[lo:hi]
-    return detector.detect_split(records)
+    :meth:`~repro.simulate.detector.SimulatedDetector.detect_columns` pass."""
+    return detector.detect_columns(*split_columns(records, span))
 
 
 def _detect_task(
     detector: "SimulatedDetector",
-    source: "str | Sequence[ImageRecord]",
-    span: tuple[int, int] | None,
+    truths: GroundTruthBatch,
+    qualities: np.ndarray,
     transport: ShmTransport | None,
 ) -> "SharedBatchHandle | DetectionBatch":
     """Pool worker entry point (module-level so it pickles).
 
-    ``source`` is either a snapshot token (fork-inherited records; ``span``
-    selects the shard) or an already-sliced record sequence.  With a
-    ``transport`` the result returns through the shared-memory arena unless
-    the segment would be oversized.
+    With a ``transport`` the result returns through the shared-memory arena
+    unless the segment would be oversized.
     """
-    records = inherited_value(source) if isinstance(source, str) else source
-    batch = detect_records(detector, records, span)
+    batch = detector.detect_columns(truths, qualities)
     if transport is not None:
         handle = share_batch(batch, prefix=transport.prefix, max_bytes=transport.max_segment_bytes)
         if handle is not None:
             return handle
     return batch
-
-
-def span_payload(
-    pool: WorkerPool,
-    records: Sequence["ImageRecord"],
-    span: tuple[int, int],
-) -> tuple["str | Sequence[ImageRecord]", tuple[int, int] | None]:
-    """The cheapest ``(source, span)`` pair for shipping one shard's inputs.
-
-    Fork-inherited token + span when the workers (will) have the snapshot;
-    otherwise the pickled record slice.  An unstarted pool registers the
-    records on the spot — the executor forks afterwards and inherits them.
-    """
-    token = inherited_token(records)
-    if token is None and not pool.started:
-        token = register_inherited(records)
-    if token is not None and pool.inherits(token):
-        return token, span
-    lo, hi = span
-    return records[lo:hi], None
 
 
 def _materialize(result: "SharedBatchHandle | DetectionBatch") -> DetectionBatch:
@@ -172,95 +147,61 @@ def _discard_pending(futures) -> None:
             discard_batch(result)
 
 
-def _drain(
-    futures: "dict",
-    results: list,
-    on_result: Callable[[int, DetectionBatch], None] | None,
-) -> None:
-    """Collect shard futures in completion order into ``results`` by index."""
-    pending = set(futures)
-    try:
-        for future in as_completed(futures):
-            pending.discard(future)
-            batch = _materialize(future.result())
-            index = futures[future]
-            results[index] = batch
-            if on_result is not None:
-                on_result(index, batch)
-    except BaseException:
-        _discard_pending(pending)
-        raise
-
-
-def run_shards(
-    detector: "SimulatedDetector",
-    shards: Sequence[Sequence["ImageRecord"]],
-    *,
-    pool: WorkerPool | None = None,
-    on_result: Callable[[int, DetectionBatch], None] | None = None,
-) -> list[DetectionBatch]:
-    """Detect each record shard, one batch per shard, preserving order.
-
-    With a parallel ``pool`` and more than one shard the shards run on the
-    pool's worker processes (results returning through the shared-memory
-    arena when enabled); otherwise serially in-process, iterating the given
-    shards as-is — nothing is materialised or copied.  Either way the
-    returned batches are bit-for-bit what :func:`detect_records` produces
-    per shard.
-
-    ``on_result(shard_index, batch)`` is invoked as each shard *completes*
-    (completion order under the pool, not shard order) — the harness uses
-    it to persist finished cache shards immediately, so an interrupted run
-    loses at most the shards still in flight.
-    """
-    count = len(shards)
-    if pool is None or not pool.parallel or count <= 1:
-        results = []
-        for index in range(count):
-            batch = detect_records(detector, shards[index])
-            if on_result is not None:
-                on_result(index, batch)
-            results.append(batch)
-        return results
-    transport = pool.shm_transport
-    futures = {pool.submit(_detect_task, detector, shards[index], None, transport): index for index in range(count)}
-    results: list[DetectionBatch | None] = [None] * count
-    _drain(futures, results, on_result)
-    return results
-
-
 def run_spans(
-    detector: "SimulatedDetector",
-    records: Sequence["ImageRecord"],
-    spans: Sequence[tuple[int, int]],
+    jobs: "Sequence[SpanJob]",
     *,
     pool: WorkerPool | None = None,
     on_result: Callable[[int, DetectionBatch], None] | None = None,
 ) -> list[DetectionBatch]:
-    """Detect contiguous ``[lo, hi)`` spans of ``records``, one batch each.
+    """Detect each job's ``[lo, hi)`` image span, one batch per job, in order.
 
-    The zero-copy sibling of :func:`run_shards`: the parent never slices a
-    record list per shard unless it has to.  Serial execution indexes
-    ``records`` in place; parallel pools ship ``(detector, token, span)``
-    against the fork-inherited snapshot (see :func:`span_payload` for the
-    fallback matrix) and adopt results from the shared-memory arena.
+    Jobs are cut into pieces and run on ``pool`` as the module docstring
+    describes, or inline; either way each returned batch is bit-for-bit
+    what :func:`detect_records` produces for its job.
+
+    ``on_result(job_index, batch)`` is invoked as each job *completes*
+    (completion order under the pool, job order inline) — the harness uses
+    it to persist finished cache shards immediately, so an interrupted run
+    loses at most the jobs still in flight.
     """
-    spans = list(spans)
-    if pool is None or not pool.parallel or len(spans) <= 1:
-        results = []
-        for index, span in enumerate(spans):
-            batch = detect_records(detector, records, span)
+    pieces: list[int] = []
+    if pool is not None and pool.parallel and jobs:
+        per_job = -(-pool.workers // len(jobs))  # ceil
+        pieces = [min(per_job, (hi - lo) // DEFAULT_MIN_SHARD_IMAGES) for _, _, (lo, hi) in jobs]
+    results: list[DetectionBatch | None] = [None] * len(jobs)
+    if sum(pieces) < 2:
+        for index, (detector, split, span) in enumerate(jobs):
+            results[index] = detect_records(detector, split, span)
             if on_result is not None:
-                on_result(index, batch)
-            results.append(batch)
+                on_result(index, results[index])
         return results
     transport = pool.shm_transport
-    futures = {}
-    for index, span in enumerate(spans):
-        source, span_arg = span_payload(pool, records, span)
-        futures[pool.submit(_detect_task, detector, source, span_arg, transport)] = index
-    results: list[DetectionBatch | None] = [None] * len(spans)
-    _drain(futures, results, on_result)
+    parts: list[list[DetectionBatch | None]] = []
+    pending = {}
+    for index, ((detector, split, (lo, hi)), count) in enumerate(zip(jobs, pieces)):
+        subs = shard_spans(hi - lo, max(1, count)) or [(0, 0)]
+        parts.append([None] * len(subs))
+        for position, (sub_lo, sub_hi) in enumerate(subs):
+            truths, qualities = split_columns(split, (lo + sub_lo, lo + sub_hi))
+            future = pool.submit(_detect_task, detector, truths, qualities, transport)
+            pending[future] = (index, position)
+    # Drain in completion order; on any error the outstanding futures are
+    # drained and their shared segments unlinked before the exception
+    # propagates.
+    outstanding = set(pending)
+    try:
+        for future in as_completed(pending):
+            outstanding.discard(future)
+            index, position = pending[future]
+            job_parts = parts[index]
+            job_parts[position] = _materialize(future.result())
+            if all(part is not None for part in job_parts):
+                results[index] = DetectionBatch.concat(job_parts, detector=jobs[index][0].name)
+                if on_result is not None:
+                    on_result(index, results[index])
+    except BaseException:
+        _discard_pending(outstanding)
+        raise
     return results
 
 
@@ -269,21 +210,11 @@ def run_split(
     dataset: "Dataset | Sequence[ImageRecord]",
     *,
     pool: WorkerPool | None = None,
-    min_shard_images: int = DEFAULT_MIN_SHARD_IMAGES,
 ) -> DetectionBatch:
     """Run a detector over a whole split, sharded across the pool's workers.
 
     Drop-in replacement for ``detector.detect_split(dataset)`` with
-    identical output: contiguous image-range shards are detected in
-    parallel on ``pool`` and concatenated in order.  The dataset's record
-    list is used in place (never copied), so repeated calls over the same
-    split reuse its fork-inherited snapshot token.
+    identical output: the no-cache case of :func:`run_spans`, one job over
+    the whole split.
     """
-    records = getattr(dataset, "records", dataset)
-    workers = pool.workers if pool is not None else 1
-    effective = min(workers, max(1, len(records) // max(1, min_shard_images)))
-    if effective <= 1:
-        return detect_records(detector, records)
-    spans = shard_spans(len(records), effective)
-    parts = run_spans(detector, records, spans, pool=pool)
-    return DetectionBatch.concat(parts, detector=detector.name)
+    return run_spans([(detector, dataset, (0, len(dataset)))], pool=pool)[0]

@@ -1,8 +1,7 @@
 """Harness-lifetime persistent process pool.
 
-Historically every :func:`repro.runtime.parallel.run_shards` call constructed
-its own ``ProcessPoolExecutor`` and tore it down again, so a table suite that
-produces dozens of detection artifacts paid process startup dozens of times.
+A table suite produces dozens of detection artifacts; starting a process
+pool per artifact would pay process startup dozens of times.
 :class:`WorkerPool` amortises that cost across an entire harness lifetime:
 
 * **Lazy start** — constructing a pool is free; the underlying executor is
@@ -15,20 +14,12 @@ produces dozens of detection artifacts paid process startup dozens of times.
   exception) shuts the executor down and marks the pool closed, and further
   submissions raise :class:`~repro.errors.ConfigurationError`.
 
-Two zero-copy data-plane facilities hang off the pool because their
-lifetimes are the pool's:
-
-* **Fork-inherited snapshots** — :func:`register_inherited` parks a large
-  parent-side object (a dataset's record list) in a module-level registry.
-  Workers forked *after* registration inherit the registry pages for free
-  (copy-on-write), so tasks can ship a tiny ``(token, span)`` instead of a
-  pickled record list; :meth:`WorkerPool.inherits` reports whether a given
-  token made it into the workers (parallel Linux pools capture the
-  registered token set at executor start).
-* **Shared-memory arena** — :attr:`WorkerPool.arena` scopes every segment
-  the workers publish results through (see :mod:`repro.runtime.shm`);
-  :meth:`~WorkerPool.shutdown` sweeps whatever was never adopted, so pool
-  teardown — normal or exceptional — leaves ``/dev/shm`` clean.
+Tasks carry their inputs as arguments; the pool holds no reference to
+them once they are done.  Results may return through the pool's
+**shared-memory arena**: :attr:`WorkerPool.arena` scopes every segment the
+workers publish (see :mod:`repro.runtime.shm`), and
+:meth:`~WorkerPool.shutdown` sweeps whatever was never adopted, so pool
+teardown — normal or exceptional — leaves ``/dev/shm`` clean.
 
 Worker count resolution is shared with the experiment harness: an explicit
 ``workers`` argument wins, otherwise the ``REPRO_WORKERS`` environment
@@ -38,7 +29,6 @@ variable, otherwise 1 (serial).  The ``REPRO_SHM`` environment variable
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import sys
@@ -48,13 +38,7 @@ from typing import Any, Callable
 from repro.errors import ConfigurationError
 from repro.runtime.shm import SharedArena, ShmTransport, shm_supported
 
-__all__ = [
-    "WorkerPool",
-    "inherited_token",
-    "inherited_value",
-    "register_inherited",
-    "resolve_workers",
-]
+__all__ = ["WorkerPool", "resolve_workers"]
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -73,55 +57,6 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-# --------------------------------------------------------------------- #
-# fork-inherited snapshot registry
-# --------------------------------------------------------------------- #
-#: Token -> value.  Filled in the parent; forked workers inherit the whole
-#: mapping (copy-on-write pages), so resolving a token is free of transport.
-_INHERITED: dict[str, Any] = {}
-#: id(value) -> token, so re-registering the same object is idempotent.  The
-#: strong reference in ``_INHERITED`` keeps the id stable.
-_TOKENS_BY_ID: dict[int, str] = {}
-_token_counter = itertools.count()
-
-
-def register_inherited(value: Any) -> str:
-    """Park ``value`` for fork inheritance, returning its stable token.
-
-    Registering the same object again returns the same token.  The registry
-    holds a strong reference for the life of the process — register
-    long-lived objects (memoised dataset record lists), not throwaways.
-    Registration only reaches workers forked afterwards; check
-    :meth:`WorkerPool.inherits` before shipping a token to a started pool.
-    """
-    token = _TOKENS_BY_ID.get(id(value))
-    if token is not None and _INHERITED.get(token) is value:
-        return token
-    token = f"inherit-{os.getpid()}-{next(_token_counter)}"
-    _TOKENS_BY_ID[id(value)] = token
-    _INHERITED[token] = value
-    return token
-
-
-def inherited_token(value: Any) -> str | None:
-    """The token ``value`` is registered under, or ``None``."""
-    token = _TOKENS_BY_ID.get(id(value))
-    if token is not None and _INHERITED.get(token) is value:
-        return token
-    return None
-
-
-def inherited_value(token: str) -> Any:
-    """Resolve a token (worker side, via the fork-inherited registry)."""
-    try:
-        return _INHERITED[token]
-    except KeyError:
-        raise ConfigurationError(
-            f"snapshot {token!r} was not inherited by this process; "
-            "it must be registered before the worker pool starts"
-        ) from None
-
-
 class WorkerPool:
     """A lazily-started, reusable process pool with a serial fallback.
 
@@ -129,8 +64,7 @@ class WorkerPool:
     most once per pool lifetime (see :attr:`start_count`), every submitter
     sees the same worker processes, and detections stay bit-for-bit identical
     to the serial path because tasks are pure functions of their arguments —
-    whether those arrive pickled, as fork-inherited snapshot spans, or leave
-    through the shared-memory arena.
+    whether their results return pickled or through the shared-memory arena.
     """
 
     def __init__(self, workers: int | None = None) -> None:
@@ -139,12 +73,10 @@ class WorkerPool:
         self._start_count = 0
         self._closed = False
         self._arena: SharedArena | None = None
-        self._inherited_at_start: frozenset[str] | None = None
         # Workers are pure compute over small inputs: fork is the cheapest
         # start method where it is reliable (Linux), and pinning it keeps
         # behaviour stable across Python versions that change the default.
-        # Fork is also what makes snapshot inheritance and the /dev/shm
-        # arena possible, so both features key off the same flag.
+        # The /dev/shm arena keys off the same flag.
         self._fork = sys.platform.startswith("linux")
 
     # ------------------------------------------------------------------ #
@@ -216,24 +148,6 @@ class WorkerPool:
         arena = self.arena
         return arena.transport if arena is not None else None
 
-    def inherits(self, token: str) -> bool:
-        """Whether workers can resolve ``token`` from the fork registry.
-
-        Serial pools run inline in the registering process, so every token
-        resolves.  Parallel pools inherit the registry at fork time: before
-        the executor starts, any currently-registered token will be
-        inherited; afterwards only the tokens captured at start are
-        available (later registrations fall back to pickled inputs).
-        Non-fork platforms never inherit.
-        """
-        if not self.parallel:
-            return True
-        if not self._fork:
-            return False
-        if self._executor is None:
-            return token in _INHERITED
-        return token in (self._inherited_at_start or frozenset())
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
@@ -259,9 +173,6 @@ class WorkerPool:
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            # Capture the snapshot-token set before any worker can fork:
-            # everything registered up to here is inherited, nothing after.
-            self._inherited_at_start = frozenset(_INHERITED)
             context = multiprocessing.get_context("fork") if self._fork else None
             self._executor = ProcessPoolExecutor(max_workers=self._workers, mp_context=context)
             self._start_count += 1

@@ -13,7 +13,10 @@ that image.  The arithmetic on the draws (box jitter, noise-box
 placement, shared with scene generation, scores, label confusion), the
 per-image score sort and class-aware greedy NMS run once over the split's
 flat arrays.  :meth:`SimulatedDetector.detect` is the one-image case of
-the same pass.
+the same pass.  The pass reads nothing but the split's ground-truth batch
+and each image's quality (:func:`split_columns`), so an image span's inputs
+travel to a worker process as a few flat arrays
+(:meth:`SimulatedDetector.detect_columns`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.detection.types import Detections
 from repro.simulate.confidence import miss_scores, noise_from_exponential, served_beta, served_from_beta
 from repro.simulate.profile import DetectorProfile, capped_probability, probability_terms
 
-__all__ = ["SimulatedDetector"]
+__all__ = ["SimulatedDetector", "split_columns"]
 
 
 def _jitter_draws(sigma: float, count: int, rng: np.random.Generator, out: tuple[list, list, list, list]) -> None:
@@ -75,6 +78,27 @@ def _concat(parts: list, dtype=np.float64) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
 
+def split_columns(
+    split: Dataset | Sequence[ImageRecord],
+    span: tuple[int, int] | None = None,
+) -> tuple[GroundTruthBatch, np.ndarray]:
+    """The detector's inputs for a split, or for its ``[lo, hi)`` image span:
+    the ground-truth batch and every image's quality.
+
+    A dataset's cached truth batch is sliced in place; a plain record
+    sequence is flattened.
+    """
+    records = split.records if isinstance(split, Dataset) else split
+    lo, hi = span if span is not None else (0, len(records))
+    records = records[lo:hi]
+    if isinstance(split, Dataset):
+        truths = split.truth_batch.span(lo, hi)
+    else:
+        truths = GroundTruthBatch.from_truths([record.truth for record in records])
+    qualities = np.fromiter((record.quality for record in records), dtype=np.float64, count=len(records))
+    return truths, qualities
+
+
 @dataclass(frozen=True)
 class SimulatedDetector:
     """A deterministic simulated detector.
@@ -107,17 +131,14 @@ class SimulatedDetector:
     def detect_split(self, dataset: Dataset | Sequence[ImageRecord]) -> DetectionBatch:
         """Run the detector over every record of a split (or a record
         sequence), in order, into one batch."""
-        if isinstance(dataset, Dataset):
-            records, truths = dataset.records, dataset.truth_batch
-        else:
-            records = dataset
-            truths = GroundTruthBatch.from_truths([record.truth for record in records])
+        return self.detect_columns(*split_columns(dataset))
+
+    def detect_columns(self, truths: GroundTruthBatch, qualities: np.ndarray) -> DetectionBatch:
+        """Run the detector over the images of ``truths`` with the given
+        per-image qualities — everything a split's detections depend on."""
         profile = self.profile
         classes = self.num_classes
-        p = capped_probability(
-            profile.base_recall,
-            probability_terms(profile, truths, [record.quality for record in records]),
-        )
+        p = capped_probability(profile.base_recall, probability_terms(profile, truths, qualities))
         alpha, beta = served_beta(profile, p)
         vis_sigma = profile.loc_sigma * 1.5
 

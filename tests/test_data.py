@@ -88,6 +88,21 @@ class TestDegradation:
             sample = model.sample(rng)
             assert 0.5 <= sample.quality <= 0.8
 
+    def test_kind_draw_matches_rng_choice(self):
+        """The kind is the draw ``rng.choice`` over the kinds list makes, and
+        it leaves the stream where ``rng.choice`` does."""
+        model = DegradationModel(degraded_fraction=0.5)
+        for seed in range(2000):
+            ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            sample = model.sample(ours)
+            if oracle.uniform() < model.degraded_fraction:
+                quality = float(oracle.uniform(model.min_quality, model.max_quality))
+                assert sample.quality == quality
+                assert sample.kind == str(oracle.choice(["blur", "low-light", "smoke"]))
+            else:
+                assert sample is PRISTINE
+            assert ours.integers(0, 2**31 - 1) == oracle.integers(0, 2**31 - 1)
+
 
 class TestDatasets:
     def test_all_settings_registered(self):

@@ -375,3 +375,27 @@ class TestQuickConfig:
         config = HarnessConfig.quick()
         assert config.train_images <= 1000
         assert config.test_fraction <= 0.2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cache_shard_size", 0),
+            ("cache_shard_size", -5),
+            ("train_images", 0),
+            ("test_fraction", 0.0),
+            ("test_fraction", -0.1),
+            ("test_fraction", 1.5),
+            ("test_fraction", math.nan),
+            ("workers", 0),
+        ],
+    )
+    def test_out_of_range_fields_fail_at_construction(self, field, value):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match=field):
+            HarnessConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        config = HarnessConfig(cache_shard_size=1, train_images=1, test_fraction=1.0, workers=1)
+        assert config.resolve_workers() == 1
+        assert HarnessConfig(workers=None).workers is None

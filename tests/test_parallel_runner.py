@@ -23,7 +23,7 @@ from repro.metrics.voc_ap import evaluate_detections, mean_average_precision
 from repro.runtime.parallel import (
     detect_records,
     resolve_workers,
-    run_shards,
+    run_spans,
     run_split,
     shard_spans,
 )
@@ -95,13 +95,15 @@ def test_shard_spans_cover_exactly(count, shards):
 # --------------------------------------------------------------------- #
 def test_run_split_parallel_matches_serial(split_small, small1_voc07, serial_batch):
     with WorkerPool(2) as pool:
-        parallel = run_split(small1_voc07, split_small, pool=pool, min_shard_images=8)
+        parallel = run_split(small1_voc07, split_small, pool=pool)
+        assert pool.started  # 120 images: two 60-image pieces
     assert_batches_identical(serial_batch, parallel)
 
 
 def test_run_split_three_workers_matches_serial(split_small, small1_voc07, serial_batch):
     with WorkerPool(3) as pool:
-        parallel = run_split(small1_voc07, split_small, pool=pool, min_shard_images=8)
+        parallel = run_split(small1_voc07, split_small, pool=pool)
+        assert pool.started
     assert_batches_identical(serial_batch, parallel)
 
 
@@ -114,31 +116,54 @@ def test_run_split_tiny_split_serial_fallback(split_small, small1_voc07):
     assert_batches_identical(batch, detect_records(small1_voc07, records))
 
 
-def test_run_shards_order_preserved(split_small, small1_voc07, serial_batch):
-    records = split_small.records
-    shards = [records[0:40], records[40:80], records[80:120]]
+def _thirds(detector, split):
+    return [(detector, split, span) for span in ((0, 40), (40, 80), (80, 120))]
+
+
+def test_run_spans_order_preserved(split_small, small1_voc07, serial_batch):
     with WorkerPool(2) as pool:
-        parts = run_shards(small1_voc07, shards, pool=pool)
+        parts = run_spans(_thirds(small1_voc07, split_small), pool=pool)
+        assert pool.started
     assert [len(part) for part in parts] == [40, 40, 40]
     assert_batches_identical(DetectionBatch.concat(parts), serial_batch)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_shards_on_result_fires_per_completed_shard(split_small, small1_voc07, workers):
-    records = split_small.records
-    shards = [records[0:40], records[40:80], records[80:120]]
+def test_run_spans_on_result_fires_per_completed_job(split_small, small1_voc07, workers):
     seen: dict[int, int] = {}
     with WorkerPool(workers) as pool:
-        parts = run_shards(
-            small1_voc07,
-            shards,
+        parts = run_spans(
+            _thirds(small1_voc07, split_small),
             pool=pool,
             on_result=lambda index, batch: seen.__setitem__(index, len(batch)),
         )
-    # Every shard reported exactly once, with the batch later returned at
+    # Every job reported exactly once, with the batch later returned at
     # that index (completion order may differ; indices must not).
     assert seen == {0: 40, 1: 40, 2: 40}
     assert [len(part) for part in parts] == [40, 40, 40]
+
+
+def test_run_spans_mixes_detectors_and_splits(split_small, small1_voc07, ssd_voc07):
+    """Jobs of different detectors and splits share one pooled run; a job
+    over a single large span is cut into pieces and reassembled whole, and
+    small or empty jobs ride along as one piece each."""
+    other = load_dataset("voc07", "train", fraction=64 / 5011)
+    # 4 workers over 3 jobs: the 120-image job is cut in two.
+    jobs = [(ssd_voc07, split_small, (0, 120)), (small1_voc07, other, (10, 20)), (small1_voc07, other, (5, 5))]
+    with WorkerPool(4) as pool:
+        parts = run_spans(jobs, pool=pool)
+        assert pool.started
+    for got, job in zip(parts, jobs):
+        assert_batches_identical(got, detect_records(*job))
+
+
+def test_detect_records_dataset_span_matches_record_slice(split_small, small1_voc07):
+    """A dataset's span reads its cached truth batch; a record slice is
+    flattened — the same detections either way."""
+    assert_batches_identical(
+        detect_records(small1_voc07, split_small, (17, 83)),
+        detect_records(small1_voc07, split_small.records[17:83]),
+    )
 
 
 def test_detect_records_matches_detect_split(split_small, small1_voc07):
@@ -253,6 +278,18 @@ def test_ground_truth_batch_coerce(split_small):
     assert np.array_equal(rebuilt.boxes, gt.boxes)
 
 
+def test_ground_truth_batch_span(split_small):
+    gt = split_small.truth_batch
+    for lo, hi in ((0, 0), (0, 50), (17, 83), (119, 120), (120, 120)):
+        part = gt.span(lo, hi)
+        flat = GroundTruthBatch.from_truths(split_small.truths[lo:hi])
+        assert part.image_ids == flat.image_ids
+        for name in ("boxes", "labels", "offsets"):
+            assert getattr(part, name).dtype == getattr(flat, name).dtype
+            assert np.array_equal(getattr(part, name), getattr(flat, name))
+    assert gt.head(50).offsets.base is not None  # a prefix shares the offsets
+
+
 def test_ground_truth_batch_validation():
     with pytest.raises(GeometryError):
         GroundTruthBatch(
@@ -337,8 +374,9 @@ def test_harness_cache_partial_recompute(tmp_path):
 
 def test_harness_parallel_matches_serial(tmp_path):
     serial = Harness(_tiny_config(tmp_path / "serial", workers=1)).detections("small1", "voc07", "test")
-    with Harness(_tiny_config(tmp_path / "parallel", workers=2, cache_shard_size=16)) as harness:
+    with Harness(_tiny_config(tmp_path / "parallel", workers=2)) as harness:
         parallel = harness.detections("small1", "voc07", "test")
+        assert harness.pool().started  # three full 32-image shards go to the pool
     assert_batches_identical(serial, parallel)
 
 

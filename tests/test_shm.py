@@ -2,15 +2,13 @@
 
 Three invariants, each enforced bit-for-bit or segment-for-segment:
 
-* **Equivalence** — batches transported through shared memory (and spans
-  resolved from fork-inherited snapshots) are byte-identical to the serial
-  / pickle path, dtype included.
+* **Equivalence** — batches transported through shared memory are
+  byte-identical to the serial / pickle path, dtype included.
 * **No leaks** — ``/dev/shm`` carries zero arena segments after normal pool
   shutdown, after a worker exception, and after ``WorkerPool.__exit__`` on
   an error path (checked via :func:`repro.runtime.shm.leaked_segments`).
-* **Fallbacks are exact** — oversized segments, post-start registrations,
-  ``REPRO_SHM=0`` and serial pools all fall back to pickling with identical
-  bytes.
+* **Fallbacks are exact** — oversized segments, ``REPRO_SHM=0`` and serial
+  pools all fall back to pickling with identical bytes.
 """
 
 from __future__ import annotations
@@ -22,12 +20,7 @@ from repro.data import load_dataset
 from repro.detection import DetectionBatch
 from repro.errors import ConfigurationError, GeometryError
 from repro.runtime.parallel import detect_records, run_spans, shard_spans
-from repro.runtime.pool import (
-    WorkerPool,
-    inherited_token,
-    inherited_value,
-    register_inherited,
-)
+from repro.runtime.pool import WorkerPool
 from repro.runtime.shm import (
     SharedArena,
     SharedBatchHandle,
@@ -65,10 +58,7 @@ class _ExplodingDetector:
 
     name = "exploding"
 
-    def detect(self, record):
-        raise RuntimeError("boom")
-
-    def detect_split(self, records):
+    def detect_columns(self, truths, qualities):
         raise RuntimeError("boom")
 
 
@@ -139,39 +129,39 @@ def test_arena_rejects_bad_prefix():
 # --------------------------------------------------------------------- #
 # pool transport equivalence + lifecycle
 # --------------------------------------------------------------------- #
+def _jobs(detector, split, shards):
+    """One job per balanced span of ``split``; spans of at least 32 images
+    (the runner's minimum piece) engage the pool."""
+    return [(detector, split, span) for span in shard_spans(len(split), shards)]
+
+
 def test_run_spans_over_pool_matches_serial_with_zero_leaks(split_small, small1_voc07):
-    records = split_small.records
-    register_inherited(records)
-    spans = shard_spans(len(records), 4)
-    serial = [detect_records(small1_voc07, records, span) for span in spans]
+    jobs = _jobs(small1_voc07, split_small, 3)
+    serial = [detect_records(*job) for job in jobs]
     with WorkerPool(2) as pool:
         assert pool.shm_enabled
         prefix = pool.arena.prefix
-        parts = run_spans(small1_voc07, records, spans, pool=pool)
+        parts = run_spans(jobs, pool=pool)
+        assert pool.started
         for got, want in zip(parts, serial):
             assert_batches_identical(got, want)
     assert leaked_segments(prefix) == ()
 
 
 def test_worker_exception_leaves_no_segments(split_small):
-    records = split_small.records
-    register_inherited(records)
-    spans = shard_spans(len(records), 4)
     with WorkerPool(2) as pool:
         prefix = pool.arena.prefix
         with pytest.raises(RuntimeError, match="boom"):
-            run_spans(_ExplodingDetector(), records, spans, pool=pool)
+            run_spans(_jobs(_ExplodingDetector(), split_small, 3), pool=pool)
     assert leaked_segments(prefix) == ()
 
 
 def test_pool_exit_on_error_sweeps_arena(split_small, small1_voc07):
-    records = split_small.records
-    register_inherited(records)
     prefix = None
     with pytest.raises(RuntimeError, match="mid-drain"):
         with WorkerPool(2) as pool:
             prefix = pool.arena.prefix
-            run_spans(small1_voc07, records, shard_spans(len(records), 4), pool=pool)
+            run_spans(_jobs(small1_voc07, split_small, 3), pool=pool)
             raise RuntimeError("mid-drain")
     assert prefix is not None
     assert leaked_segments(prefix) == ()
@@ -179,15 +169,13 @@ def test_pool_exit_on_error_sweeps_arena(split_small, small1_voc07):
 
 
 def test_oversized_shards_fall_back_to_pickle_exactly(split_small, small1_voc07):
-    records = split_small.records
-    register_inherited(records)
-    spans = shard_spans(len(records), 4)
-    serial = [detect_records(small1_voc07, records, span) for span in spans]
+    jobs = _jobs(small1_voc07, split_small, 3)
+    serial = [detect_records(*job) for job in jobs]
     with WorkerPool(2) as pool:
         pool.arena.max_segment_bytes = 8  # every shard is oversized
         assert pool.shm_transport.max_segment_bytes == 8
         prefix = pool.arena.prefix
-        parts = run_spans(small1_voc07, records, spans, pool=pool)
+        parts = run_spans(jobs, pool=pool)
         for got, want in zip(parts, serial):
             assert_batches_identical(got, want)
     assert leaked_segments(prefix) == ()
@@ -195,15 +183,14 @@ def test_oversized_shards_fall_back_to_pickle_exactly(split_small, small1_voc07)
 
 def test_repro_shm_env_disables_transport(monkeypatch, split_small, small1_voc07):
     monkeypatch.setenv("REPRO_SHM", "0")
-    records = split_small.records
-    register_inherited(records)
-    spans = shard_spans(len(records), 2)
-    serial = [detect_records(small1_voc07, records, span) for span in spans]
+    jobs = _jobs(small1_voc07, split_small, 2)
+    serial = [detect_records(*job) for job in jobs]
     with WorkerPool(2) as pool:
         assert not pool.shm_enabled
         assert pool.arena is None
         assert pool.shm_transport is None
-        parts = run_spans(small1_voc07, records, spans, pool=pool)
+        parts = run_spans(jobs, pool=pool)
+        assert pool.started
         for got, want in zip(parts, serial):
             assert_batches_identical(got, want)
 
@@ -216,42 +203,19 @@ def test_serial_pool_has_no_transport():
 
 
 # --------------------------------------------------------------------- #
-# fork-inherited snapshot registry
+# inputs travel as columns
 # --------------------------------------------------------------------- #
-def test_register_inherited_is_idempotent_by_identity():
-    payload = ["a", "b"]
-    token = register_inherited(payload)
-    assert register_inherited(payload) == token
-    assert inherited_token(payload) == token
-    assert inherited_value(token) is payload
-    assert inherited_token(["a", "b"]) is None  # equal but distinct object
-
-
-def test_inherited_value_unknown_token_raises():
-    with pytest.raises(ConfigurationError):
-        inherited_value("inherit-0-does-not-exist")
-
-
-def test_post_start_registration_falls_back_exactly(split_small, small1_voc07):
+def test_split_loaded_after_pool_start_is_exact(small1_voc07):
+    """Workers need nothing from the parent but the task: a split that did
+    not exist when the workers forked is detected exactly."""
     with WorkerPool(2) as pool:
-        # Force the executor up before the snapshot exists.
-        assert pool.submit(len, (1, 2, 3)).result() == 3
-        late = list(split_small.records)  # fresh object, never registered pre-fork
-        token = register_inherited(late)
-        assert not pool.inherits(token)
-        spans = shard_spans(len(late), 2)
-        serial = [detect_records(small1_voc07, late, span) for span in spans]
-        parts = run_spans(small1_voc07, late, spans, pool=pool)
-        for got, want in zip(parts, serial):
-            assert_batches_identical(got, want)
-
-
-def test_serial_pool_inherits_everything():
-    pool = WorkerPool(1)
-    token = register_inherited(object())
-    assert pool.inherits(token)
-    assert pool.inherits("inherit-never-registered")  # inline: any token resolves...
-    pool.shutdown()
+        assert pool.submit(len, (1, 2, 3)).result() == 3  # executor up first
+        late = load_dataset("voc07", "test", fraction=64 / 4952)
+        jobs = _jobs(small1_voc07, late, 2)
+        parts = run_spans(jobs, pool=pool)
+        assert pool.start_count == 1
+    for got, job in zip(parts, jobs):
+        assert_batches_identical(got, detect_records(*job))
 
 
 # --------------------------------------------------------------------- #

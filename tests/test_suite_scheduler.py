@@ -9,7 +9,9 @@ relative to the serial path.  Pool-lifecycle tests additionally pin the
 
 from __future__ import annotations
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from repro.experiments.suite import (
     run_suite,
     suite_artifacts,
 )
-from repro.runtime.parallel import detect_records, run_shards, run_split
+from repro.runtime.parallel import detect_records, run_spans, run_split
 from repro.runtime.pool import WorkerPool
 
 
@@ -125,16 +127,16 @@ def test_pool_context_manager_shuts_down_on_exception():
 # --------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def split_tiny():
-    """A 96-image slice of the VOC07 test split (module-local size)."""
-    return load_dataset("voc07", "test", fraction=96 / 4952)
+    """A 128-image slice of the VOC07 test split (module-local size)."""
+    return load_dataset("voc07", "test", fraction=128 / 4952)
 
 
-def test_pool_reused_across_run_split_calls(split_tiny, small1_voc07):
+def test_pool_reused_across_runner_calls(split_tiny, small1_voc07):
     records = split_tiny.records
     with WorkerPool(2) as pool:
-        first = run_split(small1_voc07, records[:64], pool=pool, min_shard_images=8)
-        second = run_split(small1_voc07, records[64:], pool=pool, min_shard_images=8)
-        shards = run_shards(small1_voc07, [records[:48], records[48:]], pool=pool)
+        first = run_split(small1_voc07, records[:64], pool=pool)
+        second = run_split(small1_voc07, records[64:], pool=pool)
+        shards = run_spans([(small1_voc07, split_tiny, (0, 48)), (small1_voc07, split_tiny, (48, 128))], pool=pool)
         assert pool.start_count == 1  # one executor served every call
     assert_batches_identical(first, detect_records(small1_voc07, records[:64]))
     assert_batches_identical(second, detect_records(small1_voc07, records[64:]))
@@ -156,6 +158,19 @@ def test_harness_single_pool_per_lifetime(tmp_path):
         assert harness.pool() is pool
         assert pool.start_count == 1
     assert pool.closed
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_closed_harness_frees_its_records(tmp_path, workers):
+    """Once a harness that produced detections is closed and dropped, no
+    record of its datasets stays alive — pooled production included."""
+    with Harness(_tiny_config(tmp_path, workers=workers)) as harness:
+        harness.detections("small1", "voc07", "test")
+        assert harness.pool().started == (workers > 1)
+        record = weakref.ref(harness.dataset("voc07", "test").records[0])
+    del harness
+    gc.collect()
+    assert record() is None
 
 
 def test_harness_serial_config_never_forks(tmp_path):
