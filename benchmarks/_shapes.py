@@ -1,6 +1,6 @@
 """Shared shape assertions for the mAP / count benchmark tables.
 
-The reproduction criterion (DESIGN.md Sec. 4) is the paper's *shape*:
+The reproduction criterion is the paper's *shape*:
 orderings, rough factors and knees — not absolute agreement.
 """
 

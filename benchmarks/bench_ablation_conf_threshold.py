@@ -1,4 +1,4 @@
-"""Ablation 3 (DESIGN.md Sec. 5): fitted vs fixed noise-filter threshold.
+"""Ablation 3: fitted vs fixed noise-filter threshold.
 
 The paper fits the confidence threshold by minimising Eq. 1's count loss.
 This bench compares the fitted optimum against fixed alternatives (0.25 and

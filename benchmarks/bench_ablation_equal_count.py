@@ -1,4 +1,4 @@
-"""Ablation 2 (DESIGN.md Sec. 5): the step-1 equal-count early exit.
+"""Ablation 2: the step-1 equal-count early exit.
 
 Sec. V.C.2's first step declares an image easy when the served count equals
 the noise-filtered estimate.  Removing it turns the rule into a plain

@@ -1,4 +1,4 @@
-"""Ablation 1 (DESIGN.md Sec. 5): feature choice for the discriminator.
+"""Ablation 1: feature choice for the discriminator.
 
 Compares the paper's two semantic features (object count + minimum area
 ratio) against each feature alone and against a mean-confidence threshold

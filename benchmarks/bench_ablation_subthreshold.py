@@ -1,4 +1,4 @@
-"""Ablation 4 (DESIGN.md Sec. 5): the sub-threshold confidence signal.
+"""Ablation 4: the sub-threshold confidence signal.
 
 The discriminator's estimated-count feature relies on the Fig. 6 phenomenon:
 missed objects still emit low-confidence boxes.  This bench rebuilds small

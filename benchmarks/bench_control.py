@@ -25,8 +25,8 @@ from repro.runtime import (
     StreamConfig,
     UplinkCoordinator,
     cloud_only_scheme,
+    engine,
     serve_fleet,
-    simulate_fleet,
 )
 
 CONFIG = StreamConfig(fps=5.0, duration_s=20.0, poisson=False, max_edge_queue=30)
@@ -59,13 +59,10 @@ def test_micro_fleet_8_cameras_estimated(benchmark, deployment, helmet_slice):
     admission = EstimatedDeadlineAware(freshness_s=2.0)
 
     def run():
-        return simulate_fleet(
-            cloud_only_scheme(),
+        return serve_fleet(
             deployment,
             helmet_slice,
-            CONFIG,
-            cameras=8,
-            admission=admission,
+            FleetSpec(scheme=cloud_only_scheme(), config=CONFIG, cameras=8, admission=admission),
             seed=1,
         )
 
@@ -99,20 +96,19 @@ def test_micro_fleet_8_cameras_coordinated(benchmark, deployment, helmet_slice):
     assert report.frames_served + report.frames_dropped == report.frames_offered
 
 
-def test_fleet_no_controller_path_unchanged(deployment, helmet_slice):
-    """The control plane costs nothing when unused: a spec with no
-    controller and a stateless admission default produces the identical
-    FleetReport as the legacy keyword path (``observers == ()`` — the hot
-    path never constructs a FrameEvent).  The timing side of the same claim
-    is held by ``test_micro_fleet_8_cameras`` against the checked-in
-    baseline."""
-    via_spec = serve_fleet(
+def test_fleet_no_controller_path_unchanged(deployment, helmet_slice, monkeypatch):
+    """The control plane costs nothing when unused: with no controller and
+    a stateless admission default no camera has an observer
+    (``observers == ()``), so the hot path never constructs a
+    :class:`FrameEvent`.  The timing side of the same claim is held by
+    ``test_micro_fleet_8_cameras`` against the checked-in baseline."""
+    built = []
+    monkeypatch.setattr(engine, "FrameEvent", lambda *args: built.append(args))
+    report = serve_fleet(
         deployment,
         helmet_slice,
         FleetSpec(scheme=cloud_only_scheme(), config=CONFIG, cameras=8),
         seed=1,
     )
-    via_kwargs = simulate_fleet(
-        cloud_only_scheme(), deployment, helmet_slice, CONFIG, cameras=8, seed=1
-    )
-    assert via_spec == via_kwargs
+    assert report.frames_served > 0
+    assert built == []

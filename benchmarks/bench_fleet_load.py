@@ -26,9 +26,10 @@ from repro.runtime import (
     RTX3060_SERVER,
     WLAN,
     Deployment,
+    FleetSpec,
     StreamConfig,
     cloud_only_scheme,
-    simulate_fleet,
+    serve_fleet,
 )
 
 
@@ -91,13 +92,10 @@ def test_load_fleet_100_cameras_percentiles(benchmark, deployment, helmet_slice,
     config = StreamConfig(fps=1.0, duration_s=60.0, poisson=False, max_edge_queue=30)
 
     def run():
-        report = simulate_fleet(
-            cloud_only_scheme(),
+        report = serve_fleet(
             deployment,
             helmet_slice,
-            config,
-            cameras=100,
-            detections=empty_batch,
+            FleetSpec(scheme=cloud_only_scheme(), config=config, cameras=100, detections=empty_batch),
             seed=1,
         )
         return report, report.latency_percentiles()
@@ -114,13 +112,10 @@ def test_load_fleet_1000_cameras_percentiles(benchmark, deployment, helmet_slice
     config = StreamConfig(fps=0.5, duration_s=60.0, poisson=False, max_edge_queue=30)
 
     def run():
-        report = simulate_fleet(
-            cloud_only_scheme(),
+        report = serve_fleet(
             deployment,
             helmet_slice,
-            config,
-            cameras=1000,
-            detections=empty_batch,
+            FleetSpec(scheme=cloud_only_scheme(), config=config, cameras=1000, detections=empty_batch),
             seed=1,
         )
         return report, report.latency_percentiles()
@@ -136,13 +131,10 @@ def test_load_rolling_quality_8_camera_fleet(benchmark, deployment, helmet_slice
     """Vectorized rolling evaluation of a Table XVIII-shaped fleet run
     (simulation outside the timed region: this tracks the evaluator)."""
     config = StreamConfig(fps=1.5, poisson=True, duration_s=40.0)
-    report = simulate_fleet(
-        cloud_only_scheme(),
+    report = serve_fleet(
         deployment,
         helmet_slice,
-        config,
-        cameras=8,
-        detections=synthetic_batch,
+        FleetSpec(scheme=cloud_only_scheme(), config=config, cameras=8, detections=synthetic_batch),
         seed=5,
     )
 

@@ -24,6 +24,7 @@ from repro.runtime import (
     EstimatedDeadlineAware,
     EventLoop,
     FifoResource,
+    FleetSpec,
     OutageSchedule,
     RateSchedule,
     StreamConfig,
@@ -33,8 +34,8 @@ from repro.runtime import (
     cloud_only_scheme,
     collaborative_scheme,
     edge_only_scheme,
+    serve_fleet,
     serve_stream,
-    simulate_fleet,
 )
 
 
@@ -115,12 +116,10 @@ def test_micro_fleet_8_cameras(benchmark, deployment, helmet_slice):
     config = StreamConfig(fps=5.0, duration_s=20.0, poisson=False, max_edge_queue=30)
 
     def run():
-        return simulate_fleet(
-            cloud_only_scheme(),
+        return serve_fleet(
             deployment,
             helmet_slice,
-            config,
-            cameras=8,
+            FleetSpec(scheme=cloud_only_scheme(), config=config, cameras=8),
             seed=1,
         )
 
@@ -139,13 +138,10 @@ def test_micro_fleet_8_cameras_deadline_aware(benchmark, deployment, helmet_slic
     config = StreamConfig(fps=5.0, duration_s=20.0, poisson=False, max_edge_queue=30)
 
     def run():
-        return simulate_fleet(
-            cloud_only_scheme(),
+        return serve_fleet(
             deployment,
             helmet_slice,
-            config,
-            cameras=8,
-            admission=DeadlineAware(freshness_s=2.0),
+            FleetSpec(scheme=cloud_only_scheme(), config=config, cameras=8, admission=DeadlineAware(freshness_s=2.0)),
             seed=1,
         )
 
@@ -179,12 +175,10 @@ def test_micro_fleet_8_cameras_outage_drop(benchmark, outage_deployment, helmet_
     config = StreamConfig(fps=5.0, duration_s=20.0, poisson=False, max_edge_queue=30)
 
     def run():
-        return simulate_fleet(
-            cloud_only_scheme(),
+        return serve_fleet(
             outage_deployment,
             helmet_slice,
-            config,
-            cameras=8,
+            FleetSpec(scheme=cloud_only_scheme(), config=config, cameras=8),
             seed=1,
         )
 
@@ -205,13 +199,15 @@ def test_micro_fleet_8_cameras_outage_durable(benchmark, outage_deployment, helm
     config = StreamConfig(fps=5.0, duration_s=20.0, poisson=False, max_edge_queue=30)
 
     def run():
-        return simulate_fleet(
-            cloud_only_scheme(),
+        return serve_fleet(
             outage_deployment,
             helmet_slice,
-            config,
-            cameras=8,
-            escalation=EscalationPolicy.durable_queue(capacity=64, max_retries=6, max_backoff_s=8.0),
+            FleetSpec(
+                scheme=cloud_only_scheme(),
+                config=config,
+                cameras=8,
+                escalation=EscalationPolicy.durable_queue(capacity=64, max_retries=6, max_backoff_s=8.0),
+            ),
             seed=1,
         )
 
@@ -240,13 +236,15 @@ def test_micro_fleet_8_cameras_lte_trace(benchmark, deployment, helmet_slice):
     )
 
     def run():
-        return simulate_fleet(
-            cloud_only_scheme(),
+        return serve_fleet(
             scheduled,
             helmet_slice,
-            config,
-            cameras=8,
-            admission=EstimatedDeadlineAware(freshness_s=2.0),
+            FleetSpec(
+                scheme=cloud_only_scheme(),
+                config=config,
+                cameras=8,
+                admission=EstimatedDeadlineAware(freshness_s=2.0),
+            ),
             seed=1,
         )
 
@@ -273,18 +271,19 @@ def test_micro_fleet_8_cameras_constant_schedule(benchmark, deployment, helmet_s
     )
 
     def run():
-        return simulate_fleet(
-            cloud_only_scheme(),
+        return serve_fleet(
             scheduled,
             helmet_slice,
-            config,
-            cameras=8,
+            FleetSpec(scheme=cloud_only_scheme(), config=config, cameras=8),
             seed=1,
         )
 
     report = benchmark(run)
-    plain = simulate_fleet(
-        cloud_only_scheme(), deployment, helmet_slice, config, cameras=8, seed=1
+    plain = serve_fleet(
+        deployment,
+        helmet_slice,
+        FleetSpec(scheme=cloud_only_scheme(), config=config, cameras=8),
+        seed=1,
     )
     assert report == plain
 
@@ -300,13 +299,10 @@ def test_micro_fleet_heterogeneous(benchmark, deployment, helmet_slice, half_mas
     ]
 
     def run():
-        return simulate_fleet(
-            collaborative_scheme(),
+        return serve_fleet(
             deployment,
             helmet_slice,
-            base,
-            cameras=specs,
-            mask=half_mask,
+            FleetSpec(scheme=collaborative_scheme(), config=base, cameras=specs, mask=half_mask),
             seed=1,
         )
 

@@ -33,11 +33,12 @@ from repro.runtime import (
     Deployment,
     DropNewest,
     DropOldest,
+    FleetSpec,
     StreamConfig,
     cloud_only_scheme,
     collaborative_scheme,
     edge_only_scheme,
-    simulate_fleet,
+    serve_fleet,
 )
 from repro.zoo import build_model
 
@@ -80,14 +81,10 @@ def main() -> None:
     print(f"{'admission':<16}{'drops':>8}{'shed':>8}{'p50 (s)':>9}{'fresh':>8}{'rolling mAP':>13}")
     admissions = [DropNewest(), DropOldest(), DeadlineAware(freshness_s=FRESHNESS_S)]
     for admission in admissions:
-        report = simulate_fleet(
-            cloud_only_scheme(),
+        report = serve_fleet(
             deployment,
             test,
-            CONFIG,
-            cameras=CAMERAS,
-            detections=big,
-            admission=admission,
+            FleetSpec(scheme=cloud_only_scheme(), config=CONFIG, cameras=CAMERAS, detections=big, admission=admission),
         )
         windows = rolling_quality(
             report,
@@ -134,14 +131,16 @@ def main() -> None:
             detections=night_served,
         ),
     ]
-    fleet = simulate_fleet(
-        collaborative_scheme(policy, name="discriminator"),
+    fleet = serve_fleet(
         deployment,
         test,
-        CONFIG,
-        cameras=specs,
-        mask=mask,
-        detections=served,
+        FleetSpec(
+            scheme=collaborative_scheme(policy, name="discriminator"),
+            config=CONFIG,
+            cameras=specs,
+            mask=mask,
+            detections=served,
+        ),
     )
     labels = ["default", "fast-4fps", "edge-only", "cloud-deadline", "night"]
     print(f"\nheterogeneous {len(specs)}-camera fleet (shared uplink + cloud GPU):\n")

@@ -33,12 +33,13 @@ from repro.runtime import (
     WLAN,
     Deployment,
     EscalationPolicy,
+    FleetSpec,
     OutageSchedule,
     StreamConfig,
     UnreliableLink,
     cloud_only_scheme,
     collaborative_scheme,
-    simulate_fleet,
+    serve_fleet,
 )
 from repro.zoo import build_model
 
@@ -96,16 +97,18 @@ def main() -> None:
     print(f"\n{header}")
     for scheme_label, scheme, scheme_mask, scheme_served in schemes:
         for escalation_label, escalation in escalations:
-            fleet = simulate_fleet(
-                scheme,
+            fleet = serve_fleet(
                 deployment,
                 test,
-                CONFIG,
-                cameras=CAMERAS,
-                mask=scheme_mask,
-                small_detections=small,
-                detections=scheme_served,
-                escalation=escalation,
+                FleetSpec(
+                    scheme=scheme,
+                    config=CONFIG,
+                    cameras=CAMERAS,
+                    mask=scheme_mask,
+                    small_detections=small,
+                    detections=scheme_served,
+                    escalation=escalation,
+                ),
             )
             windows = rolling_quality(fleet, test, window_s=WINDOW_S, duration_s=CONFIG.duration_s)
             scored = [w for w in windows if w.frames]

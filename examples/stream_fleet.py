@@ -31,11 +31,12 @@ from repro.runtime import (
     RTX3060_SERVER,
     WLAN,
     Deployment,
+    FleetSpec,
     StreamConfig,
     cloud_only_scheme,
     collaborative_scheme,
     edge_only_scheme,
-    simulate_fleet,
+    serve_fleet,
 )
 from repro.zoo import build_model
 
@@ -87,14 +88,10 @@ def main() -> None:
     print(f"{'policy':<14}{'upload':>8}{'drops':>8}{'p50 (ms)':>10}{'rolling mAP':>13}{'missed obj':>12}")
     results: dict[str, list] = {}
     for label, scheme, mask, served in entries:
-        report = simulate_fleet(
-            scheme,
+        report = serve_fleet(
             deployment,
             test,
-            CONFIG,
-            cameras=CAMERAS,
-            mask=mask,
-            detections=served,
+            FleetSpec(scheme=scheme, config=CONFIG, cameras=CAMERAS, mask=mask, detections=served),
         )
         windows = rolling_quality(
             report,

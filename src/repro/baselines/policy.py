@@ -1,26 +1,27 @@
-"""Upload-policy interface and the trivial policies.
+"""Upload-policy interface shared by the Sec. VI.E baselines.
 
 An :class:`UploadPolicy` replaces the difficult-case discriminator inside
 the small-big system: given a split and the small model's preliminary
 detections, it decides which images go to the cloud.  The paper's Sec. VI.E
 baselines (random / blurred / top-1 confidence) are ratio-quota policies —
-they upload exactly a fixed fraction, which makes the mAP comparison at
-equal bandwidth fair.
+they upload exactly a fixed fraction (:func:`quota_mask`), which makes the
+mAP comparison at equal bandwidth fair.
 
 Every :class:`UploadPolicy` structurally satisfies the serving pipeline's
-:class:`~repro.runtime.serving.OffloadPolicy` protocol, so a baseline wrapped
-in :func:`~repro.runtime.serving.collaborative_scheme` serves through every
-engine: the static :func:`~repro.runtime.serving.run_cost` and the event
+:class:`~repro.runtime.policies.OffloadPolicy` protocol, so a baseline wrapped
+in :func:`~repro.runtime.schemes.collaborative_scheme` serves through every
+engine: the static :func:`~repro.runtime.schemes.run_cost` and the event
 engines :func:`~repro.runtime.serving.serve_stream` and
 :func:`~repro.runtime.serving.serve_fleet` (the scheme goes in a
 :class:`~repro.runtime.serving.StreamSpec` or
-:class:`~repro.runtime.serving.FleetSpec`).
+:class:`~repro.runtime.serving.FleetSpec`).  The edge-only and cloud-only
+decisions are :class:`~repro.runtime.policies.NeverOffload` and
+:class:`~repro.runtime.policies.AlwaysOffload`.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from repro.data.datasets import Dataset
 from repro.detection.types import Detections
 from repro.errors import ConfigurationError
 
-__all__ = ["UploadPolicy", "EdgeOnlyPolicy", "CloudOnlyPolicy", "quota_mask"]
+__all__ = ["UploadPolicy", "quota_mask"]
 
 
 class UploadPolicy(abc.ABC):
@@ -51,33 +52,6 @@ class UploadPolicy(abc.ABC):
             )
         if len(dataset) != len(small_detections):
             raise ConfigurationError(f"{len(small_detections)} detection sets for " f"{len(dataset)} images")
-
-
-@dataclass
-class EdgeOnlyPolicy(UploadPolicy):
-    """Never upload: every image is served by the small model.
-
-    ``small_detections`` is optional — the decision needs no model output
-    (the serving pipeline resolves degenerate policies without detections).
-    """
-
-    def select(self, dataset: Dataset, small_detections: list[Detections] | None = None) -> np.ndarray:
-        if small_detections is not None:
-            self._check_alignment(dataset, small_detections)
-        return np.zeros(len(dataset), dtype=bool)
-
-
-@dataclass
-class CloudOnlyPolicy(UploadPolicy):
-    """Always upload: every image is served by the big model.
-
-    ``small_detections`` is optional, as for :class:`EdgeOnlyPolicy`.
-    """
-
-    def select(self, dataset: Dataset, small_detections: list[Detections] | None = None) -> np.ndarray:
-        if small_detections is not None:
-            self._check_alignment(dataset, small_detections)
-        return np.ones(len(dataset), dtype=bool)
 
 
 def quota_mask(priorities: np.ndarray, ratio: float) -> np.ndarray:

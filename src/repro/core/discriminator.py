@@ -184,7 +184,7 @@ class DiscriminatorPolicy:
     """The fitted discriminator as a serving-pipeline offload policy.
 
     Adapts :class:`DifficultCaseDiscriminator` to the
-    :class:`~repro.runtime.serving.OffloadPolicy` protocol, so the paper's
+    :class:`~repro.runtime.policies.OffloadPolicy` protocol, so the paper's
     contribution plugs into the same pipeline slot as the Sec. VI.E upload
     baselines and the degenerate always/never decisions.
     """

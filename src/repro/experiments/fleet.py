@@ -12,9 +12,9 @@ and object-count loss, not just as latency percentiles.
 
 Table XIX and Figure 11 extend the same fleet along the *admission* axis:
 each serving scheme runs under every camera-buffer admission policy
-(:class:`~repro.runtime.serving.DropNewest` /
-:class:`~repro.runtime.serving.DropOldest` /
-:class:`~repro.runtime.serving.DeadlineAware`), and the rolling evaluation
+(:class:`~repro.runtime.policies.DropNewest` /
+:class:`~repro.runtime.policies.DropOldest` /
+:class:`~repro.runtime.policies.DeadlineAware`), and the rolling evaluation
 at the freshness deadline shows what shedding policy the buffer should run:
 under saturation, *which* frames a camera keeps decides whether served
 results are fresh enough to count at all.
@@ -22,7 +22,7 @@ results are fresh enough to count at all.
 Table XX and Figure 12 extend it along the *availability* axis: the shared
 uplink becomes an :class:`~repro.runtime.network.UnreliableLink` (scheduled
 outages plus per-transfer loss), and each serving scheme runs under every
-escalation policy (:class:`~repro.runtime.serving.EscalationPolicy` —
+escalation policy (:class:`~repro.runtime.policies.EscalationPolicy` —
 no-retry / drop-on-failure / a durable spool with exponential backoff).
 Rolling quality without a freshness deadline then measures *eventual*
 quality: what a durable escalation queue recovers after the outage that the
@@ -77,21 +77,19 @@ from repro.metrics.rolling import RollingWindow, rolling_quality
 from repro.runtime.control import AdaptiveQuota, EstimatedDeadlineAware, UplinkCoordinator
 from repro.runtime.devices import JETSON_NANO, RTX3060_SERVER
 from repro.runtime.network import WLAN, OutageSchedule, RateSchedule, UnreliableLink
-from repro.runtime.serving import (
-    AdmissionPolicy,
-    CameraSpec,
-    DeadlineAware,
+from repro.runtime.policies import AdmissionPolicy, DeadlineAware, DropNewest, DropOldest, EscalationPolicy
+from repro.runtime.schemes import (
     Deployment,
-    DropNewest,
-    DropOldest,
-    EscalationPolicy,
-    FleetReport,
-    FleetSpec,
     ServingScheme,
     StreamConfig,
     cloud_only_scheme,
     collaborative_scheme,
     edge_only_scheme,
+)
+from repro.runtime.serving import (
+    CameraSpec,
+    FleetReport,
+    FleetSpec,
     serve_fleet,
     simulate_fleet,  # noqa: F401 - perfbench/ rebinds this module global by name
 )
@@ -330,7 +328,7 @@ def _policy_cells(grid: _Grid) -> Iterator[_Cell]:
     """Every offload policy on the same fleet, scored at the deadline.
 
     The four upload policies run through the shared
-    :class:`~repro.runtime.serving.OffloadPolicy` protocol inside a
+    :class:`~repro.runtime.policies.OffloadPolicy` protocol inside a
     collaborative-shaped scheme (the baselines at the discriminator's
     measured upload quota, the fair-bandwidth protocol of Tables XII-XVII);
     edge-only and cloud-only are their degenerate schemes.  The mask each

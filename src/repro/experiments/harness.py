@@ -54,7 +54,7 @@ from repro.metrics.voc_ap import mean_average_precision
 # perfbench/workloads.py can rebind both runner entry points on this module.
 from repro.runtime.parallel import detect_records, run_spans  # noqa: F401
 from repro.runtime.pool import WorkerPool, resolve_workers
-from repro.runtime.serving import StreamConfig
+from repro.runtime.schemes import StreamConfig
 from repro.simulate.detector import SimulatedDetector
 from repro.simulate.presets import make_detector
 

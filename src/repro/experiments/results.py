@@ -45,7 +45,3 @@ class FigureResult:
     x_values: list[float] = field(repr=False)
     series: dict[str, list[float]] = field(repr=False)
     notes: str = ""
-
-    def series_named(self, name: str) -> list[float]:
-        """One named series."""
-        return self.series[name]

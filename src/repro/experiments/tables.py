@@ -16,7 +16,7 @@ from repro.baselines.policy import UploadPolicy
 from repro.baselines.random_upload import RandomUploadPolicy
 from repro.experiments.harness import Harness
 from repro.experiments.results import TableResult
-from repro.runtime.serving import cloud_only_scheme, collaborative_scheme, edge_only_scheme, run_cost
+from repro.runtime.schemes import cloud_only_scheme, collaborative_scheme, edge_only_scheme, run_cost
 from repro.zoo.registry import model_zoo_table
 
 __all__ = [

@@ -13,7 +13,7 @@ as side-channel counters.
 
 Inputs are the served batch and the columnar
 :class:`~repro.runtime.trace.FrameTrace` a
-:class:`~repro.runtime.serving.StreamReport` carries when the simulation was
+:class:`~repro.runtime.schemes.StreamReport` carries when the simulation was
 given served detections (``report.served`` and ``report.trace``); fleet runs
 evaluate the union of all camera traces.
 
@@ -180,7 +180,7 @@ def rolling_quality(
     Parameters
     ----------
     reports:
-        A :class:`~repro.runtime.serving.StreamReport`, a
+        A :class:`~repro.runtime.schemes.StreamReport`, a
         :class:`~repro.runtime.serving.FleetReport`, or a sequence of
         either; every report must carry the per-frame log (run the
         simulation with ``detections=``).  Fleet windows pool all cameras.

@@ -1,8 +1,8 @@
 """Closed-loop fleet control: estimated-time admission, uplink coordination,
 adaptive offload quotas.
 
-Every policy in :mod:`repro.runtime.serving` up to here is static and
-omniscient: :class:`~repro.runtime.serving.DeadlineAware` reads the
+Every policy in :mod:`repro.runtime.policies` is static and
+omniscient: :class:`~repro.runtime.policies.DeadlineAware` reads the
 simulator's exact queued service times, each camera sheds alone, and the
 discriminator threshold is fit once offline.  This module closes the loop
 with policies that *learn from what a deployed camera can actually see* —
@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.detection.batch import DetectionBatch
     from repro.detection.types import Detections
     from repro.runtime.events import EventLoop
-    from repro.runtime.serving import StreamConfig
+    from repro.runtime.schemes import StreamConfig
 
 __all__ = [
     "AdaptiveQuota",
@@ -134,10 +134,6 @@ class CameraView(Protocol):
         """Arrival times of the still-waiting (sheddable) frames, oldest first."""
         ...
 
-    def uplink_depth(self) -> int:  # pragma: no cover - protocol signature
-        """Jobs waiting in the (possibly shared) uplink queue."""
-        ...
-
     def shed_oldest(self) -> bool:  # pragma: no cover - protocol signature
         ...
 
@@ -165,7 +161,7 @@ class CameraView(Protocol):
 class OffloadController(Protocol):
     """Per-frame *online* offload decision, replacing a static mask.
 
-    Where :class:`~repro.runtime.serving.OffloadPolicy` decides a whole
+    Where :class:`~repro.runtime.policies.OffloadPolicy` decides a whole
     split offline, an offload controller is consulted frame by frame as
     each edge stage finishes — the point where the discriminator's features
     exist — and may carry state between decisions (quota tracking, drift
@@ -280,13 +276,13 @@ class _CameraEstimate:
 class EstimatedDeadlineAware:
     """Deadline admission from *observed* times — no simulator internals.
 
-    The omniscient :class:`~repro.runtime.serving.DeadlineAware` reads the
+    The omniscient :class:`~repro.runtime.policies.DeadlineAware` reads the
     exact service times queued ahead of each frame.  This policy instead
     maintains per-camera EWMA estimates (:class:`_CameraEstimate`) fed by
     the ``observe`` hook, and shed a queued frame once its *estimated*
     completion blows the freshness deadline.  Until a camera has produced
     ``min_observations`` completion events it behaves exactly like
-    :class:`~repro.runtime.serving.DropNewest` — cold start is part of the
+    :class:`~repro.runtime.policies.DropNewest` — cold start is part of the
     measured cost of honesty.
 
     One instance may serve a whole fleet: state is keyed per camera, and

@@ -26,7 +26,7 @@ A series may carry a ``skip`` gate, consulted as each element comes due:
 it may drop that element and a run after it unfired and resume the series
 at a later element under that element's reserved key.  The serving engine
 refuses a full camera buffer's arrivals this way, in bulk (see
-:mod:`repro.runtime.serving`).
+:mod:`repro.runtime.engine`).
 
 :meth:`EventLoop.run` pauses the cyclic garbage collector while it drains,
 re-enabling it on exit only if it was on.  The engine builds no per-frame

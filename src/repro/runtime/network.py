@@ -465,7 +465,7 @@ class UnreliableLink(NetworkLink):
     """A :class:`NetworkLink` with scheduled outages and per-transfer loss.
 
     Timing (bandwidth, RTT, jitter) is the wrapped link's; availability is
-    new.  The *static* engine (:func:`repro.runtime.serving.run_cost`) has no
+    new.  The *static* engine (:func:`repro.runtime.schemes.run_cost`) has no
     time axis, so there the wrapper times transfers exactly like its base
     link; only the event-driven engines consult :meth:`transfer_outcome`
     (via the uplink resource's fault hook) and fail transfers.

@@ -4,7 +4,7 @@ Each builder symbolically executes a backbone on a :class:`~repro.zoo.layers.Tap
 and returns the tape plus the *taps*: named feature maps that detection heads
 attach to.  Widths follow the original publications; where the paper leaves a
 width unspecified (the small models' trunks), the chosen multiplier is the one
-that lands closest to the paper's Table II size budget — see DESIGN.md.
+that lands closest to the paper's Table II size budget.
 """
 
 from __future__ import annotations

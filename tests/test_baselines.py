@@ -7,9 +7,7 @@ import pytest
 
 from repro.baselines import (
     BlurUploadPolicy,
-    CloudOnlyPolicy,
     ConfidenceUploadPolicy,
-    EdgeOnlyPolicy,
     RandomUploadPolicy,
     mean_top1_confidence,
     quota_mask,
@@ -51,20 +49,6 @@ class TestQuotaMask:
     def test_bad_ratio_rejected(self):
         with pytest.raises(ConfigurationError):
             quota_mask(np.ones(3), 1.5)
-
-
-class TestTrivialPolicies:
-    def test_edge_only(self, voc_mini, small_dets):
-        mask = EdgeOnlyPolicy().select(voc_mini, small_dets)
-        assert mask.sum() == 0
-
-    def test_cloud_only(self, voc_mini, small_dets):
-        mask = CloudOnlyPolicy().select(voc_mini, small_dets)
-        assert mask.sum() == len(voc_mini)
-
-    def test_misaligned_rejected(self, voc_mini, small_dets):
-        with pytest.raises(ConfigurationError):
-            EdgeOnlyPolicy().select(voc_mini, small_dets[:-1])
 
 
 class TestRandomPolicy:

@@ -1,7 +1,7 @@
 """Bulk refusal at a full camera buffer is exact, and runs leave no cycles.
 
 A camera whose admission policy declares ``occupancy_only`` refuses a full
-buffer's arrivals in one step (see :mod:`repro.runtime.serving`).  The
+buffer's arrivals in one step (see :mod:`repro.runtime.engine`).  The
 oracle here is a test-local ``DropNewest`` twin that does not declare the
 attribute, so every arrival takes the per-event path; over generated
 streams and fleets the two must agree on every report field — every trace
@@ -47,7 +47,8 @@ from repro.runtime import (
     serve_fleet,
     serve_stream,
 )
-from repro.runtime.serving import _bulk_refusers, _CameraStream
+from repro.runtime.engine import _CameraStream
+from repro.runtime.serving import _bulk_refusers
 from repro.simulate import make_detector
 
 

@@ -26,7 +26,6 @@ from repro.runtime import (
     WLAN,
     AdaptiveQuota,
     CameraSpec,
-    DeadlineAware,
     Deployment,
     DropNewest,
     EstimatedDeadlineAware,
@@ -36,7 +35,6 @@ from repro.runtime import (
     cloud_only_scheme,
     collaborative_scheme,
     serve_fleet,
-    simulate_fleet,
 )
 from repro.simulate import make_detector
 

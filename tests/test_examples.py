@@ -1,7 +1,8 @@
 """Static checks of the example scripts (and the bench files' imports).
 
-The examples run full calibrations (minutes each), so executing them is the
-job of humans/CI-nightly; here we verify each one compiles, is documented,
+Running the examples end to end (2-8 s each) and diffing their stdout
+against ``examples/expected/<name>.txt`` is the CI ``examples`` job; here we
+verify each one compiles, is documented, has an expected output on file,
 and exposes the ``main()``/``__main__`` entry-point contract the README
 promises.  Most ``benchmarks/*.py`` files run in no CI job either, so their
 ``repro`` imports are checked here too: a deleted name fails tier-1 instead
@@ -36,6 +37,12 @@ def test_expected_examples_present():
         "outage_recovery.py",
         "trace_driven_network.py",
     } <= names
+
+
+@pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.name)
+def test_example_has_expected_output(path):
+    expected = EXAMPLES_DIR / "expected" / f"{path.stem}.txt"
+    assert expected.is_file() and expected.read_text(), f"{expected} missing or empty"
 
 
 @pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.name)

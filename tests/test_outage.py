@@ -4,7 +4,7 @@ Covers the failure-injection layer end to end: the
 :class:`~repro.runtime.network.OutageSchedule` arithmetic, the
 :class:`~repro.runtime.network.UnreliableLink` fault model, the faulty
 :class:`~repro.runtime.events.FifoResource`, the per-camera durable
-:class:`~repro.runtime.serving.EscalationQueue`, and the rolling-quality
+:class:`~repro.runtime.engine.EscalationQueue`, and the rolling-quality
 reconciliation of deferred cloud verdicts — including the acceptance pin
 that a durable queue beats drop-on-failure on rolling mAP under a
 saturated-fleet outage schedule.
@@ -29,6 +29,7 @@ from repro.runtime import (
     EscalationQueue,
     EventLoop,
     FifoResource,
+    FleetSpec,
     FrameTrace,
     OutageSchedule,
     StreamConfig,
@@ -37,8 +38,8 @@ from repro.runtime import (
     UnreliableLink,
     cloud_only_scheme,
     collaborative_scheme,
+    serve_fleet,
     serve_stream,
-    simulate_fleet,
 )
 from repro.simulate import make_detector
 
@@ -551,9 +552,17 @@ class TestCloudOutages:
         config = StreamConfig(fps=1.5, duration_s=30.0, poisson=True, max_edge_queue=30)
 
         def run(policy):
-            return simulate_fleet(
-                cloud_only_scheme(), self._cloudy(), helmet_mini, config,
-                cameras=8, detections=big_batch, escalation=policy, seed=20230701,
+            return serve_fleet(
+                self._cloudy(),
+                helmet_mini,
+                FleetSpec(
+                    scheme=cloud_only_scheme(),
+                    config=config,
+                    cameras=8,
+                    detections=big_batch,
+                    escalation=policy,
+                ),
+                seed=20230701,
             )
 
         drop = run(EscalationPolicy.drop_on_failure())
@@ -634,14 +643,16 @@ class TestFleetAvailabilityPin:
         config = StreamConfig(fps=1.5, duration_s=duration, poisson=True, max_edge_queue=30)
 
         def run(policy):
-            return simulate_fleet(
-                cloud_only_scheme(),
+            return serve_fleet(
                 deployment,
                 helmet_mini,
-                config,
-                cameras=8,
-                detections=big_batch,
-                escalation=policy,
+                FleetSpec(
+                    scheme=cloud_only_scheme(),
+                    config=config,
+                    cameras=8,
+                    detections=big_batch,
+                    escalation=policy,
+                ),
                 seed=20230701,
             )
 

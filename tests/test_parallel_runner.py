@@ -414,7 +414,7 @@ def test_stream_collects_served_batch(split_small, serial_batch):
     from repro.runtime import StreamConfig, StreamSpec, edge_only_scheme, serve_stream
     from repro.runtime.devices import JETSON_NANO, RTX3060_SERVER
     from repro.runtime.network import WLAN
-    from repro.runtime.serving import Deployment
+    from repro.runtime.schemes import Deployment
 
     deployment = Deployment(edge=JETSON_NANO, cloud=RTX3060_SERVER, link=WLAN)
     spec = StreamSpec(edge_only_scheme(), StreamConfig(fps=30.0, duration_s=4.0, poisson=False))

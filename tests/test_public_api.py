@@ -2,18 +2,42 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
+import repro.runtime
+
+SUBPACKAGES = [
+    "repro.baselines",
+    "repro.core",
+    "repro.data",
+    "repro.detection",
+    "repro.experiments",
+    "repro.metrics",
+    "repro.runtime",
+    "repro.simulate",
+    "repro.zoo",
+]
+RUNTIME_MODULES = sorted(info.name for info in pkgutil.iter_modules(repro.runtime.__path__, "repro.runtime."))
 
 
 class TestPublicSurface:
     def test_version(self):
         assert repro.__version__
 
-    def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+    @pytest.mark.parametrize("package", ["repro", *SUBPACKAGES])
+    def test_all_names_resolve(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert hasattr(module, name), f"{package}.{name}"
 
     def test_quickstart_system(self):
         system, report = repro.quickstart_system("voc07", train_images=300)
@@ -43,3 +67,48 @@ class TestPublicSurface:
         assert repro.core and repro.zoo and repro.data
         assert repro.detection and repro.metrics and repro.simulate
         assert repro.runtime and repro.baselines and repro.experiments
+
+
+@pytest.mark.parametrize("module", RUNTIME_MODULES)
+def test_runtime_module_imports_first(module):
+    """Each runtime module imports on its own in a fresh interpreter.
+
+    A module imported first pulls in its dependencies before anything else
+    has, so an import cycle between the runtime modules fails here.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def _runtime_imports(module: str) -> set[str]:
+    """The runtime modules ``module`` imports when it is executed.
+
+    Imports under ``if TYPE_CHECKING:`` are annotations only and never run.
+    """
+    tree = ast.parse(Path(importlib.import_module(module).__file__).read_text())
+    found: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.runtime":
+            found.update(f"repro.runtime.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module in RUNTIME_MODULES:
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names if alias.name in RUNTIME_MODULES)
+    return found & set(RUNTIME_MODULES)
+
+
+def test_runtime_modules_import_acyclically():
+    """The runtime modules' import graph is a DAG (no module waits on itself)."""
+    graph = {module: _runtime_imports(module) for module in RUNTIME_MODULES}
+    done: set[str] = set()
+    while len(done) < len(graph):
+        ready = [module for module, deps in graph.items() if module not in done and deps <= done]
+        assert ready, f"import cycle among {sorted(set(graph) - done)}"
+        done.update(ready)

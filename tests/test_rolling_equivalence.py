@@ -39,14 +39,15 @@ from repro.runtime import (
     DeadlineAware,
     Deployment,
     EscalationPolicy,
+    FleetSpec,
     OutageSchedule,
     StreamConfig,
     StreamSpec,
     UnreliableLink,
     cloud_only_scheme,
     collaborative_scheme,
+    serve_fleet,
     serve_stream,
-    simulate_fleet,
 )
 from repro.simulate import make_detector
 
@@ -100,21 +101,26 @@ class TestBitForBitEquality:
         self._compare(report, helmet_mini, window_s=8.0, duration_s=40.0)  # no freshness deadline
 
     def test_eight_camera_fleet(self, deployment, helmet_mini, big_batch):
-        report = simulate_fleet(
-            cloud_only_scheme(), deployment, helmet_mini, self.CONFIG, cameras=8, detections=big_batch, seed=5
+        report = serve_fleet(
+            deployment,
+            helmet_mini,
+            FleetSpec(scheme=cloud_only_scheme(), config=self.CONFIG, cameras=8, detections=big_batch),
+            seed=5,
         )
         self._compare(report, helmet_mini, window_s=8.0, duration_s=40.0, freshness_s=2.0)
 
     def test_overlapping_windows(self, deployment, helmet_mini, big_batch):
         # step_s < window_s: every frame lands in several windows, and the
         # 20 s / 3 s grid is float-exact for both implementations
-        report = simulate_fleet(
-            cloud_only_scheme(),
+        report = serve_fleet(
             deployment,
             helmet_mini,
-            StreamConfig(fps=2.0, poisson=True, duration_s=20.0),
-            cameras=4,
-            detections=big_batch,
+            FleetSpec(
+                scheme=cloud_only_scheme(),
+                config=StreamConfig(fps=2.0, poisson=True, duration_s=20.0),
+                cameras=4,
+                detections=big_batch,
+            ),
             seed=7,
         )
         self._compare(report, helmet_mini, window_s=8.0, step_s=3.0, duration_s=20.0, freshness_s=2.0)
@@ -127,8 +133,11 @@ class TestBitForBitEquality:
             CameraSpec(config=StreamConfig(fps=fps, poisson=True, duration_s=24.0))
             for fps in (0.5, 3.0, 1.0, 2.0)
         ]
-        report = simulate_fleet(
-            cloud_only_scheme(), deployment, helmet_mini, self.CONFIG, cameras=cameras, detections=big_batch, seed=11
+        report = serve_fleet(
+            deployment,
+            helmet_mini,
+            FleetSpec(scheme=cloud_only_scheme(), config=self.CONFIG, cameras=cameras, detections=big_batch),
+            seed=11,
         )
         arrivals = np.concatenate([camera.trace.arrivals for camera in report.cameras])
         assert (np.diff(arrivals) < 0).any()  # genuinely out of order
@@ -137,14 +146,16 @@ class TestBitForBitEquality:
     def test_admission_shedding_fleet(self, deployment, helmet_mini, big_batch):
         # saturate the shared uplink so DeadlineAware sheds frames: shed
         # frames score as drops and both implementations must agree
-        report = simulate_fleet(
-            cloud_only_scheme(),
+        report = serve_fleet(
             deployment,
             helmet_mini,
-            StreamConfig(fps=4.0, poisson=True, duration_s=20.0),
-            cameras=8,
-            detections=big_batch,
-            admission=DeadlineAware(freshness_s=1.5),
+            FleetSpec(
+                scheme=cloud_only_scheme(),
+                config=StreamConfig(fps=4.0, poisson=True, duration_s=20.0),
+                cameras=8,
+                detections=big_batch,
+                admission=DeadlineAware(freshness_s=1.5),
+            ),
             seed=5,
         )
         assert sum(camera.frames_shed for camera in report.cameras) > 0
@@ -169,16 +180,18 @@ class TestBitForBitEquality:
         )
         mask = np.zeros(len(helmet_mini), dtype=bool)
         mask[::2] = True
-        report = simulate_fleet(
-            collaborative_scheme(),
+        report = serve_fleet(
             faulty,
             helmet_mini,
-            self.CONFIG,
-            cameras=4,
-            mask=mask,
-            small_detections=small_batch,
-            detections=big_batch,
-            escalation=EscalationPolicy.durable_queue(capacity=64, max_retries=6, max_backoff_s=8.0),
+            FleetSpec(
+                scheme=collaborative_scheme(),
+                config=self.CONFIG,
+                cameras=4,
+                mask=mask,
+                small_detections=small_batch,
+                detections=big_batch,
+                escalation=EscalationPolicy.durable_queue(capacity=64, max_retries=6, max_backoff_s=8.0),
+            ),
             seed=5,
         )
         assert any((camera.trace.verdict_segments >= 0).any() for camera in report.cameras)

@@ -10,7 +10,7 @@ from repro.errors import ConfigurationError, RuntimeModelError
 from repro.runtime.codec import JpegCodec, detections_payload_bytes
 from repro.runtime.devices import JETSON_NANO, RTX3060_SERVER, ComputeDevice
 from repro.runtime.network import ETHERNET_1G, WLAN, NetworkLink
-from repro.runtime.serving import Deployment, cloud_only_scheme, collaborative_scheme, edge_only_scheme, run_cost
+from repro.runtime.schemes import Deployment, cloud_only_scheme, collaborative_scheme, edge_only_scheme, run_cost
 
 
 @pytest.fixture(scope="module")

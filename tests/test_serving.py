@@ -15,9 +15,7 @@ import pytest
 
 from repro.baselines import (
     BlurUploadPolicy,
-    CloudOnlyPolicy,
     ConfidenceUploadPolicy,
-    EdgeOnlyPolicy,
     RandomUploadPolicy,
 )
 from repro.core.discriminator import DifficultCaseDiscriminator, DiscriminatorPolicy
@@ -47,8 +45,8 @@ from repro.runtime import (
     edge_only_scheme,
     paper_schemes,
     run_cost,
+    serve_fleet,
     serve_stream,
-    simulate_fleet,
 )
 from repro.simulate import make_detector
 
@@ -96,8 +94,6 @@ def all_policies(discriminator, seed=7):
         BlurUploadPolicy(ratio=0.3),
         NeverOffload(),
         AlwaysOffload(),
-        EdgeOnlyPolicy(),
-        CloudOnlyPolicy(),
     ]
 
 
@@ -114,8 +110,6 @@ class TestOffloadProtocol:
     def test_degenerate_policies_need_no_detections(self, helmet_mini):
         assert not NeverOffload().select(helmet_mini).any()
         assert AlwaysOffload().select(helmet_mini).all()
-        assert not EdgeOnlyPolicy().select(helmet_mini).any()
-        assert CloudOnlyPolicy().select(helmet_mini).all()
 
     def test_paper_schemes_shapes(self):
         schemes = paper_schemes()
@@ -188,13 +182,10 @@ class TestFleetSimulator:
         mask = np.zeros(len(helmet_mini), dtype=bool)
         mask[::4] = True
         runs = [
-            simulate_fleet(
-                collaborative_scheme(),
+            serve_fleet(
                 deployment,
                 helmet_mini,
-                self.CONFIG,
-                cameras=8,
-                mask=mask,
+                FleetSpec(scheme=collaborative_scheme(), config=self.CONFIG, cameras=8, mask=mask),
                 seed=5,
             )
             for _ in range(2)
@@ -203,15 +194,30 @@ class TestFleetSimulator:
         assert len(runs[0].cameras) == 8
 
     def test_totals_sum_over_cameras(self, deployment, helmet_mini):
-        fleet = simulate_fleet(edge_only_scheme(), deployment, helmet_mini, self.CONFIG, cameras=8, seed=5)
+        fleet = serve_fleet(
+            deployment,
+            helmet_mini,
+            FleetSpec(scheme=edge_only_scheme(), config=self.CONFIG, cameras=8),
+            seed=5,
+        )
         for name in ("frames_offered", "frames_served", "frames_dropped", "frames_uploaded"):
             assert getattr(fleet, name) == sum(getattr(c, name) for c in fleet.cameras)
         assert fleet.latency.count == sum(c.latency.count for c in fleet.cameras)
 
     def test_shared_uplink_contention(self, deployment, helmet_mini):
         """Adding cameras saturates the shared uplink under cloud-only."""
-        single = simulate_fleet(cloud_only_scheme(), deployment, helmet_mini, self.CONFIG, cameras=1, seed=5)
-        fleet = simulate_fleet(cloud_only_scheme(), deployment, helmet_mini, self.CONFIG, cameras=8, seed=5)
+        single = serve_fleet(
+            deployment,
+            helmet_mini,
+            FleetSpec(scheme=cloud_only_scheme(), config=self.CONFIG, cameras=1),
+            seed=5,
+        )
+        fleet = serve_fleet(
+            deployment,
+            helmet_mini,
+            FleetSpec(scheme=cloud_only_scheme(), config=self.CONFIG, cameras=8),
+            seed=5,
+        )
         assert fleet.uplink_utilization >= single.uplink_utilization
         assert fleet.uplink_utilization > 0.95
         assert fleet.drop_rate > 0.2 or fleet.latency.p50 > 1.0
@@ -231,28 +237,32 @@ class TestFleetSimulator:
         # Long enough that cloud-only overruns even the per-camera buffers.
         config = StreamConfig(fps=1.5, duration_s=90.0)
         mask = discriminator.decide_split(small_batch)
-        collab = simulate_fleet(
-            collaborative_scheme(),
+        collab = serve_fleet(
             deployment,
             helmet_mini,
-            config,
-            cameras=8,
-            mask=mask,
+            FleetSpec(scheme=collaborative_scheme(), config=config, cameras=8, mask=mask),
             seed=5,
         )
-        cloud = simulate_fleet(cloud_only_scheme(), deployment, helmet_mini, config, cameras=8, seed=5)
+        cloud = serve_fleet(
+            deployment,
+            helmet_mini,
+            FleetSpec(scheme=cloud_only_scheme(), config=config, cameras=8),
+            seed=5,
+        )
         assert collab.drop_rate == 0.0
         assert cloud.drop_rate > 0.1
         assert collab.latency.p50 < cloud.latency.p50
 
     def test_cameras_cover_different_records(self, deployment, helmet_mini, small_batch):
-        fleet = simulate_fleet(
-            edge_only_scheme(),
+        fleet = serve_fleet(
             deployment,
             helmet_mini,
-            StreamConfig(fps=1.0, duration_s=10.0, poisson=False),
-            cameras=4,
-            detections=small_batch,
+            FleetSpec(
+                scheme=edge_only_scheme(),
+                config=StreamConfig(fps=1.0, duration_s=10.0, poisson=False),
+                cameras=4,
+                detections=small_batch,
+            ),
             seed=5,
         )
         starts = [int(camera.trace.records[0]) for camera in fleet.cameras]
@@ -260,7 +270,7 @@ class TestFleetSimulator:
 
     def test_invalid_camera_count_rejected(self, deployment, helmet_mini):
         with pytest.raises(RuntimeModelError):
-            simulate_fleet(edge_only_scheme(), deployment, helmet_mini, self.CONFIG, cameras=0)
+            serve_fleet(deployment, helmet_mini, FleetSpec(scheme=edge_only_scheme(), config=self.CONFIG, cameras=0))
 
 
 class TestRollingQuality:
@@ -271,15 +281,11 @@ class TestRollingQuality:
             return serve_stream(
                 deployment, dataset, StreamSpec(scheme, self.CONFIG, detections=batch, **kwargs), seed=9
             )
-        return simulate_fleet(
-            scheme,
+        return serve_fleet(
             deployment,
             dataset,
-            self.CONFIG,
-            cameras=cameras,
-            detections=batch,
+            FleetSpec(scheme=scheme, config=self.CONFIG, cameras=cameras, detections=batch, **kwargs),
             seed=9,
-            **kwargs,
         )
 
     def test_windows_tile_the_horizon(self, deployment, helmet_mini, small_batch):
@@ -348,14 +354,16 @@ class TestAdmissionPolicies:
     FRESHNESS = 2.0
 
     def _fleet(self, deployment, dataset, batch, admission, cameras=8):
-        return simulate_fleet(
-            cloud_only_scheme(),
+        return serve_fleet(
             deployment,
             dataset,
-            self.SATURATED,
-            cameras=cameras,
-            detections=batch,
-            admission=admission,
+            FleetSpec(
+                scheme=cloud_only_scheme(),
+                config=self.SATURATED,
+                cameras=cameras,
+                detections=batch,
+                admission=admission,
+            ),
             seed=5,
         )
 
@@ -456,7 +464,7 @@ class TestAdmissionPolicies:
         keep a frame the shed just made viable (only provably-stale frames
         go)."""
         from repro.runtime import EventLoop, FifoResource
-        from repro.runtime.serving import _CameraStream
+        from repro.runtime.engine import _CameraStream
 
         loop = EventLoop()
         camera = _CameraStream(
@@ -526,14 +534,16 @@ class TestHeterogeneousFleet:
     def _run(self, deployment, helmet_mini, small_batch, big_batch):
         mask = self._mask(helmet_mini)
         served = DetectionBatch.where(mask, big_batch, small_batch)
-        return simulate_fleet(
-            collaborative_scheme(),
+        return serve_fleet(
             deployment,
             helmet_mini,
-            self.BASE,
-            cameras=self._specs(small_batch, big_batch),
-            mask=mask,
-            detections=served,
+            FleetSpec(
+                scheme=collaborative_scheme(),
+                config=self.BASE,
+                cameras=self._specs(small_batch, big_batch),
+                mask=mask,
+                detections=served,
+            ),
             seed=5,
         )
 
@@ -558,17 +568,14 @@ class TestHeterogeneousFleet:
     def test_int_cameras_equal_default_specs(self, deployment, helmet_mini, small_batch, big_batch):
         mask = self._mask(helmet_mini)
         served = DetectionBatch.where(mask, big_batch, small_batch)
-        kwargs = dict(mask=mask, detections=served, seed=5)
-        by_count = simulate_fleet(
-            collaborative_scheme(), deployment, helmet_mini, self.BASE, cameras=4, **kwargs
-        )
-        by_specs = simulate_fleet(
-            collaborative_scheme(),
-            deployment,
-            helmet_mini,
-            self.BASE,
-            cameras=[CameraSpec()] * 4,
-            **kwargs,
+        by_count, by_specs = (
+            serve_fleet(
+                deployment,
+                helmet_mini,
+                FleetSpec(collaborative_scheme(), self.BASE, cameras=cameras, mask=mask, detections=served),
+                seed=5,
+            )
+            for cameras in (4, [CameraSpec()] * 4)
         )
         assert by_count == by_specs
 
@@ -583,13 +590,15 @@ class TestHeterogeneousFleet:
         )
         assert night.image_ids == helmet_mini.image_ids
         night_small = DetectionBatch.coerce(make_detector("small1", "helmet").detect_split(night))
-        fleet = simulate_fleet(
-            edge_only_scheme(),
+        fleet = serve_fleet(
             deployment,
             helmet_mini,
-            self.BASE,
-            cameras=[CameraSpec(), CameraSpec(dataset=night, detections=night_small)],
-            detections=small_batch,
+            FleetSpec(
+                scheme=edge_only_scheme(),
+                config=self.BASE,
+                cameras=[CameraSpec(), CameraSpec(dataset=night, detections=night_small)],
+                detections=small_batch,
+            ),
             seed=5,
         )
         assert len(fleet.cameras) == 2
@@ -601,19 +610,21 @@ class TestHeterogeneousFleet:
     def test_dataset_override_requires_own_detections(self, deployment, helmet_mini, small_batch):
         night = helmet_mini.subset(len(helmet_mini))
         with pytest.raises(RuntimeModelError, match="detections"):
-            simulate_fleet(
-                edge_only_scheme(),
+            serve_fleet(
                 deployment,
                 helmet_mini,
-                self.BASE,
-                cameras=[CameraSpec(), CameraSpec(dataset=night)],
-                detections=small_batch,
+                FleetSpec(
+                    scheme=edge_only_scheme(),
+                    config=self.BASE,
+                    cameras=[CameraSpec(), CameraSpec(dataset=night)],
+                    detections=small_batch,
+                ),
                 seed=5,
             )
 
     def test_empty_spec_list_rejected(self, deployment, helmet_mini):
         with pytest.raises(RuntimeModelError):
-            simulate_fleet(edge_only_scheme(), deployment, helmet_mini, self.BASE, cameras=[])
+            serve_fleet(deployment, helmet_mini, FleetSpec(scheme=edge_only_scheme(), config=self.BASE, cameras=[]))
 
 
 # --------------------------------------------------------------------- #

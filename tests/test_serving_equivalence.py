@@ -53,7 +53,7 @@ from repro.runtime import (
     simulate_fleet,
 )
 from repro.runtime.codec import detections_payload_bytes
-from repro.runtime.serving import _CameraStream
+from repro.runtime.engine import _CameraStream
 from repro.simulate import make_detector
 
 

@@ -20,14 +20,15 @@ from repro.runtime import (
     RTX3060_SERVER,
     WLAN,
     Deployment,
+    FleetSpec,
     FrameTrace,
     FrameTraceBuilder,
     StreamConfig,
     StreamSpec,
     cloud_only_scheme,
     edge_only_scheme,
+    serve_fleet,
     serve_stream,
-    simulate_fleet,
 )
 from repro.simulate import make_detector
 
@@ -250,8 +251,11 @@ class TestReportPercentiles:
             report.latency_percentiles()
 
     def test_fleet_trace_concatenates_cameras_with_offsets(self, deployment, helmet_mini, big_batch):
-        fleet = simulate_fleet(
-            cloud_only_scheme(), deployment, helmet_mini, self.CONFIG, cameras=3, detections=big_batch, seed=3
+        fleet = serve_fleet(
+            deployment,
+            helmet_mini,
+            FleetSpec(scheme=cloud_only_scheme(), config=self.CONFIG, cameras=3, detections=big_batch),
+            seed=3,
         )
         trace = fleet.trace()
         assert len(trace) == sum(len(camera.trace) for camera in fleet.cameras)
@@ -271,6 +275,11 @@ class TestReportPercentiles:
         assert set(points) == {50.0, 90.0}
 
     def test_fleet_without_traces_raises(self, deployment, helmet_mini):
-        fleet = simulate_fleet(edge_only_scheme(), deployment, helmet_mini, self.CONFIG, cameras=2, seed=3)
+        fleet = serve_fleet(
+            deployment,
+            helmet_mini,
+            FleetSpec(scheme=edge_only_scheme(), config=self.CONFIG, cameras=2),
+            seed=3,
+        )
         with pytest.raises(ConfigurationError, match="fleet camera 0"):
             fleet.trace()
