@@ -19,8 +19,9 @@ to the same stream; what differs between those settings is the detector
 capability (models trained on more data — handled by the simulator presets).
 
 A split is generated in one columnar pass.  Image ``i`` still draws its
-scene, its degradation and its render seed from its own
-``generator_for(seed, "scene", scope, i)`` stream, but the scene arithmetic
+scene, its degradation and its render seed from its own stream, the one
+``generator_for(seed, "scene", scope, i)`` returns; the split's streams are
+seeded in one pass by ``generators_for``, and the scene arithmetic
 runs once over the split (:class:`~repro.data.scene.SceneDraws`), the
 split's annotations are validated once as one
 :class:`~repro.detection.batch.GroundTruthBatch`, and each record's
@@ -37,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro._rng import DEFAULT_SEED, generator_for
+from repro._rng import DEFAULT_SEED, generators_for
 from repro.data.classes import COCO18_CLASSES, HELMET_CLASSES, VOC_CLASSES
 from repro.data.degrade import Degradation, DegradationModel
 from repro.data.scene import SceneDraws, SceneProfile
@@ -159,8 +160,8 @@ class Dataset:
         ``(seed, scope, record index)``.
         """
         records: list[ImageRecord] = []
-        for index, record in enumerate(self.records):
-            rng = generator_for(seed, "degradation-drift", scope, self.name, self.split, index)
+        rngs = generators_for(seed, "degradation-drift", scope, self.name, self.split, ids=range(len(self.records)))
+        for record, rng in zip(self.records, rngs):
             records.append(
                 ImageRecord(
                     truth=record.truth,
@@ -334,8 +335,7 @@ def load_dataset(
     scenes = SceneDraws(entry.scene_profile, entry.num_classes)
     degradations: list[Degradation] = []
     render_seeds: list[int] = []
-    for index in range(size):
-        rng = generator_for(seed, "scene", scope, index)
+    for rng in generators_for(seed, "scene", scope, ids=range(size)):
         scenes.draw(rng)
         degradations.append(entry.degradation.sample(rng))
         render_seeds.append(int(rng.integers(0, 2**31 - 1)))

@@ -30,7 +30,7 @@ by roughly what factor, and where the knees fall.
 Regenerate with:
 
 ```bash
-python -m repro.experiments.report          # full-size splits (~10 min)
+python -m repro.experiments.report          # full-size splits (2 min 05 s serially on 2 vCPU)
 pytest benchmarks/ --benchmark-only          # per-table benches
 ```
 

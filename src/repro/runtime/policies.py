@@ -202,8 +202,8 @@ class DeadlineAware:
     name: str = "deadline-aware"
 
     def __post_init__(self) -> None:
-        if self.freshness_s <= 0.0:
-            raise RuntimeModelError(f"freshness_s must be positive, got {self.freshness_s}")
+        if not 0.0 < self.freshness_s < math.inf:
+            raise RuntimeModelError(f"freshness_s must be positive and finite, got {self.freshness_s}")
 
     def admit(self, camera: CameraView, arrival: float) -> bool:
         camera.shed_expired(self.freshness_s)

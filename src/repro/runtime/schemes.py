@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro._rng import DEFAULT_SEED, generator_for
+from repro._rng import DEFAULT_SEED, generators_for
 from repro.data.datasets import Dataset, ImageRecord
 from repro.detection.batch import DetectionBatch
 from repro.detection.types import Detections
@@ -95,8 +95,10 @@ class Deployment:
     cloud_outages: OutageSchedule | None = None
 
     def __post_init__(self) -> None:
-        if self.small_model_flops <= 0 or self.big_model_flops <= 0:
-            raise RuntimeModelError("model FLOPs must be positive")
+        if not 0.0 < self.small_model_flops < math.inf or not 0.0 < self.big_model_flops < math.inf:
+            raise RuntimeModelError(
+                f"model FLOPs must be positive and finite, got {self.small_model_flops}, {self.big_model_flops}"
+            )
 
 
 @dataclass(frozen=True)
@@ -278,11 +280,12 @@ def run_cost(
     latencies: list[float] = []
     uplink = 0
     uploads = 0
+    sent_ids = (record.image_id for record, send in zip(dataset.records, mask) if send)
+    rngs = generators_for(seed, "net", ids=sent_ids)
     for record, send in zip(dataset.records, mask):
         latency = edge_s
         if send:
-            rng = generator_for(seed, "net", record.image_id)
-            trip = cloud_round_trip_time(dep, record, rng)
+            trip = cloud_round_trip_time(dep, record, next(rngs))
             latency = latency + trip if scheme.edge_compute else trip
             uplink += dep.codec.encoded_bytes(record)
             uploads += 1

@@ -7,9 +7,10 @@ downstream numbers (mAP, counts, difficult-case labels, baselines) are
 measured from these boxes with the real VOC evaluator.
 
 A split is detected in one columnar pass.  Only the random draws stay per
-image: each image draws from its own ``generator_for(seed, "detect", name,
-image_id)`` stream, in a fixed order and with sizes that depend only on
-that image.  The arithmetic on the draws (box jitter, noise-box
+image: each image draws from its own stream, the one ``generator_for(seed,
+"detect", name, image_id)`` returns, in a fixed order and with sizes that
+depend only on that image.  The split's streams are seeded in one pass by
+``generators_for``.  The arithmetic on the draws (box jitter, noise-box
 placement, shared with scene generation, scores, label confusion), the
 per-image score sort and class-aware greedy NMS run once over the split's
 flat arrays.  :meth:`SimulatedDetector.detect` is the one-image case of
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro._rng import DEFAULT_SEED, generator_for
+from repro._rng import DEFAULT_SEED, generators_for
 from repro.data.datasets import Dataset, ImageRecord
 from repro.data.scene import lognormal, place_boxes, split_halves
 from repro.detection.batch import DetectionBatch, GroundTruthBatch
@@ -159,8 +160,8 @@ class SimulatedDetector:
         fp_counts = np.zeros(len(truths), dtype=np.int64)
         detected_so_far = 0
         offsets = truths.offsets.tolist()
-        for index, image_id in enumerate(truths.image_ids):
-            rng = generator_for(self.seed, "detect", profile.name, image_id)
+        rngs = generators_for(self.seed, "detect", profile.name, ids=truths.image_ids)
+        for index, rng in enumerate(rngs):
             lo, hi = offsets[index], offsets[index + 1]
             if hi > lo:
                 detected = rng.uniform(size=hi - lo) < p[lo:hi]

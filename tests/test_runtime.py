@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,9 @@ class TestRunCost:
                 small_model_flops=0.0,
                 big_model_flops=1.0,
             )
+
+    @pytest.mark.parametrize("flops", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["small_model_flops", "big_model_flops"])
+    def test_non_finite_model_flops_rejected(self, field, flops):
+        with pytest.raises(RuntimeModelError, match="positive and finite"):
+            Deployment(edge=JETSON_NANO, cloud=RTX3060_SERVER, link=WLAN, **{field: flops})

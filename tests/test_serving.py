@@ -377,6 +377,11 @@ class TestAdmissionPolicies:
         with pytest.raises(RuntimeModelError):
             DeadlineAware(freshness_s=-1.0)
 
+    @pytest.mark.parametrize("freshness_s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_deadline_rejected(self, freshness_s):
+        with pytest.raises(RuntimeModelError, match="positive and finite"):
+            DeadlineAware(freshness_s=freshness_s)
+
     @pytest.mark.parametrize(
         "admission",
         [DropNewest(), DropOldest(), DeadlineAware(freshness_s=2.0)],
