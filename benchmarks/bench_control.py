@@ -77,7 +77,11 @@ def test_micro_fleet_8_cameras_coordinated(benchmark, deployment, helmet_slice):
 
     Adds the coordinator's repeating timer (pooled fleet EWMAs + a sweep
     across all eight camera buffers every 0.25 s) on top of the estimated
-    admission workload.
+    admission workload.  Each sweep reads every camera's waiting frames
+    once, in O(sheddable frames), and judges only the cameras holding one;
+    admission makes the same skip.  Most inspections find nothing waiting,
+    so they cost no entry-stage queue snapshot (the work count is pinned
+    in ``tests/test_control.py::TestSheddingWork``).
     """
     spec = FleetSpec(
         scheme=cloud_only_scheme(),

@@ -39,11 +39,12 @@ def summarize_latencies(latencies: list[float] | np.ndarray) -> LatencySummary:
     values = np.asarray(latencies, dtype=np.float64).reshape(-1)
     if values.size == 0:
         return LatencySummary(total=0.0, mean=0.0, p50=0.0, p90=0.0, p99=0.0, count=0)
+    p50, p90, p99 = np.percentile(values, (50, 90, 99)).tolist()
     return LatencySummary(
         total=float(values.sum()),
         mean=float(values.mean()),
-        p50=float(np.percentile(values, 50)),
-        p90=float(np.percentile(values, 90)),
-        p99=float(np.percentile(values, 99)),
+        p50=p50,
+        p90=p90,
+        p99=p99,
         count=int(values.size),
     )

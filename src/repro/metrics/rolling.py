@@ -200,14 +200,14 @@ def rolling_quality(
         drops degrade quality.
     """
     check_thresholds(score_threshold=score_threshold, iou_threshold=iou_threshold)
-    if window_s <= 0.0:
-        raise ConfigurationError(f"window_s must be positive, got {window_s}")
+    if not 0.0 < window_s < math.inf:  # also catches NaN
+        raise ConfigurationError(f"window_s must be positive and finite, got {window_s}")
     if step_s is None:
         step_s = window_s
-    if step_s <= 0.0:
-        raise ConfigurationError(f"step_s must be positive, got {step_s}")
-    if freshness_s is not None and freshness_s <= 0.0:
-        raise ConfigurationError(f"freshness_s must be positive, got {freshness_s}")
+    if not 0.0 < step_s < math.inf:
+        raise ConfigurationError(f"step_s must be positive and finite, got {step_s}")
+    if freshness_s is not None and not 0.0 < freshness_s < math.inf:
+        raise ConfigurationError(f"freshness_s must be positive and finite, got {freshness_s}")
     if not isinstance(reports, Sequence):
         reports = [reports]
     logs = []

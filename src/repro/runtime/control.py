@@ -37,6 +37,7 @@ camera class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkable
 
@@ -131,7 +132,11 @@ class CameraView(Protocol):
         ...
 
     def queued_arrivals(self) -> tuple[float, ...]:  # pragma: no cover - protocol signature
-        """Arrival times of the still-waiting (sheddable) frames, oldest first."""
+        """Arrival times of the still-waiting (sheddable) frames, oldest first.
+
+        Costs O(sheddable frames), so policies may call it on every
+        arrival or sweep to skip cameras with nothing waiting.
+        """
         ...
 
     def shed_oldest(self) -> bool:  # pragma: no cover - protocol signature
@@ -143,7 +148,12 @@ class CameraView(Protocol):
     def shed_frames(
         self, doomed: Callable[[int, float], bool]
     ) -> int:  # pragma: no cover - protocol signature
-        """Shed waiting frames judged ``doomed(position, arrival)``."""
+        """Shed waiting frames judged ``doomed(position, arrival)``.
+
+        Returns 0 at once when nothing is sheddable; otherwise the cost is
+        one read of the entry stage's queue positions plus O(sheddable
+        frames) predicate calls.
+        """
         ...
 
     def min_remaining_s(self) -> float:  # pragma: no cover - protocol signature
@@ -311,8 +321,8 @@ class EstimatedDeadlineAware:
         min_observations: int = 1,
         schedule_aware: bool = True,
     ) -> None:
-        if not freshness_s > 0.0:
-            raise RuntimeModelError(f"freshness_s must be positive, got {freshness_s}")
+        if not 0.0 < freshness_s < math.inf:  # also catches NaN
+            raise RuntimeModelError(f"freshness_s must be positive and finite, got {freshness_s}")
         if not halflife >= 1:
             raise ConfigurationError(f"halflife must be >= 1, got {halflife}")
         if not min_observations >= 1:
@@ -339,6 +349,7 @@ class EstimatedDeadlineAware:
             estimate is not None
             and estimate.remaining is not None
             and estimate.observations >= self.min_observations
+            and camera.queued_arrivals()
         ):
             now = camera.now
             deadline = self.freshness_s
@@ -383,8 +394,8 @@ class UplinkCoordinator:
         min_observations: int = 1,
         schedule_aware: bool = True,
     ) -> None:
-        if not freshness_s > 0.0:
-            raise RuntimeModelError(f"freshness_s must be positive, got {freshness_s}")
+        if not 0.0 < freshness_s < math.inf:  # also catches NaN
+            raise RuntimeModelError(f"freshness_s must be positive and finite, got {freshness_s}")
         if not interval_s > 0.0:
             raise ConfigurationError(f"interval_s must be positive, got {interval_s}")
         if not halflife >= 1:
@@ -441,22 +452,16 @@ class UplinkCoordinator:
 
         loop.schedule_repeating(self.interval_s, self._sweep, keep_going=still_needed)
 
-    def _staleness(self, camera: CameraView, now: float) -> float:
-        queued = camera.queued_arrivals()
-        return now - queued[0] if queued else 0.0
-
     def _sweep(self) -> None:
         assert self._loop is not None
         now = self._loop.now
         # Stalest camera first: its doomed frames sit deepest in the shared
         # uplink queue, so shedding them frees the most wait for everyone.
-        order = sorted(
-            range(len(self._cameras)),
-            key=lambda index: self._staleness(self._cameras[index], now),
-            reverse=True,
-        )
-        for index in order:
-            camera = self._cameras[index]
+        # A camera with nothing waiting has nothing to shed; sorting only
+        # the others keeps their stable stalest-first order.
+        queued = [(camera, arrivals) for camera in self._cameras if (arrivals := camera.queued_arrivals())]
+        queued.sort(key=lambda item: now - item[1][0], reverse=True)
+        for camera, _ in queued:
             estimate = self._estimates.get(id(camera))
             if (
                 estimate is None

@@ -28,6 +28,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -721,15 +722,29 @@ class _CameraStream:
         """This camera's frames admitted but not yet through the entry stage."""
         return len(self._waiting)
 
+    def _first_sheddable(self) -> int:
+        """Index in ``_waiting`` of this camera's oldest still-waiting frame.
+
+        The stage serves FIFO and ``_waiting`` is in enqueue order, so only
+        the oldest entry can be in service; every later one is waiting.
+        ``len(_waiting)`` when nothing is sheddable.
+        """
+        waiting = self._waiting
+        return 1 if waiting and waiting[0][0] is self.entry.in_service else 0
+
     def queued_arrivals(self) -> tuple[float, ...]:
         """Arrival times of this camera's still-waiting frames, oldest first.
 
         Only frames still *waiting* in the entry stage appear — a frame
         mid-service is beyond shedding, so policies judging the queue
-        should not count it.
+        should not count it.  Costs O(sheddable frames): an empty tuple
+        comes back at once.
         """
-        waiting = {id(handle) for handle, _ in self.entry.queued_waits()}
-        return tuple(arrival for handle, arrival, _ in self._waiting if id(handle) in waiting)
+        first = self._first_sheddable()
+        waiting = self._waiting
+        if first >= len(waiting):
+            return ()
+        return tuple(arrival for _, arrival, _ in islice(waiting, first, None))
 
     def shed_frames(self, doomed: Callable[[int, float], bool]) -> int:
         """Shed the waiting frames judged ``doomed(position, arrival)``.
@@ -744,24 +759,24 @@ class _CameraStream:
         time bounds the frame's wait without reading any simulator
         ground-truth times.  Frames already in service are skipped.  Shed
         frames are logged as drops at the current time; returns the number
-        shed.
+        shed.  With nothing waiting it returns 0 at once; otherwise it
+        reads the stage's queue positions once.
         """
+        index = self._first_sheddable()
+        waiting = self._waiting
+        if index >= len(waiting):
+            return 0
         stage = self.entry
-        positions = {id(handle): index for index, (handle, _) in enumerate(stage.queued_waits())}
+        positions = {id(handle): position for position, (handle, _) in enumerate(stage.queued_waits())}
         count = 0
-        index = 0
-        while index < len(self._waiting):
-            handle, arrival, record_index = self._waiting[index]
-            position = positions.get(id(handle))
-            if position is None:  # in service: beyond shedding
-                index += 1
-                continue
+        while index < len(waiting):
+            handle, arrival, record_index = waiting[index]
             # Earlier sheds of this pass all sat ahead (the stage is FIFO
             # and _waiting is in arrival order), so they no longer queue
             # ahead of this frame.
-            if doomed(position - count, arrival):
+            if doomed(positions[id(handle)] - count, arrival):
                 stage.cancel(handle)
-                del self._waiting[index]
+                del waiting[index]
                 self._drop_shed(arrival, record_index)
                 count += 1
             else:
@@ -790,13 +805,15 @@ class _CameraStream:
         frame was shed (the only frame in the stage may be mid-service,
         which cancellation cannot claw back).
         """
-        stage = self.entry
-        for position, (handle, arrival, record_index) in enumerate(self._waiting):
-            if stage.cancel(handle) is not None:
-                del self._waiting[position]
-                self._drop_shed(arrival, record_index)
-                return True
-        return False
+        position = self._first_sheddable()
+        waiting = self._waiting
+        if position >= len(waiting):
+            return False
+        handle, arrival, record_index = waiting[position]
+        self.entry.cancel(handle)
+        del waiting[position]
+        self._drop_shed(arrival, record_index)
+        return True
 
     def shed_expired(self, freshness_s: float) -> int:
         """Shed every waiting frame that can no longer meet the deadline.
@@ -812,25 +829,24 @@ class _CameraStream:
         re-credited with each cancelled job's service time before the next
         entry is judged.  Returns the number shed.
         """
+        position = self._first_sheddable()
+        waiting = self._waiting
+        if position >= len(waiting):
+            return 0
         stage = self.entry
         wait_bounds = {id(handle): wait for handle, wait in stage.queued_waits()}
         now = self.loop.now
         count = 0
         freed = 0.0  # service time this pass removed ahead of later entries
-        position = 0
-        while position < len(self._waiting):
-            handle, arrival, record_index = self._waiting[position]
-            wait = wait_bounds.get(id(handle))
-            if wait is None:  # already in service: beyond shedding
-                position += 1
-                continue
-            wait -= freed
+        while position < len(waiting):
+            handle, arrival, record_index = waiting[position]
+            wait = wait_bounds[id(handle)] - freed
             if now + wait + self._min_remaining(record_index) > arrival + freshness_s:
-                # the snapshot listed this job as waiting and only this pass
-                # cancels, so the cancellation cannot miss; its returned
-                # service time is exactly the wait freed behind it
-                freed += stage.cancel(handle) or 0.0
-                del self._waiting[position]
+                # every entry from the first sheddable one on is waiting and
+                # only this pass cancels, so the cancellation cannot miss;
+                # its returned service time is exactly the wait freed behind it
+                freed += stage.cancel(handle)
+                del waiting[position]
                 self._drop_shed(arrival, record_index)
                 count += 1
             else:

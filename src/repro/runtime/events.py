@@ -282,7 +282,7 @@ class FifoResource:
         "name",
         "_faults",
         "_queue",
-        "_busy",
+        "_in_service",
         "busy_time",
         "jobs_served",
         "jobs_failed",
@@ -310,7 +310,7 @@ class FifoResource:
                 float | None,
             ]
         ] = deque()
-        self._busy = False
+        self._in_service: object | None = None
         self.busy_time = 0.0
         self.jobs_served = 0
         self.jobs_failed = 0
@@ -324,6 +324,15 @@ class FifoResource:
     def queue_depth(self) -> int:
         """Jobs currently waiting (not including the one in service)."""
         return len(self._queue)
+
+    @property
+    def in_service(self) -> object | None:
+        """Handle of the job in service, ``None`` while the server is idle.
+
+        The handle stays in service until its completion (or failure)
+        callback has returned; :meth:`cancel` cannot remove it.
+        """
+        return self._in_service
 
     @property
     def can_fail(self) -> bool:
@@ -374,7 +383,7 @@ class FifoResource:
         self._queue.append(job)
         if len(self._queue) > self.max_queue_depth:
             self.max_queue_depth = len(self._queue)
-        if not self._busy:
+        if self._in_service is None:
             self._start_next()
         return job
 
@@ -425,10 +434,10 @@ class FifoResource:
 
     def _start_next(self) -> None:
         if not self._queue:
-            self._busy = False
+            self._in_service = None
             return
-        self._busy = True
-        service_time, on_done, on_fail, service_fn, _ = self._queue.popleft()
+        job = self._in_service = self._queue.popleft()
+        service_time, on_done, on_fail, service_fn, _ = job
         if service_fn is not None:
             service_time = service_fn(self._loop.now)
             if not 0.0 <= service_time < _INF:  # also catches NaN

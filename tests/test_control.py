@@ -29,6 +29,7 @@ from repro.runtime import (
     Deployment,
     DropNewest,
     EstimatedDeadlineAware,
+    FifoResource,
     FleetSpec,
     StreamConfig,
     UplinkCoordinator,
@@ -36,6 +37,7 @@ from repro.runtime import (
     collaborative_scheme,
     serve_fleet,
 )
+from repro.runtime.engine import _CameraStream
 from repro.simulate import make_detector
 
 #: The saturated fleet regime of the Table XXI admission rows: eight
@@ -137,6 +139,8 @@ class TestEstimatedDeadlineAware:
     def test_nan_rejected(self):
         with pytest.raises(RuntimeModelError):
             EstimatedDeadlineAware(freshness_s=math.nan)
+        with pytest.raises(RuntimeModelError):
+            EstimatedDeadlineAware(freshness_s=math.inf)
         with pytest.raises(ConfigurationError):
             EstimatedDeadlineAware(halflife=math.nan)
 
@@ -190,10 +194,44 @@ class TestUplinkCoordinator:
     def test_nan_rejected(self):
         with pytest.raises(RuntimeModelError):
             UplinkCoordinator(freshness_s=math.nan)
+        with pytest.raises(RuntimeModelError):
+            UplinkCoordinator(freshness_s=math.inf)
         with pytest.raises(ConfigurationError):
             UplinkCoordinator(interval_s=math.nan)
         with pytest.raises(ConfigurationError):
             UplinkCoordinator(halflife=math.nan)
+
+
+class TestSheddingWork:
+    def test_stage_snapshot_only_when_a_frame_waits(self, deployment, helmet_mini, big_batch, monkeypatch):
+        """A work count, not a timing gate: estimated admission and the
+        coordinator sweep inspect every camera, and an inspection that finds
+        nothing waiting must cost no entry-stage snapshot
+        (:meth:`FifoResource.queued_waits`).  A per-inspection snapshot
+        would make the count exceed the inspections that found a frame."""
+        counts = {"snapshots": 0, "inspections": 0, "found": 0}
+        queued_waits = FifoResource.queued_waits
+        queued_arrivals = _CameraStream.queued_arrivals
+
+        def counting_waits(resource):
+            counts["snapshots"] += 1
+            return queued_waits(resource)
+
+        def counting_arrivals(camera):
+            arrivals = queued_arrivals(camera)
+            counts["inspections"] += 1
+            counts["found"] += bool(arrivals)
+            return arrivals
+
+        monkeypatch.setattr(FifoResource, "queued_waits", counting_waits)
+        monkeypatch.setattr(_CameraStream, "queued_arrivals", counting_arrivals)
+        coordinator = UplinkCoordinator(freshness_s=FRESHNESS_S)
+        spec = saturated_spec(
+            helmet_mini, big_batch, EstimatedDeadlineAware(freshness_s=FRESHNESS_S), controller=coordinator
+        )
+        report = serve_fleet(deployment, helmet_mini, spec, seed=11)
+        assert report.frames_shed > 0 and coordinator.swept > 0
+        assert 0 < counts["snapshots"] <= counts["found"] < counts["inspections"]
 
 
 class _SlackAware:

@@ -258,6 +258,75 @@ class TestBoundedBufferBackpressure:
         assert report.edge_utilization == 0.0  # nothing touched the edge
 
 
+class TestInServiceHandle:
+    """``in_service`` names the job the server holds: set as a job enters
+    service, kept through its completion or failure callback, ``None``
+    once the server idles.  Cancelling waiting jobs never moves it."""
+
+    def test_idle_server_has_none(self):
+        loop = EventLoop()
+        resource = FifoResource(loop, "dev")
+        assert resource.in_service is None
+        job = resource.acquire(1.0, lambda _t: None)
+        assert resource.in_service is job
+        loop.run()
+        assert resource.in_service is None
+
+    def test_advances_on_complete(self):
+        loop = EventLoop()
+        resource = FifoResource(loop, "dev")
+        held: list[object] = []
+        first = resource.acquire(1.0, lambda _t: held.append(resource.in_service))
+        second = resource.acquire(2.0, lambda _t: held.append(resource.in_service))
+        assert resource.in_service is first
+        loop.schedule(1.5, lambda: held.append(resource.in_service))
+        loop.run()
+        # each completion callback still sees its own job; between them the second serves
+        assert held == [first, second, second]
+        assert resource.in_service is None
+
+    def test_advances_on_fail(self):
+        loop = EventLoop()
+        # every job fails halfway through its service
+        resource = FifoResource(loop, "link", faults=lambda _start, service: (service / 2.0, False))
+        held: list[object] = []
+        first = resource.acquire(1.0, lambda _t: None, lambda _t: held.append(resource.in_service))
+        second = resource.acquire(1.0, lambda _t: None, lambda _t: held.append(resource.in_service))
+        loop.schedule(0.75, lambda: held.append(resource.in_service))
+        loop.run()
+        assert held == [first, second, second]
+        assert resource.jobs_failed == 2
+        assert resource.in_service is None
+
+    def test_cancel_leaves_it_alone(self):
+        loop = EventLoop()
+        resource = FifoResource(loop, "dev")
+        running = resource.acquire(1.0, lambda _t: None)
+        waiting = resource.acquire(1.0, lambda _t: None)
+        last = resource.acquire(1.0, lambda _t: None)
+        assert resource.cancel(waiting) == 1.0
+        assert resource.cancel(running) is None
+        assert resource.in_service is running
+        held: list[tuple[float | None, object]] = []
+        # the cancelled job is skipped: the last one is in service by then
+        loop.schedule(1.5, lambda: held.append((resource.cancel(last), resource.in_service)))
+        loop.run()
+        assert held == [(None, last)]
+        assert resource.in_service is None
+        assert resource.jobs_served == 2 and resource.jobs_cancelled == 1
+
+    def test_idles_between_bursts(self):
+        loop = EventLoop()
+        resource = FifoResource(loop, "dev")
+        held: list[object] = []
+        resource.acquire(1.0, lambda _t: None)
+        loop.schedule(2.0, lambda: held.append(resource.in_service))
+        loop.run()
+        job = resource.acquire(1.0, lambda _t: None)
+        assert held == [None]
+        assert resource.in_service is job
+
+
 class TestScheduleRepeating:
     """The repeating-timer contract fleet controllers are built on."""
 

@@ -103,6 +103,17 @@ class TestLatencySummary:
         summary = summarize_latencies(np.linspace(0.01, 1.0, 100))
         assert summary.p50 <= summary.p90 <= summary.p99
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e3, allow_nan=False), min_size=1, max_size=300))
+    def test_percentiles_equal_one_call_each(self, latencies):
+        """The summary takes its three percentiles in one call; each must
+        be bit-identical to its own ``np.percentile`` call."""
+        summary = summarize_latencies(latencies)
+        values = np.asarray(latencies, dtype=np.float64)
+        for q, got in ((50, summary.p50), (90, summary.p90), (99, summary.p99)):
+            assert type(got) is float
+            assert got.hex() == float(np.percentile(values, q)).hex()
+
     def test_empty(self):
         summary = summarize_latencies([])
         assert summary.total == 0.0 and summary.count == 0

@@ -344,6 +344,16 @@ class TestRollingQuality:
         with pytest.raises(ConfigurationError, match="no stream reports"):
             rolling_quality((), helmet_mini)
 
+    def test_window_parameters_must_be_positive_and_finite(self, deployment, helmet_mini, small_batch):
+        """NaN once slipped past a ``<= 0`` check: a NaN freshness marked
+        every frame stale, an infinite window started at NaN, and a NaN
+        window or step died in a bare ``ValueError``."""
+        report = self._stream(deployment, helmet_mini, small_batch, edge_only_scheme())
+        for field in ("window_s", "step_s", "freshness_s"):
+            for value in (0.0, -1.0, math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigurationError, match=field):
+                    rolling_quality(report, helmet_mini, **{field: value})
+
 
 # --------------------------------------------------------------------- #
 # camera-buffer admission control
