@@ -151,8 +151,8 @@ class BudgetController:
             raise ConfigurationError(f"target_ratio must be in (0, 1), got {target_ratio}")
         if not 0.0 < gain < math.inf:
             raise ConfigurationError(f"gain must be positive and finite, got {gain}")
-        if not ema_halflife >= 1:
-            raise ConfigurationError(f"ema_halflife must be >= 1, got {ema_halflife}")
+        if not 1 <= ema_halflife < math.inf:  # inf would freeze the EMA (alpha 0)
+            raise ConfigurationError(f"ema_halflife must be >= 1 and finite, got {ema_halflife}")
         lo, hi = area_bounds
         if not 0.0 <= lo < hi:
             raise ConfigurationError(f"invalid area bounds {area_bounds}")

@@ -28,13 +28,7 @@ from repro.detection.boxes import (
     validate_boxes,
     xyxy_to_cxcywh,
 )
-from repro.detection.matching import (
-    MatchResult,
-    greedy_match_arrays,
-    greedy_match_segments,
-    match_detections,
-    true_positive_count,
-)
+from repro.detection.matching import greedy_match_segments
 from repro.detection.nms import class_aware_nms, filter_by_score, nms_indices
 from repro.detection.types import Detections, GroundTruth
 
@@ -61,11 +55,7 @@ __all__ = [
     "DetectionBatch",
     "DetectionBatchBuilder",
     "GroundTruthBatch",
-    "MatchResult",
-    "greedy_match_arrays",
     "greedy_match_segments",
-    "match_detections",
-    "true_positive_count",
     "class_aware_nms",
     "filter_by_score",
     "nms_indices",

@@ -6,68 +6,24 @@ the same class, provided the IoU passes the threshold (0.5 for VOC).  The
 result drives both the AP computation and the paper's "number of detected
 objects" metric.
 
-:func:`greedy_match_arrays` matches one image.  :func:`greedy_match_segments`
-matches many images at once, bit for bit the same: detections only contend
+:func:`greedy_match_segments` is the one matcher: detections only contend
 for ground-truth boxes of their own image, so one block-diagonal pass over
-every (image, detection, ground-truth) pair replaces the per-image loop.
-Detected-object counting and rolling stream evaluation both use it.
+every (image, detection, ground-truth) pair matches a whole split, or every
+frame of a stream, at once.  Split mAP, detected-object counting and
+rolling stream evaluation all use it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.detection.batch import DetectionBatch, GroundTruthBatch
-from repro.detection.boxes import iou_matrix, pairwise_iou
-from repro.detection.types import Detections, GroundTruth
+from repro.detection.boxes import pairwise_iou
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "MatchResult",
-    "check_thresholds",
-    "greedy_match_arrays",
-    "greedy_match_segments",
-    "match_detections",
-    "true_positive_count",
-]
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Outcome of matching one image's detections against its annotation.
-
-    Attributes
-    ----------
-    is_tp:
-        ``(num_detections,)`` boolean, aligned with the detections'
-        score-descending order.
-    matched_gt:
-        ``(num_detections,)`` index of the claimed ground-truth box, or -1.
-    gt_detected:
-        ``(num_gt,)`` boolean: was this annotated object found?
-    """
-
-    is_tp: np.ndarray
-    matched_gt: np.ndarray
-    gt_detected: np.ndarray
-
-    @property
-    def num_tp(self) -> int:
-        """Number of true-positive detections."""
-        return int(np.count_nonzero(self.is_tp))
-
-    @property
-    def num_fp(self) -> int:
-        """Number of false-positive detections."""
-        return int(self.is_tp.shape[0] - self.num_tp)
-
-    @property
-    def num_missed(self) -> int:
-        """Number of annotated objects no detection claimed."""
-        return int(np.count_nonzero(~self.gt_detected))
+__all__ = ["check_thresholds", "greedy_match_segments"]
 
 
 def _check_iou_threshold(iou_threshold: float) -> None:
@@ -82,47 +38,6 @@ def check_thresholds(*, score_threshold: float, iou_threshold: float) -> None:
     if not -math.inf < score_threshold < math.inf:
         raise ConfigurationError(f"score_threshold must be finite, got {score_threshold}")
     _check_iou_threshold(iou_threshold)
-
-
-def greedy_match_arrays(
-    det_boxes: np.ndarray,
-    det_labels: np.ndarray,
-    gt_boxes: np.ndarray,
-    gt_labels: np.ndarray,
-    *,
-    iou_threshold: float = 0.5,
-    class_aware: bool = True,
-) -> MatchResult:
-    """Array-level greedy VOC matching (no container construction).
-
-    ``det_boxes``/``det_labels`` must already be in score-descending order —
-    the invariant both :class:`Detections` and
-    :class:`~repro.detection.batch.DetectionBatch` segments maintain.
-    """
-    _check_iou_threshold(iou_threshold)
-    num_det = int(det_boxes.shape[0])
-    num_gt = int(gt_boxes.shape[0])
-    is_tp = np.zeros(num_det, dtype=bool)
-    matched_gt = np.full(num_det, -1, dtype=np.int64)
-    gt_detected = np.zeros(num_gt, dtype=bool)
-    if num_det == 0 or num_gt == 0:
-        return MatchResult(is_tp=is_tp, matched_gt=matched_gt, gt_detected=gt_detected)
-
-    iou = iou_matrix(det_boxes, gt_boxes)
-    if class_aware:
-        same_class = det_labels[:, None] == gt_labels[None, :]
-        iou = np.where(same_class, iou, 0.0)
-
-    claimed = np.zeros(num_gt, dtype=bool)
-    for det_idx in range(num_det):
-        candidates = iou[det_idx].copy()
-        candidates[claimed] = 0.0
-        best_gt = int(np.argmax(candidates))
-        if candidates[best_gt] >= iou_threshold:
-            claimed[best_gt] = True
-            is_tp[det_idx] = True
-            matched_gt[det_idx] = best_gt
-    return MatchResult(is_tp=is_tp, matched_gt=matched_gt, gt_detected=claimed)
 
 
 def greedy_match_segments(
@@ -143,8 +58,8 @@ def greedy_match_segments(
     per-row true-positive flags over ``detections``.
 
     One block-diagonal pass over every (image, detection, ground-truth)
-    candidate pair reproduces :func:`greedy_match_arrays` on each image
-    exactly: an image's detections visit in segment order, each claims the
+    candidate pair matches each image exactly as a per-image greedy loop
+    would: an image's detections visit in segment order, each claims the
     highest-IoU unclaimed same-class ground-truth box at or above the
     threshold, first index winning ties.  Candidate pairs are prefiltered to
     same-class-and-above-threshold, which cannot change the greedy outcome
@@ -210,49 +125,3 @@ def greedy_match_segments(
             row_tp[row] = True
     image_tp[active] = counts
     return image_tp, row_tp
-
-
-def match_detections(
-    detections: Detections,
-    truth: GroundTruth,
-    *,
-    iou_threshold: float = 0.5,
-    class_aware: bool = True,
-) -> MatchResult:
-    """Greedily match ``detections`` to ``truth``.
-
-    Parameters
-    ----------
-    iou_threshold:
-        Minimum IoU for a detection to claim a ground-truth box (VOC: 0.5).
-    class_aware:
-        When true (the VOC protocol), a detection may only claim a
-        ground-truth box of its own class.
-    """
-    # Detections are already score-descending (Detections sorts on init).
-    return greedy_match_arrays(
-        detections.boxes,
-        detections.labels,
-        truth.boxes,
-        truth.labels,
-        iou_threshold=iou_threshold,
-        class_aware=class_aware,
-    )
-
-
-def true_positive_count(
-    detections: Detections,
-    truth: GroundTruth,
-    *,
-    score_threshold: float = 0.5,
-    iou_threshold: float = 0.5,
-) -> int:
-    """The paper's "number of detected objects" for one image.
-
-    Counts detections that (a) pass the serving score threshold (0.5
-    throughout the paper) and (b) correctly claim a ground-truth object of
-    their class at the VOC IoU threshold.
-    """
-    served = detections.above(score_threshold)
-    result = match_detections(served, truth, iou_threshold=iou_threshold)
-    return result.num_tp

@@ -15,7 +15,9 @@ Inputs are the served batch and the columnar
 :class:`~repro.runtime.trace.FrameTrace` a
 :class:`~repro.runtime.schemes.StreamReport` carries when the simulation was
 given served detections (``report.served`` and ``report.trace``); fleet runs
-evaluate the union of all camera traces.
+evaluate the union of all camera traces, joined by
+:meth:`~repro.runtime.trace.FrameTrace.concat` as ``FleetReport.trace()``
+joins them.
 
 Failure injection adds one wrinkle: a frame whose escalation failed serves
 its *edge* verdict immediately, and a durable escalation queue may land the
@@ -30,11 +32,13 @@ observation: greedy VOC matching is *per frame* — detections only contend
 for ground-truth boxes of their own frame — so each detection's
 true-positive flag is the same in every window that contains its frame.
 One block-diagonal pass (:func:`~repro.detection.matching.greedy_match_segments`,
-which detected-object counting shares) therefore matches every frame once,
-up front; deferred verdicts resolve with one ``np.where``; windows
-partition via ``np.searchsorted`` over sorted arrivals; and each window's
-mAP needs only a score sort of the precomputed flags plus the VOC
-interpolation — no per-window IoU, matching, or batch construction at all.
+the matcher split mAP and detected-object counting share) therefore
+matches every frame once, up front; deferred verdicts resolve with one
+``np.where``; windows partition via ``np.searchsorted`` over sorted
+arrivals; and each window's per-class curve is
+:meth:`~repro.metrics.voc_ap.PRCurve.from_matches` over the precomputed
+flags, the same step split mAP takes — no per-window IoU, matching, or
+batch construction at all.
 """
 
 from __future__ import annotations
@@ -46,10 +50,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.detection.batch import DetectionBatch, GroundTruthBatch
+from repro.detection.batch import DetectionBatch
 from repro.detection.matching import check_thresholds, greedy_match_segments
 from repro.errors import ConfigurationError
-from repro.metrics.voc_ap import voc_ap_from_pr
+from repro.metrics.voc_ap import PRCurve
 
 __all__ = ["RollingWindow", "rolling_quality", "verdict_miss_rates"]
 
@@ -110,38 +114,16 @@ class RollingWindow:
         return 100.0 * (self.true_objects - self.detected_objects) / self.true_objects
 
 
-def _frame_logs(report) -> list:
-    """Flatten one report (stream or fleet) into per-camera ``(served, trace)`` pairs."""
-    cameras = getattr(report, "cameras", None)
-    if cameras is not None:
-        logs = []
-        for camera in cameras:
-            logs.extend(_frame_logs(camera))
-        return logs
-    if report.served is None or report.trace is None:
-        raise ConfigurationError("stream report carries no served frames; simulate with detections=")
-    return [(report.served, report.trace)]
-
-
-def _segment_maps(logs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frame segment indices into the concatenated served batch.
-
-    Returns ``(positions, verdict_segments, verdict_times)`` aligned with the
-    concatenated frame logs; ``-1`` marks "no segment".  Segment indices are
-    shifted by each camera's offset in the concatenated batch.
-    """
-    positions_parts: list[np.ndarray] = []
-    verdict_parts: list[np.ndarray] = []
-    offset = 0
-    for batch, trace in logs:
-        positions_parts.append(np.where(trace.segments >= 0, trace.segments + offset, -1))
-        verdict_parts.append(np.where(trace.verdict_segments >= 0, trace.verdict_segments + offset, -1))
-        offset += len(batch)
-    return (
-        np.concatenate(positions_parts),
-        np.concatenate(verdict_parts),
-        np.concatenate([trace.verdict_times for _, trace in logs]),
-    )
+def _camera_reports(reports) -> list:
+    """Flatten reports (stream or fleet, or a sequence of either) into the
+    per-camera stream reports, each checked to carry its frame log."""
+    if not isinstance(reports, Sequence):
+        reports = [reports]
+    cameras = [camera for report in reports for camera in getattr(report, "cameras", (report,))]
+    for camera in cameras:
+        if camera.served is None or camera.trace is None:
+            raise ConfigurationError("stream report carries no served frames; simulate with detections=")
+    return cameras
 
 
 def _window_count(duration_s: float, step_s: float) -> int:
@@ -208,26 +190,23 @@ def rolling_quality(
         raise ConfigurationError(f"step_s must be positive and finite, got {step_s}")
     if freshness_s is not None and not 0.0 < freshness_s < math.inf:
         raise ConfigurationError(f"freshness_s must be positive and finite, got {freshness_s}")
-    if not isinstance(reports, Sequence):
-        reports = [reports]
-    logs = []
-    for report in reports:
-        logs.extend(_frame_logs(report))
-    if not logs:
+    cameras = _camera_reports(reports)
+    if not cameras:
         # An empty sequence would otherwise sail past the per-report guard
         # and yield a single degenerate all-zero window — a score of
         # "nothing" that reads like a measurement.
         raise ConfigurationError("no stream reports to evaluate")
 
-    arrivals = np.concatenate([trace.arrivals for _, trace in logs])
-    times = np.concatenate([trace.times for _, trace in logs])
-    records = np.concatenate([trace.records for _, trace in logs])
-    served_flags = np.concatenate([trace.served for _, trace in logs])
-    batch = DetectionBatch.concat([served for served, _ in logs])
-    # Map each offered frame to its segment in the concatenated served batch
-    # (-1 for drops), plus any deferred cloud verdict a durable escalation
-    # queue recovered for it.
-    positions, verdict_segments, verdict_times = _segment_maps(logs)
+    # imported here: repro.runtime imports repro.core, which imports this package
+    from repro.runtime.trace import FrameTrace
+
+    # One trace over every camera, its segments shifted to index the
+    # concatenated served batch (-1 for drops), plus any deferred cloud
+    # verdict a durable escalation queue recovered for a frame.
+    batch = DetectionBatch.concat([camera.served for camera in cameras])
+    offsets = np.cumsum([0] + [len(camera.served) for camera in cameras[:-1]])
+    trace = FrameTrace.concat([camera.trace for camera in cameras], segment_offsets=offsets)
+    arrivals, times, records, served_flags = trace.arrivals, trace.times, trace.records, trace.served
     fresh = served_flags.copy()
     if freshness_s is not None:
         fresh &= (times - arrivals) <= freshness_s
@@ -241,10 +220,10 @@ def rolling_quality(
     # Reconcile deferred cloud verdicts: inside the freshness deadline the
     # late verdict's segment replaces the one the frame served with;
     # outside, the frame stays scored on its original (edge) verdict.
-    upgrade = verdict_segments >= 0
+    upgrade = trace.verdict_segments >= 0
     if freshness_s is not None:
-        upgrade &= (verdict_times - arrivals) <= freshness_s
-    segments = np.where(upgrade, verdict_segments, positions)
+        upgrade &= (trace.verdict_times - arrivals) <= freshness_s
+    segments = np.where(upgrade, trace.verdict_segments, trace.segments)
 
     # Each fresh frame contributes its segment's above-threshold prefix (a
     # dropped or stale frame contributes nothing) from ONE shared filtering
@@ -319,18 +298,12 @@ def rolling_quality(
                 if num_gt == 0:
                     continue  # no annotated instances: the devkit skips the class
                 class_mask = window_labels == label
-                class_scores = window_scores[class_mask]
-                if class_scores.size == 0:
+                if not class_mask.any():
                     aps.append(0.0)  # annotated but never detected: AP 0
                     continue
                 # pooled ranking: score-descending, ties by in-window order
-                rank = np.argsort(-class_scores, kind="stable")
-                tp_ranked = window_tp[class_mask][rank]
-                tp_cum = np.cumsum(tp_ranked)
-                fp_cum = np.cumsum(~tp_ranked)
-                recall = tp_cum / num_gt
-                precision = tp_cum / np.maximum(tp_cum + fp_cum, 1)
-                aps.append(voc_ap_from_pr(recall, precision, use_07_metric=True))
+                curve = PRCurve.from_matches(window_scores[class_mask], window_tp[class_mask], num_gt)
+                aps.append(curve.ap(use_07_metric=True))
             map_percent = 100.0 * float(np.mean(aps)) if aps else 0.0
             detected = int(frame_tp[inside].sum())
         else:

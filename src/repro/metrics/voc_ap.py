@@ -3,6 +3,12 @@
 Implements both the classic 11-point interpolated AP (VOC2007 devkit, the
 protocol behind every mAP number in the paper) and the all-point variant
 (VOC2010+/COCO-style area under the interpolated PR curve).
+
+A split is matched once, every class together, by
+:func:`~repro.detection.matching.greedy_match_segments` (the matcher
+detected-object counting and rolling stream evaluation share);
+:meth:`PRCurve.from_matches` then turns one class's flags into its curve,
+the same step every rolling-evaluation window takes.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.detection.batch import DetectionBatch, GroundTruthBatch
-from repro.detection.boxes import pairwise_iou
+from repro.detection.matching import greedy_match_segments
 from repro.detection.types import Detections, GroundTruth
 from repro.errors import ConfigurationError
 
@@ -34,6 +40,23 @@ class PRCurve:
     precision: np.ndarray
     scores: np.ndarray
     num_gt: int
+
+    @classmethod
+    def from_matches(cls, scores: np.ndarray, is_tp: np.ndarray, num_gt: int) -> "PRCurve":
+        """The curve of one class's pooled detections and their match flags.
+
+        ``scores`` and ``is_tp`` are aligned and in pooled order (image by
+        image, each score-descending); ranking is score-descending with ties
+        kept in pooled order.  Recall is all zero when the class has no
+        ground truth.
+        """
+        order = np.argsort(-scores, kind="stable")
+        tp_ranked = is_tp[order]
+        tp_cum = np.cumsum(tp_ranked)
+        fp_cum = np.cumsum(~tp_ranked)
+        recall = tp_cum / num_gt if num_gt > 0 else np.zeros(tp_ranked.size)
+        precision = tp_cum / np.maximum(tp_cum + fp_cum, 1)
+        return cls(recall=recall, precision=precision, scores=scores[order], num_gt=num_gt)
 
     def ap(self, *, use_07_metric: bool = True) -> float:
         """Average precision of this curve."""
@@ -107,69 +130,26 @@ def voc_ap_from_pr(recall: np.ndarray, precision: np.ndarray, *, use_07_metric: 
     return float(np.sum((mrec[changes] - mrec[changes - 1]) * mpre[changes]))
 
 
-def _pooled_pr_curve(
-    det_scores: np.ndarray,
-    det_boxes: np.ndarray,
-    det_images: np.ndarray,
-    gt_boxes: np.ndarray,
-    gt_images: np.ndarray,
-    num_images: int,
+def _match_split(
+    detections: DetectionBatch | list[Detections],
+    truths: GroundTruthBatch | list[GroundTruth],
     iou_threshold: float,
-) -> PRCurve:
-    """PR curve from one class's pooled detection and ground-truth arrays.
+) -> tuple[DetectionBatch, GroundTruthBatch, np.ndarray]:
+    """Pool a split and greedily match all of it, every class, in one pass.
 
-    Both pools are grouped by image index in split order (detections
-    score-descending within each group).  Every detection/ground-truth IoU of
-    the split is computed in a single flat block-diagonal pass —
-    :func:`pairwise_iou` over gathered pair indices — so the sequential
-    greedy loop only slices precomputed rows.
+    Returns the pooled detections and annotations with the per-row
+    true-positive flags over the detections.  Detections only contend for
+    ground truth of their own image and class, so masking the flags by
+    label gives each class exactly the matches of a per-class pooled loop.
     """
-    num_gt = int(gt_boxes.shape[0])
-    num_det = int(det_scores.shape[0])
-    if num_det == 0:
-        return PRCurve(recall=np.zeros(0), precision=np.zeros(0), scores=np.zeros(0), num_gt=num_gt)
-
-    gt_counts = np.bincount(gt_images, minlength=num_images)
-    gt_starts = np.zeros(num_images, dtype=np.int64)
-    np.cumsum(gt_counts[:-1], out=gt_starts[1:])
-    pair_counts = gt_counts[det_images]
-    row_starts = np.zeros(num_det, dtype=np.int64)
-    np.cumsum(pair_counts[:-1], out=row_starts[1:])
-    total_pairs = int(row_starts[-1] + pair_counts[-1])
-
-    if total_pairs:
-        det_idx = np.repeat(np.arange(num_det), pair_counts)
-        gt_idx = np.repeat(gt_starts[det_images] - row_starts, pair_counts) + np.arange(total_pairs)
-        iou_flat = pairwise_iou(det_boxes[det_idx], gt_boxes[gt_idx])
-    else:
-        iou_flat = np.zeros(0)
-
-    order = np.argsort(-det_scores, kind="stable")
-    scores = det_scores[order]
-
-    claimed = np.zeros(num_gt, dtype=bool)
-    tp_flags = np.zeros(num_det, dtype=bool)
-    pair_count_list = pair_counts.tolist()
-    row_start_list = row_starts.tolist()
-    gt_start_list = gt_starts[det_images].tolist()
-    for rank, det in enumerate(order.tolist()):
-        count = pair_count_list[det]
-        if count == 0:
-            continue
-        start = row_start_list[det]
-        ious = iou_flat[start : start + count].copy()
-        gt_lo = gt_start_list[det]
-        ious[claimed[gt_lo : gt_lo + count]] = 0.0
-        best = int(np.argmax(ious))
-        if ious[best] >= iou_threshold:
-            claimed[gt_lo + best] = True
-            tp_flags[rank] = True
-
-    tp_cum = np.cumsum(tp_flags)
-    fp_cum = np.cumsum(~tp_flags)
-    recall = tp_cum / num_gt if num_gt > 0 else np.zeros(num_det)
-    precision = tp_cum / np.maximum(tp_cum + fp_cum, 1)
-    return PRCurve(recall=recall, precision=precision, scores=scores, num_gt=num_gt)
+    gt = GroundTruthBatch.coerce(truths)
+    if len(detections) != len(gt):
+        raise ConfigurationError(f"got {len(detections)} detection sets for {len(gt)} images")
+    batch = DetectionBatch.coerce(detections)
+    _, row_tp = greedy_match_segments(
+        batch, batch.offsets[:-1], batch.counts(), gt, np.arange(len(gt)), iou_threshold=iou_threshold
+    )
+    return batch, gt, row_tp
 
 
 def precision_recall_curve(
@@ -181,26 +161,15 @@ def precision_recall_curve(
 ) -> PRCurve:
     """Dataset-wide PR curve for one class.
 
-    Pools every detection of class ``label`` across images, sorts by score,
-    and greedily matches against unclaimed ground truth per the VOC protocol.
-    Annotations arrive pre-flattened when a :class:`GroundTruthBatch` (or a
-    ``Dataset`` with its cached batch) is passed.
+    Pools every detection of class ``label`` across images and ranks them by
+    score; their true-positive flags come from the split's one greedy
+    matching pass.  Annotations arrive pre-flattened when a
+    :class:`GroundTruthBatch` (or a ``Dataset`` with its cached batch) is
+    passed.
     """
-    gt = GroundTruthBatch.coerce(truths)
-    if len(detections) != len(gt):
-        raise ConfigurationError(f"got {len(detections)} detection sets for {len(gt)} images")
-    batch = DetectionBatch.coerce(detections)
-    gt_mask = gt.labels == label
-    det_mask = batch.labels == label
-    return _pooled_pr_curve(
-        batch.scores[det_mask],
-        batch.boxes[det_mask],
-        batch.image_indices()[det_mask],
-        gt.boxes[gt_mask],
-        gt.image_indices()[gt_mask],
-        len(gt),
-        iou_threshold,
-    )
+    batch, gt, row_tp = _match_split(detections, truths, iou_threshold)
+    mask = batch.labels == label
+    return PRCurve.from_matches(batch.scores[mask], row_tp[mask], int(np.count_nonzero(gt.labels == label)))
 
 
 def evaluate_detections(
@@ -214,33 +183,18 @@ def evaluate_detections(
     """Evaluate a detector over a split: per-class AP and mAP.
 
     Classes with no ground-truth instances in the split are skipped, matching
-    the VOC devkit behaviour.  Detections are pooled into flat arrays once,
-    annotations come pre-pooled from the :class:`GroundTruthBatch` (lists are
-    flattened on entry); each class then evaluates with pure mask selections
-    over them.
+    the VOC devkit behaviour.  The split is matched once, over all classes;
+    each class then builds its curve from label-masked flags and scores.
     """
-    gt = GroundTruthBatch.coerce(truths)
-    if len(detections) != len(gt):
-        raise ConfigurationError(f"got {len(detections)} detection sets for {len(gt)} images")
-    batch = DetectionBatch.coerce(detections)
-    det_images = batch.image_indices()
-    gt_labels, gt_images = gt.labels, gt.image_indices()
+    batch, gt, row_tp = _match_split(detections, truths, iou_threshold)
     per_class_ap: dict[int, float] = {}
     per_class_curves: dict[int, PRCurve] = {}
     for label in range(num_classes):
-        gt_mask = gt_labels == label
-        if not gt_mask.any():
+        num_gt = int(np.count_nonzero(gt.labels == label))
+        if num_gt == 0:
             continue
-        det_mask = batch.labels == label
-        curve = _pooled_pr_curve(
-            batch.scores[det_mask],
-            batch.boxes[det_mask],
-            det_images[det_mask],
-            gt.boxes[gt_mask],
-            gt_images[gt_mask],
-            len(gt),
-            iou_threshold,
-        )
+        mask = batch.labels == label
+        curve = PRCurve.from_matches(batch.scores[mask], row_tp[mask], num_gt)
         per_class_curves[label] = curve
         per_class_ap[label] = curve.ap(use_07_metric=use_07_metric)
     return EvalResult(

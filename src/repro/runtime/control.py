@@ -177,7 +177,8 @@ class OffloadController(Protocol):
     exist — and may carry state between decisions (quota tracking, drift
     adaptation).  Optional hooks, both discovered structurally:
 
-    * ``observe(camera, event)`` — per-frame completion feedback.
+    * ``observe(camera, event)`` — per-frame completion feedback; an
+      ``observe`` that is ``None`` attaches nothing, as an absent one does.
     * ``reset()`` — called by the engines at the start of every run, so a
       stateful controller can be reused across runs without leaking state.
     """
@@ -283,6 +284,17 @@ class _CameraEstimate:
         return estimate if estimate > floor else floor
 
 
+def _check_estimation(halflife: float, min_observations: float) -> None:
+    """Refuse an EWMA ``halflife`` or a cold-start ``min_observations`` that
+    is not finite and at least 1 (NaN included): an infinite halflife gives
+    ``alpha == 0`` and freezes every estimate at its first sample, and an
+    infinite cold start never ends."""
+    if not 1 <= halflife < math.inf:
+        raise ConfigurationError(f"halflife must be >= 1 and finite, got {halflife}")
+    if not 1 <= min_observations < math.inf:
+        raise ConfigurationError(f"min_observations must be >= 1 and finite, got {min_observations}")
+
+
 class EstimatedDeadlineAware:
     """Deadline admission from *observed* times — no simulator internals.
 
@@ -323,10 +335,7 @@ class EstimatedDeadlineAware:
     ) -> None:
         if not 0.0 < freshness_s < math.inf:  # also catches NaN
             raise RuntimeModelError(f"freshness_s must be positive and finite, got {freshness_s}")
-        if not halflife >= 1:
-            raise ConfigurationError(f"halflife must be >= 1, got {halflife}")
-        if not min_observations >= 1:
-            raise ConfigurationError(f"min_observations must be >= 1, got {min_observations}")
+        _check_estimation(halflife, min_observations)
         self.freshness_s = freshness_s
         self.min_observations = min_observations
         self.schedule_aware = schedule_aware
@@ -396,12 +405,9 @@ class UplinkCoordinator:
     ) -> None:
         if not 0.0 < freshness_s < math.inf:  # also catches NaN
             raise RuntimeModelError(f"freshness_s must be positive and finite, got {freshness_s}")
-        if not interval_s > 0.0:
-            raise ConfigurationError(f"interval_s must be positive, got {interval_s}")
-        if not halflife >= 1:
-            raise ConfigurationError(f"halflife must be >= 1, got {halflife}")
-        if not min_observations >= 1:
-            raise ConfigurationError(f"min_observations must be >= 1, got {min_observations}")
+        if not 0.0 < interval_s < math.inf:  # also catches NaN
+            raise ConfigurationError(f"interval_s must be positive and finite, got {interval_s}")
+        _check_estimation(halflife, min_observations)
         self.freshness_s = freshness_s
         self.interval_s = interval_s
         self.min_observations = min_observations
@@ -604,9 +610,16 @@ class AdaptiveQuota:
             self._min_area[record_index],
         )
 
-    def observe(self, camera: CameraView, event: FrameEvent) -> None:
+    @property
+    def observe(self) -> Callable[[CameraView, FrameEvent], None] | None:
+        """The completion-event hook, or ``None`` without a quality loop (no
+        ``feedback``, or ``quality_gain == 0``): the engine then attaches no
+        observer for the quota and builds no :class:`FrameEvent` for it."""
         if self._feedback is None or self.quality_gain == 0.0:
-            return
+            return None
+        return self._observe_served
+
+    def _observe_served(self, camera: CameraView, event: FrameEvent) -> None:
         if event.kind != "served":
             return
         miss = float(self._feedback[event.record_index])

@@ -252,7 +252,8 @@ def _attach_observers(
     """Assemble the camera's completion-event observer chain.
 
     Order: admission policy, offload controller, fleet controller.  The
-    hooks are structural (``observe`` is optional on every protocol), and a
+    hooks are structural (``observe`` is optional on every protocol, and
+    ``None`` when a participant has nothing to observe this run), and a
     camera whose participants define none keeps ``observers == ()`` — the
     flag the hot path checks before constructing any :class:`FrameEvent`.
     """

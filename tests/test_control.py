@@ -37,6 +37,7 @@ from repro.runtime import (
     collaborative_scheme,
     serve_fleet,
 )
+from repro.runtime import serving
 from repro.runtime.engine import _CameraStream
 from repro.simulate import make_detector
 
@@ -201,6 +202,28 @@ class TestUplinkCoordinator:
         with pytest.raises(ConfigurationError):
             UplinkCoordinator(halflife=math.nan)
 
+    @pytest.mark.parametrize("interval_s", [0.0, -1.0, math.nan, math.inf])
+    def test_interval_fails_at_construction(self, interval_s):
+        """An infinite interval used to construct and fail only when a run
+        attached the coordinator and scheduled its sweep."""
+        with pytest.raises(ConfigurationError, match="interval_s"):
+            UplinkCoordinator(interval_s=interval_s)
+
+
+@pytest.mark.parametrize("control", [EstimatedDeadlineAware, UplinkCoordinator])
+class TestEstimationParameters:
+    @pytest.mark.parametrize("parameter", ["halflife", "min_observations"])
+    @pytest.mark.parametrize("value", [0, math.nan, math.inf])
+    def test_fail_at_construction(self, control, parameter, value):
+        """An infinite halflife froze every EWMA (alpha 0); an infinite
+        ``min_observations`` never left cold start."""
+        with pytest.raises(ConfigurationError, match=parameter):
+            control(**{parameter: value})
+
+    def test_finite_values_accepted(self, control):
+        control(halflife=1, min_observations=1)
+        control(halflife=1e9, min_observations=10**9)
+
 
 class TestSheddingWork:
     def test_stage_snapshot_only_when_a_frame_waits(self, deployment, helmet_mini, big_batch, monkeypatch):
@@ -253,6 +276,13 @@ class _RecordingDropNewest(DropNewest):
 
     def observe(self, camera, event) -> None:
         self.events.append(event)
+
+
+class _NoOpObservedQuota(AdaptiveQuota):
+    """A quota whose no-op ``observe`` is attached to every camera."""
+
+    def observe(self, camera, event) -> None:
+        pass
 
 
 class TestObserverContract:
@@ -349,6 +379,40 @@ class TestAdaptiveQuota:
         )
         assert all(c.target_ratio == 0.2 for c in frozen._controllers.values())
 
+    @pytest.mark.parametrize("loop", ["no-feedback", "zero-gain", "active"])
+    def test_observer_attached_only_with_a_quality_loop(
+        self, monkeypatch, deployment, helmet_mini, small_batch, big_batch, discriminator, loop
+    ):
+        """A quota with no quality loop attaches no observer, so its cameras
+        build no FrameEvent; the run is the one a no-op observer gives."""
+        missing = np.ones(len(small_batch))
+        kwargs = {
+            "no-feedback": {},
+            "zero-gain": {"feedback": missing, "reference": 0.0, "quality_gain": 0.0},
+            "active": {"feedback": missing, "reference": 0.0, "quality_gain": 1.0},
+        }[loop]
+        attached = []
+        attach = serving._attach_observers
+
+        def recording_attach(camera, controller_observe=None):
+            attach(camera, controller_observe)
+            attached.append(len(camera.observers))
+
+        monkeypatch.setattr(serving, "_attach_observers", recording_attach)
+        quota = AdaptiveQuota(discriminator, small_batch, 0.2, **kwargs)
+        report = serve_fleet(
+            deployment, helmet_mini, self.quota_spec(helmet_mini, small_batch, big_batch, quota), seed=11
+        )
+        assert attached == [1 if loop == "active" else 0] * 4
+        if loop != "active":
+            attached.clear()
+            observed = _NoOpObservedQuota(discriminator, small_batch, 0.2, **kwargs)
+            baseline = serve_fleet(
+                deployment, helmet_mini, self.quota_spec(helmet_mini, small_batch, big_batch, observed), seed=11
+            )
+            assert attached == [1] * 4
+            assert report == baseline
+
     def test_mask_and_offload_conflict(self, deployment, helmet_mini, small_batch, big_batch, discriminator):
         quota = AdaptiveQuota(discriminator, small_batch, 0.2)
         # refused when the spec is built, before any run
@@ -395,6 +459,7 @@ class TestAdaptiveQuota:
             {"gain": math.nan},
             {"ema_halflife": 0},
             {"ema_halflife": math.nan},
+            {"ema_halflife": math.inf},
             {"area_bounds": (0.5, 0.2)},
         ],
     )

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from repro.core import SmallBigSystem
 from repro.core.discriminator import DifficultCaseDiscriminator
 from repro.data import load_dataset
+from repro.detection import DetectionBatch
+from repro.detection.matching import greedy_match_segments
 from repro.simulate import make_detector
 
 
@@ -31,6 +33,16 @@ def context():
     )
     # Per-image lists, so the served mixture can be checked by identity.
     return system, dataset, list(small.detect_split(dataset)), list(big.detect_split(dataset))
+
+
+def _served_true_positives(detections, dataset) -> np.ndarray:
+    """Per-image detected-object counts: served (score >= 0.5) detections
+    that claim a ground-truth object of their class at IoU 0.5."""
+    served = DetectionBatch.coerce(detections).above(0.5)
+    image_tp, _ = greedy_match_segments(
+        served, served.offsets[:-1], served.counts(), dataset.truth_batch, np.arange(len(dataset))
+    )
+    return image_tp
 
 
 class TestSystemProperties:
@@ -71,8 +83,6 @@ class TestSystemProperties:
         # true-positive counts, so the tight (and correct) bounds are the
         # sums of the per-image minima and maxima — the split-level totals
         # do NOT bound it (a mask can pick the worse model on every image).
-        from repro.detection.matching import true_positive_count
-
         system, dataset, small_dets, big_dets = context
         rng = np.random.default_rng(seed)
         mask = rng.uniform(size=len(dataset)) < rng.uniform(0.0, 1.0)
@@ -83,8 +93,8 @@ class TestSystemProperties:
             uploaded=mask,
         )
         e2e = run.end_to_end_counts().detected
-        small_tp = np.array([true_positive_count(d, t) for d, t in zip(small_dets, dataset.truths)])
-        big_tp = np.array([true_positive_count(d, t) for d, t in zip(big_dets, dataset.truths)])
+        small_tp = _served_true_positives(small_dets, dataset)
+        big_tp = _served_true_positives(big_dets, dataset)
         assert np.minimum(small_tp, big_tp).sum() <= e2e
         assert e2e <= np.maximum(small_tp, big_tp).sum()
 
