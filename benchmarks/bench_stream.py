@@ -28,14 +28,12 @@ from repro.runtime import (
     OutageSchedule,
     RateSchedule,
     StreamConfig,
-    StreamSpec,
     UnreliableLink,
     bundled_trace,
     cloud_only_scheme,
     collaborative_scheme,
     edge_only_scheme,
     serve_fleet,
-    serve_stream,
 )
 
 
@@ -102,9 +100,9 @@ def test_micro_stream_collaborative_1200_frames(benchmark, deployment, helmet_sl
     config = StreamConfig(fps=40.0, duration_s=30.0, poisson=False, max_edge_queue=30)
 
     def run():
-        return serve_stream(
-            deployment, helmet_slice, StreamSpec(collaborative_scheme(), config, mask=half_mask), seed=1
-        )
+        return serve_fleet(
+            deployment, helmet_slice, FleetSpec(collaborative_scheme(), config, mask=half_mask), seed=1
+        ).cameras[0]
 
     report = benchmark(run)
     assert report.frames_offered == 1200

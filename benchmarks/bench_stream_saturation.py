@@ -13,10 +13,10 @@ from repro.runtime import (
     RTX3060_SERVER,
     WLAN,
     Deployment,
+    FleetSpec,
     StreamConfig,
-    StreamSpec,
     paper_schemes,
-    serve_stream,
+    serve_fleet,
 )
 from repro.zoo.registry import build_model
 
@@ -35,12 +35,12 @@ def _sweep(harness):
     for fps in (2.0, 5.0, 10.0):
         config = StreamConfig(fps=fps, duration_s=45.0)
         rows[fps] = {
-            name: serve_stream(
+            name: serve_fleet(
                 deployment,
                 dataset,
-                StreamSpec(scheme, config, mask=run.uploaded if name == "collaborative" else None),
+                FleetSpec(scheme, config, mask=run.uploaded if name == "collaborative" else None),
                 seed=harness.config.seed,
-            )
+            ).cameras[0]
             for name, scheme in paper_schemes().items()
         }
     return rows

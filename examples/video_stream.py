@@ -18,13 +18,13 @@ from repro.runtime import (
     RTX3060_SERVER,
     WLAN,
     Deployment,
+    FleetSpec,
     StreamConfig,
-    StreamSpec,
     cloud_only_scheme,
     collaborative_scheme,
     paper_schemes,
     run_cost,
-    serve_stream,
+    serve_fleet,
 )
 from repro.simulate import make_detector
 from repro.zoo import build_model
@@ -54,7 +54,7 @@ def main() -> None:
         config = StreamConfig(fps=fps, duration_s=60.0)
         for name, scheme in paper_schemes().items():
             mask = run.uploaded if name == "collaborative" else None
-            report = serve_stream(deployment, test, StreamSpec(scheme, config, mask=mask))
+            report = serve_fleet(deployment, test, FleetSpec(scheme, config, mask=mask))
             print(
                 f"{fps:>5.0f}  {name:<14}{1000 * report.latency.p50:>10.1f}"
                 f"{1000 * report.latency.p99:>10.1f}"

@@ -11,9 +11,7 @@ Every :class:`UploadPolicy` structurally satisfies the serving pipeline's
 :class:`~repro.runtime.policies.OffloadPolicy` protocol, so a baseline wrapped
 in :func:`~repro.runtime.schemes.collaborative_scheme` serves through every
 engine: the static :func:`~repro.runtime.schemes.run_cost` and the event
-engines :func:`~repro.runtime.serving.serve_stream` and
-:func:`~repro.runtime.serving.serve_fleet` (the scheme goes in a
-:class:`~repro.runtime.serving.StreamSpec` or
+engine :func:`~repro.runtime.serving.serve_fleet` (the scheme goes in a
 :class:`~repro.runtime.serving.FleetSpec`).  The edge-only and cloud-only
 decisions are :class:`~repro.runtime.policies.NeverOffload` and
 :class:`~repro.runtime.policies.AlwaysOffload`.

@@ -11,13 +11,12 @@ empty detection set against their ground truth, so backpressure and
 queueing delay both show up as measured mAP / object-count loss rather than
 as side-channel counters.
 
-Inputs are the served batch and the columnar
-:class:`~repro.runtime.trace.FrameTrace` a
-:class:`~repro.runtime.schemes.StreamReport` carries when the simulation was
-given served detections (``report.served`` and ``report.trace``); fleet runs
-evaluate the union of all camera traces, joined by
-:meth:`~repro.runtime.trace.FrameTrace.concat` as ``FleetReport.trace()``
-joins them.
+The input is a :class:`~repro.runtime.serving.FleetReport` of a run served
+with ``detections=``: its fleet-wide columnar trace (``report.trace()``)
+and the served batch that trace's segments index (``report.served()``).
+Every camera's frames are scored together; a single stream is a fleet of
+one.  The evaluator reads the report through those two methods only, so
+this package imports nothing from :mod:`repro.runtime`.
 
 Failure injection adds one wrinkle: a frame whose escalation failed serves
 its *edge* verdict immediately, and a durable escalation queue may land the
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -114,18 +112,6 @@ class RollingWindow:
         return 100.0 * (self.true_objects - self.detected_objects) / self.true_objects
 
 
-def _camera_reports(reports) -> list:
-    """Flatten reports (stream or fleet, or a sequence of either) into the
-    per-camera stream reports, each checked to carry its frame log."""
-    if not isinstance(reports, Sequence):
-        reports = [reports]
-    cameras = [camera for report in reports for camera in getattr(report, "cameras", (report,))]
-    for camera in cameras:
-        if camera.served is None or camera.trace is None:
-            raise ConfigurationError("stream report carries no served frames; simulate with detections=")
-    return cameras
-
-
 def _window_count(duration_s: float, step_s: float) -> int:
     """Number of windows on the exact ``i * step_s`` grid covering arrivals.
 
@@ -147,7 +133,7 @@ def _window_count(duration_s: float, step_s: float) -> int:
 
 
 def rolling_quality(
-    reports,
+    report,
     dataset: Dataset,
     *,
     window_s: float = 10.0,
@@ -161,11 +147,10 @@ def rolling_quality(
 
     Parameters
     ----------
-    reports:
-        A :class:`~repro.runtime.schemes.StreamReport`, a
-        :class:`~repro.runtime.serving.FleetReport`, or a sequence of
-        either; every report must carry the per-frame log (run the
-        simulation with ``detections=``).  Fleet windows pool all cameras.
+    report:
+        A :class:`~repro.runtime.serving.FleetReport` whose cameras carry
+        their per-frame logs (serve with ``detections=``).  Windows pool
+        all cameras.
     dataset:
         The split the stream cycled through (ground-truth source).
     window_s / step_s:
@@ -190,22 +175,13 @@ def rolling_quality(
         raise ConfigurationError(f"step_s must be positive and finite, got {step_s}")
     if freshness_s is not None and not 0.0 < freshness_s < math.inf:
         raise ConfigurationError(f"freshness_s must be positive and finite, got {freshness_s}")
-    cameras = _camera_reports(reports)
-    if not cameras:
-        # An empty sequence would otherwise sail past the per-report guard
-        # and yield a single degenerate all-zero window — a score of
-        # "nothing" that reads like a measurement.
-        raise ConfigurationError("no stream reports to evaluate")
-
-    # imported here: repro.runtime imports repro.core, which imports this package
-    from repro.runtime.trace import FrameTrace
-
-    # One trace over every camera, its segments shifted to index the
-    # concatenated served batch (-1 for drops), plus any deferred cloud
-    # verdict a durable escalation queue recovered for a frame.
-    batch = DetectionBatch.concat([camera.served for camera in cameras])
-    offsets = np.cumsum([0] + [len(camera.served) for camera in cameras[:-1]])
-    trace = FrameTrace.concat([camera.trace for camera in cameras], segment_offsets=offsets)
+    if not callable(getattr(report, "served", None)):
+        raise ConfigurationError(f"rolling_quality scores a FleetReport, got {type(report).__name__}")
+    # One trace over every camera, its segments indexing the fleet's served
+    # batch (-1 for drops), plus any deferred cloud verdict a durable
+    # escalation queue recovered for a frame.
+    trace = report.trace()
+    batch = report.served()
     arrivals, times, records, served_flags = trace.arrivals, trace.times, trace.records, trace.served
     fresh = served_flags.copy()
     if freshness_s is not None:

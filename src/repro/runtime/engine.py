@@ -261,7 +261,7 @@ class _CameraStream:
         "downlink_latency",
         "link_schedule",
         "link_half_rtt",
-        "uplink_mean_rate",
+        "link_rate_mbps",
         "result_payload",
         "_min_payload",
         "latencies",
@@ -329,30 +329,20 @@ class _CameraStream:
         self.fallback_detections = fallback_detections
         self.edge_service = scheme.edge_latency(deployment, online=True)
         self.cloud_service = deployment.cloud.inference_latency(deployment.big_model_flops)
-        # Effective rate model for *this camera's* transfers: the shared
-        # link's schedule, modulated by the camera's mobility profile.
-        # ``link_schedule is None`` + ``uplink_mean_rate is None`` is the
-        # plain scalar link and keeps the pre-schedule arithmetic bit for
-        # bit; a constant effective rate (scaled but not time-varying) keeps
-        # the fixed-cost path at the scaled rate; only a genuinely
-        # time-varying rate resolves transfer durations at grant time.
+        # This camera's view of the shared link: the link itself, or retimed
+        # by the camera's mobility profile.  ``link_schedule`` is set only
+        # for a genuinely time-varying rate, which resolves transfer
+        # durations at grant time; a constant rate keeps the scalar
+        # arithmetic of :meth:`NetworkLink.expected_transfer_time` bit for bit.
         link = deployment.link
-        if link_scale is None:
-            effective = link.schedule if link.time_varying else None
-        else:
+        if link_scale is not None:
             base = link.schedule if link.schedule is not None else RateSchedule.always(link.bandwidth_mbps)
-            effective = base.scaled(link_scale)
-            if effective.is_constant:
-                effective = None if effective.rates_mbps[0] == link.bandwidth_mbps else effective
+            link = link.with_rate_schedule(base.scaled(link_scale))
         self.link_half_rtt = link.rtt_s / 2.0
+        self.link_rate_mbps = link.bandwidth_mbps
+        self.link_schedule = link.schedule if link.time_varying else None
         self.result_payload = detections_payload_bytes(RESULT_BOXES)
-        self.link_schedule = None if effective is None or effective.is_constant else effective
-        if effective is None:
-            self.uplink_mean_rate = None
-            self.downlink_latency = link.expected_transfer_time(self.result_payload)
-        else:
-            self.uplink_mean_rate = effective.rates_mbps[0] if effective.is_constant else effective.mean_rate_mbps
-            self.downlink_latency = self.link_half_rtt + self.result_payload * 8 / (self.uplink_mean_rate * 1e6)
+        self.downlink_latency = link.expected_transfer_time(self.result_payload)
         self._min_payload: int | None = None
         self.latencies: list[float] = []
         self.served = self.dropped = self.shed = self.uploads = 0
@@ -566,11 +556,8 @@ class _CameraStream:
         duration is resolved at grant time by :meth:`uplink_job`'s
         ``service_fn``.
         """
-        dep = self.deployment
-        payload = dep.codec.encoded_bytes(self.records[record_index])
-        if self.uplink_mean_rate is None:
-            return dep.link.expected_transfer_time(payload)
-        return self.link_half_rtt + payload * 8 / (self.uplink_mean_rate * 1e6)
+        payload = self.deployment.codec.encoded_bytes(self.records[record_index])
+        return self.link_half_rtt + payload * 8 / (self.link_rate_mbps * 1e6)
 
     def uplink_job(self, record_index: int) -> tuple[float, Callable[[float], float] | None]:
         """``(estimate, service_fn)`` for one record's uplink transfer.

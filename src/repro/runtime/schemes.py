@@ -333,6 +333,8 @@ class StreamConfig:
             raise RuntimeModelError(
                 f"fps and duration_s must be finite and positive, got {self.fps} and {self.duration_s}"
             )
+        if not isinstance(self.max_edge_queue, int) or isinstance(self.max_edge_queue, bool):
+            raise ConfigurationError(f"max_edge_queue must be an int, got {self.max_edge_queue!r}")
         if self.max_edge_queue < 1:
             raise RuntimeModelError("max_edge_queue must be >= 1")
 
@@ -368,8 +370,9 @@ class StreamReport:
     in event order — arrival time, result-ready time (arrival again for
     drops), dataset record index, served flag, served-batch segment, and the
     deferred cloud verdict a durable escalation queue recovered (``-1`` /
-    ``-inf`` when there is none) — which is exactly what
-    :func:`repro.metrics.rolling.rolling_quality` needs to score the stream
+    ``-inf`` when there is none) — which, joined across cameras by
+    :meth:`~repro.runtime.serving.FleetReport.trace`, is exactly what
+    :func:`repro.metrics.rolling.rolling_quality` needs to score the run
     online, drops, staleness and late verdicts included.
     """
 

@@ -1,17 +1,17 @@
-"""Serving front doors: describe a run as a spec, get a report back.
+"""Serving front door: describe a run as a spec, get a report back.
 
-The specs (:class:`StreamSpec`, :class:`FleetSpec`, :class:`CameraSpec`),
-the :class:`FleetReport`, and the wiring that puts cameras, shared
-resources and policies onto one event loop.  The policies, schemes and
-per-camera engine they assemble live in :mod:`repro.runtime.policies`,
+The specs (:class:`FleetSpec`, with per-camera :class:`CameraSpec`
+overrides), the :class:`FleetReport`, and the wiring that puts cameras,
+shared resources and policies onto one event loop.  The policies, schemes
+and per-camera engine they assemble live in :mod:`repro.runtime.policies`,
 :mod:`repro.runtime.schemes` and :mod:`repro.runtime.engine`.
 
 :func:`serve_fleet` serves N camera streams, each with its own edge
 accelerator, contending for one shared uplink and one shared cloud GPU.
-A stream is a fleet of one: :func:`serve_stream` serves its spec as a
-one-camera :class:`FleetSpec` and returns that camera's report, with the
-camera's arrivals and escalation backoff drawn from the stream's own seed
-scopes (``tests/test_serving_equivalence.py`` pins them).
+A stream is a fleet of one: a one-camera :class:`FleetSpec`, whose
+``report.cameras[0]`` is the stream's :class:`StreamReport`.  Its arrivals
+and escalation backoff draw from the stream seed scopes; every camera of a
+larger fleet draws from its own fleet scopes.
 """
 
 from __future__ import annotations
@@ -50,9 +50,7 @@ __all__ = [
     "CameraSpec",
     "FleetReport",
     "FleetSpec",
-    "StreamSpec",
     "serve_fleet",
-    "serve_stream",
     "simulate_fleet",
 ]
 
@@ -96,27 +94,34 @@ class FleetReport:
             return 0.0
         return self.frames_uploaded / self.frames_served
 
+    def _logged_cameras(self) -> tuple[StreamReport, ...]:
+        """The camera reports, each checked to carry its trace and served batch."""
+        for index, camera in enumerate(self.cameras):
+            if camera.trace is None or camera.served is None:
+                raise ConfigurationError(
+                    f"fleet camera {index} carries no frame trace; serve with detections= to record one"
+                )
+        return self.cameras
+
     def trace(self) -> FrameTrace:
         """The fleet-level columnar frame trace (all cameras, concatenated).
 
-        Each camera's served-batch segments are shifted by its offset in the
-        fleet-wide concatenation of served batches, so the fleet trace can
-        index a fleet-level :meth:`DetectionBatch.concat` of the per-camera
-        ``served`` batches directly.  Requires the run to have been
-        simulated with ``detections=`` (every camera keeps a trace then).
+        Each camera's served-batch segments are shifted by its offset in
+        :meth:`served`, so the fleet trace indexes that batch directly.
+        Requires the run to have been served with ``detections=`` (every
+        camera keeps a trace then).
         """
-        parts: list[FrameTrace] = []
-        offsets: list[int] = []
-        total = 0
-        for index, camera in enumerate(self.cameras):
-            if camera.trace is None:
-                raise ConfigurationError(
-                    f"fleet camera {index} carries no frame trace; simulate with detections= to record one"
-                )
-            parts.append(camera.trace)
-            offsets.append(total)
-            total += 0 if camera.served is None else len(camera.served)
-        return FrameTrace.concat(parts, segment_offsets=offsets)
+        cameras = self._logged_cameras()
+        sizes = [len(camera.served) for camera in cameras]
+        offsets = np.cumsum(sizes) - sizes
+        return FrameTrace.concat([camera.trace for camera in cameras], segment_offsets=offsets)
+
+    def served(self) -> DetectionBatch:
+        """Every camera's served batch, concatenated in camera order.
+
+        The batch :meth:`trace`'s segments index; same requirement.
+        """
+        return DetectionBatch.concat([camera.served for camera in self._logged_cameras()])
 
     def latency_percentiles(self, percentiles: Sequence[float] = (50.0, 95.0, 99.0)) -> dict[float, float]:
         """Fleet-wide per-frame latency percentiles (from the columnar trace)."""
@@ -199,32 +204,6 @@ def _check_spec_mask(
     for name, batch in (("detections", detections), ("small_detections", small_detections)):
         if batch is not None and len(batch) != shape[0]:
             raise ConfigurationError(f"{owner}: mask has {shape[0]} entries but {name} has {len(batch)}")
-
-
-@dataclass(frozen=True, eq=False)
-class StreamSpec:
-    """Everything one streaming run serves, minus deployment/dataset/seed.
-
-    One frozen value a caller builds once and reuses across deployments
-    and seeds; :func:`serve_stream` serves it.
-
-    ``mask`` and ``offload`` are mutually exclusive: a static mask decides
-    the cloud escalations up front, a controller decides per frame as each
-    edge stage finishes.  Construction rejects that pairing, a mask that is
-    not 1-D, and a mask misaligned with the spec's own detections.
-    """
-
-    scheme: ServingScheme
-    config: StreamConfig = field(default_factory=StreamConfig)
-    mask: np.ndarray | None = None
-    small_detections: DetectionBatch | list[Detections] | None = None
-    detections: DetectionBatch | None = None
-    admission: AdmissionPolicy | None = None
-    escalation: EscalationPolicy | None = None
-    offload: OffloadController | None = None
-
-    def __post_init__(self) -> None:
-        _check_spec_mask("StreamSpec", self.mask, self.offload, self.detections, self.small_detections)
 
 
 def _reset_stateful(*participants: object) -> None:
@@ -338,9 +317,9 @@ class CameraSpec:
 class FleetSpec:
     """Everything one fleet run serves, minus deployment/dataset/seed.
 
-    The fleet-level fields mirror :class:`StreamSpec`; ``cameras`` is a
-    count (homogeneous fleet) or a tuple of :class:`CameraSpec` whose unset
-    fields inherit the fleet defaults.  ``controller`` attaches an optional
+    ``cameras`` is a count (homogeneous fleet) or a sequence of
+    :class:`CameraSpec` whose unset fields inherit the fleet-level fields;
+    one camera describes a single stream.  ``controller`` attaches an optional
     :class:`~repro.runtime.control.FleetController` that sees every camera
     on the shared event loop (coordinated shedding across the shared
     uplink).  :func:`serve_fleet` is the front door; :func:`simulate_fleet`
@@ -360,11 +339,12 @@ class FleetSpec:
     controller: FleetController | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.cameras, int):
-            if self.cameras < 1:
-                raise RuntimeModelError(f"a fleet needs at least one camera, got {self.cameras}")
-        elif len(self.cameras) == 0:
-            raise RuntimeModelError("a fleet needs at least one camera, got an empty spec list")
+        cameras = self.cameras
+        count = isinstance(cameras, int) and not isinstance(cameras, bool)
+        if not count and not (isinstance(cameras, Sequence) and all(isinstance(c, CameraSpec) for c in cameras)):
+            raise ConfigurationError(f"cameras must be a count or a sequence of CameraSpec, got {cameras!r}")
+        if (cameras if count else len(cameras)) < 1:
+            raise RuntimeModelError(f"a fleet needs at least one camera, got {cameras!r}")
         _check_spec_mask("FleetSpec", self.mask, self.offload, self.detections, self.small_detections)
 
 
@@ -374,7 +354,6 @@ def serve_fleet(
     spec: FleetSpec,
     *,
     seed: int = DEFAULT_SEED,
-    _stream_scopes: bool = False,
 ) -> FleetReport:
     """Serve a camera fleet described by ``spec`` contending for one deployment.
 
@@ -395,9 +374,10 @@ def serve_fleet(
     observes every camera's completions and can shed across cameras;
     stateful participants are ``reset()`` at entry so specs are reusable.
 
-    ``_stream_scopes`` is :func:`serve_stream`'s private switch: it seeds the
-    (single) camera's arrivals and escalation backoff on the stream scopes
-    instead of the per-camera fleet scopes.
+    A one-camera fleet is a single stream: its arrivals and escalation
+    backoff draw from the stream scopes (``"stream-arrivals"``,
+    ``"stream-escalation"``), where camera ``c`` of a larger fleet draws
+    from ``("fleet-arrivals", c)`` and ``("fleet-escalation", c)``.
     """
     scheme = spec.scheme
     config = spec.config
@@ -448,7 +428,7 @@ def serve_fleet(
     runs: list[_CameraStream] = []
     arrivals: list[np.ndarray] = []
     for camera, cam in enumerate(specs):
-        if _stream_scopes:
+        if len(specs) == 1:
             arrival_scope, escalation_scope = ("stream-arrivals",), ("stream-escalation",)
         else:
             arrival_scope, escalation_scope = ("fleet-arrivals", camera), ("fleet-escalation", camera)
@@ -546,53 +526,6 @@ def serve_fleet(
         uplink_utilization=uplink.utilization(elapsed),
         cloud_utilization=cloud.utilization(elapsed),
     )
-
-
-def serve_stream(
-    deployment: Deployment,
-    dataset: Dataset,
-    spec: StreamSpec,
-    *,
-    seed: int = DEFAULT_SEED,
-) -> StreamReport:
-    """Serve one frame stream described by ``spec``: a one-camera fleet.
-
-    Frames cycle through ``dataset.records``.  The escalation mask comes
-    from ``spec.mask`` when given, else from the scheme's policy (fed
-    ``spec.small_detections``); a ``spec.offload`` controller replaces both
-    and decides per frame at edge-finish time.  When ``spec.detections``
-    holds the per-record served outputs, the report carries the served
-    stream and the per-frame log the online quality evaluation consumes.
-    ``spec.admission`` selects the camera buffer's shedding behaviour
-    (:class:`DropNewest` when omitted — the historical drop-at-arrival
-    rule, bit for bit).
-
-    When ``deployment.link`` is an :class:`UnreliableLink` with outages or
-    loss, uplink transfers can fail; ``spec.escalation`` selects what
-    happens then (:meth:`EscalationPolicy.drop_on_failure` when omitted).
-    An edge-fallback policy serves the frame's *small-model* verdict at the
-    failure instant, so runs that keep frame logs must supply
-    ``spec.small_detections``.
-
-    Stateful participants (an :class:`~repro.runtime.control.EstimatedDeadlineAware`
-    policy, an offload controller) are ``reset()`` at entry, so reusing a
-    spec across runs never leaks estimator state between them.
-
-    The stream runs as the single camera of a :class:`FleetSpec` through
-    :func:`serve_fleet`; only its arrivals and escalation backoff draw from
-    the stream's own seed scopes.
-    """
-    fleet = FleetSpec(
-        scheme=spec.scheme,
-        config=spec.config,
-        mask=spec.mask,
-        small_detections=spec.small_detections,
-        detections=spec.detections,
-        admission=spec.admission,
-        escalation=spec.escalation,
-        offload=spec.offload,
-    )
-    return serve_fleet(deployment, dataset, fleet, seed=seed, _stream_scopes=True).cameras[0]
 
 
 def simulate_fleet(

@@ -21,7 +21,7 @@ from repro.runtime.engine import _arrival_times, _CameraStream
 from repro.runtime.events import EventLoop, FifoResource
 from repro.runtime.schemes import Deployment, ServingScheme, StreamReport
 from repro.runtime.serving import (
-    StreamSpec,
+    FleetSpec,
     _attach_observers,
     _bulk_refusers,
     _check_stream_inputs,
@@ -50,7 +50,7 @@ def _resolve_mask(
 def serve_stream(
     deployment: Deployment,
     dataset: Dataset,
-    spec: StreamSpec,
+    spec: FleetSpec,
     *,
     seed: int = DEFAULT_SEED,
 ) -> StreamReport:

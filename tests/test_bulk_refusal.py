@@ -39,13 +39,11 @@ from repro.runtime import (
     FleetSpec,
     OutageSchedule,
     StreamConfig,
-    StreamSpec,
     UnreliableLink,
     cloud_only_scheme,
     collaborative_scheme,
     edge_only_scheme,
     serve_fleet,
-    serve_stream,
 )
 from repro.runtime.engine import _CameraStream
 from repro.runtime.serving import _bulk_refusers
@@ -160,10 +158,10 @@ class TestBulkEqualsPerEvent:
         mask = np.arange(len(helmet_mini)) % 3 == 0 if scheme == "collaborative" else None
         config = StreamConfig(fps=fps, poisson=poisson, duration_s=8.0, max_edge_queue=depth)
         bulk, per_event = (
-            serve_stream(
+            serve_fleet(
                 _deployment(outage),
                 helmet_mini,
-                StreamSpec(
+                FleetSpec(
                     _SCHEMES[scheme](),
                     config,
                     mask=mask,
@@ -172,7 +170,7 @@ class TestBulkEqualsPerEvent:
                     admission=admission,
                 ),
                 seed=seed,
-            )
+            ).cameras[0]
             for admission in (DropNewest(), PerEventDropNewest())
         )
         assert bulk == per_event

@@ -33,10 +33,10 @@ from repro.runtime import (
     RTX3060_SERVER,
     WLAN,
     Deployment,
+    FleetSpec,
     StreamConfig,
-    StreamSpec,
     cloud_only_scheme,
-    serve_stream,
+    serve_fleet,
 )
 from repro.simulate import make_detector
 
@@ -307,7 +307,7 @@ def unserved_report(unserved):
         edge=JETSON_NANO, cloud=RTX3060_SERVER, link=WLAN, small_model_flops=5.6e9, big_model_flops=61.2e9
     )
     config = StreamConfig(fps=2.0, poisson=True, duration_s=10.0)
-    return serve_stream(deployment, dataset, StreamSpec(cloud_only_scheme(), config, detections=empty), seed=3)
+    return serve_fleet(deployment, dataset, FleetSpec(cloud_only_scheme(), config, detections=empty), seed=3)
 
 
 @pytest.mark.parametrize("iou", BAD_IOU)

@@ -27,10 +27,10 @@ from repro.runtime import (
     Deployment,
     EventLoop,
     FifoResource,
+    FleetSpec,
     StreamConfig,
-    StreamSpec,
     edge_only_scheme,
-    serve_stream,
+    serve_fleet,
 )
 
 
@@ -148,7 +148,7 @@ class TestBoundedBufferBackpressure:
         """Periodic arrivals far above the edge service rate with a tiny
         buffer: the report's drop accounting stays exact."""
         config = StreamConfig(fps=200.0, duration_s=1.0, poisson=False, max_edge_queue=2)
-        report = serve_stream(deployment, helmet_mini, StreamSpec(edge_only_scheme(), config), seed=1)
+        report = serve_fleet(deployment, helmet_mini, FleetSpec(edge_only_scheme(), config), seed=1).cameras[0]
         assert report.frames_dropped > 0
         assert report.frames_served + report.frames_dropped == report.frames_offered
         # The buffer bound caps the backlog: served latency never exceeds
@@ -158,8 +158,8 @@ class TestBoundedBufferBackpressure:
 
     def test_drop_accounting_deterministic(self, deployment, helmet_mini):
         config = StreamConfig(fps=150.0, duration_s=2.0, max_edge_queue=1)
-        a = serve_stream(deployment, helmet_mini, StreamSpec(edge_only_scheme(), config), seed=2)
-        b = serve_stream(deployment, helmet_mini, StreamSpec(edge_only_scheme(), config), seed=2)
+        a = serve_fleet(deployment, helmet_mini, FleetSpec(edge_only_scheme(), config), seed=2).cameras[0]
+        b = serve_fleet(deployment, helmet_mini, FleetSpec(edge_only_scheme(), config), seed=2).cameras[0]
         assert a == b
         assert a.frames_dropped > 0
 
@@ -252,7 +252,7 @@ class TestBoundedBufferBackpressure:
         from repro.runtime import cloud_only_scheme
 
         config = StreamConfig(fps=50.0, duration_s=2.0, poisson=False, max_edge_queue=4)
-        report = serve_stream(deployment, helmet_mini, StreamSpec(cloud_only_scheme(), config), seed=3)
+        report = serve_fleet(deployment, helmet_mini, FleetSpec(cloud_only_scheme(), config), seed=3).cameras[0]
         assert report.frames_dropped > 0
         assert report.frames_uploaded == report.frames_served
         assert report.edge_utilization == 0.0  # nothing touched the edge

@@ -29,17 +29,16 @@ from repro.runtime import (
     EscalationQueue,
     EventLoop,
     FifoResource,
+    FleetReport,
     FleetSpec,
     FrameTrace,
     OutageSchedule,
     StreamConfig,
     StreamReport,
-    StreamSpec,
     UnreliableLink,
     cloud_only_scheme,
     collaborative_scheme,
     serve_fleet,
-    serve_stream,
 )
 from repro.simulate import make_detector
 
@@ -295,9 +294,9 @@ class TestStreamUnderOutage:
                 dict(mask=self._mask(helmet_mini), small_detections=small_batch, detections=big_batch),
             ),
         ):
-            report = serve_stream(
-                deployment, helmet_mini, StreamSpec(scheme, self.CONFIG, escalation=policy, **kwargs), seed=7
-            )
+            report = serve_fleet(
+                deployment, helmet_mini, FleetSpec(scheme, self.CONFIG, escalation=policy, **kwargs), seed=7
+            ).cameras[0]
             assert report.frames_served + report.frames_dropped == report.frames_offered
             assert report.escalations_failed > 0
             # every initially-failed escalation resolves exactly one way
@@ -306,20 +305,20 @@ class TestStreamUnderOutage:
 
     def test_cloud_only_drop_vs_durable(self, helmet_mini, big_batch):
         deployment = _deployment(UnreliableLink.wrap(WLAN, outages=OUTAGE))
-        drop = serve_stream(
+        drop = serve_fleet(
             deployment,
             helmet_mini,
-            StreamSpec(
+            FleetSpec(
                 cloud_only_scheme(), self.CONFIG, detections=big_batch, escalation=EscalationPolicy.drop_on_failure()
             ),
             seed=7,
-        )
-        durable = serve_stream(
+        ).cameras[0]
+        durable = serve_fleet(
             deployment,
             helmet_mini,
-            StreamSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch, escalation=DURABLE),
+            FleetSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch, escalation=DURABLE),
             seed=7,
-        )
+        ).cameras[0]
         # cloud-only has no edge verdict: failures drop frames unless recovered
         assert drop.frames_dropped > 0
         assert drop.escalations_dropped == drop.frames_dropped
@@ -331,10 +330,10 @@ class TestStreamUnderOutage:
     def test_collaborative_fallback_serves_edge_verdict(self, helmet_mini, small_batch, big_batch):
         deployment = _deployment(UnreliableLink.wrap(WLAN, outages=OUTAGE))
         mask = self._mask(helmet_mini)
-        report = serve_stream(
+        report = serve_fleet(
             deployment,
             helmet_mini,
-            StreamSpec(
+            FleetSpec(
                 collaborative_scheme(),
                 self.CONFIG,
                 mask=mask,
@@ -343,7 +342,7 @@ class TestStreamUnderOutage:
                 escalation=EscalationPolicy.drop_on_failure(),
             ),
             seed=7,
-        )
+        ).cameras[0]
         # graceful degradation: every failed escalation still served a frame
         assert report.frames_dropped == 0
         assert report.escalations_failed > 0
@@ -354,10 +353,10 @@ class TestStreamUnderOutage:
 
     def test_collaborative_durable_records_deferred_verdicts(self, helmet_mini, small_batch, big_batch):
         deployment = _deployment(UnreliableLink.wrap(WLAN, outages=OUTAGE))
-        report = serve_stream(
+        report = serve_fleet(
             deployment,
             helmet_mini,
-            StreamSpec(
+            FleetSpec(
                 collaborative_scheme(),
                 self.CONFIG,
                 mask=self._mask(helmet_mini),
@@ -366,7 +365,7 @@ class TestStreamUnderOutage:
                 escalation=DURABLE,
             ),
             seed=7,
-        )
+        ).cameras[0]
         assert report.escalations_recovered > 0
         recovered = report.trace.verdict_segments >= 0
         assert int(recovered.sum()) == report.escalations_recovered
@@ -377,46 +376,46 @@ class TestStreamUnderOutage:
 
     def test_fallback_requires_small_detections(self, helmet_mini, big_batch):
         deployment = _deployment(_deployment(WLAN).link)  # plain link first: fine
-        serve_stream(
+        serve_fleet(
             deployment,
             helmet_mini,
-            StreamSpec(collaborative_scheme(), self.CONFIG, mask=self._mask(helmet_mini), detections=big_batch),
+            FleetSpec(collaborative_scheme(), self.CONFIG, mask=self._mask(helmet_mini), detections=big_batch),
             seed=7,
-        )
+        ).cameras[0]
         faulty = _deployment(UnreliableLink.wrap(WLAN, outages=OUTAGE))
         with pytest.raises(ConfigurationError):
-            serve_stream(
+            serve_fleet(
                 faulty,
                 helmet_mini,
-                StreamSpec(collaborative_scheme(), self.CONFIG, mask=self._mask(helmet_mini), detections=big_batch),
+                FleetSpec(collaborative_scheme(), self.CONFIG, mask=self._mask(helmet_mini), detections=big_batch),
                 seed=7,
-            )
+            ).cameras[0]
 
     def test_retry_cap_abandons_unlucky_cases(self, helmet_mini, big_batch):
         # a very lossy link with a tight retry budget must abandon cases
         deployment = _deployment(UnreliableLink.wrap(WLAN, loss_probability=0.9))
         policy = EscalationPolicy.durable_queue(capacity=8, max_retries=2, base_backoff_s=0.1, max_backoff_s=0.2)
-        report = serve_stream(
+        report = serve_fleet(
             deployment,
             helmet_mini,
-            StreamSpec(
+            FleetSpec(
                 cloud_only_scheme(),
                 StreamConfig(fps=1.0, duration_s=20.0, poisson=False, max_edge_queue=10),
                 detections=big_batch,
                 escalation=policy,
             ),
             seed=11,
-        )
+        ).cameras[0]
         assert report.escalations_dropped > 0
         assert report.frames_served + report.frames_dropped == report.frames_offered
 
     def test_outage_runs_deterministic(self, helmet_mini, small_batch, big_batch):
         deployment = _deployment(UnreliableLink.wrap(WLAN, outages=OUTAGE, loss_probability=0.05))
         runs = [
-            serve_stream(
+            serve_fleet(
                 deployment,
                 helmet_mini,
-                StreamSpec(
+                FleetSpec(
                     collaborative_scheme(),
                     self.CONFIG,
                     mask=self._mask(helmet_mini),
@@ -425,7 +424,7 @@ class TestStreamUnderOutage:
                     escalation=DURABLE,
                 ),
                 seed=13,
-            )
+            ).cameras[0]
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -453,27 +452,27 @@ class TestCloudOutages:
 
     def test_always_up_cloud_is_bit_for_bit_plain(self, helmet_mini, big_batch):
         """An empty (or None) cloud schedule keeps the pre-outage path."""
-        plain = serve_stream(
-            _deployment(WLAN), helmet_mini, StreamSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch), seed=7
-        )
-        empty = serve_stream(
+        plain = serve_fleet(
+            _deployment(WLAN), helmet_mini, FleetSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch), seed=7
+        ).cameras[0]
+        empty = serve_fleet(
             self._cloudy(OutageSchedule.always_up()),
             helmet_mini,
-            StreamSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch),
+            FleetSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch),
             seed=7,
-        )
+        ).cameras[0]
         assert plain == empty
 
     def test_cloud_failures_escalate_on_reliable_link(self, helmet_mini, big_batch):
         """Escalations fire even though the link itself never fails."""
-        report = serve_stream(
+        report = serve_fleet(
             self._cloudy(),
             helmet_mini,
-            StreamSpec(
+            FleetSpec(
                 cloud_only_scheme(), self.CONFIG, detections=big_batch, escalation=EscalationPolicy.drop_on_failure()
             ),
             seed=7,
-        )
+        ).cameras[0]
         assert report.escalations_failed > 0
         assert report.frames_served + report.frames_dropped == report.frames_offered
         # The upload completed before the cloud failed: failed frames still
@@ -481,20 +480,20 @@ class TestCloudOutages:
         assert report.frames_uploaded > report.frames_served
 
     def test_durable_queue_recovers_cloud_failures(self, helmet_mini, big_batch):
-        drop = serve_stream(
+        drop = serve_fleet(
             self._cloudy(),
             helmet_mini,
-            StreamSpec(
+            FleetSpec(
                 cloud_only_scheme(), self.CONFIG, detections=big_batch, escalation=EscalationPolicy.drop_on_failure()
             ),
             seed=7,
-        )
-        durable = serve_stream(
+        ).cameras[0]
+        durable = serve_fleet(
             self._cloudy(),
             helmet_mini,
-            StreamSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch, escalation=DURABLE),
+            FleetSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch, escalation=DURABLE),
             seed=7,
-        )
+        ).cameras[0]
         assert durable.escalations_recovered > 0
         assert durable.frames_served > drop.frames_served
 
@@ -503,12 +502,12 @@ class TestCloudOutages:
         mask = np.zeros(len(helmet_mini), dtype=bool)
         mask[::2] = True
         with pytest.raises(ConfigurationError):
-            serve_stream(
+            serve_fleet(
                 self._cloudy(),
                 helmet_mini,
-                StreamSpec(collaborative_scheme(), self.CONFIG, mask=mask, detections=big_batch),
+                FleetSpec(collaborative_scheme(), self.CONFIG, mask=mask, detections=big_batch),
                 seed=7,
-            )
+            ).cameras[0]
 
     def test_cloud_and_link_outages_compose(self, helmet_mini, small_batch, big_batch):
         """Staggered cloud and link windows both feed the escalation queue."""
@@ -526,10 +525,10 @@ class TestCloudOutages:
         mask = np.zeros(len(helmet_mini), dtype=bool)
         mask[::2] = True
         runs = [
-            serve_stream(
+            serve_fleet(
                 deployment,
                 helmet_mini,
-                StreamSpec(
+                FleetSpec(
                     collaborative_scheme(),
                     self.CONFIG,
                     mask=mask,
@@ -538,7 +537,7 @@ class TestCloudOutages:
                     escalation=DURABLE,
                 ),
                 seed=13,
-            )
+            ).cameras[0]
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -586,7 +585,7 @@ class TestVerdictReconciliation:
         builder.append(
             dataset.image_ids[0], truth.boxes, np.ones(len(truth.boxes)), truth.labels
         )  # segment 1: the deferred cloud verdict (perfect)
-        return StreamReport(
+        camera = StreamReport(
             scheme="collaborative",
             latency=summarize_latencies([1.0]),
             frames_offered=1,
@@ -608,6 +607,18 @@ class TestVerdictReconciliation:
                 verdict_times=np.array([9.0]),
                 verdict_segments=np.array([1], dtype=np.int64),
             ),
+        )
+        return FleetReport(
+            scheme=camera.scheme,
+            cameras=(camera,),
+            latency=camera.latency,
+            frames_offered=1,
+            frames_served=1,
+            frames_dropped=0,
+            frames_uploaded=0,
+            edge_utilization=0.0,
+            uplink_utilization=0.0,
+            cloud_utilization=0.0,
         )
 
     def test_late_verdict_inside_deadline_upgrades(self, helmet_mini):

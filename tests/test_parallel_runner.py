@@ -411,14 +411,14 @@ def test_harness_workers_from_env(monkeypatch, tmp_path):
 # streaming engine served-batch collection
 # --------------------------------------------------------------------- #
 def test_stream_collects_served_batch(split_small, serial_batch):
-    from repro.runtime import StreamConfig, StreamSpec, edge_only_scheme, serve_stream
+    from repro.runtime import FleetSpec, StreamConfig, edge_only_scheme, serve_fleet
     from repro.runtime.devices import JETSON_NANO, RTX3060_SERVER
     from repro.runtime.network import WLAN
     from repro.runtime.schemes import Deployment
 
     deployment = Deployment(edge=JETSON_NANO, cloud=RTX3060_SERVER, link=WLAN)
-    spec = StreamSpec(edge_only_scheme(), StreamConfig(fps=30.0, duration_s=4.0, poisson=False))
-    report = serve_stream(deployment, split_small, replace(spec, detections=serial_batch))
+    spec = FleetSpec(edge_only_scheme(), StreamConfig(fps=30.0, duration_s=4.0, poisson=False))
+    report = serve_fleet(deployment, split_small, replace(spec, detections=serial_batch)).cameras[0]
     assert report.served is not None
     assert len(report.served) == report.frames_served
     assert report.served.detector == serial_batch.detector
@@ -430,4 +430,4 @@ def test_stream_collects_served_batch(split_small, serial_batch):
         assert np.array_equal(view.scores, source.scores)
         assert np.array_equal(view.labels, source.labels)
     # Without detections the report stays lean.
-    assert serve_stream(deployment, split_small, spec).served is None
+    assert serve_fleet(deployment, split_small, spec).cameras[0].served is None

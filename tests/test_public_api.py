@@ -112,3 +112,19 @@ def test_runtime_modules_import_acyclically():
         ready = [module for module, deps in graph.items() if module not in done and deps <= done]
         assert ready, f"import cycle among {sorted(set(graph) - done)}"
         done.update(ready)
+
+
+def test_metrics_import_nothing_from_runtime():
+    """The evaluators score a report through its methods; ``repro.metrics``
+    never imports ``repro.runtime``, at module level or inside a function."""
+    package = Path(importlib.import_module("repro.metrics").__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert not (name == "repro.runtime" or name.startswith("repro.runtime.")), f"{path.name} imports {name}"

@@ -42,12 +42,10 @@ from repro.runtime import (
     FleetSpec,
     OutageSchedule,
     StreamConfig,
-    StreamSpec,
     UnreliableLink,
     cloud_only_scheme,
     collaborative_scheme,
     serve_fleet,
-    serve_stream,
 )
 from repro.simulate import make_detector
 
@@ -94,8 +92,8 @@ class TestBitForBitEquality:
         )
 
     def test_single_stream_adjacent_windows(self, deployment, helmet_mini, big_batch):
-        report = serve_stream(
-            deployment, helmet_mini, StreamSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch), seed=5
+        report = serve_fleet(
+            deployment, helmet_mini, FleetSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch), seed=5
         )
         self._compare(report, helmet_mini, window_s=8.0, duration_s=40.0, freshness_s=2.0)
         self._compare(report, helmet_mini, window_s=8.0, duration_s=40.0)  # no freshness deadline
@@ -203,10 +201,10 @@ class TestWindowGridRegression:
     def test_product_rounding_no_longer_emits_phantom_window(self, deployment, helmet_mini, big_batch):
         # 3 * 0.3 == 0.8999… < 0.9 in floats, yet 0.9 / 0.3 == 3.0 exactly:
         # the legacy loop emitted a 4th window starting *at* the horizon
-        report = serve_stream(
+        report = serve_fleet(
             deployment,
             helmet_mini,
-            StreamSpec(cloud_only_scheme(), StreamConfig(fps=10.0, poisson=True, duration_s=0.9), detections=big_batch),
+            FleetSpec(cloud_only_scheme(), StreamConfig(fps=10.0, poisson=True, duration_s=0.9), detections=big_batch),
             seed=5,
         )
         new = rolling_quality(report, helmet_mini, window_s=0.6, step_s=0.3, duration_s=0.9)

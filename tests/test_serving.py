@@ -39,14 +39,12 @@ from repro.runtime import (
     OffloadPolicy,
     RunCost,
     StreamConfig,
-    StreamSpec,
     cloud_only_scheme,
     collaborative_scheme,
     edge_only_scheme,
     paper_schemes,
     run_cost,
     serve_fleet,
-    serve_stream,
 )
 from repro.simulate import make_detector
 
@@ -154,8 +152,8 @@ class TestPoliciesThroughBothEngines:
         config = StreamConfig(fps=2.0, duration_s=10.0, poisson=False)
         for policy in all_policies(discriminator):
             scheme = collaborative_scheme(policy, name=policy.name)
-            spec = StreamSpec(scheme, config, small_detections=small_batch)
-            report = serve_stream(deployment, helmet_mini, spec, seed=3)
+            spec = FleetSpec(scheme, config, small_detections=small_batch)
+            report = serve_fleet(deployment, helmet_mini, spec, seed=3).cameras[0]
             assert report.scheme == policy.name
             assert report.frames_served == report.frames_offered  # light load
             mask = policy.select(helmet_mini, small_batch)
@@ -272,15 +270,17 @@ class TestFleetSimulator:
         with pytest.raises(RuntimeModelError):
             serve_fleet(deployment, helmet_mini, FleetSpec(scheme=edge_only_scheme(), config=self.CONFIG, cameras=0))
 
+    @pytest.mark.parametrize("cameras", [[1, 2], "ab", 2.5, True, None, (CameraSpec(), 1)])
+    def test_non_integer_camera_count_rejected_at_construction(self, cameras):
+        # these used to construct and then die mid-run, or serve one camera
+        with pytest.raises(ConfigurationError, match="cameras"):
+            FleetSpec(scheme=edge_only_scheme(), cameras=cameras)
+
 
 class TestRollingQuality:
     CONFIG = StreamConfig(fps=4.0, duration_s=24.0, poisson=False)
 
-    def _stream(self, deployment, dataset, batch, scheme, cameras=None, **kwargs):
-        if cameras is None:
-            return serve_stream(
-                deployment, dataset, StreamSpec(scheme, self.CONFIG, detections=batch, **kwargs), seed=9
-            )
+    def _stream(self, deployment, dataset, batch, scheme, cameras=1, **kwargs):
         return serve_fleet(
             deployment,
             dataset,
@@ -306,12 +306,10 @@ class TestRollingQuality:
 
     def test_drops_degrade_measured_quality(self, deployment, helmet_mini, big_batch):
         """The same scheme, saturated, must score worse — drops are quality."""
-        light = serve_stream(
+        light = serve_fleet(
             deployment,
             helmet_mini,
-            StreamSpec(
-                cloud_only_scheme(), StreamConfig(fps=1.0, duration_s=24.0, poisson=False), detections=big_batch
-            ),
+            FleetSpec(cloud_only_scheme(), StreamConfig(fps=1.0, duration_s=24.0, poisson=False), detections=big_batch),
             seed=9,
         )
         saturated = self._stream(deployment, helmet_mini, big_batch, cloud_only_scheme(), cameras=8)
@@ -329,20 +327,15 @@ class TestRollingQuality:
         )
 
     def test_report_without_frame_log_rejected(self, deployment, helmet_mini):
-        from repro.errors import ConfigurationError
-
-        report = serve_stream(deployment, helmet_mini, StreamSpec(edge_only_scheme(), self.CONFIG), seed=9)
-        with pytest.raises(ConfigurationError):
+        report = serve_fleet(deployment, helmet_mini, FleetSpec(edge_only_scheme(), self.CONFIG), seed=9)
+        with pytest.raises(ConfigurationError, match="no frame trace"):
             rolling_quality(report, helmet_mini)
 
-    def test_empty_reports_sequence_rejected(self, helmet_mini):
-        """An empty sequence must error, not score a degenerate zero window."""
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="no stream reports"):
-            rolling_quality([], helmet_mini)
-        with pytest.raises(ConfigurationError, match="no stream reports"):
-            rolling_quality((), helmet_mini)
+    def test_camera_report_rejected(self, deployment, helmet_mini, small_batch):
+        """The evaluator scores the fleet report, not one camera's entry."""
+        report = self._stream(deployment, helmet_mini, small_batch, edge_only_scheme())
+        with pytest.raises(ConfigurationError, match="scores a FleetReport"):
+            rolling_quality(report.cameras[0], helmet_mini)
 
     def test_window_parameters_must_be_positive_and_finite(self, deployment, helmet_mini, small_batch):
         """NaN once slipped past a ``<= 0`` check: a NaN freshness marked
@@ -437,18 +430,18 @@ class TestAdmissionPolicies:
     def test_drop_oldest_sheds_on_a_saturated_edge_queue(self, deployment, helmet_mini, small_batch):
         """Edge-compute schemes shed from the camera's own edge buffer."""
         config = StreamConfig(fps=40.0, duration_s=20.0, poisson=False, max_edge_queue=4)
-        report = serve_stream(
+        report = serve_fleet(
             deployment,
             helmet_mini,
-            StreamSpec(edge_only_scheme(), config, detections=small_batch, admission=DropOldest()),
+            FleetSpec(edge_only_scheme(), config, detections=small_batch, admission=DropOldest()),
             seed=5,
-        )
-        baseline = serve_stream(
+        ).cameras[0]
+        baseline = serve_fleet(
             deployment,
             helmet_mini,
-            StreamSpec(edge_only_scheme(), config, detections=small_batch, admission=DropNewest()),
+            FleetSpec(edge_only_scheme(), config, detections=small_batch, admission=DropNewest()),
             seed=5,
-        )
+        ).cameras[0]
         assert report.frames_shed > 0
         assert baseline.frames_shed == 0
         assert report.frames_served + report.frames_dropped == report.frames_offered
@@ -511,12 +504,12 @@ class TestAdmissionPolicies:
         """With no buffer pressure every admission policy is a no-op."""
         config = StreamConfig(fps=2.0, duration_s=15.0, poisson=False)
         reports = [
-            serve_stream(
+            serve_fleet(
                 deployment,
                 helmet_mini,
-                StreamSpec(edge_only_scheme(), config, detections=small_batch, admission=admission),
+                FleetSpec(edge_only_scheme(), config, detections=small_batch, admission=admission),
                 seed=5,
-            )
+            ).cameras[0]
             for admission in (DropNewest(), DropOldest(), DeadlineAware(freshness_s=5.0))
         ]
         assert reports[0] == reports[1] == reports[2]
@@ -731,7 +724,7 @@ class TestSpecFailFast:
     def build(self, request):
         def build(**fields):
             if request.param == "stream":
-                return StreamSpec(collaborative_scheme(), **fields)
+                return FleetSpec(collaborative_scheme(), **fields)
             if request.param == "fleet":
                 return FleetSpec(collaborative_scheme(), **fields)
             return CameraSpec(**fields)

@@ -3,7 +3,7 @@
 The three paper schemes used to be implemented twice — once as per-scheme
 loops for the static Table XI accounting and once as a per-scheme event
 simulation.  Both now route through :mod:`repro.runtime.serving`
-(:func:`run_cost` and :func:`serve_stream`).  This module keeps verbatim copies of
+(:func:`run_cost` and a one-camera :func:`serve_fleet`).  This module keeps verbatim copies of
 the *pre-refactor* per-scheme implementations and asserts exact equality —
 every float, byte count and counter — against the shared-pipeline path, so
 the refactor can never drift from the published numbers.
@@ -41,7 +41,6 @@ from repro.runtime import (
     RateSchedule,
     RunCost,
     StreamConfig,
-    StreamSpec,
     UnreliableLink,
     cloud_only_scheme,
     collaborative_scheme,
@@ -49,7 +48,6 @@ from repro.runtime import (
     paper_schemes,
     run_cost,
     serve_fleet,
-    serve_stream,
     simulate_fleet,
 )
 from repro.runtime.codec import detections_payload_bytes
@@ -307,20 +305,20 @@ class TestStreamEquivalence:
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["light", "poisson", "saturating"])
     def test_edge_identical(self, deployment, helmet_mini, config):
-        report = serve_stream(deployment, helmet_mini, StreamSpec(edge_only_scheme(), config), seed=42)
+        report = serve_fleet(deployment, helmet_mini, FleetSpec(edge_only_scheme(), config), seed=42).cameras[0]
         reference = reference_stream_run(deployment, helmet_mini, 42, "edge", config)
         assert_stream_reports_identical(report, reference)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["light", "poisson", "saturating"])
     def test_cloud_identical(self, deployment, helmet_mini, config):
-        report = serve_stream(deployment, helmet_mini, StreamSpec(cloud_only_scheme(), config), seed=42)
+        report = serve_fleet(deployment, helmet_mini, FleetSpec(cloud_only_scheme(), config), seed=42).cameras[0]
         reference = reference_stream_run(deployment, helmet_mini, 42, "cloud", config)
         assert_stream_reports_identical(report, reference)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["light", "poisson", "saturating"])
     def test_collaborative_identical(self, deployment, helmet_mini, half_mask, config):
-        spec = StreamSpec(collaborative_scheme(), config, mask=half_mask)
-        report = serve_stream(deployment, helmet_mini, spec, seed=42)
+        spec = FleetSpec(collaborative_scheme(), config, mask=half_mask)
+        report = serve_fleet(deployment, helmet_mini, spec, seed=42).cameras[0]
         reference = reference_stream_run(deployment, helmet_mini, 42, "collaborative", config, half_mask)
         assert_stream_reports_identical(report, reference)
 
@@ -330,8 +328,8 @@ class TestStreamEquivalence:
         from repro.simulate import make_detector
 
         detections = make_detector("small1", "helmet").detect_split(helmet_mini)
-        spec = StreamSpec(collaborative_scheme(), config, mask=half_mask, detections=detections)
-        report = serve_stream(deployment, helmet_mini, spec, seed=42)
+        spec = FleetSpec(collaborative_scheme(), config, mask=half_mask, detections=detections)
+        report = serve_fleet(deployment, helmet_mini, spec, seed=42).cameras[0]
         reference = reference_stream_run(deployment, helmet_mini, 42, "collaborative", config, half_mask)
         assert_stream_reports_identical(report, reference)
         assert report.served is not None
@@ -359,8 +357,8 @@ class TestAdmissionEquivalence:
     @pytest.mark.parametrize("config", CONFIGS, ids=["light", "poisson", "saturating"])
     def test_drop_newest_identical_to_reference(self, deployment, helmet_mini, half_mask, scheme, config):
         uploaded = half_mask if scheme == "collaborative" else None
-        spec = StreamSpec(paper_schemes()[scheme], config, mask=uploaded, admission=DropNewest())
-        report = serve_stream(deployment, helmet_mini, spec, seed=42)
+        spec = FleetSpec(paper_schemes()[scheme], config, mask=uploaded, admission=DropNewest())
+        report = serve_fleet(deployment, helmet_mini, spec, seed=42).cameras[0]
         reference = reference_stream_run(deployment, helmet_mini, 42, scheme, config, uploaded)
         assert_stream_reports_identical(report, reference)
         assert report.frames_shed == 0
@@ -374,9 +372,9 @@ class TestAdmissionEquivalence:
 
         detections = make_detector("small1", "helmet").detect_split(helmet_mini)
         uploaded = half_mask if scheme == "collaborative" else None
-        spec = StreamSpec(paper_schemes()[scheme], config, mask=uploaded, detections=detections)
-        explicit = serve_stream(deployment, helmet_mini, replace(spec, admission=DropNewest()), seed=42)
-        default = serve_stream(deployment, helmet_mini, spec, seed=42)
+        spec = FleetSpec(paper_schemes()[scheme], config, mask=uploaded, detections=detections)
+        explicit = serve_fleet(deployment, helmet_mini, replace(spec, admission=DropNewest()), seed=42).cameras[0]
+        default = serve_fleet(deployment, helmet_mini, spec, seed=42).cameras[0]
         assert explicit == default
 
     @pytest.mark.parametrize(
@@ -413,8 +411,8 @@ class TestAdmissionEquivalence:
         """The new shedding policies reproduce exactly in the seed."""
         config = StreamConfig(fps=14.0, duration_s=25.0, max_edge_queue=5)
         uploaded = half_mask if scheme == "collaborative" else None
-        spec = StreamSpec(paper_schemes()[scheme], config, mask=uploaded, admission=admission)
-        runs = [serve_stream(deployment, helmet_mini, spec, seed=42) for _ in range(2)]
+        spec = FleetSpec(paper_schemes()[scheme], config, mask=uploaded, admission=admission)
+        runs = [serve_fleet(deployment, helmet_mini, spec, seed=42).cameras[0] for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_paper_schemes_cover_all_shapes(self):
@@ -473,11 +471,12 @@ class TestAvailabilityEquivalence:
     ):
         config = StreamConfig(fps=6.0, duration_s=15.0)
         uploaded = half_mask if scheme_name == "collaborative" else None
-        spec = StreamSpec(
+        spec = FleetSpec(
             paper_schemes()[scheme_name], config, mask=uploaded, detections=small_batch, small_detections=small_batch
         )
-        plain = serve_stream(deployment, helmet_mini, spec, seed=42)
-        wrapped = serve_stream(unreliable_deployment, helmet_mini, replace(spec, escalation=escalation), seed=42)
+        plain = serve_fleet(deployment, helmet_mini, spec, seed=42).cameras[0]
+        wrapped_spec = replace(spec, escalation=escalation)
+        wrapped = serve_fleet(unreliable_deployment, helmet_mini, wrapped_spec, seed=42).cameras[0]
         assert plain == wrapped
         assert wrapped.escalations_failed == 0
         assert wrapped.escalations_dropped == 0
@@ -551,9 +550,9 @@ class TestScheduleEquivalence:
         self, deployment, scheduled_deployment, helmet_mini, half_mask, scheme_name, config
     ):
         uploaded = half_mask if scheme_name == "collaborative" else None
-        spec = StreamSpec(paper_schemes()[scheme_name], config, mask=uploaded)
-        plain = serve_stream(deployment, helmet_mini, spec, seed=42)
-        scheduled = serve_stream(scheduled_deployment, helmet_mini, spec, seed=42)
+        spec = FleetSpec(paper_schemes()[scheme_name], config, mask=uploaded)
+        plain = serve_fleet(deployment, helmet_mini, spec, seed=42).cameras[0]
+        scheduled = serve_fleet(scheduled_deployment, helmet_mini, spec, seed=42).cameras[0]
         assert plain == scheduled
 
     @pytest.mark.parametrize(
@@ -587,12 +586,12 @@ class TestScheduleEquivalence:
             ("scheduled-aware", scheduled_deployment, True),
             ("scheduled-blind", scheduled_deployment, False),
         ):
-            spec = StreamSpec(
+            spec = FleetSpec(
                 scheme=cloud_only_scheme(),
                 config=config,
                 admission=EstimatedDeadlineAware(freshness_s=2.0, schedule_aware=aware),
             )
-            runs[label] = serve_stream(dep, helmet_mini, spec, seed=42)
+            runs[label] = serve_fleet(dep, helmet_mini, spec, seed=42).cameras[0]
         assert runs["plain-aware"] == runs["scheduled-aware"] == runs["scheduled-blind"]
         assert runs["plain-aware"].frames_shed > 0
 
@@ -613,9 +612,9 @@ class TestScheduleEquivalence:
             big_model_flops=deployment.big_model_flops,
         )
         config = StreamConfig(fps=6.0, duration_s=15.0)
-        spec = StreamSpec(collaborative_scheme(), config, mask=half_mask)
-        plain = serve_stream(deployment, helmet_mini, spec, seed=42)
-        scheduled = serve_stream(wrapped, helmet_mini, spec, seed=42)
+        spec = FleetSpec(collaborative_scheme(), config, mask=half_mask)
+        plain = serve_fleet(deployment, helmet_mini, spec, seed=42).cameras[0]
+        scheduled = serve_fleet(wrapped, helmet_mini, spec, seed=42).cameras[0]
         assert plain == scheduled
 
 
@@ -665,10 +664,10 @@ class TestSpecEquivalence:
     def test_spec_reuse_is_deterministic(self, deployment, helmet_mini):
         """One frozen spec value re-served across seeds and runs: the same
         seed reproduces exactly, different seeds are independent."""
-        spec = StreamSpec(scheme=edge_only_scheme(), config=self.CONFIG)
-        first = serve_stream(deployment, helmet_mini, spec, seed=7)
-        second = serve_stream(deployment, helmet_mini, spec, seed=7)
-        other = serve_stream(deployment, helmet_mini, spec, seed=8)
+        spec = FleetSpec(scheme=edge_only_scheme(), config=self.CONFIG)
+        first = serve_fleet(deployment, helmet_mini, spec, seed=7).cameras[0]
+        second = serve_fleet(deployment, helmet_mini, spec, seed=7).cameras[0]
+        other = serve_fleet(deployment, helmet_mini, spec, seed=8).cameras[0]
         assert first == second
         assert first.frames_offered != other.frames_offered or first != other
 

@@ -14,12 +14,12 @@ from repro.runtime import (
     Deployment,
     EventLoop,
     FifoResource,
+    FleetSpec,
     StreamConfig,
-    StreamSpec,
     cloud_only_scheme,
     collaborative_scheme,
     edge_only_scheme,
-    serve_stream,
+    serve_fleet,
 )
 
 
@@ -39,7 +39,7 @@ def serve(helmet_mini):
     )
 
     def run(scheme, config, mask=None):
-        return serve_stream(deployment, helmet_mini, StreamSpec(scheme, config, mask=mask), seed=42)
+        return serve_fleet(deployment, helmet_mini, FleetSpec(scheme, config, mask=mask), seed=42).cameras[0]
 
     return run
 
@@ -172,13 +172,19 @@ class TestServeStream:
         )
         empty = helmet_mini.subset(0)
         with pytest.raises(RuntimeModelError):
-            serve_stream(deployment, empty, StreamSpec(edge_only_scheme()))
+            serve_fleet(deployment, empty, FleetSpec(edge_only_scheme()))
 
     def test_bad_config_rejected(self):
         with pytest.raises(RuntimeModelError):
             StreamConfig(fps=0.0)
         with pytest.raises(RuntimeModelError):
             StreamConfig(max_edge_queue=0)
+
+    @pytest.mark.parametrize("depth", [2.5, 3.0, True, "4", None])
+    def test_non_integer_queue_bound_rejected(self, depth):
+        # 2.5 used to construct and then act as a bound of 3
+        with pytest.raises(ConfigurationError, match="max_edge_queue"):
+            StreamConfig(max_edge_queue=depth)
 
     @pytest.mark.parametrize(
         "field, value",

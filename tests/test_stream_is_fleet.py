@@ -1,9 +1,9 @@
 """A stream is a fleet of one.
 
-:func:`serve_stream` serves its spec as a one-camera :class:`FleetSpec`
-through :func:`serve_fleet`; only the seed scopes of the camera's arrivals
-and escalation backoff differ from a fleet camera's.  The oracle is the
-stream front door's former engine set-up, vendored in
+A one-camera :class:`FleetSpec` served by :func:`serve_fleet` is a single
+stream; only the seed scopes of the camera's arrivals and escalation
+backoff differ from a larger fleet's cameras.  The oracle is the former
+stream front door's own engine set-up, vendored in
 ``tests/_legacy_stream.py``: over generated specs the two must agree on
 every report field — counters, latency summary, utilizations, trace
 columns and served batch.
@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _legacy_stream as legacy
+from repro._rng import generator_for
 from repro.core.discriminator import DifficultCaseDiscriminator
 from repro.data import load_dataset
 from repro.detection import DetectionBatch
@@ -31,17 +32,18 @@ from repro.runtime import (
     DropOldest,
     EscalationPolicy,
     EstimatedDeadlineAware,
+    FleetSpec,
     OutageSchedule,
     RateSchedule,
     StreamConfig,
-    StreamSpec,
     UnreliableLink,
     cloud_only_scheme,
     collaborative_scheme,
     edge_only_scheme,
-    serve_stream,
+    serve_fleet,
 )
 from repro.runtime import serving
+from repro.runtime.engine import _arrival_times
 from repro.simulate import make_detector
 
 DURATION_S = 8.0
@@ -112,7 +114,7 @@ def _spec(helmet_mini, small_batch, big_batch, scheme, admission, escalation, qu
             offload = AdaptiveQuota(discriminator, small_batch, 0.3)
         else:
             mask = np.arange(len(helmet_mini)) % 3 == 0
-    return StreamSpec(
+    return FleetSpec(
         _SCHEMES[scheme](),
         StreamConfig(fps=fps, poisson=poisson, duration_s=DURATION_S, max_edge_queue=depth),
         mask=mask,
@@ -156,22 +158,32 @@ def test_stream_equals_legacy_set_up(
 ):
     deployment = _deployment(faults, scheduled)
     args = (helmet_mini, small_batch, big_batch, scheme, admission, escalation, quota, fps, poisson, depth, logged)
-    fleet_of_one = serve_stream(deployment, helmet_mini, _spec(*args), seed=seed)
+    fleet_of_one = serve_fleet(deployment, helmet_mini, _spec(*args), seed=seed).cameras[0]
     oracle = legacy.serve_stream(deployment, helmet_mini, _spec(*args), seed=seed)
     assert fleet_of_one == oracle
 
 
-def test_stream_runs_through_the_fleet_path(monkeypatch, helmet_mini):
-    """The stream front door builds no engine of its own."""
-    calls = []
-    fleet_path = serving.serve_fleet
+@pytest.mark.parametrize(
+    "cameras, arrival_scope, escalation_scope",
+    [
+        (1, ("stream-arrivals",), ("stream-escalation",)),
+        (2, ("fleet-arrivals", 0), ("fleet-escalation", 0)),
+    ],
+)
+def test_seed_scopes_follow_the_camera_count(
+    monkeypatch, helmet_mini, small_batch, cameras, arrival_scope, escalation_scope
+):
+    """One camera draws the stream scopes; camera 0 of a larger fleet its own."""
+    drawn = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return fleet_path(*args, **kwargs)
+    def recording(seed, *scope):
+        drawn.append(scope)
+        return generator_for(seed, *scope)
 
-    monkeypatch.setattr(serving, "serve_fleet", counting)
-    spec = StreamSpec(edge_only_scheme(), StreamConfig(fps=4.0, duration_s=2.0))
-    report = serve_stream(_deployment("none", False), helmet_mini, spec, seed=1)
-    assert len(calls) == 1 and calls[0].cameras == 1
-    assert report.frames_offered > 0
+    monkeypatch.setattr(serving, "generator_for", recording)
+    config = StreamConfig(fps=2.0, poisson=True, duration_s=DURATION_S)
+    spec = FleetSpec(edge_only_scheme(), config, cameras=cameras, detections=small_batch)
+    report = serve_fleet(_deployment("none", False), helmet_mini, spec, seed=3)
+    expected = _arrival_times(config, 3, *arrival_scope)
+    np.testing.assert_array_equal(np.sort(report.cameras[0].trace.arrivals), expected)
+    assert drawn[0] == escalation_scope

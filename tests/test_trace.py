@@ -24,11 +24,9 @@ from repro.runtime import (
     FrameTrace,
     FrameTraceBuilder,
     StreamConfig,
-    StreamSpec,
     cloud_only_scheme,
     edge_only_scheme,
     serve_fleet,
-    serve_stream,
 )
 from repro.simulate import make_detector
 
@@ -236,16 +234,16 @@ class TestReportPercentiles:
     CONFIG = StreamConfig(fps=1.0, poisson=True, duration_s=12.0)
 
     def test_stream_report_percentiles_from_trace(self, deployment, helmet_mini, big_batch):
-        report = serve_stream(
-            deployment, helmet_mini, StreamSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch), seed=3
-        )
+        report = serve_fleet(
+            deployment, helmet_mini, FleetSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch), seed=3
+        ).cameras[0]
         points = report.latency_percentiles()
         ages = report.trace.latencies()
         assert points[50.0] == pytest.approx(float(np.percentile(ages, 50.0)))
         assert points[50.0] <= points[95.0] <= points[99.0]
 
     def test_stream_report_without_trace_raises(self, deployment, helmet_mini):
-        report = serve_stream(deployment, helmet_mini, StreamSpec(edge_only_scheme(), self.CONFIG), seed=3)
+        report = serve_fleet(deployment, helmet_mini, FleetSpec(edge_only_scheme(), self.CONFIG), seed=3).cameras[0]
         assert report.trace is None
         with pytest.raises(ConfigurationError, match="no frame trace"):
             report.latency_percentiles()
