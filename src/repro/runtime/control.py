@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.adaptive import BudgetController
 from repro.core.features import extract_feature_arrays
-from repro.errors import ConfigurationError, RuntimeModelError
+from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.discriminator import DifficultCaseDiscriminator
@@ -70,10 +70,13 @@ class FrameEvent:
     """One frame's observable outcome, emitted at its completion instant.
 
     ``kind`` is ``"served"`` for a frame that produced a result (locally or
-    from the cloud) and ``"failed"`` for a frame lost to an uplink failure.
-    The timing decomposition is only meaningful for served frames — a
-    failed transfer never finished its stages, so its timing fields are
-    zero:
+    from the cloud) and ``"failed"`` for a frame whose escalation failed:
+    its upload hit an uplink outage or loss, or its cloud inference hit a
+    cloud-side outage.  A failed frame may still have served its edge
+    verdict at the failure instant (the fallback), so ``"failed"`` counts
+    failed escalations, not lost frames.  The timing decomposition is only
+    meaningful for served frames — a failed escalation never finished its
+    stages, so its timing fields are zero:
 
     * ``queue_wait`` — time spent waiting in the camera's *entry* stage
       (edge queue, or the shared uplink queue for no-edge schemes).
@@ -334,7 +337,7 @@ class EstimatedDeadlineAware:
         schedule_aware: bool = True,
     ) -> None:
         if not 0.0 < freshness_s < math.inf:  # also catches NaN
-            raise RuntimeModelError(f"freshness_s must be positive and finite, got {freshness_s}")
+            raise ConfigurationError(f"freshness_s must be positive and finite, got {freshness_s}")
         _check_estimation(halflife, min_observations)
         self.freshness_s = freshness_s
         self.min_observations = min_observations
@@ -404,7 +407,7 @@ class UplinkCoordinator:
         schedule_aware: bool = True,
     ) -> None:
         if not 0.0 < freshness_s < math.inf:  # also catches NaN
-            raise RuntimeModelError(f"freshness_s must be positive and finite, got {freshness_s}")
+            raise ConfigurationError(f"freshness_s must be positive and finite, got {freshness_s}")
         if not 0.0 < interval_s < math.inf:  # also catches NaN
             raise ConfigurationError(f"interval_s must be positive and finite, got {interval_s}")
         _check_estimation(halflife, min_observations)

@@ -3,10 +3,27 @@
 A :class:`_CameraStream` carries one camera's frames through its scheme's
 pipeline stages on an :class:`~repro.runtime.events.EventLoop`.  It owns its
 edge accelerator; the uplink and cloud resources may be shared with other
-cameras on the same loop.  An :class:`EscalationQueue` spools the difficult
-cases whose cloud path failed and retries them.  :mod:`repro.runtime.serving`
-wires cameras, resources and policies together from a spec; this module
-holds only the per-camera mechanics.
+cameras on the same loop.  :mod:`repro.runtime.serving` wires cameras,
+resources and policies together from a spec; this module holds only the
+per-camera mechanics.
+
+One frame lifecycle.  An admitted frame is one slotted :class:`_Frame`
+record: its arrival and record index, plus the instant it left its entry
+stage (the edge, or the uplink for a scheme without one) and that stage's
+service time, stamped once as it leaves.  The record walks the stages in
+order — edge (if any), uplink, cloud, and the downlink charged as the
+verdict lands — and its bound methods are every hop's FIFO callbacks
+(``on_done``, ``on_fail`` and, on a time-varying link, the ``service_fn``
+that resolves and stamps the transfer's duration), so no hop builds a
+closure.  Every frame ends in one :meth:`_CameraStream._settle`, which
+counts it, writes its latency and trace row and, only when the camera has
+observers, builds its :class:`~repro.runtime.control.FrameEvent`.  A frame
+whose upload or cloud inference fails takes
+:meth:`_CameraStream._on_remote_failure`: its edge verdict serves or it is
+dropped, settled the same way, and an :class:`EscalationQueue` may spool
+the same record and retry it until its cloud verdict lands.  A record never
+holds its own job handle, so a settled frame is freed by reference counting
+alone: the engine builds no per-frame reference cycle.
 
 Scaling to large fleets.  Under load most frames are refused at a full
 camera buffer, so a refusal is made nearly free.  When a camera's admission
@@ -27,14 +44,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
 import numpy as np
 
 from repro._rng import generator_for
-from repro.data.datasets import Dataset, ImageRecord
+from repro.data.datasets import Dataset
 from repro.detection.batch import DetectionBatch
 from repro.errors import ConfigurationError
 from repro.metrics.latency import summarize_latencies
@@ -49,18 +65,92 @@ from repro.runtime.trace import FrameTraceBuilder
 __all__ = ["EscalationQueue"]
 
 
-@dataclass
-class _Escalation:
-    """One spooled difficult case awaiting its deferred cloud verdict."""
+class _Frame:
+    """One admitted frame's passage through its camera's stages.
 
-    record_index: int
-    arrival: float
-    #: Position in the camera's frame log (``None`` when no log is kept).
-    log_position: int | None
-    #: The frame already served its edge verdict at the failure instant; the
-    #: recovered cloud verdict is an upgrade, not a first serve.
-    served_by_fallback: bool
-    attempts: int = 0
+    Built as the frame enters its entry stage.  Its bound methods are the
+    FIFO callbacks of every hop; the entry-stage exit instant and service
+    time (``entry_done``, ``entry_time``) are stamped once, as the frame
+    leaves that stage.  A spooled escalation carries the same record through
+    its retries (``log_position``, ``served_by_fallback``, ``attempts``).
+    The record must never hold its own job handle: the job holds the
+    record's callbacks, so that would be a per-frame reference cycle.
+    """
+
+    __slots__ = (
+        "camera",
+        "arrival",
+        "record_index",
+        "entry_done",
+        "entry_time",
+        "payload",  # encoded bytes, looked up once as the frame first heads for the uplink
+        "uplink_time",  # the upload's estimated duration, replaced by the one resolved at grant
+        "log_position",  # position of the frame's trace row (None without a trace)
+        "served_by_fallback",  # the edge verdict served at the failure; a recovery only upgrades it
+        "attempts",
+    )
+
+    def __init__(self, camera: "_CameraStream", arrival: float, record_index: int) -> None:
+        self.camera = camera
+        self.arrival = arrival
+        self.record_index = record_index
+
+    def edge_done(self, now: float) -> None:
+        """The edge stage finished: escalate the frame or serve its edge verdict.
+
+        A static mask decided up front; an offload controller is consulted
+        now, when the small model's output (the discriminator's features)
+        actually exists.
+        """
+        camera = self.camera
+        camera._leave_entry(self, now, camera.edge_service)
+        offload = camera.offload
+        record_index = self.record_index
+        if offload.decide(camera, record_index) if offload is not None else camera.mask[record_index]:
+            camera._send(self)
+        else:
+            # Under an offload controller the static `detections` batch is
+            # the *cloud* verdict; a frame kept local serves the edge verdict.
+            segment = camera._collect(record_index) if offload is None else camera._collect_fallback(record_index)
+            camera._settle(self, now - self.arrival, segment, offloaded=False)
+
+    def uplink_duration(self, grant: float) -> float:
+        """``service_fn`` on a time-varying link: the upload's duration from
+        ``grant``, integrated over the camera's effective schedule."""
+        camera = self.camera
+        self.uplink_time = camera.link_half_rtt + camera.link_schedule.transfer_duration(grant, self.payload)
+        return self.uplink_time
+
+    def _leave_uplink(self, now: float) -> "_CameraStream":
+        camera = self.camera
+        if not camera.scheme.edge_compute:  # the uplink is the entry stage
+            camera._leave_entry(self, now, self.uplink_time)
+        camera.in_uplink -= 1
+        return camera
+
+    def uplink_done(self, now: float) -> None:
+        camera = self._leave_uplink(now)
+        camera.cloud.acquire(camera.cloud_service, self.cloud_done, self.cloud_failed)
+
+    def uplink_failed(self, now: float) -> None:
+        camera = self._leave_uplink(now)
+        camera.uploads -= 1  # the frame never crossed the link
+        camera._on_remote_failure(self)
+
+    def cloud_done(self, now: float) -> None:
+        camera = self.camera
+        latency = now - self.arrival + camera._downlink_time()
+        camera._settle(self, latency, camera._collect(self.record_index), offloaded=True)
+
+    def cloud_failed(self, _now: float) -> None:
+        # The upload completed, so `uploads` (and its bytes) stand.
+        self.camera._on_remote_failure(self)
+
+    def recovered(self, _now: float) -> None:
+        self.camera._recover(self)
+
+    def retry_failed(self, _now: float) -> None:
+        self.camera.escalation_queue._retry_failed(self, spooled=False)
 
 
 class EscalationQueue:
@@ -81,7 +171,7 @@ class EscalationQueue:
         self.camera = camera
         self.policy = policy
         self.rng = rng
-        self._entries: deque[_Escalation] = deque()
+        self._entries: deque[_Frame] = deque()
         self._draining = False
         self._failures = 0  # consecutive uplink failures since the last success
 
@@ -108,13 +198,16 @@ class EscalationQueue:
         self._draining = False
         self._failures = 0
 
-    def offer(
-        self, record_index: int, arrival: float, log_position: int | None, *, served_by_fallback: bool
-    ) -> bool:
-        """Spool one failed escalation; ``False`` when the spool is full."""
+    def offer(self, frame: _Frame) -> bool:
+        """Spool one failed escalation; ``False`` when the spool is full.
+
+        The frame arrives settled: its ``log_position`` and
+        ``served_by_fallback`` are stamped.
+        """
         if len(self._entries) >= self.policy.capacity:
             return False
-        self._entries.append(_Escalation(record_index, arrival, log_position, served_by_fallback))
+        frame.attempts = 0
+        self._entries.append(frame)
         if not self._draining:
             self._draining = True
             self.camera.loop.schedule(self._backoff(), self._retry)
@@ -136,57 +229,43 @@ class EscalationQueue:
         if not self._entries:
             self._draining = False
             return
-        camera = self.camera
-        entry = self._entries[0]
-        estimate, service_fn = camera.uplink_job(entry.record_index)
-        camera.uplink.acquire(estimate, self._on_success, self._on_failure, service_fn=service_fn)
+        self.camera._upload(self._entries[0], self._on_success, self._on_failure)
 
     def _on_success(self, _now: float) -> None:
-        entry = self._entries.popleft()
+        frame = self._entries.popleft()
         self._failures = 0
         camera = self.camera
         camera.uploads += 1
-        on_cloud_fail = None
-        if camera.cloud.can_fail:
-
-            def on_cloud_fail(_t: float, entry: _Escalation = entry) -> None:
-                self._on_cloud_retry_failure(entry)
-
-        camera.cloud.acquire(camera.cloud_service, lambda _t: camera._recover(entry), on_cloud_fail)
+        camera.cloud.acquire(camera.cloud_service, frame.recovered, frame.retry_failed)
         self._retry()  # link evidently up: drain the next case immediately
 
-    def _on_cloud_retry_failure(self, entry: _Escalation) -> None:
-        """A retried case crossed the uplink but hit a cloud-side outage.
+    def _on_failure(self, _now: float) -> None:
+        self._draining = False  # the retry in flight is over
+        self._retry_failed(self._entries[0], spooled=True)
 
-        The case re-spools at the tail (its upload is spent; the next
-        attempt pays a fresh one), feeding the same backoff and retry-cap
-        accounting as an uplink retry failure.
+    def _retry_failed(self, frame: _Frame, *, spooled: bool) -> None:
+        """A retried case failed, feeding the backoff and its retry cap.
+
+        On the uplink the case is still the spool's head (``spooled``).  Past
+        the uplink, at a cloud-side outage, it has left the spool: it
+        re-spools at the tail, its upload spent, so the next attempt pays a
+        fresh one.  A case out of retries, or with no room to re-spool, is
+        abandoned.
         """
         camera = self.camera
         camera.escalations_failed += 1
         self._failures += 1
-        entry.attempts += 1
-        if entry.attempts >= self.policy.max_retries or len(self._entries) >= self.policy.capacity:
+        frame.attempts += 1
+        entries = self._entries
+        if frame.attempts >= self.policy.max_retries or (not spooled and len(entries) >= self.policy.capacity):
             camera.escalations_dropped += 1
-        else:
-            self._entries.append(entry)
-        if self._entries and not self._draining:
+            if spooled:
+                entries.popleft()
+        elif not spooled:
+            entries.append(frame)
+        if entries and not self._draining:
             self._draining = True
             camera.loop.schedule(self._backoff(), self._retry)
-
-    def _on_failure(self, _now: float) -> None:
-        camera = self.camera
-        camera.escalations_failed += 1
-        self._failures += 1
-        entry = self._entries[0]
-        entry.attempts += 1
-        if entry.attempts >= self.policy.max_retries:
-            self._entries.popleft()
-            camera.escalations_dropped += 1
-        if self._entries:
-            camera.loop.schedule(self._backoff(), self._retry)
-        else:
-            self._draining = False
 
 
 def _arrival_times(config: StreamConfig, seed: int, *scope: object) -> np.ndarray:
@@ -227,12 +306,13 @@ class _CameraStream:
     :meth:`shed_expired` before deciding on the newcomer.
 
     A fleet allocates one of these per camera, so the per-instance state is
-    slotted and per-frame bookkeeping is kept to the events themselves: the
-    arrivals enter the loop as one lazy :meth:`EventLoop.schedule_series`,
-    the frame log lands in a columnar :class:`FrameTraceBuilder`, and each
-    served frame records only its source row (``served_rows``; fallback
-    rows offset by ``len(detections)``), which :meth:`report` gathers into
-    the served batch in one :meth:`DetectionBatch.select`.  A bulk-refusing
+    slotted and per-frame bookkeeping is kept to one slotted :class:`_Frame`
+    per admitted frame: the arrivals enter the loop as one lazy
+    :meth:`EventLoop.schedule_series`, the frame log lands in a columnar
+    :class:`FrameTraceBuilder`, and each served frame records only its
+    source row (``served_rows``; fallback rows offset by
+    ``len(detections)``), which :meth:`report` gathers into the served
+    batch in one :meth:`DetectionBatch.select`.  A bulk-refusing
     camera (see :meth:`schedule`) skips a full buffer's doomed arrivals
     unfired and holds their log rows as index ranges (``_held``) until the
     next row it logs, so the trace keeps event order.
@@ -479,13 +559,6 @@ class _CameraStream:
         rows.append(row)
         return len(rows) - 1
 
-    def _collect_local(self, record_index: int) -> int | None:
-        # Under an offload controller the static `detections` batch is the
-        # *cloud* verdict; frames kept local serve the edge verdict instead.
-        if self.offload is None:
-            return self._collect(record_index)
-        return self._collect_fallback(record_index)
-
     def _collect_fallback(self, record_index: int) -> int | None:
         if self.served_rows is None:
             return None
@@ -498,10 +571,6 @@ class _CameraStream:
         if rows.size and int(rows.max()) >= len(detections):
             detections = DetectionBatch.concat([detections, self.fallback_detections], detector=detections.detector)
         return detections.select(rows)
-
-    def _emit(self, event: FrameEvent) -> None:
-        for observe in self.observers:
-            observe(self, event)
 
     def _downlink_time(self) -> float:
         """Result-download seconds for a cloud verdict landing *now*.
@@ -516,186 +585,102 @@ class _CameraStream:
             self.loop.now, self.result_payload
         )
 
-    def _finish(self, start: float, record_index: int, timing: tuple[float, float] | None = None) -> None:
-        self.served += 1
-        latency = self.loop.now - start + self._downlink_time()
-        self.latencies.append(latency)
-        segment = self._collect(record_index)
-        self._log(start, start + latency, record_index, True, segment)
-        if timing is not None:  # only built when observers are attached
-            queue_wait, entry_time = timing
-            self._emit(
-                FrameEvent("served", start, start + latency, record_index, True, queue_wait, entry_time)
-            )
+    def _payload(self, record_index: int) -> int:
+        """Encoded bytes of one record's frame: what its upload carries."""
+        return self.deployment.codec.encoded_bytes(self.records[record_index])
 
-    def _finish_local(self, start: float, record_index: int) -> None:
-        self.served += 1
-        latency = self.loop.now - start
-        self.latencies.append(latency)
-        segment = self._collect_local(record_index)
-        self._log(start, start + latency, record_index, True, segment)
-        if self.observers:
-            self._emit(
-                FrameEvent(
-                    "served",
-                    start,
-                    start + latency,
-                    record_index,
-                    False,
-                    latency - self.edge_service,
-                    self.edge_service,
-                )
-            )
+    def _uplink_estimate(self, payload: int) -> float:
+        """Uplink seconds of ``payload`` bytes at the link's nominal rate.
 
-    def uplink_service(self, record_index: int) -> float:
-        """Deterministic uplink serialisation time of one record's frame.
-
-        On a plain link this is the exact service time; on a scheduled (or
-        mobility-scaled) link it is the *mean-rate estimate* — the figure
-        queue-wait bounds and admission arithmetic use, while the true
-        duration is resolved at grant time by :meth:`uplink_job`'s
-        ``service_fn``.
+        The exact duration on a plain link; on a scheduled (or
+        mobility-scaled) one the *mean-rate estimate* that queue-wait bounds
+        and admission arithmetic use, the true duration being resolved at
+        grant by :meth:`_Frame.uplink_duration`.
         """
-        payload = self.deployment.codec.encoded_bytes(self.records[record_index])
         return self.link_half_rtt + payload * 8 / (self.link_rate_mbps * 1e6)
 
-    def uplink_job(self, record_index: int) -> tuple[float, Callable[[float], float] | None]:
-        """``(estimate, service_fn)`` for one record's uplink transfer.
-
-        ``service_fn`` is ``None`` on a fixed-rate path (the estimate *is*
-        the duration); on a time-varying one it integrates the camera's
-        effective schedule from the grant instant.
-        """
-        estimate = self.uplink_service(record_index)
-        schedule = self.link_schedule
-        if schedule is None:
-            return estimate, None
-        payload = self.deployment.codec.encoded_bytes(self.records[record_index])
-        half_rtt = self.link_half_rtt
-
-        def service_fn(grant: float) -> float:
-            return half_rtt + schedule.transfer_duration(grant, payload)
-
-        return estimate, service_fn
-
-    def _cloud_path(self, record: ImageRecord, start: float, record_index: int) -> None:
+    def _send(self, frame: _Frame) -> object:
+        """Queue the frame's upload on the (possibly shared) uplink; returns its job."""
         self.uploads += 1
         self.in_uplink += 1
-        entry_stage = not self.scheme.edge_compute
-        uplink_time, uplink_fn = self.uplink_job(record_index)
-        observing = bool(self.observers)
-        # Entry-stage timing for the completion event: for edge schemes the
-        # edge stage just finished, so it is known here; for no-edge schemes
-        # the uplink *is* the entry stage and after_uplink measures it.
-        entry_timing = (
-            (self.loop.now - start - self.edge_service, self.edge_service)
-            if observing and not entry_stage
-            else None
-        )
-        # On a time-varying entry stage the observed entry time is the
-        # *resolved* duration, not the estimate: capture it at grant.
-        measured: list[float] | None = None
-        if uplink_fn is not None and observing and entry_stage:
-            inner_fn = uplink_fn
-            measured = [uplink_time]
+        frame.payload = self._payload(frame.record_index)
+        return self._upload(frame, frame.uplink_done, frame.uplink_failed)
 
-            def uplink_fn(grant: float, _inner=inner_fn, _cell=measured) -> float:
-                _cell[0] = _inner(grant)
-                return _cell[0]
+    def _upload(self, frame: _Frame, on_done: Callable[[float], None], on_fail: Callable[[float], None]) -> object:
+        """Acquire the uplink for the frame's payload: a live upload or a spooled retry."""
+        estimate = frame.uplink_time = self._uplink_estimate(frame.payload)
+        service_fn = None if self.link_schedule is None else frame.uplink_duration
+        return self.uplink.acquire(estimate, on_done, on_fail, service_fn=service_fn)
 
-        def after_uplink(_t: float) -> None:
-            timing = entry_timing
-            if entry_stage:
-                self._leave_waiting()
-                if observing:
-                    served_uplink = uplink_time if measured is None else measured[0]
-                    timing = (_t - start - served_uplink, served_uplink)
-            self.in_uplink -= 1
-            on_cloud_fail = None
-            if self.cloud.can_fail:
+    def _settle(
+        self, frame: _Frame, latency: float | None, segment: int | None, *, offloaded: bool, failed: bool = False
+    ) -> int | None:
+        """End one frame: count it, log its trace row and, when observed, emit its event.
 
-                def on_cloud_fail(_t2: float) -> None:
-                    self._on_cloud_failure(start, record_index)
-
-            self.cloud.acquire(
-                self.cloud_service,
-                lambda _t2: self._finish(start, record_index, timing),
-                on_cloud_fail,
-            )
-
-        def on_fail(_t: float) -> None:
-            if entry_stage:
-                self._leave_waiting()
-            self.in_uplink -= 1
-            self._on_uplink_failure(start, record_index)
-
-        handle = self.uplink.acquire(uplink_time, after_uplink, on_fail, service_fn=uplink_fn)
-        if entry_stage:
-            self._waiting.append((handle, start, record_index))
+        A served frame completes ``latency`` after its arrival.  A ``failed``
+        one completes now: served by its edge verdict when ``latency`` is
+        set, dropped when it is ``None``.  The event's queue wait is the
+        entry stage's sojourn less its service time.  Returns the row's log
+        position (``None`` without a log).
+        """
+        arrival = frame.arrival
+        completion = self.loop.now if failed else arrival + latency
+        if latency is None:
+            self.dropped += 1
+        else:
+            self.served += 1
+            self.latencies.append(latency)
+        position = self._log(arrival, completion, frame.record_index, latency is not None, segment)
+        if self.observers:
+            entry_time = 0.0 if failed else frame.entry_time
+            queue_wait = 0.0 if failed else (frame.entry_done - arrival) - entry_time
+            kind = "failed" if failed else "served"
+            event = FrameEvent(kind, arrival, completion, frame.record_index, offloaded, queue_wait, entry_time)
+            for observe in self.observers:
+                observe(self, event)
+        return position
 
     # ------------------------------------------------------------------ #
     # failure handling: fallback serve, spool, recovery
     # ------------------------------------------------------------------ #
-    def _on_uplink_failure(self, start: float, record_index: int) -> None:
-        """The frame's uplink transfer failed (outage or loss)."""
-        self.uploads -= 1  # the frame never crossed the link
-        self._on_remote_failure(start, record_index)
+    def _on_remote_failure(self, frame: _Frame) -> None:
+        """The frame's upload (outage or loss) or its cloud inference failed.
 
-    def _on_cloud_failure(self, start: float, record_index: int) -> None:
-        """The frame's cloud inference hit a cloud-side outage.
-
-        The upload itself completed — ``uploads`` (and its bytes) stand —
-        but the verdict is lost exactly like an uplink failure: fallback
-        serve, spool, or drop per the :class:`EscalationPolicy`; a spooled
-        retry re-enters at the uplink and contends like live traffic.
+        The edge verdict serves now where the scheme computed one and the
+        policy falls back (graceful degradation); otherwise the frame is
+        lost unless a durable queue spools it and a retry, re-entering at
+        the uplink and contending like live traffic, later recovers it.
         """
-        self._on_remote_failure(start, record_index)
-
-    def _on_remote_failure(self, start: float, record_index: int) -> None:
         self.escalations_failed += 1
-        if self.escalation_queue is not None:
-            self.escalation_queue.note_failure()
-        now = self.loop.now
+        queue = self.escalation_queue
+        if queue is not None:
+            queue.note_failure()
         if self.escalation.fallback and self.scheme.edge_compute:
-            # Graceful degradation: the edge verdict (already computed by the
-            # edge stage) serves at the failure instant.
-            self.served += 1
-            self.latencies.append(now - start)
-            segment = self._collect_fallback(record_index)
-            position = self._log(start, now, record_index, True, segment)
-            spooled = self.escalation_queue is not None and self.escalation_queue.offer(
-                record_index, start, position, served_by_fallback=True
-            )
+            latency, segment = self.loop.now - frame.arrival, self._collect_fallback(frame.record_index)
         else:
-            # No edge verdict to stand in (cloud-only, or a no-retry policy):
-            # the frame is lost unless a durable queue later recovers it.
-            self.dropped += 1
-            position = self._log(start, now, record_index, False)
-            spooled = self.escalation_queue is not None and self.escalation_queue.offer(
-                record_index, start, position, served_by_fallback=False
-            )
-        if not spooled:
+            latency = segment = None
+        frame.log_position = self._settle(frame, latency, segment, offloaded=True, failed=True)
+        frame.served_by_fallback = latency is not None
+        if queue is None or not queue.offer(frame):
             self.escalations_dropped += 1
-        if self.observers:
-            self._emit(FrameEvent("failed", start, now, record_index, True))
 
-    def _recover(self, entry: _Escalation) -> None:
+    def _recover(self, frame: _Frame) -> None:
         """A spooled escalation's cloud verdict finally landed."""
         verdict_time = self.loop.now + self._downlink_time()
         self.escalations_recovered += 1
-        segment = self._collect(entry.record_index)
-        if entry.served_by_fallback:
+        segment = self._collect(frame.record_index)
+        if frame.served_by_fallback:
             # The frame already served its edge verdict; record the late
             # cloud verdict for the quality evaluation to reconcile.
-            if entry.log_position is not None:
-                self.trace.set_verdict(entry.log_position, verdict_time, segment)
+            if frame.log_position is not None:
+                self.trace.set_verdict(frame.log_position, verdict_time, segment)
         else:
             # The frame was logged as dropped; the late verdict un-drops it.
             self.dropped -= 1
             self.served += 1
-            self.latencies.append(verdict_time - entry.arrival)
-            if entry.log_position is not None:
-                self.trace.mark_served(entry.log_position, verdict_time, segment)
+            self.latencies.append(verdict_time - frame.arrival)
+            if frame.log_position is not None:
+                self.trace.mark_served(frame.log_position, verdict_time, segment)
 
     # ------------------------------------------------------------------ #
     # admission-policy surface (the public CameraView protocol)
@@ -861,11 +846,10 @@ class _CameraStream:
         # queued frame *may* cross the network; the bound stays a lower
         # bound only by charging the local-serve path (no remote leg).
         if not self.scheme.edge_compute or (self.offload is None and bool(self.mask[record_index])):
-            if self.link_schedule is None:
-                remaining += self.uplink_service(record_index) + self.cloud_service + self.downlink_latency
-            else:
-                payload = self.deployment.codec.encoded_bytes(self.records[record_index])
+            payload = self._payload(record_index)
+            if self.link_schedule is not None:
                 return remaining + self._remote_floor(payload)
+            remaining += self._uplink_estimate(payload) + self.cloud_service + self.downlink_latency
         if self.link_schedule is None:
             self._min_remaining_cache[record_index] = remaining
         return remaining
@@ -888,9 +872,7 @@ class _CameraStream:
             return self.edge_service
         payload = self._min_payload
         if payload is None:
-            codec = self.deployment.codec
-            payload = min(codec.encoded_bytes(record) for record in self.records)
-            self._min_payload = payload
+            payload = self._min_payload = min(map(self._payload, range(len(self.records))))
         return self._remote_floor(payload)
 
     def _remote_floor(self, payload: int) -> float:
@@ -915,11 +897,13 @@ class _CameraStream:
             self.uploads -= 1
         self._log(arrival, self.loop.now, record_index, False)
 
-    def _leave_waiting(self) -> None:
-        """Forget the entry-stage job that just completed (always the
-        oldest surviving entry: the stage serves this camera FIFO)."""
+    def _leave_entry(self, frame: _Frame, now: float, service: float) -> None:
+        """The frame's entry-stage job just completed: forget its job (always
+        the oldest surviving entry, the stage serves this camera FIFO) and
+        stamp the frame's exit instant and service time."""
         if self._waiting:
             self._waiting.popleft()
+        frame.entry_done, frame.entry_time = now, service
 
     # ------------------------------------------------------------------ #
     def _on_frame(self, index: int, arrival: float) -> None:
@@ -931,27 +915,12 @@ class _CameraStream:
 
     def _enter(self, index: int, arrival: float) -> None:
         """Send an admitted arrival into its entry stage."""
-        record_index = (self.record_offset + index) % len(self.records)
-        start = arrival
-        if not self.scheme.edge_compute:
-            self._cloud_path(self.records[record_index], start, record_index)
-            return
-        record = self.records[record_index]
-        offload = self.offload
-        send = offload is None and bool(self.mask[record_index])
-
-        def after_edge(_t: float) -> None:
-            self._leave_waiting()
-            # A static mask is decided up front; an offload controller is
-            # consulted as the edge stage finishes — when the small model's
-            # output (the discriminator's features) actually exists.
-            if send or (offload is not None and offload.decide(self, record_index)):
-                self._cloud_path(record, start, record_index)
-            else:
-                self._finish_local(start, record_index)
-
-        handle = self.edge.acquire(self.edge_service, after_edge)
-        self._waiting.append((handle, arrival, record_index))
+        frame = _Frame(self, arrival, (self.record_offset + index) % len(self.records))
+        if self.scheme.edge_compute:
+            handle = self.edge.acquire(self.edge_service, frame.edge_done)
+        else:
+            handle = self._send(frame)
+        self._waiting.append((handle, arrival, frame.record_index))
 
     # ------------------------------------------------------------------ #
     def report(self, elapsed: float) -> StreamReport:

@@ -32,7 +32,7 @@ refuses a full camera buffer's arrivals this way, in bulk (see
 re-enabling it on exit only if it was on.  The engine builds no per-frame
 reference cycles, so reference counting alone frees every finished frame;
 left on, the collector's full passes would re-scan every in-flight frame's
-closures and job tuples for nothing.
+record and job tuple for nothing.
 
 Resources optionally carry a *fault hook* (``faults``): a callable the
 server consults when a job enters service, mapping ``(start_time,

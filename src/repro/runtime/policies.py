@@ -45,7 +45,7 @@ import numpy as np
 from repro.data.datasets import Dataset
 from repro.detection.batch import DetectionBatch
 from repro.detection.types import Detections
-from repro.errors import ConfigurationError, RuntimeModelError
+from repro.errors import ConfigurationError
 from repro.runtime.control import CameraView
 
 __all__ = [
@@ -203,7 +203,7 @@ class DeadlineAware:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.freshness_s < math.inf:
-            raise RuntimeModelError(f"freshness_s must be positive and finite, got {self.freshness_s}")
+            raise ConfigurationError(f"freshness_s must be positive and finite, got {self.freshness_s}")
 
     def admit(self, camera: CameraView, arrival: float) -> bool:
         camera.shed_expired(self.freshness_s)

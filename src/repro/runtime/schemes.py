@@ -96,7 +96,7 @@ class Deployment:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.small_model_flops < math.inf or not 0.0 < self.big_model_flops < math.inf:
-            raise RuntimeModelError(
+            raise ConfigurationError(
                 f"model FLOPs must be positive and finite, got {self.small_model_flops}, {self.big_model_flops}"
             )
 
@@ -330,13 +330,13 @@ class StreamConfig:
     def __post_init__(self) -> None:
         # written as `not <valid range>` so NaN, which fails every comparison, is refused too
         if not 0.0 < self.fps < math.inf or not 0.0 < self.duration_s < math.inf:
-            raise RuntimeModelError(
+            raise ConfigurationError(
                 f"fps and duration_s must be finite and positive, got {self.fps} and {self.duration_s}"
             )
         if not isinstance(self.max_edge_queue, int) or isinstance(self.max_edge_queue, bool):
             raise ConfigurationError(f"max_edge_queue must be an int, got {self.max_edge_queue!r}")
         if self.max_edge_queue < 1:
-            raise RuntimeModelError("max_edge_queue must be >= 1")
+            raise ConfigurationError("max_edge_queue must be >= 1")
 
 
 def _values_equal(a: object, b: object) -> bool:

@@ -17,6 +17,7 @@ larger fleet draws from its own fleet scopes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,18 +110,28 @@ class FleetReport:
         Each camera's served-batch segments are shifted by its offset in
         :meth:`served`, so the fleet trace indexes that batch directly.
         Requires the run to have been served with ``detections=`` (every
-        camera keeps a trace then).
+        camera keeps a trace then).  Built on first use, then reused.
         """
+        return self._trace
+
+    def served(self) -> DetectionBatch:
+        """Every camera's served batch, concatenated in camera order.
+
+        The batch :meth:`trace`'s segments index; same requirement, and
+        likewise built once.
+        """
+        return self._served
+
+    # Cached outside the dataclass fields, so neither enters == or repr.
+    @cached_property
+    def _trace(self) -> FrameTrace:
         cameras = self._logged_cameras()
         sizes = [len(camera.served) for camera in cameras]
         offsets = np.cumsum(sizes) - sizes
         return FrameTrace.concat([camera.trace for camera in cameras], segment_offsets=offsets)
 
-    def served(self) -> DetectionBatch:
-        """Every camera's served batch, concatenated in camera order.
-
-        The batch :meth:`trace`'s segments index; same requirement.
-        """
+    @cached_property
+    def _served(self) -> DetectionBatch:
         return DetectionBatch.concat([camera.served for camera in self._logged_cameras()])
 
     def latency_percentiles(self, percentiles: Sequence[float] = (50.0, 95.0, 99.0)) -> dict[float, float]:
@@ -344,7 +355,7 @@ class FleetSpec:
         if not count and not (isinstance(cameras, Sequence) and all(isinstance(c, CameraSpec) for c in cameras)):
             raise ConfigurationError(f"cameras must be a count or a sequence of CameraSpec, got {cameras!r}")
         if (cameras if count else len(cameras)) < 1:
-            raise RuntimeModelError(f"a fleet needs at least one camera, got {cameras!r}")
+            raise ConfigurationError(f"a fleet needs at least one camera, got {cameras!r}")
         _check_spec_mask("FleetSpec", self.mask, self.offload, self.detections, self.small_detections)
 
 

@@ -19,7 +19,7 @@ import pytest
 from repro.core.discriminator import DifficultCaseDiscriminator
 from repro.data import load_dataset
 from repro.detection.batch import DetectionBatch
-from repro.errors import ConfigurationError, RuntimeModelError
+from repro.errors import ConfigurationError
 from repro.runtime import (
     JETSON_NANO,
     RTX3060_SERVER,
@@ -130,7 +130,7 @@ class TestEstimatedDeadlineAware:
         assert report == baseline
 
     def test_validation(self):
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             EstimatedDeadlineAware(freshness_s=0.0)
         with pytest.raises(ConfigurationError):
             EstimatedDeadlineAware(halflife=0)
@@ -138,9 +138,9 @@ class TestEstimatedDeadlineAware:
             EstimatedDeadlineAware(min_observations=0)
 
     def test_nan_rejected(self):
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             EstimatedDeadlineAware(freshness_s=math.nan)
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             EstimatedDeadlineAware(freshness_s=math.inf)
         with pytest.raises(ConfigurationError):
             EstimatedDeadlineAware(halflife=math.nan)
@@ -183,7 +183,7 @@ class TestUplinkCoordinator:
         assert fresh_fraction(coordinated) >= fresh_fraction(estimated)
 
     def test_validation(self):
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             UplinkCoordinator(freshness_s=-1.0)
         with pytest.raises(ConfigurationError):
             UplinkCoordinator(interval_s=0.0)
@@ -193,9 +193,9 @@ class TestUplinkCoordinator:
             UplinkCoordinator(min_observations=0)
 
     def test_nan_rejected(self):
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             UplinkCoordinator(freshness_s=math.nan)
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             UplinkCoordinator(freshness_s=math.inf)
         with pytest.raises(ConfigurationError):
             UplinkCoordinator(interval_s=math.nan)

@@ -128,3 +128,28 @@ def test_metrics_import_nothing_from_runtime():
                 continue
             for name in names:
                 assert not (name == "repro.runtime" or name.startswith("repro.runtime.")), f"{path.name} imports {name}"
+
+
+def test_engine_frame_lifecycle_builds_no_closures():
+    """A frame is one record whose bound methods are the FIFO callbacks, and
+    it ends in one ``_settle``: no method of the serving engine's classes
+    builds a function per call, and one site constructs ``FrameEvent``."""
+    path = Path(importlib.import_module("repro.runtime.engine").__file__)
+    tree = ast.parse(path.read_text())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for name in ("_Frame", "_CameraStream", "EscalationQueue"):
+        for method in classes[name].body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            nested = [
+                node
+                for node in ast.walk(method)
+                if node is not method and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            ]
+            assert not nested, f"{name}.{method.name} builds a function at line {nested[0].lineno}"
+    sites = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "FrameEvent"
+    ]
+    assert len(sites) == 1, f"FrameEvent is built at lines {sites}"

@@ -169,7 +169,7 @@ class TestRunCost:
         assert none.latency.total < edge.latency.total * 1.2
 
     def test_invalid_deployment_rejected(self):
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             Deployment(
                 edge=JETSON_NANO,
                 cloud=RTX3060_SERVER,
@@ -181,5 +181,5 @@ class TestRunCost:
     @pytest.mark.parametrize("flops", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["small_model_flops", "big_model_flops"])
     def test_non_finite_model_flops_rejected(self, field, flops):
-        with pytest.raises(RuntimeModelError, match="positive and finite"):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
             Deployment(edge=JETSON_NANO, cloud=RTX3060_SERVER, link=WLAN, **{field: flops})

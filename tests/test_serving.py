@@ -46,6 +46,7 @@ from repro.runtime import (
     run_cost,
     serve_fleet,
 )
+from repro.runtime.trace import FrameTrace
 from repro.simulate import make_detector
 
 
@@ -267,7 +268,7 @@ class TestFleetSimulator:
         assert len(set(starts)) == 4  # staggered offsets into the split
 
     def test_invalid_camera_count_rejected(self, deployment, helmet_mini):
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             serve_fleet(deployment, helmet_mini, FleetSpec(scheme=edge_only_scheme(), config=self.CONFIG, cameras=0))
 
     @pytest.mark.parametrize("cameras", [[1, 2], "ab", 2.5, True, None, (CameraSpec(), 1)])
@@ -326,6 +327,31 @@ class TestRollingQuality:
             int(((c.trace.times >= 0) & (c.trace.times < 24.0)).sum()) for c in fleet.cameras
         )
 
+    def test_fleet_trace_and_served_batch_built_once(self, monkeypatch, deployment, helmet_mini, small_batch):
+        """The fleet trace and served batch are concatenated once per report,
+        however many readers ask (percentiles, then the evaluator); neither
+        cached copy is part of the report's equality or repr."""
+        fleet = self._stream(deployment, helmet_mini, small_batch, edge_only_scheme(), cameras=3)
+        twin = self._stream(deployment, helmet_mini, small_batch, edge_only_scheme(), cameras=3)
+        calls = {"trace": 0, "served": 0}
+        trace_concat, served_concat = FrameTrace.concat.__func__, DetectionBatch.concat.__func__
+
+        def counting_trace(cls, *args, **kwargs):
+            calls["trace"] += 1
+            return trace_concat(cls, *args, **kwargs)
+
+        def counting_served(cls, *args, **kwargs):
+            calls["served"] += 1
+            return served_concat(cls, *args, **kwargs)
+
+        monkeypatch.setattr(FrameTrace, "concat", classmethod(counting_trace))
+        monkeypatch.setattr(DetectionBatch, "concat", classmethod(counting_served))
+        fleet.latency_percentiles()
+        rolling_quality(fleet, helmet_mini, window_s=6.0)
+        assert calls == {"trace": 1, "served": 1}
+        assert fleet.trace() is fleet.trace() and fleet.served() is fleet.served()
+        assert fleet == twin and repr(fleet) == repr(twin)
+
     def test_report_without_frame_log_rejected(self, deployment, helmet_mini):
         report = serve_fleet(deployment, helmet_mini, FleetSpec(edge_only_scheme(), self.CONFIG), seed=9)
         with pytest.raises(ConfigurationError, match="no frame trace"):
@@ -375,14 +401,14 @@ class TestAdmissionPolicies:
             assert isinstance(policy, AdmissionPolicy), type(policy).__name__
 
     def test_invalid_deadline_rejected(self):
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             DeadlineAware(freshness_s=0.0)
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             DeadlineAware(freshness_s=-1.0)
 
     @pytest.mark.parametrize("freshness_s", [math.nan, math.inf, -math.inf])
     def test_non_finite_deadline_rejected(self, freshness_s):
-        with pytest.raises(RuntimeModelError, match="positive and finite"):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
             DeadlineAware(freshness_s=freshness_s)
 
     @pytest.mark.parametrize(
@@ -631,7 +657,7 @@ class TestHeterogeneousFleet:
             )
 
     def test_empty_spec_list_rejected(self, deployment, helmet_mini):
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             serve_fleet(deployment, helmet_mini, FleetSpec(scheme=edge_only_scheme(), config=self.BASE, cameras=[]))
 
 
@@ -753,7 +779,7 @@ class TestSpecFailFast:
         build(offload=self.KeepLocal(), detections=small_batch)
 
     def test_fleet_without_cameras_rejected_at_construction(self):
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             FleetSpec(edge_only_scheme(), cameras=0)
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             FleetSpec(edge_only_scheme(), cameras=())

@@ -175,9 +175,9 @@ class TestServeStream:
             serve_fleet(deployment, empty, FleetSpec(edge_only_scheme()))
 
     def test_bad_config_rejected(self):
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             StreamConfig(fps=0.0)
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             StreamConfig(max_edge_queue=0)
 
     @pytest.mark.parametrize("depth", [2.5, 3.0, True, "4", None])
@@ -198,5 +198,5 @@ class TestServeStream:
     )
     def test_non_finite_rate_and_duration_rejected_at_construction(self, field, value):
         # these used to pass construction and fail inside the arrival draw
-        with pytest.raises(RuntimeModelError):
+        with pytest.raises(ConfigurationError):
             StreamConfig(**{field: value})
