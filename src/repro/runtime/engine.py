@@ -25,6 +25,14 @@ the same record and retry it until its cloud verdict lands.  A record never
 holds its own job handle, so a settled frame is freed by reference counting
 alone: the engine builds no per-frame reference cycle.
 
+Per-record columns.  What an upload carries and how long it takes at the
+link's nominal rate depend only on the record and the camera's link view,
+so the fleet builds them once per distinct (dataset, link view) as plain
+lists (:class:`_LinkColumns`) and a frame's upload reads one list entry.
+Likewise, once the loop has drained, :func:`_camera_reports` gathers every
+camera's report inputs at once: one grouped latency summary over all
+cameras, and one served-batch select per shared detection source.
+
 Scaling to large fleets.  Under load most frames are refused at a full
 camera buffer, so a refusal is made nearly free.  When a camera's admission
 policy declares itself ``occupancy_only`` (:class:`~repro.runtime.policies.DropNewest`
@@ -44,8 +52,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import islice
-from typing import Callable
+from itertools import chain, islice
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,11 +61,11 @@ from repro._rng import generator_for
 from repro.data.datasets import Dataset
 from repro.detection.batch import DetectionBatch
 from repro.errors import ConfigurationError
-from repro.metrics.latency import summarize_latencies
-from repro.runtime.codec import detections_payload_bytes
+from repro.metrics.latency import LatencySummary, summarize_latency_series
+from repro.runtime.codec import JpegCodec, detections_payload_bytes
 from repro.runtime.control import FrameEvent, OffloadController
 from repro.runtime.events import EventLoop, FifoResource
-from repro.runtime.network import RateSchedule
+from repro.runtime.network import NetworkLink, RateSchedule
 from repro.runtime.policies import AdmissionPolicy, DropNewest, EscalationPolicy
 from repro.runtime.schemes import RESULT_BOXES, Deployment, ServingScheme, StreamConfig, StreamReport
 from repro.runtime.trace import FrameTraceBuilder
@@ -83,7 +91,6 @@ class _Frame:
         "record_index",
         "entry_done",
         "entry_time",
-        "payload",  # encoded bytes, looked up once as the frame first heads for the uplink
         "uplink_time",  # the upload's estimated duration, replaced by the one resolved at grant
         "log_position",  # position of the frame's trace row (None without a trace)
         "served_by_fallback",  # the edge verdict served at the failure; a recovery only upgrades it
@@ -118,7 +125,8 @@ class _Frame:
         """``service_fn`` on a time-varying link: the upload's duration from
         ``grant``, integrated over the camera's effective schedule."""
         camera = self.camera
-        self.uplink_time = camera.link_half_rtt + camera.link_schedule.transfer_duration(grant, self.payload)
+        payload = camera.payloads[self.record_index]
+        self.uplink_time = camera.link_half_rtt + camera.link_schedule.transfer_duration(grant, payload)
         return self.uplink_time
 
     def _leave_uplink(self, now: float) -> "_CameraStream":
@@ -268,6 +276,40 @@ class EscalationQueue:
             camera.loop.schedule(self._backoff(), self._retry)
 
 
+class _LinkColumns(NamedTuple):
+    """Per-record upload figures of one dataset over one camera link view.
+
+    ``payloads[i]`` is record ``i``'s encoded bytes and ``uplink_times[i]``
+    its upload seconds at the view's nominal rate — the exact duration on a
+    fixed-rate link; on a scheduled (or mobility-scaled) one the mean-rate
+    estimate that queue-wait bounds and admission arithmetic use, the true
+    duration being resolved at grant by :meth:`_Frame.uplink_duration`.
+    Plain lists, so a per-frame read is one list index.
+    """
+
+    payloads: list[int]
+    uplink_times: list[float]
+    min_payload: int
+
+
+def _camera_link(link: NetworkLink, link_scale: RateSchedule | None) -> NetworkLink:
+    """A camera's view of the shared link: the link itself, or its rate
+    retimed by the camera's mobility profile ``link_scale``."""
+    if link_scale is None:
+        return link
+    base = link.schedule if link.schedule is not None else RateSchedule.always(link.bandwidth_mbps)
+    return link.with_rate_schedule(base.scaled(link_scale))
+
+
+def _link_columns(codec: JpegCodec, dataset: Dataset, link: NetworkLink) -> _LinkColumns:
+    """The :class:`_LinkColumns` of ``dataset``'s records over ``link``."""
+    half_rtt = link.rtt_s / 2.0
+    rate_mbps = link.bandwidth_mbps
+    payloads = [codec.encoded_bytes(record) for record in dataset.records]
+    uplink_times = [half_rtt + payload * 8 / (rate_mbps * 1e6) for payload in payloads]
+    return _LinkColumns(payloads, uplink_times, min(payloads))
+
+
 def _arrival_times(config: StreamConfig, seed: int, *scope: object) -> np.ndarray:
     """Arrival instants of one stream (Poisson or periodic), seed-scoped.
 
@@ -296,8 +338,10 @@ class _CameraStream:
     """One camera's frames flowing through a scheme's pipeline stages.
 
     Owns its edge accelerator; the uplink and cloud resources may be shared
-    with other cameras (the fleet case).  All stage service times except the
-    per-record uplink serialisation are precomputed once per run.
+    with other cameras (the fleet case).  Every stage service time is
+    precomputed: the edge and cloud ones per run, and each record's upload
+    bytes and nominal uplink seconds as the :class:`_LinkColumns` the fleet
+    builds once per distinct (dataset, link view).
 
     Frames waiting in the camera's *entry* stage — the edge queue for
     edge-compute schemes, this camera's slice of the (possibly shared)
@@ -311,8 +355,10 @@ class _CameraStream:
     :meth:`EventLoop.schedule_series`, the frame log lands in a columnar
     :class:`FrameTraceBuilder`, and each served frame records only its
     source row (``served_rows``; fallback rows offset by
-    ``len(detections)``), which :meth:`report` gathers into the served
-    batch in one :meth:`DetectionBatch.select`.  A bulk-refusing
+    ``len(detections)``).  The fleet gathers the report inputs once the
+    loop has drained (:func:`_camera_reports`): every camera's latency
+    summary in one grouped call, and its served batch as a slice of one
+    :meth:`DetectionBatch.select` per shared source.  A bulk-refusing
     camera (see :meth:`schedule`) skips a full buffer's doomed arrivals
     unfired and holds their log rows as index ranges (``_held``) until the
     next row it logs, so the trace keeps event order.
@@ -341,9 +387,10 @@ class _CameraStream:
         "downlink_latency",
         "link_schedule",
         "link_half_rtt",
-        "link_rate_mbps",
+        "payloads",
+        "uplink_times",
+        "min_payload",
         "result_payload",
-        "_min_payload",
         "latencies",
         "served",
         "dropped",
@@ -382,7 +429,8 @@ class _CameraStream:
         escalation_rng: np.random.Generator | None = None,
         fallback_detections: DetectionBatch | None = None,
         offload: OffloadController | None = None,
-        link_scale: RateSchedule | None = None,
+        link: NetworkLink,
+        link_columns: _LinkColumns,
     ) -> None:
         self.scheme = scheme
         self.deployment = deployment
@@ -409,21 +457,18 @@ class _CameraStream:
         self.fallback_detections = fallback_detections
         self.edge_service = scheme.edge_latency(deployment, online=True)
         self.cloud_service = deployment.cloud.inference_latency(deployment.big_model_flops)
-        # This camera's view of the shared link: the link itself, or retimed
-        # by the camera's mobility profile.  ``link_schedule`` is set only
-        # for a genuinely time-varying rate, which resolves transfer
-        # durations at grant time; a constant rate keeps the scalar
-        # arithmetic of :meth:`NetworkLink.expected_transfer_time` bit for bit.
-        link = deployment.link
-        if link_scale is not None:
-            base = link.schedule if link.schedule is not None else RateSchedule.always(link.bandwidth_mbps)
-            link = link.with_rate_schedule(base.scaled(link_scale))
+        # ``link`` is this camera's view of the shared link (see
+        # :func:`_camera_link`) and ``link_columns`` its records' upload
+        # figures over that view, built once per distinct view by the fleet.
+        # ``link_schedule`` is set only for a genuinely time-varying rate,
+        # which resolves transfer durations at grant time; a constant rate
+        # keeps the scalar arithmetic of
+        # :meth:`NetworkLink.expected_transfer_time` bit for bit.
         self.link_half_rtt = link.rtt_s / 2.0
-        self.link_rate_mbps = link.bandwidth_mbps
         self.link_schedule = link.schedule if link.time_varying else None
+        self.payloads, self.uplink_times, self.min_payload = link_columns
         self.result_payload = detections_payload_bytes(RESULT_BOXES)
         self.downlink_latency = link.expected_transfer_time(self.result_payload)
-        self._min_payload: int | None = None
         self.latencies: list[float] = []
         self.served = self.dropped = self.shed = self.uploads = 0
         self.escalations_failed = self.escalations_dropped = self.escalations_recovered = 0
@@ -564,14 +609,6 @@ class _CameraStream:
             return None
         return self._collect(len(self.detections) + record_index)
 
-    def _served_batch(self) -> DetectionBatch:
-        """Gather the served frames' segments, in serve order, in one pass."""
-        detections = self.detections
-        rows = np.array(self.served_rows, dtype=np.int64)
-        if rows.size and int(rows.max()) >= len(detections):
-            detections = DetectionBatch.concat([detections, self.fallback_detections], detector=detections.detector)
-        return detections.select(rows)
-
     def _downlink_time(self) -> float:
         """Result-download seconds for a cloud verdict landing *now*.
 
@@ -585,30 +622,15 @@ class _CameraStream:
             self.loop.now, self.result_payload
         )
 
-    def _payload(self, record_index: int) -> int:
-        """Encoded bytes of one record's frame: what its upload carries."""
-        return self.deployment.codec.encoded_bytes(self.records[record_index])
-
-    def _uplink_estimate(self, payload: int) -> float:
-        """Uplink seconds of ``payload`` bytes at the link's nominal rate.
-
-        The exact duration on a plain link; on a scheduled (or
-        mobility-scaled) one the *mean-rate estimate* that queue-wait bounds
-        and admission arithmetic use, the true duration being resolved at
-        grant by :meth:`_Frame.uplink_duration`.
-        """
-        return self.link_half_rtt + payload * 8 / (self.link_rate_mbps * 1e6)
-
     def _send(self, frame: _Frame) -> object:
         """Queue the frame's upload on the (possibly shared) uplink; returns its job."""
         self.uploads += 1
         self.in_uplink += 1
-        frame.payload = self._payload(frame.record_index)
         return self._upload(frame, frame.uplink_done, frame.uplink_failed)
 
     def _upload(self, frame: _Frame, on_done: Callable[[float], None], on_fail: Callable[[float], None]) -> object:
         """Acquire the uplink for the frame's payload: a live upload or a spooled retry."""
-        estimate = frame.uplink_time = self._uplink_estimate(frame.payload)
+        estimate = frame.uplink_time = self.uplink_times[frame.record_index]
         service_fn = None if self.link_schedule is None else frame.uplink_duration
         return self.uplink.acquire(estimate, on_done, on_fail, service_fn=service_fn)
 
@@ -846,10 +868,9 @@ class _CameraStream:
         # queued frame *may* cross the network; the bound stays a lower
         # bound only by charging the local-serve path (no remote leg).
         if not self.scheme.edge_compute or (self.offload is None and bool(self.mask[record_index])):
-            payload = self._payload(record_index)
             if self.link_schedule is not None:
-                return remaining + self._remote_floor(payload)
-            remaining += self._uplink_estimate(payload) + self.cloud_service + self.downlink_latency
+                return remaining + self._remote_floor(self.payloads[record_index])
+            remaining += self.uplink_times[record_index] + self.cloud_service + self.downlink_latency
         if self.link_schedule is None:
             self._min_remaining_cache[record_index] = remaining
         return remaining
@@ -870,10 +891,7 @@ class _CameraStream:
             return 0.0
         if self.scheme.edge_compute:
             return self.edge_service
-        payload = self._min_payload
-        if payload is None:
-            payload = self._min_payload = min(map(self._payload, range(len(self.records))))
-        return self._remote_floor(payload)
+        return self._remote_floor(self.min_payload)
 
     def _remote_floor(self, payload: int) -> float:
         """Uplink, cloud and downlink time of ``payload`` bytes sent now,
@@ -923,14 +941,17 @@ class _CameraStream:
         self._waiting.append((handle, arrival, frame.record_index))
 
     # ------------------------------------------------------------------ #
-    def report(self, elapsed: float) -> StreamReport:
-        """Summarise this camera once the loop has drained."""
-        has_frames = self.served_rows is not None
+    def report(self, elapsed: float, latency: LatencySummary, served: DetectionBatch | None) -> StreamReport:
+        """Summarise this camera once the loop has drained.
+
+        Its latency summary and served batch come from
+        :func:`_camera_reports`, which computes them for every camera at once.
+        """
         if self._held:
             self._flush_held(math.inf)
         return StreamReport(
             scheme=self.scheme.name,
-            latency=summarize_latencies(self.latencies),
+            latency=latency,
             frames_offered=self.frames_offered,
             frames_served=self.served,
             frames_dropped=self.dropped,
@@ -942,6 +963,45 @@ class _CameraStream:
             edge_utilization=self.edge.utilization(elapsed),
             uplink_utilization=self.uplink.utilization(elapsed),
             cloud_utilization=self.cloud.utilization(elapsed),
-            served=self._served_batch() if has_frames else None,
-            trace=self.trace.build() if has_frames else None,
+            served=served,
+            trace=None if self.trace is None else self.trace.build(),
         )
+
+
+def _served_batches(cameras: Sequence[_CameraStream]) -> list[DetectionBatch | None]:
+    """Every camera's served batch (``None`` for a camera without detections).
+
+    Cameras serving from the same ``(detections, fallback_detections)``
+    pair share one :meth:`DetectionBatch.select` over their source rows laid
+    end to end; each camera takes its contiguous slice, which holds exactly
+    what selecting its own rows would.
+    """
+    batches: list[DetectionBatch | None] = [None] * len(cameras)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for index, camera in enumerate(cameras):
+        if camera.served_rows is not None:
+            groups.setdefault((id(camera.detections), id(camera.fallback_detections)), []).append(index)
+    for indices in groups.values():
+        source = cameras[indices[0]]
+        detections = source.detections
+        rows = np.fromiter(chain.from_iterable(cameras[index].served_rows for index in indices), dtype=np.int64)
+        if rows.size and int(rows.max()) >= len(detections):
+            detections = DetectionBatch.concat([detections, source.fallback_detections], detector=detections.detector)
+        gathered = detections.select(rows)
+        start = 0
+        for index in indices:
+            stop = start + len(cameras[index].served_rows)
+            batches[index] = gathered[start:stop]
+            start = stop
+    return batches
+
+
+def _camera_reports(cameras: Sequence[_CameraStream], elapsed: float) -> tuple[StreamReport, ...]:
+    """Every camera's :class:`StreamReport` once the shared loop has drained.
+
+    The latency summaries and served batches are computed fleet-wide, in a
+    few NumPy calls rather than one set per camera.
+    """
+    summaries = summarize_latency_series([camera.latencies for camera in cameras])
+    batches = _served_batches(cameras)
+    return tuple(camera.report(elapsed, summary, batch) for camera, summary, batch in zip(cameras, summaries, batches))

@@ -29,7 +29,14 @@ from repro.detection.types import Detections
 from repro.errors import ConfigurationError, RuntimeModelError
 from repro.metrics.latency import LatencySummary, summarize_latencies
 from repro.runtime.control import CameraView, FleetController, FrameEvent, OffloadController
-from repro.runtime.engine import _arrival_times, _CameraStream
+from repro.runtime.engine import (
+    _arrival_times,
+    _camera_link,
+    _camera_reports,
+    _CameraStream,
+    _link_columns,
+    _LinkColumns,
+)
 from repro.runtime.events import EventLoop, FifoResource
 from repro.runtime.network import NetworkLink, RateSchedule, UnreliableLink
 from repro.runtime.policies import (
@@ -388,7 +395,9 @@ def serve_fleet(
     A one-camera fleet is a single stream: its arrivals and escalation
     backoff draw from the stream scopes (``"stream-arrivals"``,
     ``"stream-escalation"``), where camera ``c`` of a larger fleet draws
-    from ``("fleet-arrivals", c)`` and ``("fleet-escalation", c)``.
+    from ``("fleet-arrivals", c)`` and ``("fleet-escalation", c)``.  The
+    backoff generator is drawn only for a camera that can spool: its
+    escalation policy is durable and the uplink or cloud can fail.
     """
     scheme = spec.scheme
     config = spec.config
@@ -435,6 +444,10 @@ def serve_fleet(
     uplink = FifoResource(loop, "uplink", faults=_uplink_faults(deployment.link, seed))
     cloud = FifoResource(loop, "cloud", faults=_cloud_faults(deployment))
     controller_observe = getattr(controller, "observe", None) if controller is not None else None
+    can_fail = uplink.can_fail or cloud.can_fail
+    # Each record's upload figures depend only on its dataset and the
+    # camera's link view, so they are built once per distinct pair.
+    link_columns: dict[tuple[int, float, float], _LinkColumns] = {}
     horizon_s = 0.0
     runs: list[_CameraStream] = []
     arrivals: list[np.ndarray] = []
@@ -488,6 +501,14 @@ def serve_fleet(
             cam_fallback = fleet_fallback()
         else:
             cam_fallback = _check_stream_inputs(cam_dataset, cam.small_detections)
+        cam_link = _camera_link(deployment.link, cam.link_scale)
+        view = (id(cam_dataset), cam_link.rtt_s, cam_link.bandwidth_mbps)
+        columns = link_columns.get(view)
+        if columns is None:
+            columns = link_columns[view] = _link_columns(deployment.codec, cam_dataset, cam_link)
+        # Only a camera that may spool failed escalations draws backoff jitter;
+        # each scope is seeded on its own, so skipping one moves no other draw.
+        spools = can_fail and cam_escalation is not None and cam_escalation.durable
         stream = _CameraStream(
             cam_scheme,
             deployment,
@@ -502,10 +523,11 @@ def serve_fleet(
             record_offset=(camera * len(cam_dataset)) // len(specs),
             admission=cam_admission,
             escalation=cam_escalation,
-            escalation_rng=generator_for(seed, *escalation_scope),
+            escalation_rng=generator_for(seed, *escalation_scope) if spools else None,
             fallback_detections=cam_fallback,
             offload=cam_offload,
-            link_scale=cam.link_scale,
+            link=cam_link,
+            link_columns=columns,
         )
         _attach_observers(stream, controller_observe)
         arrivals.append(_arrival_times(cam_config, seed, *arrival_scope))
@@ -518,7 +540,7 @@ def serve_fleet(
     if controller is not None:
         controller.attach(loop, runs, horizon_s=horizon_s)
     elapsed = loop.run()
-    reports = tuple(stream.report(elapsed) for stream in runs)
+    reports = _camera_reports(runs, elapsed)
     all_latencies = [latency for stream in runs for latency in stream.latencies]
     names = {report.scheme for report in reports}
     return FleetReport(

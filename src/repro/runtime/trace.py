@@ -14,11 +14,12 @@ arrays anyway.
 columns, one row per offered frame — so the rolling-quality evaluator, the
 admission/availability experiments and the latency-percentile helpers all
 read the same flat arrays with zero re-packing.  :class:`FrameTraceBuilder`
-is the streaming producer: typed ``array.array`` columns appended per frame,
-reconciled in place for deferred verdicts, and converted to NumPy once.  A
-run of frames refused at a full camera buffer lands in one
-:meth:`FrameTraceBuilder.extend_dropped` (seven column extends) instead of
-one seven-column append per frame.
+is the streaming producer: five typed ``array.array`` columns appended per
+frame, plus the two deferred-verdict columns kept sparse (written only
+where a verdict lands), reconciled in place and converted to NumPy once.
+A run of frames refused at a full camera buffer lands in one
+:meth:`FrameTraceBuilder.extend_dropped` (five column extends) instead of
+one five-column append per frame.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from repro.errors import ConfigurationError
 
 __all__ = ["FrameTrace", "FrameTraceBuilder"]
 
-#: Fill values of the deferred-verdict columns and of a drop's segment.
+#: A drop's segment, repeated for a run of refused frames.
 _NO_SEGMENT = array("q", [-1])
-_NO_VERDICT_TIME = array("d", [-math.inf])
 
 #: Column order of the on-disk ``.npz`` payload (also the constructor order).
 _COLUMNS = (
@@ -223,9 +223,13 @@ class FrameTrace:
 class FrameTraceBuilder:
     """Appendable accumulator producing :class:`FrameTrace` layouts.
 
-    Rows land in seven typed :class:`array.array` columns (``d``/``q``/``b``),
-    so logging a frame is seven native appends with no per-row NumPy scalar
-    store and no capacity bookkeeping.  Deferred-verdict reconciliation
+    Rows land in five typed :class:`array.array` columns (``d``/``q``/``b``),
+    so logging a frame is five native appends with no per-row NumPy scalar
+    store and no capacity bookkeeping.  The two deferred-verdict columns are
+    sparse: only a durable escalation queue's recoveries write them, so they
+    are kept as ``{position: value}`` dicts of plain scalars (no per-row
+    container, so no garbage-collector tracking) and filled into ``-inf`` /
+    ``-1`` columns by :meth:`build`.  Deferred-verdict reconciliation
     mutates rows in place by position — exactly the contract the durable
     escalation queue needs — so :meth:`build` should be called once the run
     has drained; it converts each column to NumPy once.
@@ -247,8 +251,8 @@ class FrameTraceBuilder:
         self._records = array("q")
         self._served = array("b")
         self._segments = array("q")
-        self._verdict_times = array("d")
-        self._verdict_segments = array("q")
+        self._verdict_times: dict[int, float] = {}
+        self._verdict_segments: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._arrivals)
@@ -257,8 +261,8 @@ class FrameTraceBuilder:
         """Log one offered frame; returns its row position.
 
         ``segment`` is the frame's index in the run's served batch (``-1``
-        for drops); the deferred-verdict columns start empty and are filled
-        later through :meth:`set_verdict` / :meth:`mark_served`.
+        for drops); the row has no deferred verdict until
+        :meth:`set_verdict` gives it one.
         """
         position = len(self._arrivals)
         self._arrivals.append(arrival)
@@ -266,8 +270,6 @@ class FrameTraceBuilder:
         self._records.append(record)
         self._served.append(served)
         self._segments.append(segment)
-        self._verdict_times.append(-math.inf)
-        self._verdict_segments.append(-1)
         return position
 
     def extend_dropped(self, arrivals: Sequence[float], records: Sequence[int]) -> None:
@@ -285,8 +287,6 @@ class FrameTraceBuilder:
         self._records.extend(records)
         self._served.frombytes(bytes(count))
         self._segments.extend(_NO_SEGMENT * count)
-        self._verdict_times.extend(_NO_VERDICT_TIME * count)
-        self._verdict_segments.extend(_NO_SEGMENT * count)
 
     def set_verdict(self, position: int, time: float, segment: int) -> None:
         """Attach a deferred cloud verdict to an already-served frame."""
@@ -301,12 +301,19 @@ class FrameTraceBuilder:
 
     def build(self) -> "FrameTrace":
         """Snapshot the logged rows as a validated :class:`FrameTrace`."""
+        count = len(self._arrivals)
+        verdict_times = np.full(count, -math.inf)
+        verdict_segments = np.full(count, -1, dtype=np.int64)
+        if self._verdict_times:
+            positions = list(self._verdict_times)
+            verdict_times[positions] = list(self._verdict_times.values())
+            verdict_segments[positions] = list(self._verdict_segments.values())
         return FrameTrace(
             arrivals=np.array(self._arrivals, dtype=np.float64),
             times=np.array(self._times, dtype=np.float64),
             records=np.array(self._records, dtype=np.int64),
             served=np.array(self._served, dtype=bool),
             segments=np.array(self._segments, dtype=np.int64),
-            verdict_times=np.array(self._verdict_times, dtype=np.float64),
-            verdict_segments=np.array(self._verdict_segments, dtype=np.int64),
+            verdict_times=verdict_times,
+            verdict_segments=verdict_segments,
         )

@@ -17,7 +17,7 @@ from repro.data.datasets import Dataset
 from repro.detection.batch import DetectionBatch
 from repro.detection.types import Detections
 from repro.runtime.control import OffloadController
-from repro.runtime.engine import _arrival_times, _CameraStream
+from repro.runtime.engine import _arrival_times, _camera_reports, _CameraStream, _link_columns
 from repro.runtime.events import EventLoop, FifoResource
 from repro.runtime.schemes import Deployment, ServingScheme, StreamReport
 from repro.runtime.serving import (
@@ -75,9 +75,11 @@ def serve_stream(
         escalation_rng=generator_for(seed, "stream-escalation"),
         fallback_detections=_check_stream_inputs(dataset, spec.small_detections),
         offload=spec.offload,
+        link=deployment.link,
+        link_columns=_link_columns(deployment.codec, dataset, deployment.link),
     )
     _attach_observers(camera)
     (bulk_refusal,) = _bulk_refusers([camera], None)
     camera.schedule(_arrival_times(spec.config, seed, "stream-arrivals"), bulk_refusal=bulk_refusal)
     elapsed = loop.run()
-    return camera.report(elapsed)
+    return _camera_reports([camera], elapsed)[0]

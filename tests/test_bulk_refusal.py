@@ -45,7 +45,7 @@ from repro.runtime import (
     edge_only_scheme,
     serve_fleet,
 )
-from repro.runtime.engine import _CameraStream
+from repro.runtime.engine import _camera_reports, _CameraStream, _link_columns
 from repro.runtime.serving import _bulk_refusers
 from repro.simulate import make_detector
 
@@ -222,9 +222,10 @@ class TestWhenBulkApplies:
         logging instant lands before the row logged then; later ones wait
         for the next row or the report."""
         loop = EventLoop()
+        deployment = _deployment("none")
         camera = _CameraStream(
             edge_only_scheme(),
-            _deployment("none"),
+            deployment,
             helmet_mini,
             StreamConfig(),
             np.zeros(len(helmet_mini), dtype=bool),
@@ -233,12 +234,14 @@ class TestWhenBulkApplies:
             edge=FifoResource(loop, "edge"),
             uplink=FifoResource(loop, "uplink"),
             cloud=FifoResource(loop, "cloud"),
+            link=deployment.link,
+            link_columns=_link_columns(deployment.codec, helmet_mini, deployment.link),
         )
         camera._arrivals = [1.0, 2.0, 2.0, 3.0]
         camera._held.append((0, 4))
         loop.schedule(2.0, lambda: camera._log(0.5, 2.0, 9, True, 0))
         loop.run()
-        trace = camera.report(loop.now).trace
+        trace = _camera_reports([camera], loop.now)[0].trace
         assert trace.arrivals.tolist() == [1.0, 2.0, 2.0, 0.5, 3.0]
         assert trace.records.tolist() == [0, 1, 2, 9, 3]
         assert trace.served.tolist() == [False, False, False, True, False]
@@ -247,10 +250,12 @@ class TestWhenBulkApplies:
         def cameras(*admissions, scheme=cloud_only_scheme()):
             loop = EventLoop()
             uplink, cloud = FifoResource(loop, "uplink"), FifoResource(loop, "cloud")
+            deployment = _deployment("none")
+            columns = _link_columns(deployment.codec, helmet_mini, deployment.link)
             return [
                 _CameraStream(
                     scheme,
-                    _deployment("none"),
+                    deployment,
                     helmet_mini,
                     StreamConfig(),
                     np.ones(len(helmet_mini), dtype=bool),
@@ -260,6 +265,8 @@ class TestWhenBulkApplies:
                     uplink=uplink,
                     cloud=cloud,
                     admission=admission,
+                    link=deployment.link,
+                    link_columns=columns,
                 )
                 for admission in admissions
             ]

@@ -11,7 +11,7 @@ from repro.detection.types import Detections, GroundTruth
 from repro.errors import ConfigurationError
 from repro.metrics.classify import BinaryMetrics, binary_metrics, confusion_counts
 from repro.metrics.counting import CountSummary, count_detected_objects, count_summary
-from repro.metrics.latency import summarize_latencies
+from repro.metrics.latency import LatencySummary, summarize_latencies, summarize_latency_series
 
 
 def _gt(boxes, labels, image_id="img"):
@@ -123,3 +123,70 @@ class TestLatencySummary:
         cloud = summarize_latencies([2.0] * 10)
         assert ours.saving_over(cloud) == pytest.approx(0.5)
         assert ours.speedup_over(cloud) == pytest.approx(2.0)
+
+
+def _latency_series(length: int, seed: int, kind: str, as_list: bool) -> list[float] | np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        values = rng.integers(0, 4, length) * 0.1
+    elif kind == "constant":
+        values = np.full(length, 0.3)
+    else:
+        values = rng.lognormal(-1.0, 1.5, length)
+    return values.tolist() if as_list else values
+
+
+class TestLatencySeriesSummary:
+    """The grouped summary reduces equal-length series together; every
+    field must be bit-identical to summarising each series alone."""
+
+    @staticmethod
+    def _bits(summary):
+        return (
+            summary.total.hex(),
+            summary.mean.hex(),
+            summary.p50.hex(),
+            summary.p90.hex(),
+            summary.p99.hex(),
+            summary.count,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                # short lengths repeat, so equal-length groups are common
+                st.one_of(st.integers(0, 4), st.sampled_from([37, 38]), st.integers(5, 10_000)),
+                st.integers(0, 2**32 - 1),
+                st.sampled_from(["ties", "constant", "continuous"]),
+                st.booleans(),
+            ),
+            max_size=30,
+        )
+    )
+    def test_matches_one_series_at_a_time(self, drawn):
+        series = [_latency_series(*args) for args in drawn]
+        grouped = summarize_latency_series(series)
+        assert len(grouped) == len(series)
+        for values, summary in zip(series, grouped):
+            alone = summarize_latencies(values)
+            assert all(type(value) is float for value in (summary.total, summary.mean, summary.p50))
+            assert self._bits(summary) == self._bits(alone)
+            assert self._bits(alone) == self._bits(self._reference(values))
+
+    @staticmethod
+    def _reference(values):
+        """The one-series summary as computed before series were grouped."""
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if values.size == 0:
+            return summarize_latencies([])
+        p50, p90, p99 = np.percentile(values, (50, 90, 99)).tolist()
+        return LatencySummary(
+            total=float(values.sum()), mean=float(values.mean()), p50=p50, p90=p90, p99=p99, count=int(values.size)
+        )
+
+    def test_empty_and_no_series(self):
+        assert summarize_latency_series([]) == []
+        empty, one = summarize_latency_series([[], [2.5]])
+        assert empty == summarize_latencies([]) and empty.count == 0
+        assert (one.total, one.mean, one.p50, one.p99, one.count) == (2.5, 2.5, 2.5, 2.5, 1)

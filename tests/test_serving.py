@@ -498,7 +498,7 @@ class TestAdmissionPolicies:
         keep a frame the shed just made viable (only provably-stale frames
         go)."""
         from repro.runtime import EventLoop, FifoResource
-        from repro.runtime.engine import _CameraStream
+        from repro.runtime.engine import _CameraStream, _link_columns
 
         loop = EventLoop()
         camera = _CameraStream(
@@ -512,6 +512,8 @@ class TestAdmissionPolicies:
             edge=FifoResource(loop, "edge"),
             uplink=(uplink := FifoResource(loop, "uplink")),
             cloud=FifoResource(loop, "cloud"),
+            link=deployment.link,
+            link_columns=_link_columns(deployment.codec, helmet_mini, deployment.link),
         )
         deadline = 2.0
         # a foreign long job holds the uplink, so neither frame starts service

@@ -15,12 +15,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _legacy_budget as legacy
 from repro._rng import generator_for
 from repro.core.discriminator import DifficultCaseDiscriminator
 from repro.data import load_dataset
-from repro.detection.batch import DetectionBatchBuilder
+from repro.detection.batch import DetectionBatch, DetectionBatchBuilder
 from repro.metrics.latency import summarize_latencies
 from repro.runtime import (
     DISCRIMINATOR_FLOPS,
@@ -50,6 +52,7 @@ from repro.runtime import (
     serve_fleet,
     simulate_fleet,
 )
+from repro.runtime import engine
 from repro.runtime.codec import detections_payload_bytes
 from repro.runtime.engine import _CameraStream
 from repro.simulate import make_detector
@@ -729,12 +732,14 @@ class TestAdaptiveQuotaEquivalence:
 # served batch: one gather at report time == frame-by-frame copies
 # --------------------------------------------------------------------- #
 class TestServedGatherEquivalence:
-    """A camera records each served frame's source row and gathers the
-    served batch once at report time.  The oracle below reinstates the
-    historical collector — every served frame's segment copied into a
-    ``DetectionBatchBuilder`` as it is served — and the two runs must agree
-    bit for bit, on a durable-queue fleet where fallback serves, recovered
-    verdicts and offload-local serves all feed the batch."""
+    """A camera records each served frame's source row, and the fleet
+    gathers every camera's served batch at report time, one select per
+    shared source (``engine._served_batches``).  The oracle below replaces
+    that seam with the historical collector — every served frame's segment
+    copied into a ``DetectionBatchBuilder`` as it is served — and the two
+    runs must agree bit for bit, on a durable-queue fleet where fallback
+    serves, recovered verdicts and offload-local serves all feed the
+    batch."""
 
     CONFIG = StreamConfig(fps=1.5, poisson=True, duration_s=40.0)
 
@@ -773,7 +778,7 @@ class TestServedGatherEquivalence:
 
         monkeypatch.setattr(_CameraStream, "_collect", lambda self, r: copy(self, self.detections, r))
         monkeypatch.setattr(_CameraStream, "_collect_fallback", lambda self, r: copy(self, self.fallback_detections, r))
-        monkeypatch.setattr(_CameraStream, "_served_batch", lambda self: builder(self).build())
+        monkeypatch.setattr(engine, "_served_batches", lambda cameras: [builder(camera).build() for camera in cameras])
 
     @pytest.mark.parametrize("offload", [False, True], ids=["static-mask", "adaptive-quota"])
     def test_gathered_batch_matches_frame_by_frame_copies(
@@ -814,3 +819,99 @@ class TestServedGatherEquivalence:
         assert gathered.escalations_recovered > 0
         # fallback served first, cloud verdict recovered later
         assert (gathered.trace().verdict_segments >= 0).any()
+
+
+class TestServedBatchesOfAMixedFleet:
+    """The fleet gathers one select per shared ``(detections,
+    fallback_detections)`` source and hands each camera its slice.  Every
+    camera's batch must equal selecting its own rows from its own source,
+    the per-camera gather this replaced: same image ids, arrays, dtypes,
+    shapes and detector.  The fleet mixes cameras on the fleet's batches,
+    ``CameraSpec`` cameras with their own detections (sharing the fleet's
+    fallback, or with their own), and cameras that serve nothing, over a
+    failing link whose fallback serves add rows past ``len(detections)``."""
+
+    CONFIG = StreamConfig(fps=2.0, poisson=True, duration_s=20.0)
+    SILENT = StreamConfig(fps=0.04, poisson=False, duration_s=20.0)  # its first arrival is past the run
+
+    @pytest.fixture(scope="class")
+    def batches(self, helmet_mini):
+        small = DetectionBatch.coerce(make_detector("small1", "helmet").detect_split(helmet_mini))
+        big = DetectionBatch.coerce(make_detector("ssd", "helmet").detect_split(helmet_mini))
+        return small, big.above(0.3), big
+
+    @pytest.fixture(scope="class")
+    def faulty(self, deployment):
+        return replace(
+            deployment,
+            link=UnreliableLink.wrap(
+                WLAN,
+                outages=OutageSchedule.periodic(period_s=6.0, downtime_s=2.0, duration_s=20.0, offset_s=1.0),
+                loss_probability=0.1,
+            ),
+        )
+
+    @staticmethod
+    def _own_select(detections, fallback, rows):
+        """One camera's gather, as each camera ran it before the fleet batched them."""
+        rows = np.array(rows, dtype=np.int64)
+        if rows.size and int(rows.max()) >= len(detections):
+            detections = DetectionBatch.concat([detections, fallback], detector=detections.detector)
+        return detections.select(rows)
+
+    def _check(self, faulty, helmet_mini, half_mask, batches, kinds, seed):
+        small, other, big = batches
+        cameras = {
+            "fleet": CameraSpec(),
+            "own": CameraSpec(detections=other),
+            "own-fallback": CameraSpec(detections=other, small_detections=big),
+            "silent": CameraSpec(config=self.SILENT),
+        }
+        spec = FleetSpec(
+            collaborative_scheme(),
+            self.CONFIG,
+            cameras=[cameras[kind] for kind in kinds],
+            mask=half_mask,
+            small_detections=small,
+            detections=big,
+            escalation=EscalationPolicy.durable_queue(capacity=16, max_retries=3, max_backoff_s=4.0),
+        )
+        sources = []
+        gather = engine._served_batches
+
+        def recording(streams):
+            sources[:] = [(s.detections, s.fallback_detections, list(s.served_rows)) for s in streams]
+            return gather(streams)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_served_batches", recording)
+            report = serve_fleet(faulty, helmet_mini, spec, seed=seed)
+        assert len(sources) == len(kinds)
+        for camera, (detections, fallback, rows) in zip(report.cameras, sources):
+            ours, expected = camera.served, self._own_select(detections, fallback, rows)
+            assert ours.image_ids == expected.image_ids
+            assert ours.detector == expected.detector
+            for column in ("boxes", "scores", "labels", "offsets"):
+                mine, theirs = getattr(ours, column), getattr(expected, column)
+                assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+                assert np.array_equal(mine, theirs)
+        return sources
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(["fleet", "own", "own-fallback", "silent"]), min_size=1, max_size=6),
+        seed=st.integers(0, 3),
+    )
+    @example(kinds=["silent"], seed=0)
+    def test_each_camera_slice_equals_its_own_select(self, faulty, helmet_mini, half_mask, batches, kinds, seed):
+        self._check(faulty, helmet_mini, half_mask, batches, kinds, seed)
+
+    def test_the_mix_reaches_every_case(self, faulty, helmet_mini, half_mask, batches):
+        kinds = ["fleet", "own", "silent", "own-fallback", "fleet", "own-fallback"]
+        sources = self._check(faulty, helmet_mini, half_mask, batches, kinds, 1)
+        assert len({(id(detections), id(fallback)) for detections, fallback, _ in sources}) == 3
+        assert sources[2][2] == []  # the silent camera served nothing
+        # fallback serves index past the camera's detections, on every kind of source
+        for index in (0, 1, 3):
+            detections, _, rows = sources[index]
+            assert rows and max(rows) >= len(detections)

@@ -173,7 +173,52 @@ def test_stream_equals_legacy_set_up(
 def test_seed_scopes_follow_the_camera_count(
     monkeypatch, helmet_mini, small_batch, cameras, arrival_scope, escalation_scope
 ):
-    """One camera draws the stream scopes; camera 0 of a larger fleet its own."""
+    """One camera draws the stream scopes; camera 0 of a larger fleet its own.
+
+    The escalation scope is drawn only by a camera that can spool, so the
+    fleet runs a durable queue against a cloud that can fail (its outage
+    hook draws no generator of its own).
+    """
+    drawn = _record_generator_scopes(monkeypatch)
+    config = StreamConfig(fps=2.0, poisson=True, duration_s=DURATION_S)
+    spec = FleetSpec(
+        edge_only_scheme(),
+        config,
+        cameras=cameras,
+        detections=small_batch,
+        escalation=EscalationPolicy.durable_queue(8),
+    )
+    report = serve_fleet(_deployment("cloud", False), helmet_mini, spec, seed=3)
+    expected = _arrival_times(config, 3, *arrival_scope)
+    np.testing.assert_array_equal(np.sort(report.cameras[0].trace.arrivals), expected)
+    assert drawn[0] == escalation_scope
+
+
+@pytest.mark.parametrize(
+    "faults, escalation",
+    [("none", "durable"), ("uplink", "drop-on-failure"), ("cloud", "default")],
+)
+def test_a_fleet_that_cannot_spool_draws_no_escalation_generator(
+    monkeypatch, helmet_mini, big_batch, faults, escalation
+):
+    """No camera can build an escalation queue (a reliable path, or a policy
+    that is not durable), so no camera's backoff generator is drawn."""
+    config = StreamConfig(fps=2.0, poisson=True, duration_s=DURATION_S)
+    spec = FleetSpec(
+        cloud_only_scheme(),
+        config,
+        cameras=3,
+        detections=big_batch,
+        escalation=_ESCALATIONS[escalation](),
+    )
+    drawn = _record_generator_scopes(monkeypatch)
+    report = serve_fleet(_deployment(faults, False), helmet_mini, spec, seed=3)
+    assert report.frames_served > 0
+    assert not [scope for scope in drawn if scope[0] in ("fleet-escalation", "stream-escalation")]
+
+
+def _record_generator_scopes(monkeypatch) -> list[tuple]:
+    """Record the scope of every generator the fleet front door draws."""
     drawn = []
 
     def recording(seed, *scope):
@@ -181,9 +226,4 @@ def test_seed_scopes_follow_the_camera_count(
         return generator_for(seed, *scope)
 
     monkeypatch.setattr(serving, "generator_for", recording)
-    config = StreamConfig(fps=2.0, poisson=True, duration_s=DURATION_S)
-    spec = FleetSpec(edge_only_scheme(), config, cameras=cameras, detections=small_batch)
-    report = serve_fleet(_deployment("none", False), helmet_mini, spec, seed=3)
-    expected = _arrival_times(config, 3, *arrival_scope)
-    np.testing.assert_array_equal(np.sort(report.cameras[0].trace.arrivals), expected)
-    assert drawn[0] == escalation_scope
+    return drawn

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _legacy_trace as legacy
 from repro.data import load_dataset
 from repro.detection import DetectionBatch
 from repro.errors import ConfigurationError
@@ -228,6 +231,55 @@ class TestFrameTraceBuilder:
     def test_extend_dropped_rejects_misaligned_columns(self):
         with pytest.raises(ConfigurationError):
             FrameTraceBuilder().extend_dropped([1.0, 2.0], [0])
+
+
+_TIMES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_RECORDS = st.integers(0, 2**40)
+_SEGMENTS = st.integers(-1, 2**40)
+_BUILDER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), _TIMES, _TIMES, _RECORDS, st.booleans(), _SEGMENTS),
+        st.tuples(st.just("extend"), st.lists(st.tuples(_TIMES, _RECORDS), max_size=20)),
+        # a verdict or an un-drop lands on an already-logged row, picked by fraction
+        st.tuples(st.sampled_from(["set_verdict", "mark_served"]), st.floats(0.0, 1.0), _TIMES, _SEGMENTS),
+        st.tuples(st.just("build")),
+    ),
+    max_size=60,
+)
+
+
+class TestSparseVerdictBuilder:
+    """The builder keeps the deferred verdicts sparse; over any operation
+    sequence it must build what the dense seven-column builder built."""
+
+    @staticmethod
+    def _assert_same(ours: FrameTrace, theirs: FrameTrace) -> None:
+        for name in ("arrivals", "times", "records", "served", "segments", "verdict_times", "verdict_segments"):
+            mine, reference = getattr(ours, name), getattr(theirs, name)
+            assert mine.dtype == reference.dtype and mine.shape == reference.shape
+            assert mine.tobytes() == reference.tobytes(), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(_BUILDER_OPS)
+    def test_matches_the_dense_builder(self, ops):
+        ours, theirs = FrameTraceBuilder(), legacy.FrameTraceBuilder()
+        for op, *args in ops:
+            if op == "append":
+                assert ours.append(*args) == theirs.append(*args)
+            elif op == "extend":
+                (rows,) = args
+                arrivals, records = [arrival for arrival, _ in rows], [record for _, record in rows]
+                ours.extend_dropped(arrivals, records)
+                theirs.extend_dropped(arrivals, records)
+            elif op == "build":
+                self._assert_same(ours.build(), theirs.build())
+            elif len(theirs):
+                fraction, time, segment = args
+                position = min(int(fraction * len(theirs)), len(theirs) - 1)
+                getattr(ours, op)(position, time, segment)
+                getattr(theirs, op)(position, time, segment)
+            assert len(ours) == len(theirs)
+        self._assert_same(ours.build(), theirs.build())
 
 
 class TestReportPercentiles:
