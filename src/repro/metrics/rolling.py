@@ -12,11 +12,13 @@ queueing delay both show up as measured mAP / object-count loss rather than
 as side-channel counters.
 
 The input is a :class:`~repro.runtime.serving.FleetReport` of a run served
-with ``detections=``: its fleet-wide columnar trace (``report.trace()``)
-and the served batch that trace's segments index (``report.served()``).
-Every camera's frames are scored together; a single stream is a fleet of
-one.  The evaluator reads the report through those two methods only, so
-this package imports nothing from :mod:`repro.runtime`.
+with ``detections=``: its fleet-wide columnar trace (``report.trace()``),
+the served batch that trace's segments index (``report.served()``) and the
+source row each of those segments was gathered from
+(``report.served_sources()``).  Every camera's frames are scored together;
+a single stream is a fleet of one.  The evaluator reads the report through
+those three methods only, so this package imports nothing from
+:mod:`repro.runtime`.
 
 Failure injection adds one wrinkle: a frame whose escalation failed serves
 its *edge* verdict immediately, and a durable escalation queue may land the
@@ -29,15 +31,19 @@ measured, not asserted.
 The evaluation is vectorized for fleet-scale traces, resting on one
 observation: greedy VOC matching is *per frame* — detections only contend
 for ground-truth boxes of their own frame — so each detection's
-true-positive flag is the same in every window that contains its frame.
-One block-diagonal pass (:func:`~repro.detection.matching.greedy_match_segments`,
-the matcher split mAP and detected-object counting share) therefore
-matches every frame once, up front; deferred verdicts resolve with one
-``np.where``; windows partition via ``np.searchsorted`` over sorted
-arrivals; and each window's per-class curve is
-:meth:`~repro.metrics.voc_ap.PRCurve.from_matches` over the precomputed
-flags, the same step split mAP takes — no per-window IoU, matching, or
-batch construction at all.
+true-positive flag is the same in every window that contains its frame,
+and the same for every frame showing the same detections of the same
+record.  A fleet serves many frames from few source rows (1000 cameras
+cycling through one split serve ~37k segments gathered from ~100 rows), so
+one block-diagonal pass (:func:`~repro.detection.matching.greedy_match_segments`,
+the matcher split mAP and detected-object counting share) matches one
+representative segment per distinct (source row, record), up front, and
+every fresh frame reads its representative's rows and flags; deferred
+verdicts resolve with one ``np.where``; windows partition via
+``np.searchsorted`` over sorted arrivals; and each window's per-class
+curve is :meth:`~repro.metrics.voc_ap.PRCurve.from_matches` over the
+precomputed flags, the same step split mAP takes — no per-window IoU,
+matching, or batch construction at all.
 """
 
 from __future__ import annotations
@@ -202,21 +208,30 @@ def rolling_quality(
     segments = np.where(upgrade, trace.verdict_segments, trace.segments)
 
     # Each fresh frame contributes its segment's above-threshold prefix (a
-    # dropped or stale frame contributes nothing) from ONE shared filtering
-    # of the served batch; the greedy matches behind every window's PR
-    # curves and detected-object counts are computed once, up front.
+    # dropped or stale frame contributes nothing).  Matching is per frame,
+    # and segments gathered from one source row hold the same detections of
+    # the same record, so they match alike: one representative segment per
+    # distinct (source row, record) is filtered and greedy-matched, up
+    # front, and every fresh frame reads its representative's rows, flags
+    # and true-positive count.
     num_frames = int(arrivals.shape[0])
-    above = batch.above(score_threshold)
-    if len(batch):
-        safe = np.where(fresh, segments, 0)
-        frame_counts = np.where(fresh, np.diff(above.offsets)[safe], 0)
-        frame_starts = np.where(fresh, above.offsets[:-1][safe], 0)
-    else:
-        frame_counts = np.zeros(num_frames, dtype=np.int64)
-        frame_starts = np.zeros(num_frames, dtype=np.int64)
-    frame_tp, row_tp = greedy_match_segments(
-        above, frame_starts, frame_counts, truth, records, iou_threshold=iou_threshold
+    fresh_frames = np.flatnonzero(fresh)
+    fresh_segments = segments[fresh_frames]
+    fresh_records = records[fresh_frames]
+    keys = report.served_sources()[fresh_segments] * len(truth) + fresh_records
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    above = batch.select(fresh_segments[first]).above(score_threshold)
+    rep_counts = np.diff(above.offsets)
+    rep_starts = above.offsets[:-1]
+    rep_tp, row_tp = greedy_match_segments(
+        above, rep_starts, rep_counts, truth, fresh_records[first], iou_threshold=iou_threshold
     )
+    frame_counts = np.zeros(num_frames, dtype=np.int64)
+    frame_starts = np.zeros(num_frames, dtype=np.int64)
+    frame_tp = np.zeros(num_frames, dtype=np.int64)
+    frame_counts[fresh_frames] = rep_counts[inverse]
+    frame_starts[fresh_frames] = rep_starts[inverse]
+    frame_tp[fresh_frames] = rep_tp[inverse]
 
     # Per-record per-class ground-truth counts: a window's class gt totals
     # (the PR recall denominators, and the devkit's skip-absent-classes

@@ -31,7 +31,11 @@ so the fleet builds them once per distinct (dataset, link view) as plain
 lists (:class:`_LinkColumns`) and a frame's upload reads one list entry.
 Likewise, once the loop has drained, :func:`_camera_reports` gathers every
 camera's report inputs at once: one grouped latency summary over all
-cameras, and one served-batch select per shared detection source.
+cameras, and one served-batch select per shared detection source.  The
+gather (:class:`_Served`) also keeps, for every served segment, the source
+row it copies, numbered fleet-wide, so rolling evaluation matches each
+source row once however many frames served it; a fleet with one detection
+source reports the gathered batch itself as its served batch.
 
 Scaling to large fleets.  Under load most frames are refused at a full
 camera buffer, so a refusal is made nearly free.  When a camera's admission
@@ -968,40 +972,73 @@ class _CameraStream:
         )
 
 
-def _served_batches(cameras: Sequence[_CameraStream]) -> list[DetectionBatch | None]:
-    """Every camera's served batch (``None`` for a camera without detections).
+class _Served(NamedTuple):
+    """What the cameras served, gathered once the loop has drained.
+
+    ``cameras`` holds each camera's served batch (``None`` for a camera
+    without detections).  When every camera has one, ``sources`` gives, for
+    each segment of those batches in camera order, the row it was gathered
+    from: a row of a ``(detections, fallback_detections)`` source, fallback
+    rows after the detection rows and every source's rows after those of
+    the sources before it.  Equal source rows hold the same detections of
+    the same record.  ``fleet`` is the batches in camera order when the
+    cameras share one source (the gathered batch itself), else ``None``.
+    """
+
+    cameras: list[DetectionBatch | None]
+    fleet: DetectionBatch | None
+    sources: np.ndarray | None
+
+
+def _served_batches(cameras: Sequence[_CameraStream]) -> _Served:
+    """Every camera's served batch, the fleet batch and its source rows.
 
     Cameras serving from the same ``(detections, fallback_detections)``
     pair share one :meth:`DetectionBatch.select` over their source rows laid
     end to end; each camera takes its contiguous slice, which holds exactly
-    what selecting its own rows would.
+    what selecting its own rows would.  A fleet with one source is that one
+    gathered batch, uncopied; a fleet with several is left to be
+    concatenated when it is asked for.
     """
     batches: list[DetectionBatch | None] = [None] * len(cameras)
+    sources: list[np.ndarray | None] = [None] * len(cameras)
     groups: dict[tuple[int, int], list[int]] = {}
     for index, camera in enumerate(cameras):
         if camera.served_rows is not None:
             groups.setdefault((id(camera.detections), id(camera.fallback_detections)), []).append(index)
+    base = 0
     for indices in groups.values():
         source = cameras[indices[0]]
-        detections = source.detections
+        detections, fallback = source.detections, source.fallback_detections
         rows = np.fromiter(chain.from_iterable(cameras[index].served_rows for index in indices), dtype=np.int64)
         if rows.size and int(rows.max()) >= len(detections):
-            detections = DetectionBatch.concat([detections, source.fallback_detections], detector=detections.detector)
+            detections = DetectionBatch.concat([detections, fallback], detector=detections.detector)
         gathered = detections.select(rows)
+        shifted = rows + base
         start = 0
         for index in indices:
             stop = start + len(cameras[index].served_rows)
             batches[index] = gathered[start:stop]
+            sources[index] = shifted[start:stop]
             start = stop
-    return batches
+        base += len(source.detections) + (0 if fallback is None else len(fallback))
+    if not groups or any(batch is None for batch in batches):
+        return _Served(batches, None, None)
+    if len(groups) == 1:
+        return _Served(batches, gathered, shifted)
+    return _Served(batches, None, np.concatenate(sources))
 
 
-def _camera_reports(cameras: Sequence[_CameraStream], elapsed: float) -> tuple[StreamReport, ...]:
-    """Every camera's :class:`StreamReport` once the shared loop has drained.
+def _camera_reports(cameras: Sequence[_CameraStream], elapsed: float) -> tuple[tuple[StreamReport, ...], _Served]:
+    """Every camera's :class:`StreamReport` once the shared loop has drained,
+    and the :class:`_Served` batches they were given.
 
     The latency summaries and served batches are computed fleet-wide, in a
     few NumPy calls rather than one set per camera.
     """
     summaries = summarize_latency_series([camera.latencies for camera in cameras])
-    batches = _served_batches(cameras)
-    return tuple(camera.report(elapsed, summary, batch) for camera, summary, batch in zip(cameras, summaries, batches))
+    served = _served_batches(cameras)
+    reports = tuple(
+        camera.report(elapsed, summary, batch) for camera, summary, batch in zip(cameras, summaries, served.cameras)
+    )
+    return reports, served

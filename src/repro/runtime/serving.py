@@ -36,6 +36,7 @@ from repro.runtime.engine import (
     _CameraStream,
     _link_columns,
     _LinkColumns,
+    _Served,
 )
 from repro.runtime.events import EventLoop, FifoResource
 from repro.runtime.network import NetworkLink, RateSchedule, UnreliableLink
@@ -87,6 +88,9 @@ class FleetReport:
     escalations_failed: int = 0
     escalations_dropped: int = 0
     escalations_recovered: int = 0
+    # What serve_fleet gathered once the loop drained (the fleet batch and
+    # its source rows); outside == and repr, like the cached views below.
+    _gathered: _Served | None = field(default=None, compare=False, repr=False)
 
     @property
     def drop_rate(self) -> float:
@@ -125,9 +129,22 @@ class FleetReport:
         """Every camera's served batch, concatenated in camera order.
 
         The batch :meth:`trace`'s segments index; same requirement, and
-        likewise built once.
+        likewise built once.  A fleet whose cameras share one detection
+        source serves slices of one gathered batch, which is this batch.
         """
         return self._served
+
+    def served_sources(self) -> np.ndarray:
+        """For each segment of :meth:`served`, the source row it was gathered from.
+
+        Segments with equal source rows hold the same detections of the
+        same record.  Rows are numbered fleet-wide: each distinct
+        ``(detections, small_detections)`` pair the cameras served from
+        takes the next block, its detection rows then its edge-fallback
+        rows.  A report not built by :func:`serve_fleet` numbers every
+        segment as its own source.
+        """
+        return self._sources
 
     # Cached outside the dataclass fields, so neither enters == or repr.
     @cached_property
@@ -139,7 +156,17 @@ class FleetReport:
 
     @cached_property
     def _served(self) -> DetectionBatch:
-        return DetectionBatch.concat([camera.served for camera in self._logged_cameras()])
+        cameras = self._logged_cameras()
+        if self._gathered is not None and self._gathered.fleet is not None:
+            return self._gathered.fleet
+        return DetectionBatch.concat([camera.served for camera in cameras])
+
+    @cached_property
+    def _sources(self) -> np.ndarray:
+        served = self._served
+        if self._gathered is not None and self._gathered.sources is not None:
+            return self._gathered.sources
+        return np.arange(len(served), dtype=np.int64)
 
     def latency_percentiles(self, percentiles: Sequence[float] = (50.0, 95.0, 99.0)) -> dict[float, float]:
         """Fleet-wide per-frame latency percentiles (from the columnar trace)."""
@@ -540,7 +567,7 @@ def serve_fleet(
     if controller is not None:
         controller.attach(loop, runs, horizon_s=horizon_s)
     elapsed = loop.run()
-    reports = _camera_reports(runs, elapsed)
+    reports, served = _camera_reports(runs, elapsed)
     all_latencies = [latency for stream in runs for latency in stream.latencies]
     names = {report.scheme for report in reports}
     return FleetReport(
@@ -558,6 +585,7 @@ def serve_fleet(
         edge_utilization=float(np.mean([report.edge_utilization for report in reports])),
         uplink_utilization=uplink.utilization(elapsed),
         cloud_utilization=cloud.utilization(elapsed),
+        _gathered=served,
     )
 
 

@@ -163,24 +163,23 @@ class FrameTrace:
             return cls.empty()
         if len(parts) == 1 and (segment_offsets is None or int(segment_offsets[0]) == 0):
             return parts[0]
-        segment_parts: list[np.ndarray] = []
-        verdict_parts: list[np.ndarray] = []
-        for index, part in enumerate(parts):
-            offset = 0 if segment_offsets is None else int(segment_offsets[index])
-            if offset:
-                segment_parts.append(np.where(part.segments >= 0, part.segments + offset, -1))
-                verdict_parts.append(np.where(part.verdict_segments >= 0, part.verdict_segments + offset, -1))
-            else:
-                segment_parts.append(part.segments)
-                verdict_parts.append(part.verdict_segments)
+        segments = np.concatenate([part.segments for part in parts])
+        verdict_segments = np.concatenate([part.verdict_segments for part in parts])
+        if segment_offsets is not None:
+            # each part's offset repeated over its rows shifts every part at
+            # once; a part with a zero offset keeps its columns as they are
+            shift = np.repeat(np.asarray(segment_offsets).astype(np.int64), [len(part) for part in parts])
+            unshifted = shift == 0
+            segments = np.where((segments >= 0) | unshifted, segments + shift, -1)
+            verdict_segments = np.where((verdict_segments >= 0) | unshifted, verdict_segments + shift, -1)
         return cls(
             arrivals=np.concatenate([part.arrivals for part in parts]),
             times=np.concatenate([part.times for part in parts]),
             records=np.concatenate([part.records for part in parts]),
             served=np.concatenate([part.served for part in parts]),
-            segments=np.concatenate(segment_parts),
+            segments=segments,
             verdict_times=np.concatenate([part.verdict_times for part in parts]),
-            verdict_segments=np.concatenate(verdict_parts),
+            verdict_segments=verdict_segments,
         )
 
     # ------------------------------------------------------------------ #

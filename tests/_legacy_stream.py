@@ -82,4 +82,4 @@ def serve_stream(
     (bulk_refusal,) = _bulk_refusers([camera], None)
     camera.schedule(_arrival_times(spec.config, seed, "stream-arrivals"), bulk_refusal=bulk_refusal)
     elapsed = loop.run()
-    return _camera_reports([camera], elapsed)[0]
+    return _camera_reports([camera], elapsed)[0][0]

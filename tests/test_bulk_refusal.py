@@ -241,7 +241,7 @@ class TestWhenBulkApplies:
         camera._held.append((0, 4))
         loop.schedule(2.0, lambda: camera._log(0.5, 2.0, 9, True, 0))
         loop.run()
-        trace = _camera_reports([camera], loop.now)[0].trace
+        trace = _camera_reports([camera], loop.now)[0][0].trace
         assert trace.arrivals.tolist() == [1.0, 2.0, 2.0, 0.5, 3.0]
         assert trace.records.tolist() == [0, 1, 2, 9, 3]
         assert trace.served.tolist() == [False, False, False, True, False]

@@ -328,9 +328,11 @@ class TestRollingQuality:
         )
 
     def test_fleet_trace_and_served_batch_built_once(self, monkeypatch, deployment, helmet_mini, small_batch):
-        """The fleet trace and served batch are concatenated once per report,
-        however many readers ask (percentiles, then the evaluator); neither
-        cached copy is part of the report's equality or repr."""
+        """The fleet trace is concatenated once per report, however many
+        readers ask (percentiles, then the evaluator), and the served batch
+        of a fleet with one detection source is the batch the engine
+        gathered, never concatenated; neither cached view is part of the
+        report's equality or repr."""
         fleet = self._stream(deployment, helmet_mini, small_batch, edge_only_scheme(), cameras=3)
         twin = self._stream(deployment, helmet_mini, small_batch, edge_only_scheme(), cameras=3)
         calls = {"trace": 0, "served": 0}
@@ -348,7 +350,7 @@ class TestRollingQuality:
         monkeypatch.setattr(DetectionBatch, "concat", classmethod(counting_served))
         fleet.latency_percentiles()
         rolling_quality(fleet, helmet_mini, window_s=6.0)
-        assert calls == {"trace": 1, "served": 1}
+        assert calls == {"trace": 1, "served": 0}
         assert fleet.trace() is fleet.trace() and fleet.served() is fleet.served()
         assert fleet == twin and repr(fleet) == repr(twin)
 

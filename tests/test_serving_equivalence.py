@@ -778,7 +778,11 @@ class TestServedGatherEquivalence:
 
         monkeypatch.setattr(_CameraStream, "_collect", lambda self, r: copy(self, self.detections, r))
         monkeypatch.setattr(_CameraStream, "_collect_fallback", lambda self, r: copy(self, self.fallback_detections, r))
-        monkeypatch.setattr(engine, "_served_batches", lambda cameras: [builder(camera).build() for camera in cameras])
+        monkeypatch.setattr(
+            engine,
+            "_served_batches",
+            lambda cameras: engine._Served([builder(camera).build() for camera in cameras], None, None),
+        )
 
     @pytest.mark.parametrize("offload", [False, True], ids=["static-mask", "adaptive-quota"])
     def test_gathered_batch_matches_frame_by_frame_copies(
@@ -810,6 +814,12 @@ class TestServedGatherEquivalence:
             self._frame_by_frame(patch)
             reference = run()
         assert gathered == reference
+        # one shared source: the fleet batch is the engine's gathered batch
+        # itself, and equals the per-camera batches concatenated
+        fleet, expected = gathered.served(), reference.served()
+        assert fleet.image_ids == expected.image_ids and fleet.detector == expected.detector
+        for column in ("boxes", "scores", "labels", "offsets"):
+            assert np.array_equal(getattr(fleet, column), getattr(expected, column))
         for ours, theirs in zip(gathered.cameras, reference.cameras):
             for column in ("boxes", "scores", "labels", "offsets"):
                 assert getattr(ours.served, column).dtype == getattr(theirs.served, column).dtype

@@ -128,6 +128,50 @@ class TestFrameTrace:
     def test_concat_empty_sequence(self):
         assert len(FrameTrace.concat([])) == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_concat_matches_the_per_part_shift(self, data):
+        """One repeated-offset shift over the concatenated columns equals
+        shifting each part on its own: non-negative segments and verdict
+        segments move by their part's offset, ``-1`` markers stay, a
+        zero-offset part keeps its columns as they are, and empty parts
+        contribute nothing."""
+        # mostly -1 markers and segments; other negatives pin the zero-offset rule
+        segment = st.one_of(st.just(-1), st.integers(0, 50), st.integers(-3, -2))
+        parts = []
+        for size in data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=6)):
+            segments = data.draw(st.lists(segment, min_size=size, max_size=size))
+            verdicts = data.draw(st.lists(segment, min_size=size, max_size=size))
+            parts.append(
+                _trace(
+                    np.arange(size, dtype=np.float64),
+                    np.arange(size, dtype=np.float64) + 0.5,
+                    [value >= 0 for value in segments],
+                    segments,
+                    [1.0 if value >= 0 else -np.inf for value in verdicts],
+                    verdicts,
+                )
+            )
+        offsets = data.draw(
+            st.one_of(st.none(), st.lists(st.integers(0, 1000), min_size=len(parts), max_size=len(parts)))
+        )
+        merged = FrameTrace.concat(parts, segment_offsets=offsets)
+
+        def per_part(column: str) -> list[int]:
+            shifted = []
+            for index, part in enumerate(parts):
+                values = getattr(part, column)
+                offset = 0 if offsets is None else offsets[index]
+                shifted.extend(np.where(values >= 0, values + offset, -1) if offset else values)
+            return [int(value) for value in shifted]
+
+        assert merged.segments.dtype == merged.verdict_segments.dtype == np.int64
+        assert merged.segments.tolist() == per_part("segments")
+        assert merged.verdict_segments.tolist() == per_part("verdict_segments")
+        for column in ("arrivals", "times", "records", "served", "verdict_times"):
+            expected = np.concatenate([getattr(part, column) for part in parts])
+            assert np.array_equal(getattr(merged, column), expected)
+
     def test_latencies_served_only(self):
         trace = _trace([0.0, 1.0, 2.0], [0.25, 1.0, 2.75], [True, False, True], [0, -1, 1])
         assert trace.latencies().tolist() == [0.25, 0.75]
