@@ -199,25 +199,25 @@ def rolling_quality(
         # window boundary still falls inside the final window
         duration_s = float(np.nextafter(arrivals.max(), np.inf)) if arrivals.size else 0.0
 
-    # Reconcile deferred cloud verdicts: inside the freshness deadline the
-    # late verdict's segment replaces the one the frame served with;
-    # outside, the frame stays scored on its original (edge) verdict.
-    upgrade = trace.verdict_segments >= 0
-    if freshness_s is not None:
-        upgrade &= (trace.verdict_times - arrivals) <= freshness_s
-    segments = np.where(upgrade, trace.verdict_segments, trace.segments)
-
     # Each fresh frame contributes its segment's above-threshold prefix (a
-    # dropped or stale frame contributes nothing).  Matching is per frame,
-    # and segments gathered from one source row hold the same detections of
-    # the same record, so they match alike: one representative segment per
-    # distinct (source row, record) is filtered and greedy-matched, up
-    # front, and every fresh frame reads its representative's rows, flags
-    # and true-positive count.
-    num_frames = int(arrivals.shape[0])
+    # dropped or stale frame contributes nothing), so every per-frame column
+    # below covers fresh frames only, in frame order.  Deferred cloud
+    # verdicts reconcile first: inside the freshness deadline the late
+    # verdict's segment replaces the one the frame served with; outside, the
+    # frame stays scored on its original (edge) verdict.
     fresh_frames = np.flatnonzero(fresh)
-    fresh_segments = segments[fresh_frames]
     fresh_records = records[fresh_frames]
+    verdict_segments = trace.verdict_segments[fresh_frames]
+    upgrade = verdict_segments >= 0
+    if freshness_s is not None:
+        upgrade &= (trace.verdict_times[fresh_frames] - arrivals[fresh_frames]) <= freshness_s
+    fresh_segments = np.where(upgrade, verdict_segments, trace.segments[fresh_frames])
+
+    # Matching is per frame, and segments gathered from one source row hold
+    # the same detections of the same record, so they match alike: one
+    # representative segment per distinct (source row, record) is filtered
+    # and greedy-matched, up front, and every fresh frame reads its
+    # representative's rows, flags and true-positive count.
     keys = report.served_sources()[fresh_segments] * len(truth) + fresh_records
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     above = batch.select(fresh_segments[first]).above(score_threshold)
@@ -226,16 +226,13 @@ def rolling_quality(
     rep_tp, row_tp = greedy_match_segments(
         above, rep_starts, rep_counts, truth, fresh_records[first], iou_threshold=iou_threshold
     )
-    frame_counts = np.zeros(num_frames, dtype=np.int64)
-    frame_starts = np.zeros(num_frames, dtype=np.int64)
-    frame_tp = np.zeros(num_frames, dtype=np.int64)
-    frame_counts[fresh_frames] = rep_counts[inverse]
-    frame_starts[fresh_frames] = rep_starts[inverse]
-    frame_tp[fresh_frames] = rep_tp[inverse]
+    fresh_counts = rep_counts[inverse]
+    fresh_starts = rep_starts[inverse]
+    fresh_tp = rep_tp[inverse]
 
     # Per-record per-class ground-truth counts: a window's class gt totals
     # (the PR recall denominators, and the devkit's skip-absent-classes
-    # rule) reduce to one row-sum over its frames.
+    # rule) reduce to one row-sum over its frames' records.
     num_classes = dataset.num_classes
     truth_labels = truth.labels
     in_range = (truth_labels >= 0) & (truth_labels < num_classes)
@@ -243,8 +240,7 @@ def rolling_quality(
         truth.image_indices()[in_range] * num_classes + truth_labels[in_range],
         minlength=len(truth) * num_classes,
     ).reshape(len(truth), num_classes)
-    frame_class_gt = record_class_gt[records]
-    frame_gt_totals = truth.counts()[records]
+    record_gt_totals = truth.counts()
     above_scores = above.scores
     above_labels = above.labels
 
@@ -263,16 +259,19 @@ def rolling_quality(
         lo = int(np.searchsorted(sorted_arrivals, t_start, side="left"))
         hi = int(np.searchsorted(sorted_arrivals, t_end, side="left"))
         inside = np.sort(order[lo:hi])
-        served = int(fresh[inside].sum())
+        # the window's fresh frames, as positions in the fresh-only columns
+        positions = np.searchsorted(fresh_frames, inside[fresh[inside]])
+        served = int(positions.size)
         dropped = int((~served_flags[inside]).sum())
         stale = int(inside.size) - served - dropped
-        true_objects = int(frame_gt_totals[inside].sum())
+        window_records = records[inside]
+        true_objects = int(record_gt_totals[window_records].sum())
         if inside.size:
-            counts = frame_counts[inside]
-            starts = frame_starts[inside]
+            counts = fresh_counts[positions]
+            starts = fresh_starts[positions]
             total = int(counts.sum())
             if total:
-                bases = np.zeros(inside.size, dtype=np.int64)
+                bases = np.zeros(served, dtype=np.int64)
                 np.cumsum(counts[:-1], out=bases[1:])
                 rows = np.repeat(starts - bases, counts) + np.arange(total)
                 window_scores = above_scores[rows]
@@ -282,7 +281,7 @@ def rolling_quality(
                 window_scores = above_scores[:0]
                 window_labels = above_labels[:0]
                 window_tp = row_tp[:0]
-            class_gt = frame_class_gt[inside].sum(axis=0)
+            class_gt = record_class_gt[window_records].sum(axis=0)
             aps: list[float] = []
             for label in range(num_classes):
                 num_gt = int(class_gt[label])
@@ -296,7 +295,7 @@ def rolling_quality(
                 curve = PRCurve.from_matches(window_scores[class_mask], window_tp[class_mask], num_gt)
                 aps.append(curve.ap(use_07_metric=True))
             map_percent = 100.0 * float(np.mean(aps)) if aps else 0.0
-            detected = int(frame_tp[inside].sum())
+            detected = int(fresh_tp[positions].sum())
         else:
             map_percent = 0.0
             detected = 0

@@ -153,3 +153,48 @@ def test_engine_frame_lifecycle_builds_no_closures():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "FrameEvent"
     ]
     assert len(sites) == 1, f"FrameEvent is built at lines {sites}"
+
+
+_RENDER_ONLY_LOADS_SCIPY = """
+import sys
+
+import repro
+import repro.baselines
+import repro.experiments
+import repro.metrics
+import repro.runtime
+from repro.data import load_dataset, render_image
+from repro.detection import DetectionBatch
+from repro.metrics import rolling_quality
+from repro.runtime import (
+    JETSON_NANO, RTX3060_SERVER, WLAN, Deployment, FleetSpec, StreamConfig, cloud_only_scheme, serve_fleet,
+)
+from repro.simulate import make_detector
+
+dataset = load_dataset("helmet", "test", fraction=0.02)
+detections = DetectionBatch.coerce(make_detector("ssd", "helmet").detect_split(dataset))
+deployment = Deployment(
+    edge=JETSON_NANO, cloud=RTX3060_SERVER, link=WLAN, small_model_flops=5.6e9, big_model_flops=61.2e9
+)
+spec = FleetSpec(cloud_only_scheme(), StreamConfig(fps=2.0, duration_s=4.0), cameras=2, detections=detections)
+windows = rolling_quality(serve_fleet(deployment, dataset, spec, seed=0), dataset, window_s=2.0)
+assert windows and windows[0].served, windows
+assert "scipy" not in sys.modules, "scipy loaded before any image was rendered"
+render_image(dataset.records[0])
+assert "scipy" in sys.modules, "rendering an image did not load scipy"
+"""
+
+
+def test_only_rendering_loads_scipy():
+    """SciPy is loaded by the first rendered image, not by importing the
+    package, serving a fleet or scoring it: only the Brenner-gradient
+    baseline renders, and every other run is spared SciPy's memory."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _RENDER_ONLY_LOADS_SCIPY],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

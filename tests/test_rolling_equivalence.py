@@ -304,6 +304,54 @@ class TestSourceRowMatching:
         # the same record served from different sources differs in what it holds
         assert not np.array_equal(big_batch.count_above(0.5), small_batch.count_above(0.5))
 
+    def test_windows_without_fresh_frames(self, deployment, helmet_mini, small_batch, big_batch):
+        # A fixed two-camera run on a lossless link with outages at [1, 3),
+        # [7, 9) and [13, 15): a collaborative camera on a durable queue
+        # (deferred verdicts) that stops at 12 s, and a cloud-only camera
+        # whose failed uploads are lost.  Scored past the stream's end, with
+        # and without a freshness deadline below every latency, it yields
+        # each kind of window whose fresh-frame lookup is empty or partial.
+        link = UnreliableLink.wrap(
+            WLAN, outages=OutageSchedule.periodic(period_s=6.0, downtime_s=2.0, duration_s=16.0, offset_s=1.0)
+        )
+        mask = np.zeros(len(helmet_mini), dtype=bool)
+        mask[::2] = True
+        spec = FleetSpec(
+            collaborative_scheme(),
+            self.CONFIG,
+            cameras=[
+                CameraSpec(config=StreamConfig(fps=2.0, poisson=True, duration_s=12.0)),
+                CameraSpec(scheme=cloud_only_scheme(), escalation=EscalationPolicy.no_retry()),
+            ],
+            mask=mask,
+            small_detections=small_batch,
+            detections=big_batch,
+            escalation=EscalationPolicy.durable_queue(capacity=32, max_retries=4, max_backoff_s=4.0),
+        )
+        report = serve_fleet(dataclasses.replace(deployment, link=link), helmet_mini, spec, seed=1)
+        trace = report.trace()
+        latencies = trace.times - trace.arrivals
+        stale_deadline = 0.5 * float(latencies[trace.served].min())
+
+        scored = {}
+        for freshness_s in (stale_deadline, 2.0):
+            kwargs = dict(window_s=1.0, duration_s=18.0, freshness_s=freshness_s)
+            scored[freshness_s] = rolling_quality(report, helmet_mini, **kwargs)
+            assert_identical(scored[freshness_s], legacy.rolling_quality(report, helmet_mini, **kwargs))
+
+        windows = scored[2.0]
+        assert any(window.frames == 0 for window in windows)  # no frame at all
+        assert any(0 < window.frames == window.dropped for window in windows)  # all dropped
+        assert any(0 < window.frames == window.stale for window in scored[stale_deadline])  # stale only
+        # a fresh frame whose deferred cloud verdict landed outside the deadline
+        late_verdict = (
+            trace.served
+            & (latencies <= 2.0)
+            & (trace.verdict_segments >= 0)
+            & (trace.verdict_times - trace.arrivals > 2.0)
+        )
+        assert late_verdict.any()
+
 
 class TestWindowGridRegression:
     def test_product_rounding_no_longer_emits_phantom_window(self, deployment, helmet_mini, big_batch):
