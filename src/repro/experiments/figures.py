@@ -161,8 +161,9 @@ def _upload_sweep(harness: Harness, setting: str) -> list:
     return runs
 
 
-def figure_08_map_vs_upload(harness: Harness, setting: str = "voc07+12") -> FigureResult:
+def figure_08_map_vs_upload(harness: Harness) -> FigureResult:
     """Fig. 8: end-to-end mAP under different upload ratios."""
+    setting = "voc07+12"
     runs = _upload_sweep(harness, setting)
     maps = [run.end_to_end_map() for run in runs]
     big_map = harness.model_map("ssd", setting)
@@ -181,8 +182,9 @@ def figure_08_map_vs_upload(harness: Harness, setting: str = "voc07+12") -> Figu
     )
 
 
-def figure_09_counts_vs_upload(harness: Harness, setting: str = "voc07+12") -> FigureResult:
+def figure_09_counts_vs_upload(harness: Harness) -> FigureResult:
     """Fig. 9: detected objects under different upload ratios."""
+    setting = "voc07+12"
     runs = _upload_sweep(harness, setting)
     counts = [run.end_to_end_counts().detected for run in runs]
     big_count = harness.model_counts("ssd", setting).detected

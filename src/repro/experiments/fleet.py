@@ -53,9 +53,12 @@ declares only its cells: the axis labels, the deployment, the
 the table reports something other than ``frames_uploaded``, how to count
 uploads.  The runner serves each cell with ``serve_fleet``, scores it with
 ``rolling_quality`` and returns one :class:`FleetOutcome` per cell, whose
-metrics are defined once for every table.  :meth:`Harness.fleet_grid`
-memoises each grid by name, so a table and its figure share the same runs;
-the ``*_outcomes`` functions are the front doors.
+metrics are defined once for every table.  Every grid serves
+:data:`FLEET_CAMERAS` cameras at :func:`fleet_config` and scores
+:data:`FLEET_WINDOW_S`-wide windows.  :meth:`Harness.fleet_grid` memoises
+each grid by name, so a table and its figure share the same runs; the
+``*_outcomes`` functions, each taking only the harness, are the front
+doors.
 """
 
 from __future__ import annotations
@@ -167,7 +170,6 @@ class _Grid:
     big: DetectionBatch
     discriminator: DifficultCaseDiscriminator
     deployment: Deployment
-    cameras: int
     config: StreamConfig
 
     @property
@@ -234,14 +236,7 @@ class FleetOutcome:
         return 100.0 * self.report.drop_rate
 
 
-def run_grid(
-    harness: Harness,
-    name: str,
-    *,
-    cameras: int,
-    config: StreamConfig,
-    window_s: float,
-) -> tuple[FleetOutcome, ...]:
+def run_grid(harness: Harness, name: str) -> tuple[FleetOutcome, ...]:
     """Serve and score every cell of the fleet grid ``name``, in order.
 
     Uncached — go through the ``*_outcomes`` front doors (memoised by
@@ -252,7 +247,8 @@ def run_grid(
     small = harness.detections("small1", FLEET_SETTING, "test")
     big = harness.detections("ssd", FLEET_SETTING, "test")
     discriminator, _ = harness.discriminator("small1", "ssd", FLEET_SETTING)
-    grid = _Grid(harness, dataset, small, big, discriminator, fleet_deployment(dataset.num_classes), cameras, config)
+    config = fleet_config()
+    grid = _Grid(harness, dataset, small, big, discriminator, fleet_deployment(dataset.num_classes), config)
     outcomes = []
     # cells are generated lazily, so a cell may read state its predecessors' runs left behind
     for cell in _GRIDS[name](grid):
@@ -260,20 +256,13 @@ def run_grid(
         windows = rolling_quality(
             report,
             dataset,
-            window_s=window_s,
+            window_s=FLEET_WINDOW_S,
             duration_s=config.duration_s,
             freshness_s=cell.freshness_s,
         )
         uploads = report.frames_uploaded if cell.uploads is None else cell.uploads(report)
         outcomes.append(FleetOutcome(cell.labels, report, windows, uploads))
     return tuple(outcomes)
-
-
-def _outcomes(
-    harness: Harness, name: str, cameras: int, config: StreamConfig | None, window_s: float
-) -> tuple[FleetOutcome, ...]:
-    config = fleet_config() if config is None else config
-    return harness.fleet_grid(name, cameras=cameras, config=config, window_s=window_s)
 
 
 def fleet_config() -> StreamConfig:
@@ -313,15 +302,9 @@ def _cloud_only_entry(grid: _Grid) -> tuple[str, ServingScheme, np.ndarray, Dete
 # --------------------------------------------------------------------- #
 # Table XVIII / Figure 10: offload policies
 # --------------------------------------------------------------------- #
-def fleet_policy_outcomes(
-    harness: Harness,
-    *,
-    cameras: int = FLEET_CAMERAS,
-    config: StreamConfig | None = None,
-    window_s: float = FLEET_WINDOW_S,
-) -> tuple[FleetOutcome, ...]:
+def fleet_policy_outcomes(harness: Harness) -> tuple[FleetOutcome, ...]:
     """Table XVIII / Figure 10 outcomes (axis ``policy``), memoised by the harness."""
-    return _outcomes(harness, "policies", cameras, config, window_s)
+    return harness.fleet_grid("policies")
 
 
 def _policy_cells(grid: _Grid) -> Iterator[_Cell]:
@@ -349,31 +332,25 @@ def _policy_cells(grid: _Grid) -> Iterator[_Cell]:
         served = DetectionBatch.where(mask, big, small)
         entries.append((label, collaborative_scheme(policy, name=label), mask, served))
     for label, scheme, mask, served in entries:
-        spec = FleetSpec(scheme=scheme, config=grid.config, cameras=grid.cameras, mask=mask, detections=served)
+        spec = FleetSpec(scheme=scheme, config=grid.config, cameras=FLEET_CAMERAS, mask=mask, detections=served)
         yield _Cell({"policy": label}, grid.deployment, spec)
 
 
 # --------------------------------------------------------------------- #
 # Table XIX / Figure 11: admission policy x serving scheme
 # --------------------------------------------------------------------- #
-def admission_policies(freshness_s: float = FLEET_FRESHNESS_S) -> tuple[tuple[str, AdmissionPolicy], ...]:
+def admission_policies() -> tuple[tuple[str, AdmissionPolicy], ...]:
     """The camera-buffer admission policies Table XIX compares."""
     return (
         ("drop-newest", DropNewest()),
         ("drop-oldest", DropOldest()),
-        ("deadline-aware", DeadlineAware(freshness_s=freshness_s)),
+        ("deadline-aware", DeadlineAware(freshness_s=FLEET_FRESHNESS_S)),
     )
 
 
-def admission_policy_outcomes(
-    harness: Harness,
-    *,
-    cameras: int = FLEET_CAMERAS,
-    config: StreamConfig | None = None,
-    window_s: float = FLEET_WINDOW_S,
-) -> tuple[FleetOutcome, ...]:
+def admission_policy_outcomes(harness: Harness) -> tuple[FleetOutcome, ...]:
     """Table XIX / Figure 11 outcomes (axes ``scheme``, ``admission``), memoised by the harness."""
-    return _outcomes(harness, "admission", cameras, config, window_s)
+    return harness.fleet_grid("admission")
 
 
 def _admission_cells(grid: _Grid) -> Iterator[_Cell]:
@@ -388,7 +365,7 @@ def _admission_cells(grid: _Grid) -> Iterator[_Cell]:
             spec = FleetSpec(
                 scheme=scheme,
                 config=grid.config,
-                cameras=grid.cameras,
+                cameras=FLEET_CAMERAS,
                 mask=mask,
                 detections=served,
                 admission=admission,
@@ -425,15 +402,9 @@ def escalation_policies() -> tuple[tuple[str, EscalationPolicy], ...]:
     )
 
 
-def availability_outcomes(
-    harness: Harness,
-    *,
-    cameras: int = FLEET_CAMERAS,
-    config: StreamConfig | None = None,
-    window_s: float = FLEET_WINDOW_S,
-) -> tuple[FleetOutcome, ...]:
+def availability_outcomes(harness: Harness) -> tuple[FleetOutcome, ...]:
     """Table XX / Figure 12 outcomes (axes ``outage``, ``scheme``, ``escalation``), memoised by the harness."""
-    return _outcomes(harness, "availability", cameras, config, window_s)
+    return harness.fleet_grid("availability")
 
 
 def _availability_cells(grid: _Grid) -> Iterator[_Cell]:
@@ -458,7 +429,7 @@ def _availability_cells(grid: _Grid) -> Iterator[_Cell]:
                 spec = FleetSpec(
                     scheme=scheme,
                     config=grid.config,
-                    cameras=grid.cameras,
+                    cameras=FLEET_CAMERAS,
                     mask=mask,
                     small_detections=grid.small,
                     detections=served,
@@ -481,15 +452,9 @@ def drift_degradation() -> DegradationModel:
     return DegradationModel(degraded_fraction=1.0, min_quality=0.3, max_quality=0.55)
 
 
-def control_plane_outcomes(
-    harness: Harness,
-    *,
-    cameras: int = FLEET_CAMERAS,
-    config: StreamConfig | None = None,
-    window_s: float = FLEET_WINDOW_S,
-) -> tuple[FleetOutcome, ...]:
+def control_plane_outcomes(harness: Harness) -> tuple[FleetOutcome, ...]:
     """Table XXI / Figure 13 outcomes (axes ``group``, ``policy``), memoised by the harness."""
-    return _outcomes(harness, "control", cameras, config, window_s)
+    return harness.fleet_grid("control")
 
 
 def _served_uploads(report: FleetReport) -> int:
@@ -519,7 +484,7 @@ def _control_cells(grid: _Grid) -> Iterator[_Cell]:
     realised upload ratio to the affordable :data:`DRIFT_UPLOAD_BUDGET`,
     trading cloud verdicts it cannot afford for freshness it can.
     """
-    config, cameras = grid.config, grid.cameras
+    config = grid.config
     _, cloud_only, everything, big = _cloud_only_entry(grid)
     admission_rows = (
         ("drop-newest", DropNewest(), None),
@@ -535,7 +500,7 @@ def _control_cells(grid: _Grid) -> Iterator[_Cell]:
         spec = FleetSpec(
             scheme=cloud_only,
             config=config,
-            cameras=cameras,
+            cameras=FLEET_CAMERAS,
             mask=everything,
             detections=big,
             admission=admission,
@@ -551,8 +516,8 @@ def _control_cells(grid: _Grid) -> Iterator[_Cell]:
     night_mask = np.asarray(discriminator.decide_split(night_small), dtype=bool)
     scheme = collaborative_scheme(DiscriminatorPolicy(discriminator), name="discriminator")
     congested = replace(grid.deployment, link=replace(WLAN, name="wlan-congested", bandwidth_mbps=DRIFT_BANDWIDTH_MBPS))
-    night_cameras = cameras // 2
-    day_cameras = cameras - night_cameras
+    night_cameras = FLEET_CAMERAS // 2
+    day_cameras = FLEET_CAMERAS - night_cameras
 
     def static_uploads(report: FleetReport) -> int:
         uploads = 0
@@ -610,7 +575,7 @@ def network_profiles() -> tuple[tuple[str, RateSchedule | None], ...]:
     )
 
 
-def network_admissions(freshness_s: float = FLEET_FRESHNESS_S) -> tuple[tuple[str, AdmissionPolicy], ...]:
+def network_admissions() -> tuple[tuple[str, AdmissionPolicy], ...]:
     """The Table XXII admission ladder.
 
     ``estimated-constant`` is :class:`~repro.runtime.control.EstimatedDeadlineAware`
@@ -622,20 +587,14 @@ def network_admissions(freshness_s: float = FLEET_FRESHNESS_S) -> tuple[tuple[st
     """
     return (
         ("drop-newest", DropNewest()),
-        ("estimated-constant", EstimatedDeadlineAware(freshness_s=freshness_s, schedule_aware=False)),
-        ("estimated-schedule", EstimatedDeadlineAware(freshness_s=freshness_s, schedule_aware=True)),
+        ("estimated-constant", EstimatedDeadlineAware(freshness_s=FLEET_FRESHNESS_S, schedule_aware=False)),
+        ("estimated-schedule", EstimatedDeadlineAware(freshness_s=FLEET_FRESHNESS_S, schedule_aware=True)),
     )
 
 
-def network_outcomes(
-    harness: Harness,
-    *,
-    cameras: int = FLEET_CAMERAS,
-    config: StreamConfig | None = None,
-    window_s: float = FLEET_WINDOW_S,
-) -> tuple[FleetOutcome, ...]:
+def network_outcomes(harness: Harness) -> tuple[FleetOutcome, ...]:
     """Table XXII / Figure 14 outcomes (axes ``profile``, ``scheme``, ``admission``), memoised by the harness."""
-    return _outcomes(harness, "network", cameras, config, window_s)
+    return harness.fleet_grid("network")
 
 
 def _network_cells(grid: _Grid) -> Iterator[_Cell]:
@@ -657,7 +616,7 @@ def _network_cells(grid: _Grid) -> Iterator[_Cell]:
                 spec = FleetSpec(
                     scheme=scheme,
                     config=grid.config,
-                    cameras=grid.cameras,
+                    cameras=FLEET_CAMERAS,
                     mask=mask,
                     detections=served,
                     small_detections=small_detections,

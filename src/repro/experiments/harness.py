@@ -54,7 +54,6 @@ from repro.metrics.voc_ap import mean_average_precision
 # perfbench/workloads.py can rebind both runner entry points on this module.
 from repro.runtime.parallel import detect_records, run_spans  # noqa: F401
 from repro.runtime.pool import WorkerPool, resolve_workers
-from repro.runtime.schemes import StreamConfig
 from repro.simulate.detector import SimulatedDetector
 from repro.simulate.presets import make_detector
 
@@ -303,20 +302,18 @@ class Harness:
             self._counts[key] = count_summary(self.detections(model, setting, "test"), dataset.truth_batch)
         return self._counts[key]
 
-    def fleet_grid(self, name: str, *, cameras: int, config: StreamConfig, window_s: float) -> tuple:
+    def fleet_grid(self, name: str) -> tuple:
         """One fleet experiment grid (Tables XVIII–XXII / Figures 10–14), memoised.
 
         Cache owner over :func:`repro.experiments.fleet.run_grid`, keyed by
-        grid name and sizing: the fleet runs are the suite's heaviest
-        non-detection workload, and each table and its figure consume the
-        same runs.
+        grid name: the fleet runs are the suite's heaviest non-detection
+        workload, and each table and its figure consume the same runs.
         """
         from repro.experiments.fleet import run_grid
 
-        key = (name, cameras, config, window_s)
-        if key not in self._fleet:
-            self._fleet[key] = run_grid(self, name, cameras=cameras, config=config, window_s=window_s)
-        return self._fleet[key]
+        if name not in self._fleet:
+            self._fleet[name] = run_grid(self, name)
+        return self._fleet[name]
 
     # ------------------------------------------------------------------ #
     # disk cache

@@ -119,18 +119,12 @@ def render_report(harness: Harness) -> str:
     return "\n".join(parts)
 
 
-def write_report(path: str | Path, harness: Harness | None = None) -> Path:
-    """Generate EXPERIMENTS.md at ``path`` and return the path.
-
-    A caller-supplied harness is left running (its pool lifecycle belongs to
-    the caller); an internally created one is closed before returning.
-    """
+def write_report(path: str | Path) -> Path:
+    """Generate EXPERIMENTS.md at ``path`` from a fresh harness, closed
+    before returning, and return the path."""
     path = Path(path)
-    if harness is None:
-        with Harness(HarnessConfig()) as owned:
-            path.write_text(render_report(owned))
-        return path
-    path.write_text(render_report(harness))
+    with Harness(HarnessConfig()) as harness:
+        path.write_text(render_report(harness))
     return path
 
 

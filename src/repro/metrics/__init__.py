@@ -4,7 +4,7 @@ rolling online stream quality."""
 from repro.metrics.classify import BinaryMetrics, binary_metrics, confusion_counts
 from repro.metrics.counting import CountSummary, count_detected_objects, count_summary
 from repro.metrics.latency import LatencySummary, summarize_latencies
-from repro.metrics.rolling import RollingWindow, rolling_quality, verdict_miss_rates
+from repro.metrics.rolling import RollingWindow, rolling_quality
 from repro.metrics.voc_ap import (
     EvalResult,
     PRCurve,
@@ -25,7 +25,6 @@ __all__ = [
     "summarize_latencies",
     "RollingWindow",
     "rolling_quality",
-    "verdict_miss_rates",
     "EvalResult",
     "PRCurve",
     "evaluate_detections",

@@ -54,40 +54,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.detection.batch import DetectionBatch
 from repro.detection.matching import check_thresholds, greedy_match_segments
 from repro.errors import ConfigurationError
 from repro.metrics.voc_ap import PRCurve
 
-__all__ = ["RollingWindow", "rolling_quality", "verdict_miss_rates"]
-
-
-def verdict_miss_rates(
-    small_detections: DetectionBatch,
-    detections: DetectionBatch,
-    *,
-    score_threshold: float = 0.5,
-) -> np.ndarray:
-    """Per-record pseudo-label miss rate of the edge model vs the cloud model.
-
-    For each record, the fraction of the cloud (big-model) detections above
-    ``score_threshold`` the edge (small-model) verdict fails to account for:
-    ``max(0, big - small) / max(big, 1)`` on the per-record counts.  No
-    ground truth is consulted — this is the quality-feedback signal a
-    deployed fleet can actually observe, by comparing the two verdicts on
-    the frames it *did* offload (the pseudo-label cloud-update idea).  It
-    feeds :class:`~repro.runtime.control.AdaptiveQuota`: a camera whose
-    offloaded frames keep revealing missed objects earns a higher offload
-    quota.
-    """
-    if len(small_detections) != len(detections):
-        raise ConfigurationError(
-            "small and big detection batches must describe the same records, "
-            f"got {len(small_detections)} vs {len(detections)}"
-        )
-    small = DetectionBatch.coerce(small_detections).count_above(score_threshold)
-    big = DetectionBatch.coerce(detections).count_above(score_threshold)
-    return np.maximum(big - small, 0) / np.maximum(big, 1)
+__all__ = ["RollingWindow", "rolling_quality"]
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,7 @@ its own frames' completion events:
   next arrival would have shed it.
 * :class:`AdaptiveQuota` — per-camera integral control of the discriminator
   threshold (the previously-unwired
-  :class:`~repro.core.adaptive.BudgetController`), with an optional
-  pseudo-label quality feedback: audited cloud verdicts reveal how much
-  the edge model is missing, and cameras whose miss rate runs above the
-  fleet reference raise their upload quota.
+  :class:`~repro.core.adaptive.BudgetController`).
 
 The :class:`CameraView` protocol is the narrow public surface these
 policies (and user-defined ones) program against — observable camera state
@@ -40,8 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkable
-
-import numpy as np
 
 from repro.core.adaptive import BudgetController
 from repro.core.features import extract_feature_arrays
@@ -180,8 +175,7 @@ class OffloadController(Protocol):
     exist — and may carry state between decisions (quota tracking, drift
     adaptation).  Optional hooks, both discovered structurally:
 
-    * ``observe(camera, event)`` — per-frame completion feedback; an
-      ``observe`` that is ``None`` attaches nothing, as an absent one does.
+    * ``observe(camera, event)`` — per-frame completion feedback.
     * ``reset()`` — called by the engines at the start of every run, so a
       stateful controller can be reused across runs without leaking state.
     """
@@ -222,6 +216,20 @@ class FleetController(Protocol):
 # --------------------------------------------------------------------- #
 # observed-time estimation (shared by admission and coordination)
 # --------------------------------------------------------------------- #
+#: Weight of a new sample in every EWMA estimate: a halflife of 8 samples.
+_ALPHA = 1.0 - 0.5 ** (1.0 / 8)
+
+#: Period of the :class:`UplinkCoordinator` sweep, in simulated seconds.
+_SWEEP_INTERVAL_S = 0.25
+
+
+def _ewma(current: float | None, sample: float) -> float:
+    """One EWMA step at :data:`_ALPHA`; the first sample seeds the average."""
+    if current is None:
+        return sample
+    return (1.0 - _ALPHA) * current + _ALPHA * sample
+
+
 class _CameraEstimate:
     """EWMA timing estimates built from one camera's own completion events.
 
@@ -237,27 +245,19 @@ class _CameraEstimate:
       (a floor on any frame's time-to-result, queueing aside).
     """
 
-    __slots__ = ("_alpha", "entry", "downstream", "remaining", "observations")
+    __slots__ = ("entry", "downstream", "remaining")
 
-    def __init__(self, alpha: float) -> None:
-        self._alpha = alpha
+    def __init__(self) -> None:
         self.entry: float | None = None
         self.downstream: float | None = None
         self.remaining: float | None = None
-        self.observations = 0
-
-    def _ewma(self, current: float | None, sample: float) -> float:
-        if current is None:
-            return sample
-        return (1.0 - self._alpha) * current + self._alpha * sample
 
     def observe(self, event: FrameEvent) -> None:
         if event.kind != "served":
             return
-        self.entry = self._ewma(self.entry, event.entry_time)
-        self.downstream = self._ewma(self.downstream, event.downstream_time)
-        self.remaining = self._ewma(self.remaining, event.completion - event.arrival - event.queue_wait)
-        self.observations += 1
+        self.entry = _ewma(self.entry, event.entry_time)
+        self.downstream = _ewma(self.downstream, event.downstream_time)
+        self.remaining = _ewma(self.remaining, event.completion - event.arrival - event.queue_wait)
 
     def completion_estimate(
         self,
@@ -287,17 +287,6 @@ class _CameraEstimate:
         return estimate if estimate > floor else floor
 
 
-def _check_estimation(halflife: float, min_observations: float) -> None:
-    """Refuse an EWMA ``halflife`` or a cold-start ``min_observations`` that
-    is not finite and at least 1 (NaN included): an infinite halflife gives
-    ``alpha == 0`` and freezes every estimate at its first sample, and an
-    infinite cold start never ends."""
-    if not 1 <= halflife < math.inf:
-        raise ConfigurationError(f"halflife must be >= 1 and finite, got {halflife}")
-    if not 1 <= min_observations < math.inf:
-        raise ConfigurationError(f"min_observations must be >= 1 and finite, got {min_observations}")
-
-
 class EstimatedDeadlineAware:
     """Deadline admission from *observed* times — no simulator internals.
 
@@ -305,8 +294,8 @@ class EstimatedDeadlineAware:
     exact service times queued ahead of each frame.  This policy instead
     maintains per-camera EWMA estimates (:class:`_CameraEstimate`) fed by
     the ``observe`` hook, and shed a queued frame once its *estimated*
-    completion blows the freshness deadline.  Until a camera has produced
-    ``min_observations`` completion events it behaves exactly like
+    completion blows the freshness deadline.  Until a camera's first frame
+    is served it behaves exactly like
     :class:`~repro.runtime.policies.DropNewest` — cold start is part of the
     measured cost of honesty.
 
@@ -328,21 +317,11 @@ class EstimatedDeadlineAware:
 
     name = "estimated-deadline"
 
-    def __init__(
-        self,
-        freshness_s: float = 2.0,
-        *,
-        halflife: int = 8,
-        min_observations: int = 1,
-        schedule_aware: bool = True,
-    ) -> None:
+    def __init__(self, freshness_s: float = 2.0, *, schedule_aware: bool = True) -> None:
         if not 0.0 < freshness_s < math.inf:  # also catches NaN
             raise ConfigurationError(f"freshness_s must be positive and finite, got {freshness_s}")
-        _check_estimation(halflife, min_observations)
         self.freshness_s = freshness_s
-        self.min_observations = min_observations
         self.schedule_aware = schedule_aware
-        self._alpha = 1.0 - 0.5 ** (1.0 / halflife)
         self._estimates: dict[int, _CameraEstimate] = {}
 
     def reset(self) -> None:
@@ -352,17 +331,12 @@ class EstimatedDeadlineAware:
     def observe(self, camera: CameraView, event: FrameEvent) -> None:
         estimate = self._estimates.get(id(camera))
         if estimate is None:
-            estimate = self._estimates[id(camera)] = _CameraEstimate(self._alpha)
+            estimate = self._estimates[id(camera)] = _CameraEstimate()
         estimate.observe(event)
 
     def admit(self, camera: CameraView, arrival: float) -> bool:
         estimate = self._estimates.get(id(camera))
-        if (
-            estimate is not None
-            and estimate.remaining is not None
-            and estimate.observations >= self.min_observations
-            and camera.queued_arrivals()
-        ):
+        if estimate is not None and estimate.remaining is not None and camera.queued_arrivals():
             now = camera.now
             deadline = self.freshness_s
             # Zero on constant-rate links (max() is then a no-op — the
@@ -386,8 +360,8 @@ class UplinkCoordinator:
     its own sparse completions.  Sitting on the loop, the coordinator
     fixes both: it pools the entry-service and downstream estimates across
     every camera's events (the stages are shared resources, so the pool
-    converges a fleet-factor faster), and every ``interval_s`` it sweeps
-    the fleet — stalest camera first — shedding frames whose estimated
+    converges a fleet-factor faster), and every 0.25 simulated seconds it
+    sweeps the fleet — stalest camera first — shedding frames whose estimated
     completion blows the deadline, so a doomed frame releases its shared
     uplink slot between arrivals instead of at the next one.
 
@@ -397,25 +371,11 @@ class UplinkCoordinator:
 
     name = "uplink-coordinator"
 
-    def __init__(
-        self,
-        freshness_s: float = 2.0,
-        *,
-        interval_s: float = 0.25,
-        halflife: int = 8,
-        min_observations: int = 1,
-        schedule_aware: bool = True,
-    ) -> None:
+    def __init__(self, freshness_s: float = 2.0, *, schedule_aware: bool = True) -> None:
         if not 0.0 < freshness_s < math.inf:  # also catches NaN
             raise ConfigurationError(f"freshness_s must be positive and finite, got {freshness_s}")
-        if not 0.0 < interval_s < math.inf:  # also catches NaN
-            raise ConfigurationError(f"interval_s must be positive and finite, got {interval_s}")
-        _check_estimation(halflife, min_observations)
         self.freshness_s = freshness_s
-        self.interval_s = interval_s
-        self.min_observations = min_observations
         self.schedule_aware = schedule_aware
-        self._alpha = 1.0 - 0.5 ** (1.0 / halflife)
         self._estimates: dict[int, _CameraEstimate] = {}
         self._fleet_entry: float | None = None
         self._fleet_downstream: float | None = None
@@ -433,21 +393,16 @@ class UplinkCoordinator:
         self._loop = None
         self.swept = 0
 
-    def _pool(self, current: float | None, sample: float) -> float:
-        if current is None:
-            return sample
-        return (1.0 - self._alpha) * current + self._alpha * sample
-
     def observe(self, camera: CameraView, event: FrameEvent) -> None:
         if event.kind == "served":
             # Entry-stage service and the downstream legs traverse shared
             # resources, so both pool fleet-wide and converge a
             # fleet-factor faster than any camera's own estimate.
-            self._fleet_entry = self._pool(self._fleet_entry, event.entry_time)
-            self._fleet_downstream = self._pool(self._fleet_downstream, event.downstream_time)
+            self._fleet_entry = _ewma(self._fleet_entry, event.entry_time)
+            self._fleet_downstream = _ewma(self._fleet_downstream, event.downstream_time)
         estimate = self._estimates.get(id(camera))
         if estimate is None:
-            estimate = self._estimates[id(camera)] = _CameraEstimate(self._alpha)
+            estimate = self._estimates[id(camera)] = _CameraEstimate()
         estimate.observe(event)
 
     def attach(self, loop: "EventLoop", cameras: Sequence[CameraView], *, horizon_s: float) -> None:
@@ -459,7 +414,7 @@ class UplinkCoordinator:
                 return True
             return any(camera.buffer_depth() > 0 for camera in self._cameras)
 
-        loop.schedule_repeating(self.interval_s, self._sweep, keep_going=still_needed)
+        loop.schedule_repeating(_SWEEP_INTERVAL_S, self._sweep, keep_going=still_needed)
 
     def _sweep(self) -> None:
         assert self._loop is not None
@@ -472,11 +427,7 @@ class UplinkCoordinator:
         queued.sort(key=lambda item: now - item[1][0], reverse=True)
         for camera, _ in queued:
             estimate = self._estimates.get(id(camera))
-            if (
-                estimate is None
-                or estimate.remaining is None
-                or estimate.observations < self.min_observations
-            ):
+            if estimate is None or estimate.remaining is None:
                 continue
             deadline = self.freshness_s
             downstream = self._fleet_downstream
@@ -495,6 +446,9 @@ class UplinkCoordinator:
 # --------------------------------------------------------------------- #
 # adaptive offload quotas (the BudgetController, finally wired)
 # --------------------------------------------------------------------- #
+#: Halflife, in decisions, of each quota controller's realised-ratio EMA.
+_QUOTA_EMA_HALFLIFE = 20
+
 class AdaptiveQuota:
     """Per-camera adaptive offload quota around :class:`BudgetController`.
 
@@ -502,19 +456,8 @@ class AdaptiveQuota:
     by nudging the discriminator's area threshold after every decision —
     the drift robustness :mod:`repro.core.adaptive` promises, now actually
     reachable from the serving engines (it was dead public API before).
-
-    ``feedback`` optionally closes an outer quality loop with pseudo
-    labels: per-record miss rates (how much of the cloud verdict the edge
-    verdict missed — :func:`repro.metrics.rolling.verdict_miss_rates`),
-    sampled on every *served* frame, the audit stream a deployment gets
-    from periodically double-checking edge results against the cloud
-    model.  Sampling must cover local serves too: offloaded frames are
-    exactly the ones the discriminator already flagged difficult, so
-    their miss rates are selection-biased high for every camera alike and
-    carry no drift signal.  A camera whose EWMA miss rate runs above the
-    fleet ``reference`` raises its upload target by ``quality_gain`` per
-    unit of excess miss rate (and lowers it when its scene is easier),
-    clipped to ``target_bounds``.
+    The controllers run at :class:`BudgetController`'s default gain and
+    area bounds, with a 20-decision EMA halflife.
 
     ``small_detections`` must describe the records the camera serves (a
     degraded camera brings its own); ``reset()`` clears all per-camera
@@ -529,21 +472,9 @@ class AdaptiveQuota:
         discriminator: "DifficultCaseDiscriminator",
         small_detections: "DetectionBatch | list[Detections]",
         target_ratio: float,
-        *,
-        gain: float = 0.05,
-        ema_halflife: int = 20,
-        area_bounds: tuple[float, float] = (0.0, 0.8),
-        feedback: np.ndarray | None = None,
-        reference: float | None = None,
-        quality_gain: float = 0.5,
-        target_bounds: tuple[float, float] = (0.02, 0.98),
     ) -> None:
-        BudgetController.check_parameters(target_ratio, gain=gain, ema_halflife=ema_halflife, area_bounds=area_bounds)
-        lo, hi = target_bounds
-        if not 0.0 < lo < hi < 1.0:
-            raise ConfigurationError(f"target_bounds must satisfy 0 < lo < hi < 1, got {target_bounds}")
-        if not quality_gain >= 0.0:
-            raise ConfigurationError(f"quality_gain must be >= 0, got {quality_gain}")
+        if not 0.0 < target_ratio < 1.0:  # also catches NaN
+            raise ConfigurationError(f"target_ratio must be in (0, 1), got {target_ratio}")
         self._discriminator = discriminator
         # Only the area threshold adapts, so each record's features are
         # constants of the instance: extract them once, as plain scalars.
@@ -556,31 +487,11 @@ class AdaptiveQuota:
         self._n_estimated: list[int] = n_estimated.tolist()
         self._min_area: list[float] = min_area.tolist()
         self.target_ratio = target_ratio
-        self.quality_gain = quality_gain
-        self.target_bounds = target_bounds
-        self._gain = gain
-        self._ema_halflife = ema_halflife
-        self._area_bounds = area_bounds
-        self._alpha = 1.0 - 0.5 ** (1.0 / ema_halflife)
-        self._feedback: np.ndarray | None = None
-        self._reference = 0.0
-        if feedback is not None:
-            self._feedback = np.asarray(feedback, dtype=np.float64).reshape(-1)
-            if self._feedback.shape[0] != len(self._n_predict):
-                raise ConfigurationError(
-                    f"feedback has {self._feedback.shape[0]} entries for "
-                    f"{len(self._n_predict)} records"
-                )
-            self._reference = float(self._feedback.mean()) if reference is None else float(reference)
-        elif reference is not None:
-            raise ConfigurationError("reference without feedback has nothing to compare against")
         self._controllers: dict[int, BudgetController] = {}
-        self._miss_ema: dict[int, float] = {}
 
     def reset(self) -> None:
         """Forget every camera's controller state (called per run)."""
         self._controllers.clear()
-        self._miss_ema.clear()
 
     @property
     def decisions(self) -> int:
@@ -596,13 +507,7 @@ class AdaptiveQuota:
         """This camera's live integral controller (created on first use)."""
         controller = self._controllers.get(id(camera))
         if controller is None:
-            controller = BudgetController(
-                self._discriminator,
-                self.target_ratio,
-                gain=self._gain,
-                ema_halflife=self._ema_halflife,
-                area_bounds=self._area_bounds,
-            )
+            controller = BudgetController(self._discriminator, self.target_ratio, ema_halflife=_QUOTA_EMA_HALFLIFE)
             self._controllers[id(camera)] = controller
         return controller
 
@@ -612,24 +517,3 @@ class AdaptiveQuota:
             self._n_estimated[record_index],
             self._min_area[record_index],
         )
-
-    @property
-    def observe(self) -> Callable[[CameraView, FrameEvent], None] | None:
-        """The completion-event hook, or ``None`` without a quality loop (no
-        ``feedback``, or ``quality_gain == 0``): the engine then attaches no
-        observer for the quota and builds no :class:`FrameEvent` for it."""
-        if self._feedback is None or self.quality_gain == 0.0:
-            return None
-        return self._observe_served
-
-    def _observe_served(self, camera: CameraView, event: FrameEvent) -> None:
-        if event.kind != "served":
-            return
-        miss = float(self._feedback[event.record_index])
-        key = id(camera)
-        previous = self._miss_ema.get(key)
-        ema = miss if previous is None else (1.0 - self._alpha) * previous + self._alpha * miss
-        self._miss_ema[key] = ema
-        lo, hi = self.target_bounds
-        target = min(hi, max(lo, self.target_ratio + self.quality_gain * (ema - self._reference)))
-        self.controller_for(camera).target_ratio = target

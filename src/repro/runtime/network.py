@@ -109,14 +109,17 @@ class RateSchedule:
         every ``period_s`` until ``duration_s``, after which the base rate
         holds forever.
         """
-        if base_mbps <= 0.0 or dip_mbps <= 0.0:
-            raise ConfigurationError("base_mbps and dip_mbps must be > 0")
-        if period_s <= 0.0 or duration_s <= 0.0:
-            raise ConfigurationError("period_s and duration_s must be positive")
+        # written as `not <valid range>` so NaN, which fails every comparison, is refused too
+        if not (0.0 < base_mbps < math.inf and 0.0 < dip_mbps < math.inf):
+            raise ConfigurationError(f"base_mbps and dip_mbps must be finite and > 0, got {base_mbps} and {dip_mbps}")
+        if not (0.0 < period_s < math.inf and 0.0 < duration_s < math.inf):
+            raise ConfigurationError(
+                f"period_s and duration_s must be finite and positive, got {period_s} and {duration_s}"
+            )
         if not 0.0 < dip_s < period_s:
             raise ConfigurationError("dip_s must lie strictly inside the period")
-        if offset_s < 0.0:
-            raise ConfigurationError("offset_s must be >= 0")
+        if not 0.0 <= offset_s < math.inf:
+            raise ConfigurationError(f"offset_s must be finite and >= 0, got {offset_s}")
         points: list[tuple[float, float]] = [(0.0, base_mbps)]
         start = offset_s
         while start < duration_s:
@@ -392,12 +395,15 @@ class OutageSchedule:
         The first outage begins at ``offset_s``; windows are generated until
         ``duration_s``.  ``downtime_s / period_s`` is the downtime fraction.
         """
-        if period_s <= 0.0 or duration_s <= 0.0:
-            raise ConfigurationError("period_s and duration_s must be positive")
+        # written as `not <valid range>` so NaN, which fails every comparison, is refused too
+        if not (0.0 < period_s < math.inf and 0.0 < duration_s < math.inf):
+            raise ConfigurationError(
+                f"period_s and duration_s must be finite and positive, got {period_s} and {duration_s}"
+            )
         if not 0.0 < downtime_s < period_s:
             raise ConfigurationError("downtime_s must lie strictly inside the period")
-        if offset_s < 0.0:
-            raise ConfigurationError("offset_s must be >= 0")
+        if not 0.0 <= offset_s < math.inf:
+            raise ConfigurationError(f"offset_s must be finite and >= 0, got {offset_s}")
         windows = []
         start = offset_s
         while start < duration_s:
@@ -420,8 +426,12 @@ class OutageSchedule:
         ``mean_down_s / (mean_up_s + mean_down_s)``.  The same seed always
         yields the same schedule.
         """
-        if duration_s <= 0.0 or mean_up_s <= 0.0 or mean_down_s <= 0.0:
-            raise ConfigurationError("duration_s, mean_up_s and mean_down_s must be positive")
+        # written as `not <valid range>` so NaN, which fails every comparison, is refused too
+        if not all(0.0 < value < math.inf for value in (duration_s, mean_up_s, mean_down_s)):
+            raise ConfigurationError(
+                "duration_s, mean_up_s and mean_down_s must be finite and positive, "
+                f"got {duration_s}, {mean_up_s} and {mean_down_s}"
+            )
         rng = generator_for(seed, "outage-schedule", mean_up_s, mean_down_s)
         windows = []
         t = float(rng.exponential(mean_up_s))

@@ -188,7 +188,7 @@ def _controller_runs(draw):
         "ema_halflife": draw(st.integers(1, 60)),
         "area_bounds": bounds,
     }
-    # Mid-run target moves, as AdaptiveQuota's feedback loop makes them.
+    # Mid-run target moves: ``target_ratio`` is a public, writable attribute.
     retargets = draw(st.dictionaries(st.integers(0, 3 * len(images)), st.floats(0.02, 0.98), max_size=4))
     return images, discriminator, params, retargets
 

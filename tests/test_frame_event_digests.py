@@ -11,8 +11,8 @@ and the event counts.
 The specs cover every way a frame can end: a local serve and a cloud
 serve under a static mask, a cloud-only entry stage on a time-varying
 link (the entry time is the duration resolved at grant), per-frame
-offload decisions under an :class:`~repro.runtime.control.AdaptiveQuota`
-with quality feedback, and uplink outages, loss and cloud faults with a
+offload decisions under an :class:`~repro.runtime.control.AdaptiveQuota`,
+and uplink outages, loss and cloud faults with a
 durable escalation queue (``"failed"`` events, fallback serves and late
 recoveries).
 
@@ -63,7 +63,7 @@ SPECS = (
     "collaborative-mask-wlan",
     "cloud-only-lte",
     "collaborative-mask-lte-mobility",
-    "adaptive-quota-feedback",
+    "adaptive-quota",
     "collaborative-durable-faults",
     "cloud-only-durable-faults",
 )
@@ -123,17 +123,10 @@ def _run(name: str, dataset, small_batch: DetectionBatch, big_batch: DetectionBa
             small_detections=small_batch,
             detections=big_batch,
         )
-    elif name == "adaptive-quota-feedback":
+    elif name == "adaptive-quota":
         deployment = _deployment()
         discriminator = DifficultCaseDiscriminator(confidence_threshold=0.25, count_threshold=1, area_threshold=0.1)
-        quota = AdaptiveQuota(
-            discriminator,
-            small_batch,
-            0.3,
-            feedback=np.ones(len(small_batch)),
-            reference=0.0,
-            quality_gain=1.0,
-        )
+        quota = AdaptiveQuota(discriminator, small_batch, 0.3)
         spec = FleetSpec(
             scheme=collaborative_scheme(),
             config=config,

@@ -2,9 +2,12 @@
 
 ``tests/golden/quick_digests.json`` holds one sha256 per table and figure,
 taken over its Markdown rendering (as EXPERIMENTS.md prints it) followed by
-an exact rendering of its values (``repr`` keeps every float bit).  A
-refactor that must not change results recomputes them from the session
-harness and compares.  The report's own preamble and run configuration are
+an exact rendering of its values (``repr`` keeps every float bit), and one
+per fitted discriminator of ``tables.MODEL_PAIRS``, taken over the
+``float.hex`` of its confidence and area thresholds and its count
+threshold: the tables print thresholds rounded, so a one-ulp move of a
+fitted threshold shows only here.  A refactor that must not change results
+recomputes them from the session harness and compares.  The report's own preamble and run configuration are
 not part of the digests.
 
 Regenerate (only when a change is *meant* to move a result) with::
@@ -21,7 +24,7 @@ from pathlib import Path
 from repro.experiments.figures import all_figures
 from repro.experiments.formatting import format_table_markdown
 from repro.experiments.report import _figure_markdown
-from repro.experiments.tables import all_tables
+from repro.experiments.tables import MODEL_PAIRS, all_tables
 
 GOLDEN = Path(__file__).parent / "golden" / "quick_digests.json"
 
@@ -31,7 +34,8 @@ def _digest(markdown: str, exact: tuple) -> str:
 
 
 def quick_digests(harness) -> dict[str, str]:
-    """``{"table <id>" | "figure <id>": sha256}`` for every rendered result."""
+    """``{"table <id>" | "figure <id>" | "discriminator <pair>": sha256}``
+    for every rendered result and every fitted discriminator."""
     digests = {}
     for table in all_tables(harness):
         exact = (table.title, table.columns, table.rows, table.paper_rows, table.notes)
@@ -39,6 +43,14 @@ def quick_digests(harness) -> dict[str, str]:
     for figure in all_figures(harness):
         exact = (figure.title, figure.x_label, figure.x_values, figure.series, figure.notes)
         digests[f"figure {figure.figure_id}"] = _digest(_figure_markdown(figure), exact)
+    for small, big, setting in MODEL_PAIRS:
+        discriminator, _ = harness.discriminator(small, big, setting)
+        fitted = (
+            float.hex(discriminator.confidence_threshold),
+            float.hex(discriminator.area_threshold),
+            discriminator.count_threshold,
+        )
+        digests[f"discriminator {small}/{big}/{setting}"] = hashlib.sha256(repr(fitted).encode()).hexdigest()
     return digests
 
 

@@ -73,6 +73,15 @@ class TestRateScheduleConstruction:
         assert schedule.rate_at(15.0) == 1.0
         assert schedule.rate_at(100.0) == 5.0
 
+    @pytest.mark.parametrize("field", ["base_mbps", "dip_mbps", "period_s", "dip_s", "duration_s", "offset_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_periodic_parameters_rejected(self, field, value):
+        # a NaN duration or offset used to build a constant schedule, and an
+        # infinite duration never stopped adding dips
+        valid = {"base_mbps": 5.0, "dip_mbps": 1.0, "period_s": 10.0, "dip_s": 2.0, "duration_s": 30.0, "offset_s": 0.0}
+        with pytest.raises(ConfigurationError):
+            RateSchedule.periodic(**{**valid, field: value})
+
     def test_always_is_constant(self):
         schedule = RateSchedule.always(5.5)
         assert schedule.is_constant

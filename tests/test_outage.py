@@ -118,6 +118,29 @@ class TestOutageSchedule:
         with pytest.raises(ConfigurationError):
             OutageSchedule.periodic(period_s=5.0, downtime_s=5.0, duration_s=10.0)
 
+    @pytest.mark.parametrize(
+        "constructor, field",
+        [
+            ("periodic", "period_s"),
+            ("periodic", "downtime_s"),
+            ("periodic", "duration_s"),
+            ("periodic", "offset_s"),
+            ("random", "duration_s"),
+            ("random", "mean_up_s"),
+            ("random", "mean_down_s"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_schedule_parameters_rejected(self, constructor, field, value):
+        # a NaN duration, offset or mean up time used to build an always-up
+        # schedule, and an infinite duration never stopped adding windows
+        valid = {
+            "periodic": {"period_s": 20.0, "downtime_s": 6.0, "duration_s": 60.0, "offset_s": 0.0},
+            "random": {"seed": 1, "duration_s": 60.0, "mean_up_s": 7.0, "mean_down_s": 3.0},
+        }[constructor]
+        with pytest.raises(ConfigurationError):
+            getattr(OutageSchedule, constructor)(**{**valid, field: value})
+
     def test_always_up_never_down(self):
         schedule = OutageSchedule.always_up()
         assert not schedule.is_down(0.0)

@@ -198,3 +198,31 @@ def test_only_rendering_loads_scipy():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+_REPORT_RUNS_ONCE = """
+import runpy
+import warnings
+
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    runpy._get_module_details("repro.experiments.report")
+messages = [str(warning.message) for warning in caught if issubclass(warning.category, RuntimeWarning)]
+assert not messages, messages
+"""
+
+
+def test_report_module_runs_as_main_without_double_import():
+    """``python -m repro.experiments.report`` regenerates EXPERIMENTS.md.
+    Importing the package ``repro.experiments`` must not import the report
+    module itself, or runpy executes it a second time as ``__main__`` and
+    warns that it was already in ``sys.modules``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _REPORT_RUNS_ONCE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -680,7 +680,8 @@ class TestAdaptiveQuotaEquivalence:
     the historical path re-extracted them from a ``Detections`` view per
     frame inside a legacy controller (``_legacy_budget.py``).  A fleet
     driven by either is the same run, bit for bit, across ``reset()``
-    reuse."""
+    reuse.  The oracle's controllers take the parameters the quota gives
+    every :class:`~repro.core.adaptive.BudgetController`."""
 
     CONFIG = StreamConfig(fps=1.5, poisson=True, duration_s=40.0, max_edge_queue=30)
 
@@ -690,21 +691,15 @@ class TestAdaptiveQuotaEquivalence:
         big = make_detector("ssd", "helmet").detect_split(helmet_mini)
         return small, big
 
-    @pytest.mark.parametrize("feedback", [False, True])
-    def test_fleet_identical_to_legacy_controller(self, deployment, helmet_mini, detections, feedback):
+    def test_fleet_identical_to_legacy_controller(self, deployment, helmet_mini, detections):
         small, big = detections
         # Only 14 of the 80 records are uncertain, with minimum areas of
         # 0.007-0.05: a 10% target keeps the area threshold moving through
         # that band instead of pinning it at a bound.
         discriminator = DifficultCaseDiscriminator(confidence_threshold=0.25, count_threshold=3, area_threshold=0.02)
-        kwargs = {"gain": 0.05, "ema_halflife": 5}
-        if feedback:
-            misses = generator_for(3, "quota-feedback").uniform(size=len(helmet_mini))
-            kwargs.update(feedback=misses, quality_gain=0.2)
-        quotas = [
-            AdaptiveQuota(discriminator, small, 0.1, **kwargs),
-            legacy.LegacyAdaptiveQuota(discriminator, small, 0.1, **kwargs),
-        ]
+        oracle = legacy.LegacyAdaptiveQuota(discriminator, small, 0.1)
+        oracle._gain, oracle._ema_halflife, oracle._area_bounds = 0.05, 20, (0.0, 0.8)
+        quotas = [AdaptiveQuota(discriminator, small, 0.1), oracle]
         runs = []
         for quota in quotas:
             spec = FleetSpec(

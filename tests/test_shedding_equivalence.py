@@ -13,9 +13,16 @@ camera's private edge queue and a cloud-only camera's slice of the shared
 uplink, where a durable queue's retry can hold the in-service slot — with
 every shedding policy, the coordinator on and off, and outages, loss and a
 time-varying link rate.
+
+The oracle's cold start waits for ``min_observations`` served events, a
+count the estimates no longer keep: the test gives the oracle's policies
+the one served event the current code waits for, and counts it on the
+estimates of the oracle's runs.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -46,6 +53,7 @@ from repro.runtime import (
     collaborative_scheme,
     serve_fleet,
 )
+from repro.runtime import control
 from repro.runtime.engine import _CameraStream
 from repro.simulate import make_detector
 
@@ -82,13 +90,45 @@ def _deployment(outage: str, loss: bool) -> Deployment:
     )
 
 
+class _OracleEstimatedDeadlineAware(LegacyEstimatedDeadlineAware):
+    min_observations = 1
+
+
+class _OracleUplinkCoordinator(LegacyUplinkCoordinator):
+    min_observations = 1
+
+
+class _CountedEstimate(control._CameraEstimate):
+    """An estimate that also counts its served events, as the oracle reads."""
+
+    __slots__ = ("observations",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.observations = 0
+
+    def observe(self, event) -> None:
+        super().observe(event)
+        self.observations += event.kind == "served"
+
+
+@contextmanager
+def _oracle_estimates():
+    current = control._CameraEstimate
+    control._CameraEstimate = _CountedEstimate
+    try:
+        yield
+    finally:
+        control._CameraEstimate = current
+
+
 def _admission(name: str, freshness_s: float, legacy: bool):
     if name == "drop-oldest":
         return DropOldest()
     if name == "deadline":
         return DeadlineAware(freshness_s=freshness_s)
     if name == "estimated":
-        policy = LegacyEstimatedDeadlineAware if legacy else EstimatedDeadlineAware
+        policy = _OracleEstimatedDeadlineAware if legacy else EstimatedDeadlineAware
         return policy(freshness_s=freshness_s)
     return DropNewest()
 
@@ -122,7 +162,7 @@ def _serve(helmet_mini, small_batch, big_batch, cameras, coordinated, freshness_
     )
     controller = None
     if coordinated:
-        controller = (LegacyUplinkCoordinator if legacy else UplinkCoordinator)(freshness_s=freshness_s)
+        controller = (_OracleUplinkCoordinator if legacy else UplinkCoordinator)(freshness_s=freshness_s)
     spec = FleetSpec(
         scheme=cloud_only_scheme(),
         cameras=specs,
@@ -132,7 +172,7 @@ def _serve(helmet_mini, small_batch, big_batch, cameras, coordinated, freshness_
         controller=controller,
     )
     if legacy:
-        with legacy_serving():
+        with legacy_serving(), _oracle_estimates():
             report = serve_fleet(_deployment(outage, loss), helmet_mini, spec, seed=seed)
     else:
         report = serve_fleet(_deployment(outage, loss), helmet_mini, spec, seed=seed)
