@@ -34,7 +34,7 @@ def _compare(harness):
     # Muted small model: identical recall, no sub-threshold boxes.
     base = harness.detector("small1", setting)
     muted_profile = replace(base.profile, name="small1-muted@voc07+12", miss_visibility=0.0)
-    muted_profile = calibrate_profile(
+    muted_profile, _ = calibrate_profile(
         muted_profile,
         train,
         RECALL_TARGETS[("small1", setting)],

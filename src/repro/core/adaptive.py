@@ -122,31 +122,7 @@ class BudgetController:
         ema_halflife: int = 50,
         area_bounds: tuple[float, float] = (0.0, 0.8),
     ) -> None:
-        self.check_parameters(target_ratio, gain=gain, ema_halflife=ema_halflife, area_bounds=area_bounds)
-        self._initial = discriminator
-        self._initial_target = target_ratio
-        self._count_threshold = discriminator.count_threshold
-        self._area = float(discriminator.area_threshold)
-        self.target_ratio = target_ratio
-        self.gain = gain
-        self._alpha = 1.0 - 0.5 ** (1.0 / ema_halflife)
-        self._lo, self._hi = float(area_bounds[0]), float(area_bounds[1])
-        self._ema = target_ratio
-        self.decisions = 0
-        self.uploads = 0
-
-    @staticmethod
-    def check_parameters(
-        target_ratio: float,
-        *,
-        gain: float,
-        ema_halflife: int,
-        area_bounds: tuple[float, float],
-    ) -> None:
-        """Raise :class:`ConfigurationError` unless the parameters are valid.
-
-        Every comparison is written so that NaN fails it.
-        """
+        # Every comparison is written so that NaN fails it.
         if not 0.0 < target_ratio < 1.0:
             raise ConfigurationError(f"target_ratio must be in (0, 1), got {target_ratio}")
         if not 0.0 < gain < math.inf:
@@ -156,6 +132,17 @@ class BudgetController:
         lo, hi = area_bounds
         if not 0.0 <= lo < hi:
             raise ConfigurationError(f"invalid area bounds {area_bounds}")
+        self._initial = discriminator
+        self._initial_target = target_ratio
+        self._count_threshold = discriminator.count_threshold
+        self._area = float(discriminator.area_threshold)
+        self.target_ratio = target_ratio
+        self.gain = gain
+        self._alpha = 1.0 - 0.5 ** (1.0 / ema_halflife)
+        self._lo, self._hi = float(lo), float(hi)
+        self._ema = target_ratio
+        self.decisions = 0
+        self.uploads = 0
 
     def reset(self) -> None:
         """Forget all adaptation: behave as freshly constructed.

@@ -8,16 +8,20 @@ exactly once regardless of how many tables consume it.
 
 Detections are produced by one planner, :meth:`Harness.prefetch`;
 ``detections()`` is its one-key case and the suite scheduler in
-:mod:`repro.experiments.suite` hands it whole artifact lists.  Production
-is sharded two ways:
+:mod:`repro.experiments.suite` hands it whole artifact lists.  No image is
+detected twice: calibrating a detector already detected the first
+``calibration_images`` images of its setting's train split
+(:func:`repro.simulate.presets.calibration_detections`), and every harness
+train split starts with those images, so a train shard that lies wholly
+inside that sample is sliced from it.  Production is sharded two ways:
 
 * **Disk cache shards** — the on-disk cache stores one ``.npz`` per
   contiguous image range of ``cache_shard_size`` images (fingerprinted over
   the shard's own records), so a partially warm cache recomputes only the
   missing ranges and differently-sized subset runs share their common
   full shards.
-* **Worker processes** — the missing shards of every requested artifact go
-  to :func:`repro.runtime.parallel.run_spans` together, on a
+* **Worker processes** — the other missing shards of every requested
+  artifact go to :func:`repro.runtime.parallel.run_spans` together, on a
   harness-lifetime :class:`~repro.runtime.pool.WorkerPool`, and each is
   persisted the moment it completes.  The worker count comes from
   ``HarnessConfig.workers`` when set, else the ``REPRO_WORKERS``
@@ -55,7 +59,7 @@ from repro.metrics.voc_ap import mean_average_precision
 from repro.runtime.parallel import detect_records, run_spans  # noqa: F401
 from repro.runtime.pool import WorkerPool, resolve_workers
 from repro.simulate.detector import SimulatedDetector
-from repro.simulate.presets import make_detector
+from repro.simulate.presets import calibration_detections, make_detector
 
 __all__ = ["HarnessConfig", "Harness"]
 
@@ -205,11 +209,13 @@ class Harness:
         artifacts, returned in first-request order.
 
         The disk cache is sharded by image range: warm shards load in the
-        parent, and the shards missing (or corrupt) on disk across *all*
-        requested artifacts go to one :func:`run_spans` call, so models,
-        settings and splits overlap on the shared pool.  Each shard is
-        persisted the moment it completes, so an interrupted run keeps every
-        finished shard.
+        parent.  A missing (or corrupt) train shard that lies wholly inside
+        the detector's calibration sample is sliced from the detections its
+        calibration already made.  The remaining missing shards across
+        *all* requested artifacts go to one :func:`run_spans` call, so
+        models, settings and splits overlap on the shared pool.  Each shard
+        is persisted the moment it is made, so an interrupted run keeps
+        every finished shard.
         """
         plans: dict[tuple[str, str, str], tuple[SimulatedDetector, list]] = {}
         jobs: list[tuple[SimulatedDetector, Dataset, tuple[int, int]]] = []
@@ -219,13 +225,22 @@ class Harness:
                 continue
             model, setting, split = key
             dataset = self.dataset(setting, split)
+            # Keep this order: self.detector calibrates through make_detector
+            # (the call perfbench's tracer counts) before calibration_detections
+            # reads the memo that call filled.
             detector = self.detector(model, setting)
+            sample = calibration_detections(model, setting, seed=self.config.seed) if split == "train" else None
             spans = self._cache_spans(len(dataset))
             shards = [self._load_shard(detector, dataset, span) for span in spans]
             plans[key] = (detector, shards)
-            for index, span in enumerate(spans):
-                if shards[index] is None:
-                    jobs.append((detector, dataset, span))
+            for index, (lo, hi) in enumerate(spans):
+                if shards[index] is not None:
+                    continue
+                if sample is not None and hi <= len(sample):
+                    shards[index] = sample[lo:hi]
+                    self._store_shard(detector, dataset, (lo, hi), shards[index])
+                else:
+                    jobs.append((detector, dataset, (lo, hi)))
                     slots.append((shards, index))
 
         def store(position: int, batch: DetectionBatch) -> None:

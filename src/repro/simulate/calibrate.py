@@ -30,6 +30,7 @@ import numpy as np
 
 from repro._rng import DEFAULT_SEED
 from repro.data.datasets import Dataset
+from repro.detection.batch import DetectionBatch
 from repro.errors import CalibrationError
 from repro.metrics.counting import count_detected_objects
 from repro.simulate.detector import SimulatedDetector
@@ -134,7 +135,7 @@ def calibrate_profile(
     seed: int = DEFAULT_SEED,
     sample_size: int = 1000,
     measured_rounds: int = 2,
-) -> DetectorProfile:
+) -> tuple[DetectorProfile, DetectionBatch]:
     """Full calibration: analytic solve plus measured loss-factor estimation.
 
     The analytic solve runs over the whole ``dataset`` (cheap, vectorised:
@@ -155,6 +156,14 @@ def calibrate_profile(
         the paper's count tables.
     sample_size:
         Number of images used to estimate the simulation loss factor.
+
+    Returns
+    -------
+    The calibrated profile, and the last measured round's detections on the
+    sample: the first ``min(sample_size, len(dataset))`` images of
+    ``dataset``, detected by the calibrated profile itself.  They are what a
+    :class:`SimulatedDetector` with that profile, ``num_classes`` and
+    ``seed`` returns on those images, so a caller need not detect them again.
     """
     sample = dataset.subset(min(sample_size, len(dataset)))
     # Only base_recall changes from round to round, so both splits' factor
@@ -177,4 +186,4 @@ def calibrate_profile(
             loss_factor = new_loss
             break
         loss_factor = new_loss
-    return calibrated
+    return calibrated, detections

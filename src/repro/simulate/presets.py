@@ -27,6 +27,7 @@ from dataclasses import replace
 
 from repro._rng import DEFAULT_SEED
 from repro.data.datasets import DATASET_SETTINGS, load_dataset
+from repro.detection.batch import DetectionBatch
 from repro.errors import RegistryError
 from repro.simulate.calibrate import calibrate_profile
 from repro.simulate.detector import SimulatedDetector
@@ -40,6 +41,7 @@ __all__ = [
     "PAPER_COUNTS",
     "PAPER_GT_TOTALS",
     "make_detector",
+    "calibration_detections",
     "available_pairs",
 ]
 
@@ -215,8 +217,9 @@ MAP_REFERENCES: dict[tuple[str, str], float] = {
     ("small-yolo", "voc07+12"): 79.72,
 }
 
-#: Cache of calibrated detectors keyed by (model, setting, seed).
-_DETECTOR_CACHE: dict[tuple[str, str, int], SimulatedDetector] = {}
+#: Calibrated detectors keyed by (model, setting, seed), each next to its
+#: last calibration round's (read-only) detections on the train sample.
+_DETECTOR_CACHE: dict[tuple[str, str, int], tuple[SimulatedDetector, DetectionBatch]] = {}
 
 
 def available_pairs() -> list[tuple[str, str]]:
@@ -234,11 +237,15 @@ def make_detector(
     """Build (and cache) a calibrated detector for a (model, setting) pair.
 
     Calibration runs against a deterministic sample of the setting's *train*
-    split, never the test split.
+    split, never the test split: its first ``calibration_images`` images
+    (all of them when the split is smaller).  The process memo keeps the
+    detector's output on that sample, which its last calibration round
+    produced, next to the detector: :func:`calibration_detections` hands it
+    out, so the sample is never detected twice.
     """
     key = (model, setting, seed)
     if key in _DETECTOR_CACHE:
-        return _DETECTOR_CACHE[key]
+        return _DETECTOR_CACHE[key][0]
     if model not in SHAPE_PRESETS:
         raise RegistryError(f"unknown model {model!r}; available: {', '.join(sorted(SHAPE_PRESETS))}")
     if (model, setting) not in RECALL_TARGETS:
@@ -270,7 +277,7 @@ def make_detector(
         fp_score_scale=shape.fp_score_scale,
         class_confusion=shape.class_confusion,
     )
-    calibrated = calibrate_profile(
+    calibrated, sample = calibrate_profile(
         profile,
         train_sample,
         RECALL_TARGETS[(model, setting)],
@@ -278,6 +285,20 @@ def make_detector(
         seed=seed,
         sample_size=calibration_images,
     )
+    for column in (sample.boxes, sample.scores, sample.labels, sample.offsets):
+        column.flags.writeable = False
     detector = SimulatedDetector(profile=calibrated, num_classes=entry.num_classes, seed=seed)
-    _DETECTOR_CACHE[key] = detector
+    _DETECTOR_CACHE[key] = (detector, sample)
     return detector
+
+
+def calibration_detections(model: str, setting: str, *, seed: int = DEFAULT_SEED) -> DetectionBatch:
+    """The :func:`make_detector` detector's output on the first
+    ``len(batch)`` images of the setting's train split (calibrating it
+    first if needed).
+
+    The batch is the last calibration round's and its arrays are read-only:
+    every caller shares it.
+    """
+    make_detector(model, setting, seed=seed)
+    return _DETECTOR_CACHE[(model, setting, seed)][1]

@@ -191,8 +191,14 @@ def test_harness_close_is_idempotent(tmp_path):
 # suite scheduler: exact equality with the serial path
 # --------------------------------------------------------------------- #
 def test_prefetch_matches_serial_detections(tmp_path):
+    # The oracle detects every artifact afresh: a harness slices train
+    # shards from the calibration sample, so two harnesses would compare
+    # that memo with itself.
     serial = Harness(_tiny_config(tmp_path / "serial", workers=1))
-    expected = {key: serial.detections(*key) for key in TINY_ARTIFACTS}
+    expected = {
+        (model, setting, split): detect_records(serial.detector(model, setting), serial.dataset(setting, split))
+        for model, setting, split in TINY_ARTIFACTS
+    }
     with Harness(_tiny_config(tmp_path / "pooled", workers=2)) as harness:
         produced = prefetch_detections(harness, TINY_ARTIFACTS)
         assert tuple(produced) == TINY_ARTIFACTS
