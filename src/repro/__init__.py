@@ -71,26 +71,20 @@ __all__ = [
 ]
 
 
-def quickstart_system(
-    setting: str = "voc07+12",
-    *,
-    small: str = "small1",
-    big: str = "ssd",
-    seed: int = DEFAULT_SEED,
-    train_images: int = 2000,
-):
+def quickstart_system(setting: str = "voc07+12", *, train_images: int = 2000):
     """Build a ready-to-serve small-big system in one call.
 
-    Calibrates both detectors, fits the difficult-case discriminator on the
+    Calibrates the paper's headline pair (the ``small1`` edge model and the
+    ``ssd`` cloud model), fits the difficult-case discriminator on the
     setting's training split and returns ``(system, fit_report)``.
     """
-    small_model = make_detector(small, setting, seed=seed)
-    big_model = make_detector(big, setting, seed=seed)
+    small_model = make_detector("small1", setting)
+    big_model = make_detector("ssd", setting)
     from repro.data.datasets import DATASET_SETTINGS
 
     entry = DATASET_SETTINGS[setting]
     fraction = min(1.0, train_images / entry.train_size)
-    train = load_dataset(setting, "train", seed=seed, fraction=fraction)
+    train = load_dataset(setting, "train", fraction=fraction)
     discriminator, report = DifficultCaseDiscriminator.fit(
         small_model.detect_split(train),
         big_model.detect_split(train),

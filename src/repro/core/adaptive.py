@@ -174,11 +174,7 @@ class BudgetController:
 
     def decide(self, detections) -> bool:
         """Decide one image and adapt the area threshold."""
-        features = extract_features(
-            detections,
-            self._initial.confidence_threshold,
-            serving_threshold=self._initial.serving_threshold,
-        )
+        features = extract_features(detections, self._initial.confidence_threshold)
         return self.decide_features(features.n_predict, features.n_estimated, features.min_area_estimated)
 
     def decide_features(self, n_predict: int, n_estimated: int, min_area: float) -> bool:
@@ -186,7 +182,7 @@ class BudgetController:
 
         The features are :func:`~repro.core.features.extract_features`'
         ``(n_predict, n_estimated, min_area_estimated)`` under the wrapped
-        discriminator's confidence and serving thresholds.
+        discriminator's confidence threshold.
         """
         verdict = decide_one(n_predict, n_estimated, min_area, self._count_threshold, self._area)
         self.decisions += 1

@@ -24,32 +24,21 @@ __all__ = ["SERVING_THRESHOLD", "is_difficult_case", "label_cases"]
 SERVING_THRESHOLD = 0.5
 
 
-def is_difficult_case(
-    small: Detections,
-    big: Detections,
-    *,
-    threshold: float = SERVING_THRESHOLD,
-    margin: int = 1,
-) -> bool:
+def is_difficult_case(small: Detections, big: Detections) -> bool:
     """Label one image from the two models' served detection counts.
 
-    The image is difficult when the big model detects at least ``margin``
-    more objects than the small model did — evidence the small model missed
+    The image is difficult when the big model serves at least one more
+    object than the small model did — evidence the small model missed
     something.
     """
     if small.image_id != big.image_id:
         raise ConfigurationError(f"detections belong to different images: " f"{small.image_id!r} vs {big.image_id!r}")
-    if margin < 1:
-        raise ConfigurationError("margin must be >= 1")
-    return big.count_above(threshold) - small.count_above(threshold) >= margin
+    return big.count_above(SERVING_THRESHOLD) - small.count_above(SERVING_THRESHOLD) >= 1
 
 
 def label_cases(
     small_detections: DetectionBatch | list[Detections],
     big_detections: DetectionBatch | list[Detections],
-    *,
-    threshold: float = SERVING_THRESHOLD,
-    margin: int = 1,
 ) -> np.ndarray:
     """Vectorised difficult-case labels for a whole split.
 
@@ -60,11 +49,9 @@ def label_cases(
     """
     if len(small_detections) != len(big_detections):
         raise ConfigurationError(f"got {len(small_detections)} small vs {len(big_detections)} big " f"detection sets")
-    if margin < 1:
-        raise ConfigurationError("margin must be >= 1")
     small = DetectionBatch.coerce(small_detections)
     big = DetectionBatch.coerce(big_detections)
     if small.image_ids != big.image_ids:
         mismatch = next((a, b) for a, b in zip(small.image_ids, big.image_ids) if a != b)
         raise ConfigurationError(f"detections belong to different images: " f"{mismatch[0]!r} vs {mismatch[1]!r}")
-    return big.count_above(threshold) - small.count_above(threshold) >= margin
+    return big.count_above(SERVING_THRESHOLD) - small.count_above(SERVING_THRESHOLD) >= 1

@@ -66,7 +66,6 @@ class DifficultCaseDiscriminator:
     confidence_threshold: float
     count_threshold: int
     area_threshold: float
-    serving_threshold: float = SERVING_THRESHOLD
 
     def decide(self, detections: Detections) -> bool:
         """Classify one image from its small-model detections.
@@ -75,11 +74,7 @@ class DifficultCaseDiscriminator:
         The three-step rule is applied on scalars directly — single-image
         serving never allocates per-frame numpy arrays.
         """
-        features = extract_features(
-            detections,
-            self.confidence_threshold,
-            serving_threshold=self.serving_threshold,
-        )
+        features = extract_features(detections, self.confidence_threshold)
         return decide_one(
             features.n_predict,
             features.n_estimated,
@@ -90,11 +85,7 @@ class DifficultCaseDiscriminator:
 
     def decide_split(self, detections: DetectionBatch | list[Detections]) -> np.ndarray:
         """Vectorised verdicts for a whole split (True = difficult)."""
-        n_predict, n_estimated, min_area = extract_feature_arrays(
-            detections,
-            self.confidence_threshold,
-            serving_threshold=self.serving_threshold,
-        )
+        n_predict, n_estimated, min_area = extract_feature_arrays(detections, self.confidence_threshold)
         return decide_rule(
             n_predict,
             n_estimated,
@@ -122,8 +113,6 @@ class DifficultCaseDiscriminator:
         small_detections: DetectionBatch | list[Detections],
         big_detections: DetectionBatch | list[Detections],
         truths: GroundTruthBatch | list[GroundTruth],
-        *,
-        serving_threshold: float = SERVING_THRESHOLD,
     ) -> tuple["DifficultCaseDiscriminator", DiscriminatorFitReport]:
         """Calibrate all three thresholds on a training split (Sec. V.D).
 
@@ -144,10 +133,10 @@ class DifficultCaseDiscriminator:
 
         small_batch = DetectionBatch.coerce(small_detections)
         big_batch = DetectionBatch.coerce(big_detections)
-        labels = label_cases(small_batch, big_batch, threshold=serving_threshold)
+        labels = label_cases(small_batch, big_batch)
         confidence_threshold = fit_confidence_threshold(small_batch, gt)
 
-        n_predict = small_batch.count_above(serving_threshold)
+        n_predict = small_batch.count_above(SERVING_THRESHOLD)
         true_counts = gt.counts()
         true_min_areas = gt.min_area_ratios()
         count_threshold, area_threshold, gt_metrics = fit_decision_thresholds(
@@ -161,7 +150,6 @@ class DifficultCaseDiscriminator:
             confidence_threshold=confidence_threshold,
             count_threshold=count_threshold,
             area_threshold=area_threshold,
-            serving_threshold=serving_threshold,
         )
         predicted_metrics = discriminator.evaluate(small_batch, big_batch)
         report = DiscriminatorFitReport(

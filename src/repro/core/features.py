@@ -36,34 +36,25 @@ class CaseFeatures:
     n_estimated: int
     min_area_estimated: float
 
-    @property
-    def all_detected(self) -> bool:
-        """Step-1 signal: did filtering change the object count at all?"""
-        return self.n_predict == self.n_estimated
+
+def _check_noise_threshold(noise_threshold: float) -> None:
+    if not 0.0 < noise_threshold <= SERVING_THRESHOLD:
+        raise ConfigurationError(f"noise_threshold must lie in (0, {SERVING_THRESHOLD}], got {noise_threshold}")
 
 
-def extract_features(
-    detections: Detections,
-    noise_threshold: float,
-    *,
-    serving_threshold: float = SERVING_THRESHOLD,
-) -> CaseFeatures:
+def extract_features(detections: Detections, noise_threshold: float) -> CaseFeatures:
     """Compute one image's :class:`CaseFeatures` from its raw detections."""
-    if not 0.0 < noise_threshold <= serving_threshold:
-        raise ConfigurationError(f"noise_threshold must lie in (0, {serving_threshold}], " f"got {noise_threshold}")
+    _check_noise_threshold(noise_threshold)
     return CaseFeatures(
         image_id=detections.image_id,
-        n_predict=detections.count_above(serving_threshold),
+        n_predict=detections.count_above(SERVING_THRESHOLD),
         n_estimated=detections.count_above(noise_threshold),
         min_area_estimated=detections.min_area_above(noise_threshold),
     )
 
 
 def extract_feature_arrays(
-    detections: DetectionBatch | list[Detections],
-    noise_threshold: float,
-    *,
-    serving_threshold: float = SERVING_THRESHOLD,
+    detections: DetectionBatch | list[Detections], noise_threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised features for a split.
 
@@ -72,11 +63,10 @@ def extract_feature_arrays(
     concatenated first.  Returns ``(n_predict, n_estimated,
     min_area_estimated)`` arrays aligned with the input.
     """
-    if not 0.0 < noise_threshold <= serving_threshold:
-        raise ConfigurationError(f"noise_threshold must lie in (0, {serving_threshold}], " f"got {noise_threshold}")
+    _check_noise_threshold(noise_threshold)
     batch = DetectionBatch.coerce(detections)
     return (
-        batch.count_above(serving_threshold),
+        batch.count_above(SERVING_THRESHOLD),
         batch.count_above(noise_threshold),
         batch.min_area_above(noise_threshold),
     )

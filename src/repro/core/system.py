@@ -44,7 +44,6 @@ class SystemRun:
     uploaded: np.ndarray = field(repr=False)
     small_detections: DetectionBatch | list[Detections] = field(repr=False)
     big_detections: DetectionBatch | list[Detections] = field(repr=False)
-    serving_threshold: float = SERVING_THRESHOLD
 
     def __post_init__(self) -> None:
         count = len(self.dataset)
@@ -80,24 +79,6 @@ class SystemRun:
         return cache[key]
 
     @property
-    def final_detections(self) -> DetectionBatch | list[Detections]:
-        """Per-image served output: big where uploaded, small elsewhere.
-
-        Mirrors the input representation: batch inputs yield the merged
-        batch; list inputs yield a list of the *original* per-image objects.
-        """
-        if isinstance(self.small_detections, DetectionBatch) and isinstance(self.big_detections, DetectionBatch):
-            return self.final_batch()
-        return [
-            big if sent else small
-            for small, big, sent in zip(
-                self.small_detections,
-                self.big_detections,
-                self.uploaded,
-            )
-        ]
-
-    @property
     def upload_ratio(self) -> float:
         """Fraction of images uploaded to the cloud."""
         if self.uploaded.shape[0] == 0:
@@ -106,7 +87,7 @@ class SystemRun:
 
     def _served_map(self, batch: DetectionBatch) -> float:
         return mean_average_precision(
-            batch.above(self.serving_threshold),
+            batch.above(SERVING_THRESHOLD),
             self.dataset.truth_batch,
             self.dataset.num_classes,
         )
@@ -118,37 +99,17 @@ class SystemRun:
         """mAP (percent) of the system's served output."""
         return self._served_map(self.final_batch())
 
-    def small_model_map(self) -> float:
-        """mAP (percent) of the small model alone on this split."""
-        return self._served_map(self.small_batch())
-
     def big_model_map(self) -> float:
         """mAP (percent) of the big model alone on this split."""
         return self._served_map(self.big_batch())
 
     def end_to_end_counts(self) -> CountSummary:
         """Detected-object count of the system's served output."""
-        return count_summary(
-            self.final_batch(),
-            self.dataset.truth_batch,
-            score_threshold=self.serving_threshold,
-        )
-
-    def small_model_counts(self) -> CountSummary:
-        """Detected-object count of the small model alone."""
-        return count_summary(
-            self.small_batch(),
-            self.dataset.truth_batch,
-            score_threshold=self.serving_threshold,
-        )
+        return count_summary(self.final_batch(), self.dataset.truth_batch)
 
     def big_model_counts(self) -> CountSummary:
         """Detected-object count of the big model alone."""
-        return count_summary(
-            self.big_batch(),
-            self.dataset.truth_batch,
-            score_threshold=self.serving_threshold,
-        )
+        return count_summary(self.big_batch(), self.dataset.truth_batch)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,10 @@ _CONFIDENCE_GRID = np.round(np.arange(0.05, 0.51, 0.01), 2)
 _COUNT_GRID = np.arange(1, 9)
 _AREA_GRID = np.round(np.arange(0.0, 0.52, 0.01), 2)
 
+#: Decision-threshold grid points this close to the best accuracy are
+#: admissible; the recall-maximal one among them is fitted.
+_ACCURACY_TOLERANCE = 0.015
+
 
 @dataclass(frozen=True)
 class ThresholdFit:
@@ -84,10 +88,9 @@ def count_loss_curve(
 def fit_confidence_threshold(
     detections: DetectionBatch | list[Detections],
     truths: GroundTruthBatch | list[GroundTruth],
-    grid: np.ndarray | None = None,
 ) -> float:
     """The noise-filter threshold minimising the Eq. 1 count loss."""
-    thresholds, losses = count_loss_curve(detections, truths, grid)
+    thresholds, losses = count_loss_curve(detections, truths)
     return float(thresholds[int(np.argmin(losses))])
 
 
@@ -141,14 +144,13 @@ def fit_decision_thresholds(
     *,
     count_grid: np.ndarray | None = None,
     area_grid: np.ndarray | None = None,
-    accuracy_tolerance: float = 0.015,
 ) -> tuple[int, float, BinaryMetrics]:
     """Grid-search the count and area thresholds (Sec. V.D).
 
     Per the paper, the rule is evaluated with the *true* count and minimum
     area ratio during fitting, "when the accuracy reaches the top".  Among
-    grid points within ``accuracy_tolerance`` of the best accuracy, the
-    recall-maximal one is selected (precision breaks remaining ties): the
+    grid points within 0.015 of the best accuracy, the recall-maximal one
+    is selected (precision breaks remaining ties): the
     paper's own optimum sits at 98.24 % recall because missing a difficult
     case costs end-to-end accuracy while uploading an easy one only costs
     bandwidth.
@@ -157,8 +159,6 @@ def fit_decision_thresholds(
     areas = _AREA_GRID if area_grid is None else np.asarray(area_grid, dtype=np.float64)
     if counts.size == 0 or areas.size == 0:
         raise CalibrationError("empty decision-threshold grid")
-    if accuracy_tolerance < 0.0:
-        raise CalibrationError("accuracy_tolerance must be >= 0")
     labels = np.asarray(difficult_labels, dtype=bool)
     candidates: list[tuple[BinaryMetrics, int, float]] = []
     for count_threshold in counts:
@@ -173,7 +173,7 @@ def fit_decision_thresholds(
             metrics = binary_metrics(predicted, labels)
             candidates.append((metrics, int(count_threshold), float(area_threshold)))
     top_accuracy = max(metrics.accuracy for metrics, _, _ in candidates)
-    admissible = [entry for entry in candidates if entry[0].accuracy >= top_accuracy - accuracy_tolerance]
+    admissible = [entry for entry in candidates if entry[0].accuracy >= top_accuracy - _ACCURACY_TOLERANCE]
     best_metrics, best_count, best_area = max(
         admissible,
         key=lambda entry: (entry[0].recall, entry[0].precision, entry[0].accuracy),

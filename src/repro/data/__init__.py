@@ -10,15 +10,10 @@ from repro.data.datasets import (
     load_dataset,
 )
 from repro.data.degrade import PRISTINE, Degradation, DegradationModel
-from repro.data.io import (
-    load_dataset_file,
-    load_detections_file,
-    save_dataset,
-    save_detections,
-)
+from repro.data.io import save_dataset, save_detections
 from repro.data.render import brenner_gradient, render_image
 from repro.data.scene import Scene, SceneProfile, sample_scene
-from repro.data.stats import SplitStats, per_image_features, split_stats
+from repro.data.stats import per_image_features
 
 __all__ = [
     "COCO18_CLASSES",
@@ -33,8 +28,6 @@ __all__ = [
     "PRISTINE",
     "Degradation",
     "DegradationModel",
-    "load_dataset_file",
-    "load_detections_file",
     "save_dataset",
     "save_detections",
     "brenner_gradient",
@@ -42,7 +35,5 @@ __all__ = [
     "Scene",
     "SceneProfile",
     "sample_scene",
-    "SplitStats",
     "per_image_features",
-    "split_stats",
 ]

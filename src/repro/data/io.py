@@ -2,8 +2,10 @@
 
 Lets users export synthetic splits and detector outputs for inspection or
 for use outside this library (e.g. plotting, or feeding a real training
-pipeline), and re-import them bit-exactly.  The format is intentionally
-plain: one JSON document, numbers as lists, schema version pinned.
+pipeline), and re-import them bit-exactly: :func:`dataset_from_dict` and
+:func:`detections_from_dict` read the parsed JSON back.  The format is
+intentionally plain: one JSON document, numbers as lists, schema version
+pinned.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ __all__ = [
     "dataset_to_dict",
     "dataset_from_dict",
     "save_dataset",
-    "load_dataset_file",
     "detections_to_dict",
     "detections_from_dict",
     "save_detections",
-    "load_detections_file",
 ]
 
 _SCHEMA_VERSION = 1
@@ -134,29 +134,11 @@ def save_dataset(dataset: Dataset, path: str | Path) -> Path:
     return path
 
 
-def load_dataset_file(path: str | Path) -> Dataset:
-    """Read a dataset split from :func:`save_dataset` output."""
-    return dataset_from_dict(_read_json(path))
-
-
 def save_detections(detections: list[Detections], path: str | Path, detector: str = "") -> Path:
     """Write per-image detections to a JSON file; returns the path."""
     path = Path(path)
     path.write_text(json.dumps(detections_to_dict(detections, detector)))
     return path
-
-
-def load_detections_file(path: str | Path) -> list[Detections]:
-    """Read detections from :func:`save_detections` output."""
-    return detections_from_dict(_read_json(path))
-
-
-def _read_json(path: str | Path) -> dict:
-    path = Path(path)
-    try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise DatasetError(f"cannot read {path}: {error}") from error
 
 
 def _check_payload(payload: dict, kind: str) -> None:

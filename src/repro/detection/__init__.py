@@ -17,19 +17,14 @@ from repro.detection.batch import (
 from repro.detection.boxes import (
     as_boxes,
     box_area,
-    box_center,
-    box_wh,
-    boxes_contain,
     clip_boxes,
-    cxcywh_to_xyxy,
     iou_matrix,
     pairwise_iou,
     scale_boxes,
     validate_boxes,
-    xyxy_to_cxcywh,
 )
-from repro.detection.matching import greedy_match_segments
-from repro.detection.nms import class_aware_nms, filter_by_score, nms_indices
+from repro.detection.matching import IOU_THRESHOLD, greedy_match_segments
+from repro.detection.nms import class_aware_nms, nms_indices
 from repro.detection.types import Detections, GroundTruth
 
 __all__ = [
@@ -42,22 +37,17 @@ __all__ = [
     "yolo_feature_maps",
     "as_boxes",
     "box_area",
-    "box_center",
-    "box_wh",
-    "boxes_contain",
     "clip_boxes",
-    "cxcywh_to_xyxy",
     "iou_matrix",
     "pairwise_iou",
     "scale_boxes",
     "validate_boxes",
-    "xyxy_to_cxcywh",
     "DetectionBatch",
     "DetectionBatchBuilder",
     "GroundTruthBatch",
+    "IOU_THRESHOLD",
     "greedy_match_segments",
     "class_aware_nms",
-    "filter_by_score",
     "nms_indices",
     "Detections",
     "GroundTruth",

@@ -75,10 +75,6 @@ class AnchorGrid:
         """Total number of anchors."""
         return int(self.boxes.shape[0])
 
-    def per_map_counts(self) -> list[int]:
-        """Anchor count contributed by each feature map, in order."""
-        return [spec.total_boxes for spec in self.maps]
-
 
 def ssd300_feature_maps() -> tuple[FeatureMapSpec, ...]:
     """The six SSD300 feature maps (VGG16 conv4_3 ... conv11_2).

@@ -304,13 +304,6 @@ class DetectionBatch:
             out[nonempty] = np.where(np.isinf(mins), 1.0, mins)
         return out
 
-    def top_scores(self) -> np.ndarray:
-        """Per-image highest score (0.0 for empty images)."""
-        out = np.zeros(len(self))
-        nonempty = self.offsets[:-1] < self.offsets[1:]
-        out[nonempty] = self.scores[self.offsets[:-1][nonempty]]
-        return out
-
     def above(self, threshold: float) -> "DetectionBatch":
         """Batch restricted to boxes scoring ``>= threshold`` (the serving
         filter), preserving per-segment score order."""

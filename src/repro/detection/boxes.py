@@ -17,15 +17,10 @@ __all__ = [
     "as_boxes",
     "validate_boxes",
     "box_area",
-    "box_center",
-    "box_wh",
     "clip_boxes",
     "iou_matrix",
     "pairwise_iou",
-    "cxcywh_to_xyxy",
-    "xyxy_to_cxcywh",
     "scale_boxes",
-    "boxes_contain",
 ]
 
 
@@ -75,21 +70,6 @@ def box_area(boxes: np.ndarray) -> np.ndarray:
     return width * height
 
 
-def box_center(boxes: np.ndarray) -> np.ndarray:
-    """Centers ``(N, 2)`` of xyxy boxes."""
-    array = as_boxes(boxes)
-    return np.stack(
-        [(array[:, 0] + array[:, 2]) / 2.0, (array[:, 1] + array[:, 3]) / 2.0],
-        axis=1,
-    )
-
-
-def box_wh(boxes: np.ndarray) -> np.ndarray:
-    """Widths and heights ``(N, 2)`` of xyxy boxes."""
-    array = as_boxes(boxes)
-    return np.stack([array[:, 2] - array[:, 0], array[:, 3] - array[:, 1]], axis=1)
-
-
 def clip_boxes(boxes: np.ndarray, *, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     """Clip box coordinates into ``[lo, hi]`` (the unit square by default)."""
     return np.clip(as_boxes(boxes), lo, hi)
@@ -131,36 +111,9 @@ def pairwise_iou(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
         return np.where(union > 0.0, intersection / union, 0.0)
 
 
-def cxcywh_to_xyxy(boxes: np.ndarray) -> np.ndarray:
-    """Convert ``(cx, cy, w, h)`` boxes to ``(x_min, y_min, x_max, y_max)``."""
-    array = np.asarray(boxes, dtype=np.float64)
-    if array.size == 0:
-        return array.reshape(0, 4)
-    if array.ndim == 1:
-        array = array.reshape(1, 4)
-    half = array[:, 2:] / 2.0
-    return np.concatenate([array[:, :2] - half, array[:, :2] + half], axis=1)
-
-
-def xyxy_to_cxcywh(boxes: np.ndarray) -> np.ndarray:
-    """Convert ``(x_min, y_min, x_max, y_max)`` boxes to ``(cx, cy, w, h)``."""
-    array = as_boxes(boxes)
-    wh = array[:, 2:] - array[:, :2]
-    return np.concatenate([array[:, :2] + wh / 2.0, wh], axis=1)
-
-
 def scale_boxes(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
     """Scale unit-square boxes to pixel coordinates of a ``width x height`` image."""
     array = as_boxes(boxes).copy()
     array[:, [0, 2]] *= float(width)
     array[:, [1, 3]] *= float(height)
     return array
-
-
-def boxes_contain(boxes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Boolean matrix ``(N, P)``: does box ``n`` contain point ``p``?"""
-    array = as_boxes(boxes)
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    inside_x = (pts[None, :, 0] >= array[:, None, 0]) & (pts[None, :, 0] <= array[:, None, 2])
-    inside_y = (pts[None, :, 1] >= array[:, None, 1]) & (pts[None, :, 1] <= array[:, None, 3])
-    return inside_x & inside_y

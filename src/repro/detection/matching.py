@@ -2,7 +2,7 @@
 
 This is the standard PASCAL VOC protocol: detections are visited in order of
 descending score; each claims the highest-IoU unclaimed ground-truth box of
-the same class, provided the IoU passes the threshold (0.5 for VOC).  The
+the same class, provided the IoU reaches :data:`IOU_THRESHOLD` (0.5).  The
 result drives both the AP computation and the paper's "number of detected
 objects" metric.
 
@@ -15,29 +15,15 @@ rolling stream evaluation all use it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.detection.batch import DetectionBatch, GroundTruthBatch
 from repro.detection.boxes import pairwise_iou
-from repro.errors import ConfigurationError
 
-__all__ = ["check_thresholds", "greedy_match_segments"]
+__all__ = ["IOU_THRESHOLD", "greedy_match_segments"]
 
-
-def _check_iou_threshold(iou_threshold: float) -> None:
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ConfigurationError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-
-
-def check_thresholds(*, score_threshold: float, iou_threshold: float) -> None:
-    """Refuse a non-finite serving threshold or an IoU threshold outside
-    ``(0, 1]`` up front, before any image is matched (a NaN score threshold
-    would otherwise serve nothing and count 0 without complaint)."""
-    if not -math.inf < score_threshold < math.inf:
-        raise ConfigurationError(f"score_threshold must be finite, got {score_threshold}")
-    _check_iou_threshold(iou_threshold)
+#: The VOC overlap a detection needs to claim a ground-truth box.
+IOU_THRESHOLD = 0.5
 
 
 def greedy_match_segments(
@@ -46,8 +32,6 @@ def greedy_match_segments(
     det_counts: np.ndarray,
     truth: GroundTruthBatch,
     records: np.ndarray,
-    *,
-    iou_threshold: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class-aware greedy VOC matching of many images in one pass.
 
@@ -60,18 +44,17 @@ def greedy_match_segments(
     One block-diagonal pass over every (image, detection, ground-truth)
     candidate pair matches each image exactly as a per-image greedy loop
     would: an image's detections visit in segment order, each claims the
-    highest-IoU unclaimed same-class ground-truth box at or above the
-    threshold, first index winning ties.  Candidate pairs are prefiltered to
-    same-class-and-above-threshold, which cannot change the greedy outcome
-    (below-threshold or claimed-and-zeroed candidates never claim, since the
-    threshold is positive).
+    highest-IoU unclaimed same-class ground-truth box at or above
+    :data:`IOU_THRESHOLD`, first index winning ties.  Candidate pairs are
+    prefiltered to same-class-and-above-threshold, which cannot change the
+    greedy outcome (below-threshold or claimed-and-zeroed candidates never
+    claim, since the threshold is positive).
 
     Because detections of different images never contend for the same
     ground-truth box, the flags are the same whether images are scored
     alone, pooled per class across a window (the AP protocol) or summed in
     segment order (the counting protocol).
     """
-    _check_iou_threshold(iou_threshold)
     num_images = int(det_counts.shape[0])
     image_tp = np.zeros(num_images, dtype=np.int64)
     row_tp = np.zeros(detections.scores.shape[0], dtype=bool)
@@ -91,7 +74,7 @@ def greedy_match_segments(
     det_rows = np.repeat(det_starts[active], pair_counts) + det_local
     gt_rows = np.repeat(truth.offsets[:-1][records[active]], pair_counts) + gt_local
     iou = pairwise_iou(detections.boxes[det_rows], truth.boxes[gt_rows])
-    ok = (detections.labels[det_rows] == truth.labels[gt_rows]) & (iou >= iou_threshold)
+    ok = (detections.labels[det_rows] == truth.labels[gt_rows]) & (iou >= IOU_THRESHOLD)
     candidates = np.flatnonzero(ok)
     if candidates.size == 0:
         return image_tp, row_tp

@@ -14,7 +14,7 @@ from repro.detection.boxes import iou_matrix, pairwise_iou
 from repro.detection.types import Detections
 from repro.errors import ConfigurationError
 
-__all__ = ["nms_indices", "grouped_nms_keep", "class_aware_nms", "filter_by_score"]
+__all__ = ["nms_indices", "grouped_nms_keep", "class_aware_nms"]
 
 
 def nms_indices(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> np.ndarray:
@@ -113,12 +113,3 @@ def class_aware_nms(detections: Detections, iou_threshold: float = 0.45) -> Dete
         detector=detections.detector,
         extras=detections.extras,
     )
-
-
-def filter_by_score(detections: Detections, threshold: float) -> Detections:
-    """Keep detections scoring at least ``threshold``.
-
-    Equivalent to :meth:`Detections.above`; provided as a free function for
-    pipeline composition.
-    """
-    return detections.above(threshold)

@@ -147,17 +147,3 @@ class Detections:
         if not keep.any():
             return 1.0
         return float(box_area(self.boxes[keep]).min())
-
-    def for_class(self, label: int) -> "Detections":
-        """Detections restricted to one class label."""
-        keep = self.labels == int(label)
-        return replace(
-            self,
-            boxes=self.boxes[keep],
-            scores=self.scores[keep],
-            labels=self.labels[keep],
-        )
-
-    def top_score(self) -> float:
-        """Highest score, or 0.0 when empty (used by the confidence baseline)."""
-        return float(self.scores[0]) if len(self) else 0.0

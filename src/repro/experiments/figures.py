@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.cases import label_cases
+from repro.core.cases import SERVING_THRESHOLD, label_cases
 from repro.core.features import extract_feature_arrays
 from repro.core.thresholds import area_threshold_sweep
 from repro.data.stats import per_image_features
@@ -120,7 +120,7 @@ def figure_07_threshold_sweep(harness: Harness) -> FigureResult:
     train = harness.dataset(setting, "train")
     small_train = harness.detections("small1", setting, "train")
     labels = label_cases(small_train, harness.detections("ssd", setting, "train"))
-    n_predict = small_train.count_above(0.5)
+    n_predict = small_train.count_above(SERVING_THRESHOLD)
     true_counts = train.truth_batch.counts()
     true_min_areas = train.truth_batch.min_area_ratios()
     rows = area_threshold_sweep(n_predict, true_counts, true_min_areas, labels, count_threshold=2)

@@ -10,8 +10,8 @@ Detections are produced by one planner, :meth:`Harness.prefetch`;
 ``detections()`` is its one-key case and the suite scheduler in
 :mod:`repro.experiments.suite` hands it whole artifact lists.  No image is
 detected twice: calibrating a detector already detected the first
-``calibration_images`` images of its setting's train split
-(:func:`repro.simulate.presets.calibration_detections`), and every harness
+:data:`~repro.simulate.presets.CALIBRATION_IMAGES` images of its setting's
+train split (:func:`repro.simulate.presets.calibration_detections`), and every harness
 train split starts with those images, so a train shard that lies wholly
 inside that sample is sliced from it.  Production is sharded two ways:
 
@@ -47,6 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from repro._rng import DEFAULT_SEED
+from repro.core.cases import SERVING_THRESHOLD
 from repro.core.discriminator import DifficultCaseDiscriminator, DiscriminatorFitReport
 from repro.core.system import SmallBigSystem, SystemRun
 from repro.data.datasets import DATASET_SETTINGS, Dataset, ImageRecord, load_dataset
@@ -305,7 +306,7 @@ class Harness:
         key = (model, setting)
         if key not in self._maps:
             dataset = self.dataset(setting, "test")
-            served = self.detections(model, setting, "test").above(0.5)
+            served = self.detections(model, setting, "test").above(SERVING_THRESHOLD)
             self._maps[key] = mean_average_precision(served, dataset.truth_batch, dataset.num_classes)
         return self._maps[key]
 

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.experiments.figures import all_figures
 from repro.experiments.formatting import format_table_markdown, sparkline
 from repro.experiments.harness import Harness, HarnessConfig
 from repro.experiments.results import FigureResult
-from repro.experiments.tables import all_tables
+from repro.experiments.suite import run_suite
 
 __all__ = ["render_report", "write_report"]
 
@@ -30,8 +29,8 @@ by roughly what factor, and where the knees fall.
 Regenerate with:
 
 ```bash
-python -m repro.experiments.report          # full-size splits (2 min 05 s serially on 2 vCPU)
-pytest benchmarks/ --benchmark-only          # per-table benches
+python -m repro.experiments.report              # full-size splits
+pytest benchmarks/bench_*.py --benchmark-only   # per-table benches
 ```
 
 Known deviations (and why they are inherent to the substitution):
@@ -94,16 +93,10 @@ def _figure_markdown(figure: FigureResult) -> str:
 
 
 def render_report(harness: Harness) -> str:
-    """Render the full EXPERIMENTS.md content.
-
-    Detection production for all tables and figures is fanned out across
-    the harness's worker pool first (a no-op when serial), so the
-    table/figure builders below hit the memo cache for every expensive
-    artifact.
-    """
-    from repro.experiments.suite import prefetch_detections
-
-    prefetch_detections(harness)
+    """Render the full EXPERIMENTS.md content from :func:`run_suite`'s
+    tables and figures (their detections fanned out across the harness's
+    worker pool first, a no-op when serial)."""
+    suite = run_suite(harness)
     parts = [_PREAMBLE]
     config = harness.config
     parts.append(
@@ -111,10 +104,10 @@ def render_report(harness: Harness) -> str:
         f"<= {config.train_images}, test fraction {config.test_fraction}.\n"
     )
     parts.append("\n## Tables\n")
-    for table in all_tables(harness):
+    for table in suite.tables:
         parts.append(format_table_markdown(table))
     parts.append("\n## Figures\n")
-    for figure in all_figures(harness):
+    for figure in suite.figures:
         parts.append(_figure_markdown(figure))
     return "\n".join(parts)
 

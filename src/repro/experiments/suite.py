@@ -56,21 +56,16 @@ class SuiteResult:
     figures: list[FigureResult] = field(default_factory=list)
 
 
-def suite_artifacts(*, tables: bool = True, figures: bool = True) -> tuple[Artifact, ...]:
-    """The distinct detection artifacts of the requested suite parts.
+def suite_artifacts() -> tuple[Artifact, ...]:
+    """The distinct detection artifacts of the table/figure suite.
 
     Concatenates the declarative listings of
     :func:`repro.experiments.tables.detection_artifacts` and
     :func:`repro.experiments.figures.detection_artifacts`, deduplicated in
     first-use order (the figure artifacts are a subset of the table ones, so
-    the full suite is exactly the table listing).
+    the suite is exactly the table listing).
     """
-    keys: list[Artifact] = []
-    if tables:
-        keys.extend(_tables.detection_artifacts())
-    if figures:
-        keys.extend(_figures.detection_artifacts())
-    return _unique(keys)
+    return _unique((*_tables.detection_artifacts(), *_figures.detection_artifacts()))
 
 
 def _unique(artifacts: Iterable[Artifact]) -> tuple[Artifact, ...]:
@@ -100,21 +95,13 @@ def prefetch_detections(
     return harness.prefetch(_unique(artifacts if artifacts is not None else suite_artifacts()))
 
 
-def run_suite(
-    harness: Harness,
-    *,
-    tables: bool = True,
-    figures: bool = True,
-) -> SuiteResult:
+def run_suite(harness: Harness) -> SuiteResult:
     """Run the table/figure suite with detection production fanned out.
 
-    Prefetches every detection artifact the requested suite parts consume
-    (overlapping models, settings and splits on the harness pool), then runs
-    the table and figure builders — which now hit the memo cache for all
-    expensive artifacts — in paper order.
+    Prefetches every detection artifact the suite consumes (overlapping
+    models, settings and splits on the harness pool), then runs the table
+    and figure builders — which now hit the memo cache for all expensive
+    artifacts — in paper order.
     """
-    prefetch_detections(harness, suite_artifacts(tables=tables, figures=figures))
-    return SuiteResult(
-        tables=all_tables(harness) if tables else [],
-        figures=all_figures(harness) if figures else [],
-    )
+    prefetch_detections(harness)
+    return SuiteResult(tables=all_tables(harness), figures=all_figures(harness))

@@ -10,7 +10,6 @@ from repro.metrics.voc_ap import (
     PRCurve,
     evaluate_detections,
     mean_average_precision,
-    precision_recall_curve,
     voc_ap_from_pr,
 )
 
@@ -29,6 +28,5 @@ __all__ = [
     "PRCurve",
     "evaluate_detections",
     "mean_average_precision",
-    "precision_recall_curve",
     "voc_ap_from_pr",
 ]

@@ -21,12 +21,6 @@ class LatencySummary:
     p99: float
     count: int
 
-    def speedup_over(self, other: "LatencySummary") -> float:
-        """How many times faster this run's total is than ``other``'s."""
-        if self.total <= 0.0:
-            return float("inf")
-        return other.total / self.total
-
     def saving_over(self, other: "LatencySummary") -> float:
         """Fractional time saved vs ``other`` (paper: ours saves 32 % vs
         cloud-only)."""

@@ -9,7 +9,10 @@ detections only if a result was actually produced **and** was fresh (ready
 within ``freshness_s`` of arrival); dropped and stale frames contribute an
 empty detection set against their ground truth, so backpressure and
 queueing delay both show up as measured mAP / object-count loss rather than
-as side-channel counters.
+as side-channel counters.  Frames are scored by the rule split evaluation
+uses: served boxes score at least :data:`~repro.core.cases.SERVING_THRESHOLD`,
+match at :data:`~repro.detection.matching.IOU_THRESHOLD`, and each window's
+mAP is the 11-point AP over its adjacent, ``window_s``-wide span.
 
 The input is a :class:`~repro.runtime.serving.FleetReport` of a run served
 with ``detections=``: its fleet-wide columnar trace (``report.trace()``),
@@ -53,8 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.cases import SERVING_THRESHOLD
 from repro.data.datasets import Dataset
-from repro.detection.matching import check_thresholds, greedy_match_segments
+from repro.detection.matching import greedy_match_segments
 from repro.errors import ConfigurationError
 from repro.metrics.voc_ap import PRCurve
 
@@ -89,22 +93,22 @@ class RollingWindow:
         return 100.0 * (self.true_objects - self.detected_objects) / self.true_objects
 
 
-def _window_count(duration_s: float, step_s: float) -> int:
-    """Number of windows on the exact ``i * step_s`` grid covering arrivals.
+def _window_count(duration_s: float, window_s: float) -> int:
+    """Number of windows on the exact ``i * window_s`` grid covering arrivals.
 
-    ``ceil(duration / step)`` pinned against both float failure modes: when
+    ``ceil(duration / window)`` pinned against both float failure modes: when
     the quotient rounds just above an integer the trim loop drops trailing
     windows whose start already lands at/after ``duration_s``, and when the
-    *product* ``i * step_s`` rounds just below ``duration_s`` the
+    *product* ``i * window_s`` rounds just below ``duration_s`` the
     quotient-based count never emits the trailing all-empty window the old
-    ``while i * step_s < duration_s`` loop did (e.g. ``duration_s=0.9,
-    step_s=0.3``: ``3 * 0.3 < 0.9`` in floats, yet window 3 starts exactly
+    ``while i * window_s < duration_s`` loop did (e.g. ``duration_s=0.9,
+    window_s=0.3``: ``3 * 0.3 < 0.9`` in floats, yet window 3 starts exactly
     at the horizon).  At least one window is always evaluated.
     """
     if duration_s <= 0.0:
         return 1
-    count = max(1, math.ceil(duration_s / step_s))
-    while count > 1 and (count - 1) * step_s >= duration_s:
+    count = max(1, math.ceil(duration_s / window_s))
+    while count > 1 and (count - 1) * window_s >= duration_s:
         count -= 1
     return count
 
@@ -114,11 +118,8 @@ def rolling_quality(
     dataset: Dataset,
     *,
     window_s: float = 10.0,
-    step_s: float | None = None,
     duration_s: float | None = None,
     freshness_s: float | None = None,
-    score_threshold: float = 0.5,
-    iou_threshold: float = 0.5,
 ) -> list[RollingWindow]:
     """Score a streaming run over a rolling arrival-time window.
 
@@ -130,9 +131,8 @@ def rolling_quality(
         all cameras.
     dataset:
         The split the stream cycled through (ground-truth source).
-    window_s / step_s:
-        Window width and stride (stride defaults to the width: adjacent,
-        non-overlapping windows).
+    window_s:
+        Window width; windows are adjacent and do not overlap.
     duration_s:
         Evaluation horizon over arrivals.  Defaults to just past the latest
         arrival; pass the stream's configured duration to compare schemes on
@@ -143,13 +143,8 @@ def rolling_quality(
         (default) accepts any completed frame, however late — then only
         drops degrade quality.
     """
-    check_thresholds(score_threshold=score_threshold, iou_threshold=iou_threshold)
     if not 0.0 < window_s < math.inf:  # also catches NaN
         raise ConfigurationError(f"window_s must be positive and finite, got {window_s}")
-    if step_s is None:
-        step_s = window_s
-    if not 0.0 < step_s < math.inf:
-        raise ConfigurationError(f"step_s must be positive and finite, got {step_s}")
     if freshness_s is not None and not 0.0 < freshness_s < math.inf:
         raise ConfigurationError(f"freshness_s must be positive and finite, got {freshness_s}")
     if not callable(getattr(report, "served", None)):
@@ -191,12 +186,10 @@ def rolling_quality(
     # representative's rows, flags and true-positive count.
     keys = report.served_sources()[fresh_segments] * len(truth) + fresh_records
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    above = batch.select(fresh_segments[first]).above(score_threshold)
+    above = batch.select(fresh_segments[first]).above(SERVING_THRESHOLD)
     rep_counts = np.diff(above.offsets)
     rep_starts = above.offsets[:-1]
-    rep_tp, row_tp = greedy_match_segments(
-        above, rep_starts, rep_counts, truth, fresh_records[first], iou_threshold=iou_threshold
-    )
+    rep_tp, row_tp = greedy_match_segments(above, rep_starts, rep_counts, truth, fresh_records[first])
     fresh_counts = rep_counts[inverse]
     fresh_starts = rep_starts[inverse]
     fresh_tp = rep_tp[inverse]
@@ -223,9 +216,9 @@ def rolling_quality(
     sorted_arrivals = arrivals[order]
 
     windows: list[RollingWindow] = []
-    # windows sit on an exact i * step_s grid (no float accumulation drift)
-    for index in range(_window_count(duration_s, step_s)):
-        t_start = index * step_s
+    # windows sit on an exact i * window_s grid (no float accumulation drift)
+    for index in range(_window_count(duration_s, window_s)):
+        t_start = index * window_s
         t_end = t_start + window_s
         lo = int(np.searchsorted(sorted_arrivals, t_start, side="left"))
         hi = int(np.searchsorted(sorted_arrivals, t_end, side="left"))
@@ -264,7 +257,7 @@ def rolling_quality(
                     continue
                 # pooled ranking: score-descending, ties by in-window order
                 curve = PRCurve.from_matches(window_scores[class_mask], window_tp[class_mask], num_gt)
-                aps.append(curve.ap(use_07_metric=True))
+                aps.append(curve.ap())
             map_percent = 100.0 * float(np.mean(aps)) if aps else 0.0
             detected = int(fresh_tp[positions].sum())
         else:

@@ -15,21 +15,14 @@ from repro.errors import ConfigurationError
 
 __all__ = ["JpegCodec", "detections_payload_bytes"]
 
+#: Camera-quality JPEG (quality ~85) on natural imagery.
+_BITS_PER_PIXEL = 1.2
+_HEADER_BYTES = 600
+
 
 @dataclass(frozen=True)
 class JpegCodec:
-    """JPEG size estimator.
-
-    ``bits_per_pixel`` around 1.2 corresponds to camera-quality JPEG
-    (quality ~85) on natural imagery.
-    """
-
-    bits_per_pixel: float = 1.2
-    header_bytes: int = 600
-
-    def __post_init__(self) -> None:
-        if self.bits_per_pixel <= 0.0:
-            raise ConfigurationError("bits_per_pixel must be > 0")
+    """JPEG size estimator at about 1.2 bits per pixel plus a 600-byte header."""
 
     def encoded_bytes(self, record: ImageRecord) -> int:
         """Estimated JPEG size of one image record.
@@ -40,7 +33,7 @@ class JpegCodec:
         truth = record.truth
         pixels = truth.width * truth.height
         quality_scale = 0.45 + 0.55 * record.quality
-        return self.header_bytes + int(pixels * self.bits_per_pixel * quality_scale / 8)
+        return _HEADER_BYTES + int(pixels * _BITS_PER_PIXEL * quality_scale / 8)
 
 
 def detections_payload_bytes(num_boxes: int) -> int:

@@ -478,11 +478,7 @@ class AdaptiveQuota:
         self._discriminator = discriminator
         # Only the area threshold adapts, so each record's features are
         # constants of the instance: extract them once, as plain scalars.
-        n_predict, n_estimated, min_area = extract_feature_arrays(
-            small_detections,
-            discriminator.confidence_threshold,
-            serving_threshold=discriminator.serving_threshold,
-        )
+        n_predict, n_estimated, min_area = extract_feature_arrays(small_detections, discriminator.confidence_threshold)
         self._n_predict: list[int] = n_predict.tolist()
         self._n_estimated: list[int] = n_estimated.tolist()
         self._min_area: list[float] = min_area.tolist()

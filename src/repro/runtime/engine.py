@@ -70,7 +70,14 @@ from repro.runtime.codec import JpegCodec, detections_payload_bytes
 from repro.runtime.control import FrameEvent, OffloadController
 from repro.runtime.events import EventLoop, FifoResource
 from repro.runtime.network import NetworkLink, RateSchedule
-from repro.runtime.policies import AdmissionPolicy, DropNewest, EscalationPolicy
+from repro.runtime.policies import (
+    BACKOFF_FACTOR,
+    BACKOFF_JITTER,
+    BASE_BACKOFF_S,
+    AdmissionPolicy,
+    DropNewest,
+    EscalationPolicy,
+)
 from repro.runtime.schemes import RESULT_BOXES, Deployment, ServingScheme, StreamConfig, StreamReport
 from repro.runtime.trace import FrameTraceBuilder
 
@@ -226,16 +233,13 @@ class EscalationQueue:
         return True
 
     def _backoff(self) -> float:
-        policy = self.policy
         exponent = max(0, self._failures - 1)
         try:
-            growth = policy.backoff_factor**exponent
+            growth = BACKOFF_FACTOR**exponent
         except OverflowError:  # past the float range the cap binds anyway
             growth = math.inf
-        delay = min(policy.max_backoff_s, policy.base_backoff_s * growth)
-        if policy.jitter > 0.0:
-            delay *= 1.0 + policy.jitter * float(self.rng.uniform(-1.0, 1.0))
-        return delay
+        delay = min(self.policy.max_backoff_s, BASE_BACKOFF_S * growth)
+        return delay * (1.0 + BACKOFF_JITTER * float(self.rng.uniform(-1.0, 1.0)))
 
     def _retry(self) -> None:
         if not self._entries:

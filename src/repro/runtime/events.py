@@ -219,8 +219,8 @@ class EventLoop:
 
         self.schedule(interval, tick)
 
-    def run(self, until: float | None = None) -> float:
-        """Drain the event queue (optionally stopping at time ``until``).
+    def run(self) -> float:
+        """Drain the event queue.
 
         Returns the final simulation time.  The cyclic garbage collector is
         paused for the drain; however the drain ends, it is re-enabled only
@@ -229,37 +229,22 @@ class EventLoop:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            return self._drain(until)
+            return self._drain()
         finally:
             if collecting:
                 gc.enable()
 
-    def _drain(self, until: float | None) -> float:
+    def _drain(self) -> float:
         heap = self._heap
         pending = self._pending
-        if until is None:
-            while True:
-                while pending:
-                    pending.popleft()()
-                if not heap:
-                    return self._now
-                time, _, action = heapq.heappop(heap)
-                self._now = time
-                action()
-        while pending or heap:
-            if pending:
-                if self._now > until:
-                    self._now = until
-                    return self._now
+        while True:
+            while pending:
                 pending.popleft()()
-                continue
-            if heap[0][0] > until:
-                self._now = until
+            if not heap:
                 return self._now
             time, _, action = heapq.heappop(heap)
             self._now = time
             action()
-        return self._now
 
 
 class FifoResource:

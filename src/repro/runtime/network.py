@@ -377,11 +377,6 @@ class OutageSchedule:
         object.__setattr__(self, "_starts", tuple(start for start, _ in self.windows))
 
     @classmethod
-    def always_up(cls) -> "OutageSchedule":
-        """A schedule with no outages (the implicit pre-failure-injection world)."""
-        return cls()
-
-    @classmethod
     def periodic(
         cls,
         *,

@@ -90,7 +90,7 @@ class OffloadPolicy(Protocol):
 class NeverOffload:
     """Edge-only decision: no frame ever crosses the network."""
 
-    name: str = "never"
+    name: ClassVar[str] = "never"
 
     def select(self, dataset: Dataset, small_detections: DetectionBatch | list[Detections] | None = None) -> np.ndarray:
         return np.zeros(len(dataset), dtype=bool)
@@ -100,7 +100,7 @@ class NeverOffload:
 class AlwaysOffload:
     """Cloud-only decision: every frame crosses the network."""
 
-    name: str = "always"
+    name: ClassVar[str] = "always"
 
     def select(self, dataset: Dataset, small_detections: DetectionBatch | list[Detections] | None = None) -> np.ndarray:
         return np.ones(len(dataset), dtype=bool)
@@ -160,7 +160,7 @@ class DropNewest:
     below exist to measure against.
     """
 
-    name: str = "drop-newest"
+    name: ClassVar[str] = "drop-newest"
     occupancy_only: ClassVar[bool] = True
 
     def admit(self, camera: CameraView, arrival: float) -> bool:
@@ -176,7 +176,7 @@ class DropOldest:
     pipeline cannot keep up.
     """
 
-    name: str = "drop-oldest"
+    name: ClassVar[str] = "drop-oldest"
 
     def admit(self, camera: CameraView, arrival: float) -> bool:
         if camera.buffer_has_room():
@@ -199,7 +199,7 @@ class DeadlineAware:
     """
 
     freshness_s: float = 2.0
-    name: str = "deadline-aware"
+    name: ClassVar[str] = "deadline-aware"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.freshness_s < math.inf:
@@ -213,6 +213,15 @@ class DeadlineAware:
 # --------------------------------------------------------------------- #
 # escalation under failure (durable queue + retry/backoff)
 # --------------------------------------------------------------------- #
+#: Delay before a durable queue's first retry, in seconds.
+BASE_BACKOFF_S = 0.5
+#: Growth of the retry delay per further consecutive uplink failure.
+BACKOFF_FACTOR = 2.0
+#: Relative retry-delay jitter: each delay is scaled by ``1 ± BACKOFF_JITTER``,
+#: so a fleet's cameras do not retry in lockstep.
+BACKOFF_JITTER = 0.1
+
+
 @dataclass(frozen=True)
 class EscalationPolicy:
     """What a camera does when a difficult case fails to reach the cloud.
@@ -227,7 +236,10 @@ class EscalationPolicy:
     * :meth:`durable_queue` — the edge verdict serves immediately *and* the
       case is spooled into a bounded :class:`EscalationQueue`, drained FIFO
       with exponential backoff + jitter when connectivity returns; the late
-      cloud verdict is reconciled by the rolling-quality evaluation.
+      cloud verdict is reconciled by the rolling-quality evaluation.  The
+      ``n``-th consecutive uplink failure delays the next retry by
+      ``min(max_backoff_s, BASE_BACKOFF_S * BACKOFF_FACTOR**(n - 1))``,
+      scaled by ``1 ± BACKOFF_JITTER``.
 
     On a scheme with no edge stage (cloud-only) there is no edge verdict to
     fall back on, so ``fallback`` is moot: a failed frame is dropped, and
@@ -242,11 +254,7 @@ class EscalationPolicy:
     capacity: int = 0
     #: Retry attempts per spooled case before it is abandoned.
     max_retries: int = 4
-    base_backoff_s: float = 0.5
-    backoff_factor: float = 2.0
     max_backoff_s: float = 30.0
-    #: Relative backoff jitter: each delay is scaled by ``1 ± jitter``.
-    jitter: float = 0.1
 
     def __post_init__(self) -> None:
         if self.capacity < 0:
@@ -254,15 +262,8 @@ class EscalationPolicy:
         if self.max_retries < 1:
             raise ConfigurationError(f"max_retries must be >= 1, got {self.max_retries}")
         # written as `not <valid range>` so NaN, which fails every comparison, is refused too
-        if not 0.0 < self.base_backoff_s < math.inf or not 1.0 <= self.backoff_factor < math.inf:
-            raise ConfigurationError(
-                "base_backoff_s must be finite and > 0 and backoff_factor finite and >= 1, "
-                f"got {self.base_backoff_s} and {self.backoff_factor}"
-            )
-        if not self.base_backoff_s <= self.max_backoff_s < math.inf:
-            raise ConfigurationError(f"max_backoff_s must be finite and >= base_backoff_s, got {self.max_backoff_s}")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter}")
+        if not BASE_BACKOFF_S <= self.max_backoff_s < math.inf:
+            raise ConfigurationError(f"max_backoff_s must be finite and >= {BASE_BACKOFF_S}, got {self.max_backoff_s}")
 
     @property
     def durable(self) -> bool:
@@ -285,10 +286,7 @@ class EscalationPolicy:
         capacity: int = 64,
         *,
         max_retries: int = 4,
-        base_backoff_s: float = 0.5,
-        backoff_factor: float = 2.0,
         max_backoff_s: float = 30.0,
-        jitter: float = 0.1,
     ) -> "EscalationPolicy":
         """Edge verdict stands in *and* the case retries from a bounded spool."""
         if capacity < 1:
@@ -297,8 +295,5 @@ class EscalationPolicy:
             name="durable-queue",
             capacity=capacity,
             max_retries=max_retries,
-            base_backoff_s=base_backoff_s,
-            backoff_factor=backoff_factor,
             max_backoff_s=max_backoff_s,
-            jitter=jitter,
         )

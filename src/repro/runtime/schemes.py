@@ -146,8 +146,6 @@ def cloud_round_trip_time(
     deployment: Deployment,
     record: ImageRecord,
     rng: np.random.Generator | None = None,
-    *,
-    result_boxes: int = RESULT_BOXES,
 ) -> float:
     """Upload one frame, run the big model, return the results.
 
@@ -163,12 +161,12 @@ def cloud_round_trip_time(
         return (
             dep.link.expected_transfer_time(dep.codec.encoded_bytes(record))
             + compute
-            + dep.link.expected_transfer_time(detections_payload_bytes(result_boxes))
+            + dep.link.expected_transfer_time(detections_payload_bytes(RESULT_BOXES))
         )
     return (
         dep.link.transfer_time(dep.codec.encoded_bytes(record), rng)
         + compute
-        + dep.link.transfer_time(detections_payload_bytes(result_boxes), rng)
+        + dep.link.transfer_time(detections_payload_bytes(RESULT_BOXES), rng)
     )
 
 
@@ -247,12 +245,13 @@ def collaborative_scheme(policy: OffloadPolicy | None = None, *, name: str = "co
     return ServingScheme(name, edge_compute=True, edge_discriminates=True, policy=policy)
 
 
-def paper_schemes(policy: OffloadPolicy | None = None) -> dict[str, ServingScheme]:
-    """The paper's three serving schemes, keyed by report name."""
+def paper_schemes() -> dict[str, ServingScheme]:
+    """The paper's three serving schemes, keyed by report name; the
+    collaborative one takes an explicit upload mask per run."""
     return {
         "edge": edge_only_scheme(),
         "cloud": cloud_only_scheme(),
-        "collaborative": collaborative_scheme(policy),
+        "collaborative": collaborative_scheme(),
     }
 
 

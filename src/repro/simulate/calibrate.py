@@ -40,6 +40,12 @@ __all__ = ["expected_recall", "solve_base_recall", "calibrate_profile"]
 
 #: Upper bound for the capability scale during bisection.
 _MAX_BASE_RECALL = 25.0
+#: Bisection stops once the analytic recall is this close to its target...
+_TOLERANCE = 1e-4
+#: ...or after this many halvings.
+_MAX_ITERATIONS = 60
+#: Measured loss-factor corrections after the first analytic solve.
+_MEASURED_ROUNDS = 2
 
 
 class _RecallColumns:
@@ -79,14 +85,7 @@ def expected_recall(profile: DetectorProfile, dataset: Dataset) -> float:
     return _RecallColumns(profile, dataset).recall(profile.base_recall)
 
 
-def solve_base_recall(
-    profile: DetectorProfile,
-    dataset: Dataset,
-    target: float,
-    *,
-    tolerance: float = 1e-4,
-    max_iterations: int = 60,
-) -> DetectorProfile:
+def solve_base_recall(profile: DetectorProfile, dataset: Dataset, target: float) -> DetectorProfile:
     """Bisection on ``base_recall`` so the analytic recall hits ``target``.
 
     The per-object probability is monotone in ``base_recall`` (until every
@@ -94,16 +93,10 @@ def solve_base_recall(
     :class:`~repro.errors.CalibrationError` when the target is unreachable
     even at the maximum scale (e.g. a dataset of exclusively tiny objects).
     """
-    return _bisect(profile, _RecallColumns(profile, dataset), target, tolerance, max_iterations)
+    return _bisect(profile, _RecallColumns(profile, dataset), target)
 
 
-def _bisect(
-    profile: DetectorProfile,
-    columns: _RecallColumns,
-    target: float,
-    tolerance: float = 1e-4,
-    max_iterations: int = 60,
-) -> DetectorProfile:
+def _bisect(profile: DetectorProfile, columns: _RecallColumns, target: float) -> DetectorProfile:
     """:func:`solve_base_recall` over a split's prebuilt columns."""
     if not 0.0 < target < 1.0:
         raise CalibrationError(f"target recall must be in (0, 1), got {target}")
@@ -114,10 +107,10 @@ def _bisect(
             f"capability the expected recall is {reachable:.3f}"
         )
     lo, hi = 1e-4, _MAX_BASE_RECALL
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         mid = (lo + hi) / 2.0
         value = columns.recall(mid)
-        if abs(value - target) < tolerance:
+        if abs(value - target) < _TOLERANCE:
             return profile.with_base_recall(mid)
         if value < target:
             lo = mid
@@ -134,7 +127,6 @@ def calibrate_profile(
     num_classes: int,
     seed: int = DEFAULT_SEED,
     sample_size: int = 1000,
-    measured_rounds: int = 2,
 ) -> tuple[DetectorProfile, DetectionBatch]:
     """Full calibration: analytic solve plus measured loss-factor estimation.
 
@@ -172,7 +164,7 @@ def calibrate_profile(
     sample_columns = _RecallColumns(profile, sample)
     loss_factor = 1.0
     calibrated = profile
-    for _ in range(measured_rounds + 1):
+    for _ in range(_MEASURED_ROUNDS + 1):
         analytic_target = min(0.995, target_recall / loss_factor)
         calibrated = _bisect(calibrated, columns, analytic_target)
         detector = SimulatedDetector(profile=calibrated, num_classes=num_classes, seed=seed)

@@ -217,6 +217,10 @@ MAP_REFERENCES: dict[tuple[str, str], float] = {
     ("small-yolo", "voc07+12"): 79.72,
 }
 
+#: Train images a detector is calibrated on: the first ``CALIBRATION_IMAGES``
+#: of its setting's train split (all of them when the split is smaller).
+CALIBRATION_IMAGES = 4000
+
 #: Calibrated detectors keyed by (model, setting, seed), each next to its
 #: last calibration round's (read-only) detections on the train sample.
 _DETECTOR_CACHE: dict[tuple[str, str, int], tuple[SimulatedDetector, DetectionBatch]] = {}
@@ -232,12 +236,11 @@ def make_detector(
     setting: str,
     *,
     seed: int = DEFAULT_SEED,
-    calibration_images: int = 4000,
 ) -> SimulatedDetector:
     """Build (and cache) a calibrated detector for a (model, setting) pair.
 
     Calibration runs against a deterministic sample of the setting's *train*
-    split, never the test split: its first ``calibration_images`` images
+    split, never the test split: its first :data:`CALIBRATION_IMAGES` images
     (all of them when the split is smaller).  The process memo keeps the
     detector's output on that sample, which its last calibration round
     produced, next to the detector: :func:`calibration_detections` hands it
@@ -254,7 +257,7 @@ def make_detector(
             f"available pairs: {available_pairs()}"
         )
     entry = DATASET_SETTINGS[setting]
-    fraction = min(1.0, calibration_images / entry.train_size)
+    fraction = min(1.0, CALIBRATION_IMAGES / entry.train_size)
     train_sample = load_dataset(setting, "train", seed=seed, fraction=fraction)
     shape = SHAPE_PRESETS[model]
     overrides = SETTING_OVERRIDES.get((model, setting), {})
@@ -283,7 +286,7 @@ def make_detector(
         RECALL_TARGETS[(model, setting)],
         num_classes=entry.num_classes,
         seed=seed,
-        sample_size=calibration_images,
+        sample_size=CALIBRATION_IMAGES,
     )
     for column in (sample.boxes, sample.scores, sample.labels, sample.offsets):
         column.flags.writeable = False

@@ -234,11 +234,6 @@ class Tape:
         return sum(stat.macs for stat in self.stats)
 
     @property
-    def total_flops(self) -> int:
-        """Total FLOPs (2 x MACs)."""
-        return 2 * self.total_macs
-
-    @property
     def size_mib(self) -> float:
         """fp32 checkpoint size in MiB — the paper's "model size (MB)"."""
         return self.total_params * BYTES_PER_PARAM_FP32 / 2**20

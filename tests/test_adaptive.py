@@ -200,10 +200,9 @@ def _run_controllers(images, discriminator, params, retargets, passes=3):
     old = legacy.BudgetController(discriminator, target, **kwargs)
     via_detections = BudgetController(discriminator, target, **kwargs)
     via_features = BudgetController(discriminator, target, **kwargs)
-    confidence, serving = discriminator.confidence_threshold, discriminator.serving_threshold
     features = []
     for image in images:
-        f = extract_features(image, confidence, serving_threshold=serving)
+        f = extract_features(image, discriminator.confidence_threshold)
         features.append((f.n_predict, f.n_estimated, f.min_area_estimated))
     count = discriminator.count_threshold
     areas = []

@@ -59,12 +59,6 @@ class TestGeneration:
         grid = generate_anchors(ssd300_feature_maps())
         assert grid.boxes.min() >= 0.0 and grid.boxes.max() <= 1.0
 
-    def test_per_map_counts(self):
-        maps = ssd300_feature_maps()
-        grid = generate_anchors(maps)
-        assert grid.per_map_counts() == [m.total_boxes for m in maps]
-        assert sum(grid.per_map_counts()) == grid.total
-
     def test_square_anchor_centres_form_grid(self):
         spec = FeatureMapSpec(size=2, scale=0.3, next_scale=None, aspect_ratios=())
         grid = generate_anchors((spec,))

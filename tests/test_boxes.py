@@ -10,16 +10,11 @@ from hypothesis import strategies as st
 from repro.detection.boxes import (
     as_boxes,
     box_area,
-    box_center,
-    box_wh,
-    boxes_contain,
     clip_boxes,
-    cxcywh_to_xyxy,
     iou_matrix,
     pairwise_iou,
     scale_boxes,
     validate_boxes,
-    xyxy_to_cxcywh,
 )
 from repro.errors import GeometryError
 
@@ -77,18 +72,12 @@ class TestValidateBoxes:
             validate_boxes([], allow_empty=False)
 
 
-class TestAreaCenterWh:
+class TestArea:
     def test_unit_square_area(self):
         assert box_area([[0.0, 0.0, 1.0, 1.0]])[0] == pytest.approx(1.0)
 
     def test_area_of_known_box(self):
         assert box_area([[0.1, 0.2, 0.5, 0.6]])[0] == pytest.approx(0.16)
-
-    def test_center(self):
-        np.testing.assert_allclose(box_center([[0.0, 0.0, 1.0, 0.5]]), [[0.5, 0.25]])
-
-    def test_wh(self):
-        np.testing.assert_allclose(box_wh([[0.1, 0.2, 0.4, 0.8]]), [[0.3, 0.6]])
 
 
 class TestIoU:
@@ -140,14 +129,7 @@ class TestIoU:
             pairwise_iou(_unit_boxes(2), _unit_boxes(3))
 
 
-class TestConversions:
-    def test_roundtrip_xyxy_cxcywh(self):
-        boxes = _unit_boxes(10)
-        np.testing.assert_allclose(cxcywh_to_xyxy(xyxy_to_cxcywh(boxes)), boxes, atol=1e-12)
-
-    def test_cxcywh_to_xyxy_known(self):
-        np.testing.assert_allclose(cxcywh_to_xyxy([[0.5, 0.5, 0.2, 0.4]]), [[0.4, 0.3, 0.6, 0.7]])
-
+class TestScale:
     def test_scale_boxes(self):
         scaled = scale_boxes([[0.0, 0.0, 0.5, 1.0]], 200, 100)
         np.testing.assert_allclose(scaled, [[0.0, 0.0, 100.0, 100.0]])
@@ -159,11 +141,7 @@ class TestConversions:
         np.testing.assert_array_equal(boxes, before)
 
 
-class TestClipContain:
+class TestClip:
     def test_clip_bounds(self):
         clipped = clip_boxes([[-0.5, 0.2, 1.5, 0.8]])
         assert clipped[0, 0] == 0.0 and clipped[0, 2] == 1.0
-
-    def test_boxes_contain(self):
-        inside = boxes_contain([[0.0, 0.0, 0.5, 0.5]], [[0.25, 0.25], [0.9, 0.9]])
-        assert inside.tolist() == [[True, False]]

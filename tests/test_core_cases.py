@@ -38,18 +38,9 @@ class TestIsDifficult:
         big = _dets([0.9, 0.8])
         assert is_difficult_case(small, big) is True
 
-    def test_margin_parameter(self):
-        small = _dets([0.9])
-        big = _dets([0.9, 0.8])
-        assert is_difficult_case(small, big, margin=2) is False
-
     def test_mismatched_images_rejected(self):
         with pytest.raises(ConfigurationError):
             is_difficult_case(_dets([0.9], "a"), _dets([0.9], "b"))
-
-    def test_bad_margin_rejected(self):
-        with pytest.raises(ConfigurationError):
-            is_difficult_case(_dets([0.9]), _dets([0.9]), margin=0)
 
 
 class TestLabelCases:
@@ -70,12 +61,6 @@ class TestFeatures:
         features = extract_features(dets, noise_threshold=0.2)
         assert features.n_predict == 2  # >= 0.5
         assert features.n_estimated == 3  # >= 0.2
-        assert features.all_detected is False
-
-    def test_all_detected_when_counts_agree(self):
-        dets = _dets([0.9, 0.6])
-        features = extract_features(dets, noise_threshold=0.2)
-        assert features.all_detected is True
 
     def test_min_area_over_estimated_boxes(self):
         dets = _dets([0.9, 0.3], areas=[0.25, 0.01])

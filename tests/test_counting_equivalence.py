@@ -8,13 +8,13 @@ splits with score ties, IoU ties, same-class stacks, empty images and
 labels outside the evaluated classes: counting against the serving filter
 then the per-image ``greedy_match_arrays`` loop, and every per-class PR
 curve and the mAP's ``float.hex`` against the per-class pooled loop
-(``_pooled_pr_curve``).  Threshold checks run on entry, so a bad threshold
-fails even when nothing gets matched.
+(``_pooled_pr_curve``).  Both run at the VOC rule the library fixes: serving
+threshold 0.5, IoU 0.5 and 11-point AP.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -25,25 +25,41 @@ import _legacy_voc_ap as legacy
 from repro.data import load_dataset
 from repro.detection.batch import DetectionBatch, GroundTruthBatch
 from repro.detection.matching import greedy_match_segments
-from repro.errors import ConfigurationError
-from repro.metrics import evaluate_detections, mean_average_precision, precision_recall_curve, rolling_quality
+from repro.metrics import evaluate_detections, mean_average_precision
 from repro.metrics.counting import count_detected_objects, count_summary
-from repro.runtime import (
-    JETSON_NANO,
-    RTX3060_SERVER,
-    WLAN,
-    Deployment,
-    FleetSpec,
-    StreamConfig,
-    cloud_only_scheme,
-    serve_fleet,
-)
+from repro.metrics.voc_ap import EvalResult, PRCurve
 from repro.simulate import make_detector
 
 
-def per_image_count(detections: DetectionBatch, truths: GroundTruthBatch, score: float, iou: float) -> int:
+class _VOC07Curve(PRCurve):
+    """The library's curve under the metric keyword the oracle still passes."""
+
+    def ap(self, *, use_07_metric: bool) -> float:
+        assert use_07_metric
+        return super().ap()
+
+
+@dataclass(frozen=True)
+class _VOC07Result(EvalResult):
+    """The library's result with the metric field the oracle still sets."""
+
+    use_07_metric: bool = True
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _oracle_at_voc07():
+    """``_legacy_voc_ap`` stays verbatim: it builds its curves and results
+    with the metric keyword the library no longer takes, so it runs here
+    with subclasses that accept the 11-point value and nothing else."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(legacy, "PRCurve", _VOC07Curve)
+        patch.setattr(legacy, "EvalResult", _VOC07Result)
+        yield
+
+
+def per_image_count(detections: DetectionBatch, truths: GroundTruthBatch) -> int:
     """The loop ``count_detected_objects`` ran before it became one pass."""
-    served = detections.above(score)
+    served = detections.above(0.5)
     total = 0
     for index in range(len(truths)):
         lo, hi = int(served.offsets[index]), int(served.offsets[index + 1])
@@ -55,7 +71,7 @@ def per_image_count(detections: DetectionBatch, truths: GroundTruthBatch, score:
             served.labels[lo:hi],
             truths.boxes[gt_lo:gt_hi],
             truths.labels[gt_lo:gt_hi],
-            iou_threshold=iou,
+            iou_threshold=0.5,
         ).num_tp
     return total
 
@@ -71,9 +87,8 @@ def _tie_gadget(draw, num_classes: int) -> tuple[list, list]:
 
     Coordinates are multiples of 1/64, so both IoUs are the same float
     (3/5) and the tie-break decides the outcome: the first box wins, the
-    copy finds it claimed and the second box (IoU 1/3) out of reach at
-    thresholds above 1/3 — a last-index tie-break would make it a true
-    positive instead."""
+    copy finds it claimed and the second box (IoU 1/3) out of reach — a
+    last-index tie-break would make it a true positive instead."""
     x, y = draw(st.integers(0, 32)) / 64, draw(st.integers(0, 40)) / 64
     height = draw(st.integers(8, 16)) / 64
     label = draw(st.integers(0, num_classes - 1))
@@ -143,21 +158,21 @@ def splits(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(split=splits(), score=st.sampled_from([0.0, 0.5, 0.95]), iou=st.sampled_from([0.3, 0.5, 0.75, 1.0]))
-def test_count_matches_per_image_greedy_loop(split, score, iou):
+@given(split=splits())
+def test_count_matches_per_image_greedy_loop(split):
     detections, truths = split
-    expected = per_image_count(detections, truths, score, iou)
-    assert count_detected_objects(detections, truths, score_threshold=score, iou_threshold=iou) == expected
-    summary = count_summary(detections, truths, score_threshold=score, iou_threshold=iou)
+    expected = per_image_count(detections, truths)
+    assert count_detected_objects(detections, truths) == expected
+    summary = count_summary(detections, truths)
     assert summary.detected == expected and summary.total_ground_truth == truths.total_objects
 
 
 @settings(max_examples=100, deadline=None)
-@given(split=splits(), iou=st.sampled_from([0.5, 1.0]))
-def test_segment_flags_match_per_image_flags(split, iou):
+@given(split=splits())
+def test_segment_flags_match_per_image_flags(split):
     detections, truths = split
     image_tp, row_tp = greedy_match_segments(
-        detections, detections.offsets[:-1], detections.counts(), truths, np.arange(len(truths)), iou_threshold=iou
+        detections, detections.offsets[:-1], detections.counts(), truths, np.arange(len(truths))
     )
     for index in range(len(truths)):
         lo, hi = int(detections.offsets[index]), int(detections.offsets[index + 1])
@@ -167,7 +182,7 @@ def test_segment_flags_match_per_image_flags(split, iou):
             detections.labels[lo:hi],
             truths.boxes[gt_lo:gt_hi],
             truths.labels[gt_lo:gt_hi],
-            iou_threshold=iou,
+            iou_threshold=0.5,
         )
         assert image_tp[index] == result.num_tp
         assert row_tp[lo:hi].tolist() == result.is_tp.tolist()
@@ -182,44 +197,36 @@ def assert_curves_equal(ours, theirs) -> None:
 
 
 @settings(max_examples=200, deadline=None)
-@given(split=splits(), num_classes=st.integers(1, 4), iou=st.sampled_from([0.1, 0.5, 1.0]), metric=st.booleans())
-def test_split_map_matches_pooled_per_class_loop(split, num_classes, iou, metric):
+@given(split=splits(), num_classes=st.integers(1, 4))
+def test_split_map_matches_pooled_per_class_loop(split, num_classes):
     """Generated labels run 0-2, so ``num_classes`` of 1 or 2 leaves some
     detections and annotations outside the evaluated classes."""
     detections, truths = split
-    ours = evaluate_detections(detections, truths, num_classes, iou_threshold=iou, use_07_metric=metric)
-    theirs = legacy.evaluate_detections(detections, truths, num_classes, iou_threshold=iou, use_07_metric=metric)
+    ours = evaluate_detections(detections, truths, num_classes)
+    theirs = legacy.evaluate_detections(detections, truths, num_classes, iou_threshold=0.5, use_07_metric=True)
     assert ours.per_class_curves.keys() == theirs.per_class_curves.keys()
     for label, curve in ours.per_class_curves.items():
         assert_curves_equal(curve, theirs.per_class_curves[label])
     assert ours.per_class_ap == theirs.per_class_ap
     assert float.hex(ours.map) == float.hex(theirs.map)
-    percent = mean_average_precision(detections, truths, num_classes, iou_threshold=iou, use_07_metric=metric)
+    percent = mean_average_precision(detections, truths, num_classes)
     assert float.hex(percent) == float.hex(theirs.map_percent)
-    for label in range(num_classes + 1):  # the extra label has no ground truth
-        assert_curves_equal(
-            precision_recall_curve(detections, truths, label, iou_threshold=iou),
-            legacy.precision_recall_curve(detections, truths, label, iou_threshold=iou),
-        )
 
 
 def test_tie_gadget_separates_tie_breaks():
-    """The gadget's copy is a false positive at IoU 0.5 (first box wins the
-    tie) and a true positive at 0.1 (it reaches the second box)."""
+    """The gadget's copy is a false positive: the first box wins the tie,
+    and the second box (IoU 1/3) is out of reach at IoU 0.5."""
     box = [0.0, 0.0, 16 / 64, 12 / 64]
     second = [8 / 64, 0.0, 24 / 64, 12 / 64]
     between = [4 / 64, 0.0, 20 / 64, 12 / 64]
     truths = GroundTruthBatch(("a",), np.array([box, second]), np.array([0, 0]), np.array([0, 2]))
     detections = DetectionBatch(("a",), np.array([between, box]), np.array([0.9, 0.8]), np.zeros(2), np.array([0, 2]))
-    for iou, expected in ((0.5, [True, False]), (0.1, [True, True])):
-        _, row_tp = greedy_match_segments(
-            detections, np.array([0]), np.array([2]), truths, np.array([0]), iou_threshold=iou
-        )
-        assert row_tp.tolist() == expected
-        oracle = legacy.greedy_match_arrays(
-            detections.boxes, detections.labels, truths.boxes, truths.labels, iou_threshold=iou
-        )
-        assert oracle.is_tp.tolist() == expected
+    _, row_tp = greedy_match_segments(detections, np.array([0]), np.array([2]), truths, np.array([0]))
+    assert row_tp.tolist() == [True, False]
+    oracle = legacy.greedy_match_arrays(
+        detections.boxes, detections.labels, truths.boxes, truths.labels, iou_threshold=0.5
+    )
+    assert oracle.is_tp.tolist() == [True, False]
 
 
 def test_identical_boxes_tie_to_the_first_ground_truth():
@@ -228,7 +235,7 @@ def test_identical_boxes_tie_to_the_first_ground_truth():
     detections = DetectionBatch(
         ("a",), np.array([box, box, box]), np.array([0.9, 0.8, 0.7]), np.zeros(3), np.array([0, 3])
     )
-    assert count_detected_objects(detections, truths) == 2 == per_image_count(detections, truths, 0.5, 0.5)
+    assert count_detected_objects(detections, truths) == 2 == per_image_count(detections, truths)
 
 
 def test_simulated_split_counts_match():
@@ -236,7 +243,7 @@ def test_simulated_split_counts_match():
     detections = make_detector("small1", "voc07").detect_split(dataset)
     count = count_detected_objects(detections, dataset.truth_batch)
     assert count > 0
-    assert count == per_image_count(detections, dataset.truth_batch, 0.5, 0.5)
+    assert count == per_image_count(detections, dataset.truth_batch)
 
 
 @pytest.mark.parametrize("served", [False, True])
@@ -251,75 +258,3 @@ def test_simulated_split_map_matches(served):
         assert_curves_equal(ours.per_class_curves[label], curve)
     assert float.hex(ours.map) == float.hex(theirs.map)
 
-
-# --------------------------------------------------------------------- #
-# thresholds are checked on entry
-# --------------------------------------------------------------------- #
-BAD_IOU = [0.0, -0.2, 1.5, 2.0, math.nan]
-BAD_SCORE = [math.nan, math.inf, -math.inf]
-
-
-@pytest.fixture(scope="module")
-def unserved():
-    """A split whose detections are all empty: nothing is ever matched, so a
-    check that only runs per matched pair never fires."""
-    dataset = load_dataset("helmet", "test", fraction=0.02)
-    n = len(dataset)
-    empty = DetectionBatch(
-        dataset.image_ids, np.zeros((0, 4)), np.zeros(0), np.zeros(0, np.int64), np.zeros(n + 1, np.int64)
-    )
-    return dataset, empty
-
-
-@pytest.mark.parametrize("iou", BAD_IOU)
-def test_count_refuses_bad_iou_threshold(unserved, iou):
-    dataset, empty = unserved
-    with pytest.raises(ConfigurationError, match="iou_threshold"):
-        count_detected_objects(empty, dataset.truth_batch, iou_threshold=iou)
-    with pytest.raises(ConfigurationError, match="iou_threshold"):
-        count_summary(empty, dataset.truth_batch, iou_threshold=iou)
-
-
-@pytest.mark.parametrize("iou", BAD_IOU)
-def test_map_refuses_bad_iou_threshold(unserved, iou):
-    dataset, empty = unserved
-    with pytest.raises(ConfigurationError, match="iou_threshold"):
-        evaluate_detections(empty, dataset.truth_batch, dataset.num_classes, iou_threshold=iou)
-    with pytest.raises(ConfigurationError, match="iou_threshold"):
-        mean_average_precision(empty, dataset.truth_batch, dataset.num_classes, iou_threshold=iou)
-    with pytest.raises(ConfigurationError, match="iou_threshold"):
-        precision_recall_curve(empty, dataset.truth_batch, 0, iou_threshold=iou)
-
-
-@pytest.mark.parametrize("score", BAD_SCORE)
-def test_count_refuses_non_finite_score_threshold(unserved, score):
-    dataset, empty = unserved
-    with pytest.raises(ConfigurationError, match="score_threshold"):
-        count_detected_objects(empty, dataset.truth_batch, score_threshold=score)
-    with pytest.raises(ConfigurationError, match="score_threshold"):
-        count_summary(empty, dataset.truth_batch, score_threshold=score)
-
-
-@pytest.fixture(scope="module")
-def unserved_report(unserved):
-    dataset, empty = unserved
-    deployment = Deployment(
-        edge=JETSON_NANO, cloud=RTX3060_SERVER, link=WLAN, small_model_flops=5.6e9, big_model_flops=61.2e9
-    )
-    config = StreamConfig(fps=2.0, poisson=True, duration_s=10.0)
-    return serve_fleet(deployment, dataset, FleetSpec(cloud_only_scheme(), config, detections=empty), seed=3)
-
-
-@pytest.mark.parametrize("iou", BAD_IOU)
-def test_rolling_quality_refuses_bad_iou_threshold(unserved, unserved_report, iou):
-    dataset, _ = unserved
-    assert rolling_quality(unserved_report, dataset, window_s=5.0)  # valid thresholds evaluate
-    with pytest.raises(ConfigurationError, match="iou_threshold"):
-        rolling_quality(unserved_report, dataset, window_s=5.0, iou_threshold=iou)
-
-
-@pytest.mark.parametrize("score", BAD_SCORE)
-def test_rolling_quality_refuses_non_finite_score_threshold(unserved, unserved_report, score):
-    dataset, _ = unserved
-    with pytest.raises(ConfigurationError, match="score_threshold"):
-        rolling_quality(unserved_report, dataset, window_s=5.0, score_threshold=score)

@@ -11,7 +11,7 @@ from repro.data.classes import COCO18_CLASSES, HELMET_CLASSES, VOC_CLASSES
 from repro.data.datasets import DATASET_SETTINGS, list_settings, load_dataset
 from repro.data.degrade import Degradation, DegradationModel, PRISTINE
 from repro.data.scene import SceneProfile, sample_scene
-from repro.data.stats import per_image_features, split_stats
+from repro.data.stats import per_image_features
 from repro.errors import ConfigurationError, DatasetError
 
 
@@ -222,21 +222,13 @@ class TestStats:
         assert counts.min() >= 1
         assert (min_areas > 0).all()
 
-    def test_split_stats_totals(self):
-        ds = load_dataset("voc07", "test", fraction=0.02)
-        stats = split_stats(ds)
-        assert stats.num_images == len(ds)
-        assert stats.total_objects == ds.total_objects
-        assert stats.mean_objects == pytest.approx(ds.total_objects / len(ds))
-
     def test_voc_density_near_devkit(self):
         ds = load_dataset("voc07", "test")
-        stats = split_stats(ds)
         # VOC2007 test: 12 032 objects over 4 952 images (2.43 per image).
-        assert stats.mean_objects == pytest.approx(2.43, abs=0.15)
+        assert ds.total_objects / len(ds) == pytest.approx(2.43, abs=0.15)
 
     def test_coco_denser_than_voc(self):
-        voc = split_stats(load_dataset("voc07", "test", fraction=0.2))
-        coco = split_stats(load_dataset("coco18", "test", fraction=0.2))
-        assert coco.mean_objects > voc.mean_objects
-        assert coco.median_min_area < voc.median_min_area
+        voc_counts, voc_areas = per_image_features(load_dataset("voc07", "test", fraction=0.2))
+        coco_counts, coco_areas = per_image_features(load_dataset("coco18", "test", fraction=0.2))
+        assert coco_counts.mean() > voc_counts.mean()
+        assert np.median(coco_areas) < np.median(voc_areas)

@@ -13,8 +13,6 @@ from repro.data.io import (
     dataset_to_dict,
     detections_from_dict,
     detections_to_dict,
-    load_dataset_file,
-    load_detections_file,
     save_dataset,
     save_detections,
 )
@@ -49,7 +47,7 @@ class TestDatasetRoundTrip:
 
     def test_file_round_trip(self, split, tmp_path):
         path = save_dataset(split, tmp_path / "split.json")
-        rebuilt = load_dataset_file(path)
+        rebuilt = dataset_from_dict(json.loads(path.read_text()))
         assert rebuilt.total_objects == split.total_objects
 
     def test_json_serializable(self, split):
@@ -70,12 +68,6 @@ class TestDatasetRoundTrip:
         with pytest.raises(DatasetError):
             dataset_from_dict(payload)
 
-    def test_unreadable_file_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(DatasetError):
-            load_dataset_file(bad)
-
 
 class TestDetectionsRoundTrip:
     def test_dict_round_trip_exact(self, detections):
@@ -89,12 +81,12 @@ class TestDetectionsRoundTrip:
 
     def test_detector_name_preserved(self, detections, tmp_path):
         path = save_detections(detections, tmp_path / "dets.json")
-        rebuilt = load_detections_file(path)
+        rebuilt = detections_from_dict(json.loads(path.read_text()))
         assert rebuilt[0].detector == "io-test"
 
     def test_explicit_detector_override(self, detections, tmp_path):
         path = save_detections(detections, tmp_path / "dets.json", detector="renamed")
-        rebuilt = load_detections_file(path)
+        rebuilt = detections_from_dict(json.loads(path.read_text()))
         assert rebuilt[0].detector == "renamed"
 
     def test_empty_detections_round_trip(self):

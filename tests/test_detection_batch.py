@@ -116,9 +116,6 @@ class TestPerImageOpEquivalence:
             np.testing.assert_array_equal(view.scores, filtered.scores)
             np.testing.assert_array_equal(view.labels, filtered.labels)
 
-    def test_top_scores(self, small_batch, small_list):
-        assert (small_batch.top_scores() == np.array([d.top_score() for d in small_list])).all()
-
 
 class TestPipelineEquivalence:
     def test_features_bitwise(self, small_batch, small_list):
@@ -209,7 +206,6 @@ class TestSystemRunEquivalence:
             big_detections=big_list,
         )
         assert run_batch.end_to_end_map() == run_list.end_to_end_map()
-        assert run_batch.small_model_map() == run_list.small_model_map()
         assert run_batch.big_model_map() == run_list.big_model_map()
         assert run_batch.end_to_end_counts() == run_list.end_to_end_counts()
         assert run_batch.upload_ratio == run_list.upload_ratio
@@ -224,7 +220,7 @@ class TestSystemRunEquivalence:
             small_detections=small_batch,
             big_detections=big_batch,
         )
-        final = run.final_detections
+        final = run.final_batch()
         assert isinstance(final, DetectionBatch)
         for index in range(0, len(dataset), 97):
             source = big_batch if uploaded[index] else small_batch

@@ -9,6 +9,7 @@ from repro.core.cases import label_cases
 from repro.core.discriminator import DifficultCaseDiscriminator
 from repro.core.system import SmallBigSystem
 from repro.errors import CalibrationError
+from repro.metrics import mean_average_precision
 
 
 @pytest.fixture(scope="module")
@@ -86,22 +87,18 @@ class TestSystem:
         small, big = detectors_module
         system = SmallBigSystem(small_model=small, big_model=big, discriminator=disc)
         run = system.run(train)
-        finals = run.final_detections
-        for i, sent in enumerate(run.uploaded):
-            expected = run.big_detections[i] if sent else run.small_detections[i]
-            assert finals[i].image_id == expected.image_id
-            for name in ("boxes", "scores", "labels"):
-                np.testing.assert_array_equal(getattr(finals[i], name), getattr(expected, name))
-        # List inputs compose the original per-image objects themselves.
+        # List inputs compose the same served batch.
         listed = system.run(
             train,
             small_detections=list(run.small_detections),
             big_detections=list(run.big_detections),
         )
-        finals = listed.final_detections
-        for i, sent in enumerate(listed.uploaded):
-            expected = listed.big_detections[i] if sent else listed.small_detections[i]
-            assert finals[i] is expected
+        for finals in (run.final_batch(), listed.final_batch()):
+            for i, sent in enumerate(run.uploaded):
+                expected = run.big_detections[i] if sent else run.small_detections[i]
+                assert finals[i].image_id == expected.image_id
+                for name in ("boxes", "scores", "labels"):
+                    np.testing.assert_array_equal(getattr(finals[i], name), getattr(expected, name))
 
     def test_upload_ratio_bounds(self, fitted, detectors_module):
         disc, _, _, _, train = fitted
@@ -115,9 +112,10 @@ class TestSystem:
         small, big = detectors_module
         system = SmallBigSystem(small_model=small, big_model=big, discriminator=disc)
         run = system.run(train)
-        assert run.small_model_map() < run.end_to_end_map() <= run.big_model_map() + 2.0
+        edge_only = system.run(train, uploaded=np.zeros(len(train), dtype=bool))
+        assert edge_only.end_to_end_map() < run.end_to_end_map() <= run.big_model_map() + 2.0
         assert (
-            run.small_model_counts().detected
+            edge_only.end_to_end_counts().detected
             < run.end_to_end_counts().detected
             <= run.big_model_counts().detected + 10
         )
@@ -130,7 +128,7 @@ class TestSystem:
         for index in (0, 7, 23):
             dets, uploaded = system.process_image(train.records[index])
             assert uploaded == bool(run.uploaded[index])
-            np.testing.assert_array_equal(dets.boxes, run.final_detections[index].boxes)
+            np.testing.assert_array_equal(dets.boxes, run.final_batch()[index].boxes)
 
     def test_external_mask_respected(self, fitted, detectors_module):
         disc, _, _, _, train = fitted
@@ -153,4 +151,5 @@ class TestSystem:
         small, big = detectors_module
         system = SmallBigSystem(small_model=small, big_model=big, discriminator=disc)
         run = system.run(train, uploaded=np.zeros(len(train), dtype=bool))
-        assert run.end_to_end_map() == pytest.approx(run.small_model_map())
+        small_map = mean_average_precision(run.small_batch().above(0.5), train.truth_batch, train.num_classes)
+        assert run.end_to_end_map() == pytest.approx(small_map)

@@ -421,7 +421,7 @@ class TestNonFiniteTimesRejected:
 
 
 # A tiny event program: series (launched up front or from an event), single
-# events, per-element follow-ups and run(until=...) stops.  Times sit on a
+# events and per-element follow-ups.  Times sit on a
 # quarter-second grid so `t - now + now == t` exactly and the per-element
 # reference schedules the very same heap keys.
 _TICKS = st.lists(st.integers(0, 6), max_size=6).map(sorted)
@@ -443,8 +443,7 @@ def _event_programs(draw):
     )
     singles = draw(st.lists(st.integers(0, 8), max_size=4))
     order = draw(st.permutations(range(len(series) + len(singles))))
-    stops = sorted(draw(st.lists(st.integers(0, 10), max_size=3)))
-    return series, singles, order, stops
+    return series, singles, order
 
 
 def _resume_at(jumps, count):
@@ -495,10 +494,10 @@ def _lazy(loop, times, action, jumps=None):
 
 def _play(program, launch, gates=None):
     """Run ``program`` launching every series through ``launch``; returns
-    the firing log, the clock after each run() and the sequence counter.
+    the firing log, the clock after the run and the sequence counter.
 
     ``gates`` (one jump list per top-level series) adds a skip gate."""
-    series, singles, order, stops = program
+    series, singles, order = program
     loop = EventLoop()
     log: list[tuple] = []
 
@@ -541,9 +540,7 @@ def _play(program, launch, gates=None):
         else:
             tick = singles[slot - len(series)]
             loop.schedule(tick / 4, lambda tick=tick, slot=slot: log.append(("single", slot, loop.now)))
-    clocks = [loop.run(until=stop / 4) for stop in stops]
-    clocks.append(loop.run())
-    return log, clocks, loop._sequence
+    return log, loop.run(), loop._sequence
 
 
 class TestScheduleSeries:
@@ -654,17 +651,6 @@ class TestCollectorPause:
         seen: list[bool] = []
         assert self._loop(seen).run() == 3.0
         assert seen == [False, False, False]
-        assert gc.isenabled() is enabled
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_early_return_at_until(self, enabled):
-        gc.enable() if enabled else gc.disable()
-        seen: list[bool] = []
-        loop = self._loop(seen)
-        assert loop.run(until=1.5) == 1.5
-        assert seen == [False]
-        assert gc.isenabled() is enabled
-        assert loop.run() == 3.0
         assert gc.isenabled() is enabled
 
     @pytest.mark.parametrize("enabled", [True, False])

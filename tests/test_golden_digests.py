@@ -7,8 +7,9 @@ per fitted discriminator of ``tables.MODEL_PAIRS``, taken over the
 ``float.hex`` of its confidence and area thresholds and its count
 threshold: the tables print thresholds rounded, so a one-ulp move of a
 fitted threshold shows only here.  A refactor that must not change results
-recomputes them from the session harness and compares.  The report's own preamble and run configuration are
-not part of the digests.
+recomputes them from the session harness, through the suite front door
+(``run_suite``), and compares.  The report's own preamble and run
+configuration are not part of the digests.
 
 Regenerate (only when a change is *meant* to move a result) with::
 
@@ -21,10 +22,10 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.experiments.figures import all_figures
 from repro.experiments.formatting import format_table_markdown
 from repro.experiments.report import _figure_markdown
-from repro.experiments.tables import MODEL_PAIRS, all_tables
+from repro.experiments.suite import run_suite
+from repro.experiments.tables import MODEL_PAIRS
 
 GOLDEN = Path(__file__).parent / "golden" / "quick_digests.json"
 
@@ -37,10 +38,11 @@ def quick_digests(harness) -> dict[str, str]:
     """``{"table <id>" | "figure <id>" | "discriminator <pair>": sha256}``
     for every rendered result and every fitted discriminator."""
     digests = {}
-    for table in all_tables(harness):
+    suite = run_suite(harness)
+    for table in suite.tables:
         exact = (table.title, table.columns, table.rows, table.paper_rows, table.notes)
         digests[f"table {table.table_id}"] = _digest(format_table_markdown(table), exact)
-    for figure in all_figures(harness):
+    for figure in suite.figures:
         exact = (figure.title, figure.x_label, figure.x_values, figure.series, figure.notes)
         digests[f"figure {figure.figure_id}"] = _digest(_figure_markdown(figure), exact)
     for small, big, setting in MODEL_PAIRS:

@@ -8,11 +8,9 @@ through ``count_detected_objects``.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.detection.batch import DetectionBatch, GroundTruthBatch
 from repro.detection.matching import greedy_match_segments
-from repro.errors import ConfigurationError
 from repro.metrics.counting import count_detected_objects
 
 
@@ -33,9 +31,9 @@ def _dets(boxes, scores, labels) -> DetectionBatch:
     )
 
 
-def _match(dets: DetectionBatch, gt: GroundTruthBatch, **kwargs) -> tuple[int, list[bool]]:
+def _match(dets: DetectionBatch, gt: GroundTruthBatch) -> tuple[int, list[bool]]:
     """``(true positives, per-detection flags)`` of the single image."""
-    image_tp, row_tp = greedy_match_segments(dets, dets.offsets[:-1], dets.counts(), gt, np.array([0]), **kwargs)
+    image_tp, row_tp = greedy_match_segments(dets, dets.offsets[:-1], dets.counts(), gt, np.array([0]))
     return int(image_tp[0]), row_tp.tolist()
 
 
@@ -69,7 +67,7 @@ class TestGreedyMatchSegments:
     def test_iou_below_threshold_not_matched(self):
         gt = _gt([[0.0, 0.0, 0.2, 0.2]], [0])
         dets = _dets([[0.15, 0.15, 0.35, 0.35]], [0.9], [0])
-        assert _match(dets, gt, iou_threshold=0.5) == (0, [False])
+        assert _match(dets, gt) == (0, [False])
 
     def test_empty_detections(self):
         gt = _gt([[0.1, 0.1, 0.4, 0.4]], [0])
@@ -80,11 +78,6 @@ class TestGreedyMatchSegments:
         gt = _gt(np.zeros((0, 4)), np.zeros(0, dtype=int))
         assert _match(dets, gt) == (0, [False])
 
-    def test_invalid_threshold_rejected(self):
-        gt = _gt([[0.1, 0.1, 0.4, 0.4]], [0])
-        with pytest.raises(ConfigurationError):
-            _match(_empty_dets(), gt, iou_threshold=0.0)
-
 
 class TestCountDetectedObjects:
     def test_score_threshold_applied(self):
@@ -92,7 +85,6 @@ class TestCountDetectedObjects:
         dets = _dets([[0.1, 0.1, 0.4, 0.4], [0.6, 0.6, 0.9, 0.9]], [0.9, 0.4], [0, 1])
         # Only the 0.9 box passes the 0.5 serving threshold.
         assert count_detected_objects(dets, gt) == 1
-        assert count_detected_objects(dets, gt, score_threshold=0.3) == 2
 
     def test_counts_bounded_by_gt(self):
         gt = _gt([[0.1, 0.1, 0.4, 0.4]], [0])

@@ -28,12 +28,11 @@ class TestCounting:
         dets = [_dets([[0.1, 0.1, 0.4, 0.4], [0.6, 0.6, 0.9, 0.9]], [0.9, 0.8], [0, 0])]
         assert count_detected_objects(dets, gts) == 1
 
-    def test_summary_fraction(self):
+    def test_summary_counts(self):
         gts = [_gt([[0.1, 0.1, 0.4, 0.4], [0.5, 0.5, 0.9, 0.9]], [0, 1])]
         dets = [_dets([[0.1, 0.1, 0.4, 0.4]], [0.9], [0])]
         summary = count_summary(dets, gts)
         assert summary.detected == 1 and summary.total_ground_truth == 2
-        assert summary.detected_fraction == pytest.approx(0.5)
 
     def test_ratio_to(self):
         ours = CountSummary(detected=94, total_ground_truth=120)
@@ -118,11 +117,10 @@ class TestLatencySummary:
         summary = summarize_latencies([])
         assert summary.total == 0.0 and summary.count == 0
 
-    def test_saving_and_speedup(self):
+    def test_saving(self):
         ours = summarize_latencies([1.0] * 10)
         cloud = summarize_latencies([2.0] * 10)
         assert ours.saving_over(cloud) == pytest.approx(0.5)
-        assert ours.speedup_over(cloud) == pytest.approx(2.0)
 
 
 def _latency_series(length: int, seed: int, kind: str, as_list: bool) -> list[float] | np.ndarray:

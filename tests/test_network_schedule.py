@@ -203,7 +203,7 @@ class TestNetworkLinkSchedule:
     def test_unreliable_wrap_carries_schedule(self):
         """`wrap` enumerates NetworkLink fields, so `schedule` survives."""
         scheduled = WLAN.with_rate_schedule(RateSchedule.from_trace([0.0, 10.0], [8.0, 2.0]))
-        wrapped = UnreliableLink.wrap(scheduled, outages=OutageSchedule.always_up())
+        wrapped = UnreliableLink.wrap(scheduled, outages=OutageSchedule())
         assert wrapped.schedule == scheduled.schedule
         assert wrapped.bandwidth_mbps == scheduled.bandwidth_mbps
         assert wrapped.time_varying

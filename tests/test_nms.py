@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.detection.boxes import iou_matrix
-from repro.detection.nms import class_aware_nms, filter_by_score, nms_indices
+from repro.detection.nms import class_aware_nms, nms_indices
 from repro.detection.types import Detections
 from repro.errors import ConfigurationError
 
@@ -86,9 +86,3 @@ class TestClassAwareNms:
         dets = _dets([[0.1, 0.1, 0.3, 0.3]], [0.9], [0])
         out = class_aware_nms(dets)
         assert out.image_id == "img" and out.detector == "t"
-
-
-class TestFilterByScore:
-    def test_matches_above(self):
-        dets = _dets([[0.1, 0.1, 0.3, 0.3], [0.4, 0.4, 0.5, 0.5]], [0.9, 0.2], [0, 0])
-        assert len(filter_by_score(dets, 0.5)) == len(dets.above(0.5)) == 1

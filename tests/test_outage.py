@@ -142,7 +142,7 @@ class TestOutageSchedule:
             getattr(OutageSchedule, constructor)(**{**valid, field: value})
 
     def test_always_up_never_down(self):
-        schedule = OutageSchedule.always_up()
+        schedule = OutageSchedule()
         assert not schedule.is_down(0.0)
         assert schedule.failure_instant(0.0, 1e9) is None
 
@@ -242,21 +242,13 @@ class TestEscalationPolicy:
         with pytest.raises(ConfigurationError):
             EscalationPolicy(max_retries=0)
         with pytest.raises(ConfigurationError):
-            EscalationPolicy(base_backoff_s=0.0)
-        with pytest.raises(ConfigurationError):
-            EscalationPolicy(max_backoff_s=0.1, base_backoff_s=0.5)
-        with pytest.raises(ConfigurationError):
-            EscalationPolicy(jitter=1.0)
+            EscalationPolicy(max_backoff_s=0.1)  # below the 0.5 s first retry delay
         with pytest.raises(ConfigurationError):
             EscalationPolicy.durable_queue(capacity=0)
 
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("base_backoff_s", float("nan")),
-            ("base_backoff_s", float("inf")),
-            ("backoff_factor", float("nan")),
-            ("backoff_factor", float("inf")),
             ("max_backoff_s", float("nan")),
             ("max_backoff_s", float("inf")),
         ],
@@ -267,25 +259,33 @@ class TestEscalationPolicy:
             EscalationPolicy.durable_queue(**{field: value})
 
 
+class _ZeroJitter:
+    """An RNG stub whose jitter draw is 0.0, so each delay is exactly the
+    unjittered backoff."""
+
+    def uniform(self, low: float, high: float) -> float:
+        return 0.0
+
+
 class TestEscalationBackoff:
     @staticmethod
-    def _queue(policy):
-        return EscalationQueue(camera=None, policy=policy, rng=np.random.default_rng(0))
+    def _queue(policy, rng=None):
+        return EscalationQueue(camera=None, policy=policy, rng=np.random.default_rng(0) if rng is None else rng)
 
     def test_backoff_saturates_past_the_float_range(self):
-        # backoff_factor ** (failures - 1) overflows a float at 1025
+        # BACKOFF_FACTOR ** (failures - 1) overflows a float at 1025
         # consecutive failures with factor 2; the delay must saturate at
         # max_backoff_s instead of raising OverflowError, and stay the same
         # float below the overflow
-        policy = EscalationPolicy.durable_queue(max_backoff_s=8.0, jitter=0.0)
-        queue = self._queue(policy)
+        policy = EscalationPolicy.durable_queue(max_backoff_s=8.0)
+        queue = self._queue(policy, _ZeroJitter())
         for failures in range(1, 1101):
             queue.note_failure()
             expected = min(8.0, 0.5 * 2.0 ** (failures - 1)) if failures < 1025 else 8.0
             assert queue._backoff() == expected
 
     def test_saturated_backoff_keeps_its_jitter(self):
-        policy = EscalationPolicy.durable_queue(max_backoff_s=8.0, jitter=0.1)
+        policy = EscalationPolicy.durable_queue(max_backoff_s=8.0)
         queue = self._queue(policy)
         for _ in range(2000):
             queue.note_failure()
@@ -417,7 +417,7 @@ class TestStreamUnderOutage:
     def test_retry_cap_abandons_unlucky_cases(self, helmet_mini, big_batch):
         # a very lossy link with a tight retry budget must abandon cases
         deployment = _deployment(UnreliableLink.wrap(WLAN, loss_probability=0.9))
-        policy = EscalationPolicy.durable_queue(capacity=8, max_retries=2, base_backoff_s=0.1, max_backoff_s=0.2)
+        policy = EscalationPolicy.durable_queue(capacity=8, max_retries=2, max_backoff_s=0.5)
         report = serve_fleet(
             deployment,
             helmet_mini,
@@ -479,7 +479,7 @@ class TestCloudOutages:
             _deployment(WLAN), helmet_mini, FleetSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch), seed=7
         ).cameras[0]
         empty = serve_fleet(
-            self._cloudy(OutageSchedule.always_up()),
+            self._cloudy(OutageSchedule()),
             helmet_mini,
             FleetSpec(cloud_only_scheme(), self.CONFIG, detections=big_batch),
             seed=7,

@@ -446,7 +446,7 @@ class TestAvailabilityEquivalence:
         return Deployment(
             edge=deployment.edge,
             cloud=deployment.cloud,
-            link=UnreliableLink.wrap(deployment.link, outages=OutageSchedule.always_up()),
+            link=UnreliableLink.wrap(deployment.link, outages=OutageSchedule()),
             small_model_flops=deployment.small_model_flops,
             big_model_flops=deployment.big_model_flops,
         )
@@ -603,9 +603,7 @@ class TestScheduleEquivalence:
     ):
         """Wrapping the scheduled link with an all-up outage schedule keeps
         the schedule field and still matches the plain run."""
-        wrapped_link = UnreliableLink.wrap(
-            scheduled_deployment.link, outages=OutageSchedule.always_up()
-        )
+        wrapped_link = UnreliableLink.wrap(scheduled_deployment.link, outages=OutageSchedule())
         assert wrapped_link.schedule == scheduled_deployment.link.schedule
         wrapped = Deployment(
             edge=deployment.edge,

@@ -68,14 +68,6 @@ class TestEventLoop:
         final = loop.run()
         assert fired == [1.5] and final == 1.5
 
-    def test_run_until(self):
-        loop = EventLoop()
-        fired: list[int] = []
-        loop.schedule(1.0, lambda: fired.append(1))
-        loop.schedule(5.0, lambda: fired.append(5))
-        loop.run(until=2.0)
-        assert fired == [1]
-
     def test_negative_delay_rejected(self):
         loop = EventLoop()
         with pytest.raises(ConfigurationError):

@@ -22,11 +22,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import Harness, HarnessConfig
 from repro.experiments import figures as figures_module
 from repro.experiments import tables as tables_module
-from repro.experiments.suite import (
-    prefetch_detections,
-    run_suite,
-    suite_artifacts,
-)
+from repro.experiments.suite import prefetch_detections, suite_artifacts
 from repro.runtime.parallel import detect_records, run_spans, run_split
 from repro.runtime.pool import WorkerPool
 
@@ -290,20 +286,4 @@ def test_suite_artifacts_selection():
     full = suite_artifacts()
     assert full == tables_module.detection_artifacts()  # figures add nothing
     assert len(full) == len(set(full))
-    assert suite_artifacts(tables=False) == figures_module.detection_artifacts()
-    assert suite_artifacts(tables=False, figures=False) == ()
 
-
-# --------------------------------------------------------------------- #
-# run_suite end-to-end (figures on the shared quick harness)
-# --------------------------------------------------------------------- #
-def test_run_suite_figures_match_direct_runners(harness):
-    from repro.experiments.figures import all_figures
-
-    result = run_suite(harness, tables=False, figures=True)
-    assert result.tables == []
-    direct = all_figures(harness)
-    assert [f.figure_id for f in result.figures] == [f.figure_id for f in direct]
-    for ours, theirs in zip(result.figures, direct):
-        assert ours.x_values == theirs.x_values
-        assert ours.series == theirs.series

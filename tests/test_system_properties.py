@@ -58,9 +58,13 @@ class TestSystemProperties:
             big_detections=big_dets,
             uploaded=mask,
         )
-        for i, final in enumerate(run.final_detections):
+        final = run.final_batch()
+        for i in range(len(dataset)):
             expected = big_dets[i] if mask[i] else small_dets[i]
-            assert final is expected
+            served = final[i]
+            assert served.image_id == expected.image_id
+            for name in ("boxes", "scores", "labels"):
+                np.testing.assert_array_equal(getattr(served, name), getattr(expected, name))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))

@@ -57,7 +57,7 @@ class TestDetections:
 
     def test_empty_constructor(self):
         dets = Detections.empty("img", detector="x")
-        assert len(dets) == 0 and dets.top_score() == 0.0
+        assert len(dets) == 0
 
     def test_above_threshold(self):
         dets = _dets([[0.1, 0.1, 0.2, 0.2], [0.3, 0.3, 0.4, 0.4]], [0.8, 0.3], [0, 0])
@@ -74,11 +74,6 @@ class TestDetections:
         dets = _dets([[0.0, 0.0, 0.5, 0.5]], [0.3], [0])
         assert dets.min_area_above(0.5) == 1.0
 
-    def test_for_class(self):
-        dets = _dets([[0.1, 0.1, 0.2, 0.2], [0.3, 0.3, 0.4, 0.4]], [0.8, 0.7], [2, 5])
-        only = dets.for_class(5)
-        assert len(only) == 1 and only.labels[0] == 5
-
     def test_score_out_of_range_rejected(self):
         with pytest.raises(GeometryError):
             _dets([[0.1, 0.1, 0.2, 0.2]], [1.5], [0])
@@ -86,7 +81,3 @@ class TestDetections:
     def test_score_count_mismatch_rejected(self):
         with pytest.raises(GeometryError):
             _dets([[0.1, 0.1, 0.2, 0.2]], [0.5, 0.6], [0])
-
-    def test_top_score(self):
-        dets = _dets([[0.1, 0.1, 0.2, 0.2], [0.3, 0.3, 0.4, 0.4]], [0.4, 0.85], [0, 0])
-        assert dets.top_score() == pytest.approx(0.85)

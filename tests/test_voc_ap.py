@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from repro.detection.types import Detections, GroundTruth
 from repro.errors import ConfigurationError
-from repro.metrics.voc_ap import (
-    evaluate_detections,
-    mean_average_precision,
-    precision_recall_curve,
-    voc_ap_from_pr,
-)
+from repro.metrics.voc_ap import evaluate_detections, mean_average_precision, voc_ap_from_pr
 
 
 def _gt(boxes, labels, image_id="img0"):
@@ -25,12 +20,16 @@ def _dets(boxes, scores, labels, image_id="img0"):
     return Detections(image_id, np.asarray(boxes, float), np.asarray(scores, float), np.asarray(labels), detector="t")
 
 
+def _curve(dets, gts):
+    """The split's class-0 precision/recall curve."""
+    return evaluate_detections(dets, gts, num_classes=1).per_class_curves[0]
+
+
 class TestVocApFromPr:
     def test_perfect_curve_gives_one(self):
         recall = np.linspace(0.1, 1.0, 10)
         precision = np.ones(10)
-        assert voc_ap_from_pr(recall, precision, use_07_metric=True) == pytest.approx(1.0)
-        assert voc_ap_from_pr(recall, precision, use_07_metric=False) == pytest.approx(1.0)
+        assert voc_ap_from_pr(recall, precision) == pytest.approx(1.0)
 
     def test_empty_curve_gives_zero(self):
         assert voc_ap_from_pr(np.zeros(0), np.zeros(0)) == 0.0
@@ -38,28 +37,20 @@ class TestVocApFromPr:
     def test_11_point_known_value(self):
         # Recall reaches 0.5 at precision 1.0: interpolated precision is 1.0
         # at recall points 0..0.5 (6 of 11 points) and 0 beyond.
-        ap = voc_ap_from_pr(np.array([0.5]), np.array([1.0]), use_07_metric=True)
+        ap = voc_ap_from_pr(np.array([0.5]), np.array([1.0]))
         assert ap == pytest.approx(6 / 11)
-
-    def test_all_point_known_value(self):
-        ap = voc_ap_from_pr(np.array([0.5]), np.array([1.0]), use_07_metric=False)
-        assert ap == pytest.approx(0.5)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             voc_ap_from_pr(np.zeros(3), np.zeros(2))
 
     @settings(max_examples=50)
-    @given(
-        n=st.integers(1, 30),
-        seed=st.integers(0, 10_000),
-        metric=st.booleans(),
-    )
-    def test_ap_bounded(self, n, seed, metric):
+    @given(n=st.integers(1, 30), seed=st.integers(0, 10_000))
+    def test_ap_bounded(self, n, seed):
         rng = np.random.default_rng(seed)
         recall = np.sort(rng.uniform(0, 1, n))
         precision = rng.uniform(0, 1, n)
-        ap = voc_ap_from_pr(recall, precision, use_07_metric=metric)
+        ap = voc_ap_from_pr(recall, precision)
         assert 0.0 <= ap <= 1.0 + 1e-9
 
 
@@ -67,7 +58,7 @@ class TestPrecisionRecallCurve:
     def test_single_perfect_detection(self):
         gts = [_gt([[0.1, 0.1, 0.4, 0.4]], [0])]
         dets = [_dets([[0.1, 0.1, 0.4, 0.4]], [0.9], [0])]
-        curve = precision_recall_curve(dets, gts, label=0)
+        curve = _curve(dets, gts)
         assert curve.num_gt == 1
         assert curve.recall[-1] == pytest.approx(1.0)
         assert curve.precision[-1] == pytest.approx(1.0)
@@ -75,7 +66,7 @@ class TestPrecisionRecallCurve:
     def test_false_positive_lowers_precision(self):
         gts = [_gt([[0.1, 0.1, 0.4, 0.4]], [0])]
         dets = [_dets([[0.1, 0.1, 0.4, 0.4], [0.6, 0.6, 0.9, 0.9]], [0.9, 0.8], [0, 0])]
-        curve = precision_recall_curve(dets, gts, label=0)
+        curve = _curve(dets, gts)
         assert curve.precision[-1] == pytest.approx(0.5)
         assert curve.recall[-1] == pytest.approx(1.0)
 
@@ -88,12 +79,12 @@ class TestPrecisionRecallCurve:
                 [0, 0, 0],
             )
         ]
-        curve = precision_recall_curve(dets, gts, label=0)
+        curve = _curve(dets, gts)
         assert (np.diff(curve.recall) >= -1e-12).all()
 
     def test_no_detections_empty_curve(self):
         gts = [_gt([[0.1, 0.1, 0.4, 0.4]], [0])]
-        curve = precision_recall_curve([Detections.empty("img0")], gts, label=0)
+        curve = _curve([Detections.empty("img0")], gts)
         assert curve.recall.size == 0 and curve.num_gt == 1
 
     def test_cross_image_pooling(self):
@@ -105,13 +96,13 @@ class TestPrecisionRecallCurve:
             _dets([[0.1, 0.1, 0.4, 0.4]], [0.9], [0], "a"),
             Detections.empty("b"),
         ]
-        curve = precision_recall_curve(dets, gts, label=0)
+        curve = _curve(dets, gts)
         assert curve.num_gt == 2
         assert curve.recall[-1] == pytest.approx(0.5)
 
     def test_misaligned_lists_rejected(self):
         with pytest.raises(ConfigurationError):
-            precision_recall_curve([Detections.empty("a")], [], label=0)
+            evaluate_detections([Detections.empty("a")], [], num_classes=1)
 
 
 class TestEvaluateDetections:

@@ -29,7 +29,6 @@ class TestTapePrimitives:
         tape = Tape(TensorShape(3, 32, 32))
         tape.conv("c", 16, kernel=3)
         assert tape.total_macs == 3 * 3 * 3 * 16 * 32 * 32
-        assert tape.total_flops == 2 * tape.total_macs
 
     def test_stride_halves_output(self):
         tape = Tape(TensorShape(8, 64, 64))
