@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,12 @@ from repro.core.cases import SERVING_THRESHOLD, is_difficult_case, label_cases
 from repro.core.features import CaseFeatures, extract_feature_arrays, extract_features
 from repro.detection.types import Detections
 from repro.errors import ConfigurationError
+
+
+BELOW, ABOVE = float(np.nextafter(0.5, 0.0)), float(np.nextafter(0.5, 1.0))
+#: (score, whether it is served): both sides of the serving threshold, one
+#: float apart, and the threshold itself, which is served.
+EDGE = [(0.0, False), (BELOW, False), (0.5, True), (ABOVE, True), (1.0, True)]
 
 
 def _dets(scores, image_id="img", areas=None):
@@ -42,6 +50,11 @@ class TestIsDifficult:
         with pytest.raises(ConfigurationError):
             is_difficult_case(_dets([0.9], "a"), _dets([0.9], "b"))
 
+    @pytest.mark.parametrize("score, served", EDGE)
+    def test_serving_threshold_edge(self, score, served):
+        # the big model's extra box makes the case difficult only if served
+        assert is_difficult_case(_dets([0.9]), _dets([0.9, score])) is served
+
 
 class TestLabelCases:
     def test_vectorised_labels(self):
@@ -53,6 +66,12 @@ class TestLabelCases:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             label_cases([_dets([0.9])], [])
+
+    @pytest.mark.parametrize("score, served", EDGE)
+    def test_serving_threshold_edge(self, score, served):
+        small = [_dets([0.9], "a"), _dets([score], "b")]
+        big = [_dets([0.9, score], "a"), _dets([0.9], "b")]
+        assert label_cases(small, big).tolist() == [served, not served]
 
 
 class TestFeatures:
@@ -74,6 +93,26 @@ class TestFeatures:
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ConfigurationError):
             extract_features(_dets([0.9]), noise_threshold=0.7)
+
+    @pytest.mark.parametrize("score, served", EDGE)
+    def test_n_predict_at_serving_threshold_edge(self, score, served):
+        dets = _dets([0.9, score])
+        assert extract_features(dets, noise_threshold=0.2).n_predict == 1 + served
+        assert extract_feature_arrays([dets], 0.2)[0].tolist() == [1 + served]
+
+    @pytest.mark.parametrize("noise", [0.0, -0.1, ABOVE, 0.7, math.nan, math.inf])
+    def test_noise_threshold_outside_range_rejected(self, noise):
+        # the noise threshold must lie in (0, SERVING_THRESHOLD]
+        with pytest.raises(ConfigurationError, match="noise_threshold"):
+            extract_features(_dets([0.9]), noise_threshold=noise)
+        with pytest.raises(ConfigurationError, match="noise_threshold"):
+            extract_feature_arrays([_dets([0.9])], noise)
+
+    @pytest.mark.parametrize("noise", [1e-9, 0.5])
+    def test_noise_threshold_range_edges_accepted(self, noise):
+        features = extract_features(_dets([0.9, 0.5, 1e-9]), noise_threshold=noise)
+        assert features.n_predict == 2
+        assert features.n_estimated == (3 if noise < 0.5 else 2)
 
     def test_array_extraction_alignment(self):
         dets = [_dets([0.9, 0.3], "a"), _dets([0.6], "b")]

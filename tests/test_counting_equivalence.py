@@ -258,3 +258,67 @@ def test_simulated_split_map_matches(served):
         assert_curves_equal(ours.per_class_curves[label], curve)
     assert float.hex(ours.map) == float.hex(theirs.map)
 
+
+
+# --------------------------------------------------------------------- #
+# the fixed VOC rule at its edges
+# --------------------------------------------------------------------- #
+BELOW, ABOVE = float(np.nextafter(0.5, 0.0)), float(np.nextafter(0.5, 1.0))
+#: (value, whether it passes a ``>= 0.5`` rule): both sides of the edge,
+#: one float apart, and the edge itself, which passes.
+EDGE = [(0.0, False), (BELOW, False), (0.5, True), (ABOVE, True), (1.0, True)]
+UNIT = [0.0, 0.0, 1.0, 1.0]
+
+
+def _one_box(box, score: float) -> tuple[DetectionBatch, GroundTruthBatch]:
+    """One image: one detection against one unit-square annotation."""
+    truths = GroundTruthBatch(("a",), np.array([UNIT]), np.array([0]), np.array([0, 1]))
+    detections = DetectionBatch(("a",), np.array([box]), np.array([score]), np.zeros(1), np.array([0, 1]))
+    return detections, truths
+
+
+def _at_overlap(width: float) -> tuple[DetectionBatch, GroundTruthBatch]:
+    """A ``[0, 0, width, 1]`` box covers ``width`` of the unit square, so
+    its IoU with it is ``width`` (one ulp off only past the edge)."""
+    return _one_box([0.0, 0.0, width, 1.0], 0.9)
+
+
+@pytest.mark.parametrize("score, served", EDGE)
+def test_count_serves_at_the_serving_threshold(score, served):
+    """A box scoring exactly 0.5 is served; one float below it is not."""
+    detections, truths = _one_box(UNIT, score)
+    assert count_detected_objects(detections, truths) == int(served)
+    assert count_summary(detections, truths).detected == int(served)
+    assert per_image_count(detections, truths) == int(served)
+
+
+@pytest.mark.parametrize("width, matched", EDGE[1:] + [(0.25, False)])
+def test_count_matches_at_the_iou_threshold(width, matched):
+    """An overlap of exactly 0.5 claims the annotation, as the oracle's did."""
+    detections, truths = _at_overlap(width)
+    assert count_detected_objects(detections, truths) == int(matched)
+    _, row_tp = greedy_match_segments(detections, np.array([0]), np.array([1]), truths, np.array([0]))
+    assert row_tp.tolist() == [matched]
+    oracle = legacy.greedy_match_arrays(
+        detections.boxes, detections.labels, truths.boxes, truths.labels, iou_threshold=0.5
+    )
+    assert oracle.is_tp.tolist() == [matched]
+
+
+@pytest.mark.parametrize("width, matched", EDGE[1:] + [(0.25, False)])
+def test_map_matches_at_the_iou_threshold(width, matched):
+    """A lone detection at the edge scores AP 1 when it matches, else 0."""
+    detections, truths = _at_overlap(width)
+    ours = evaluate_detections(detections, truths, 1)
+    theirs = legacy.evaluate_detections(detections, truths, 1, iou_threshold=0.5, use_07_metric=True)
+    assert ours.per_class_ap == theirs.per_class_ap
+    assert (ours.per_class_ap[0] > 0.99) is matched and (ours.per_class_ap[0] == 0.0) is not matched
+    assert float.hex(mean_average_precision(detections, truths, 1)) == float.hex(theirs.map_percent)
+
+
+@pytest.mark.parametrize("score", [0.0, BELOW, 0.5])
+def test_map_ranks_boxes_below_the_serving_threshold(score):
+    """mAP ranks every box it is given: the serving threshold gates counting
+    only, so a matched box scores AP 1 at any confidence."""
+    detections, truths = _one_box(UNIT, score)
+    assert evaluate_detections(detections, truths, 1).per_class_ap[0] == pytest.approx(1.0)

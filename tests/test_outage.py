@@ -259,12 +259,15 @@ class TestEscalationPolicy:
             EscalationPolicy.durable_queue(**{field: value})
 
 
-class _ZeroJitter:
-    """An RNG stub whose jitter draw is 0.0, so each delay is exactly the
-    unjittered backoff."""
+class _FixedJitter:
+    """An RNG stub whose jitter draw is always ``draw``; 0.0 makes each delay
+    exactly the unjittered backoff."""
+
+    def __init__(self, draw: float) -> None:
+        self.draw = draw
 
     def uniform(self, low: float, high: float) -> float:
-        return 0.0
+        return self.draw
 
 
 class TestEscalationBackoff:
@@ -272,13 +275,24 @@ class TestEscalationBackoff:
     def _queue(policy, rng=None):
         return EscalationQueue(camera=None, policy=policy, rng=np.random.default_rng(0) if rng is None else rng)
 
+    @pytest.mark.parametrize("failures", [1, 2, 3, 4])
+    def test_delay_doubles_from_half_a_second_within_ten_percent(self, failures):
+        # the durable queue's fixed shape: 0.5 s, x2 per failure, 1 +/- 0.1
+        policy = EscalationPolicy.durable_queue()
+        unjittered = 0.5 * 2.0 ** (failures - 1)
+        for draw, scale in ((-1.0, 0.9), (0.0, 1.0), (1.0, 1.1)):
+            queue = self._queue(policy, _FixedJitter(draw))
+            for _ in range(failures):
+                queue.note_failure()
+            assert queue._backoff() == pytest.approx(unjittered * scale, rel=1e-12)
+
     def test_backoff_saturates_past_the_float_range(self):
         # BACKOFF_FACTOR ** (failures - 1) overflows a float at 1025
         # consecutive failures with factor 2; the delay must saturate at
         # max_backoff_s instead of raising OverflowError, and stay the same
         # float below the overflow
         policy = EscalationPolicy.durable_queue(max_backoff_s=8.0)
-        queue = self._queue(policy, _ZeroJitter())
+        queue = self._queue(policy, _FixedJitter(0.0))  # the unjittered delay
         for failures in range(1, 1101):
             queue.note_failure()
             expected = min(8.0, 0.5 * 2.0 ** (failures - 1)) if failures < 1025 else 8.0

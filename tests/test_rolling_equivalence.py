@@ -43,6 +43,7 @@ import _legacy_rolling as legacy
 from repro.data import load_dataset
 from repro.data.degrade import DegradationModel
 from repro.detection import DetectionBatch
+from repro.errors import ConfigurationError
 from repro.metrics import count_detected_objects, mean_average_precision, rolling_quality
 from repro.runtime import (
     JETSON_NANO,
@@ -385,3 +386,26 @@ class TestWindowGridRegression:
         assert _window_count(40.0, 8.0) == 5
         assert _window_count(20.0, 3.0) == 7
         assert _window_count(0.0, 1.0) == 1
+
+
+class TestArgumentChecks:
+    """Window width and freshness deadline are checked on entry, before the
+    report is read."""
+
+    BAD = [0.0, -1.0, float("nan"), float("inf")]
+
+    @pytest.fixture(scope="class")
+    def report(self, deployment, helmet_mini, big_batch):
+        config = StreamConfig(fps=10.0, poisson=True, duration_s=0.9)
+        spec = FleetSpec(cloud_only_scheme(), config, detections=big_batch)
+        return serve_fleet(deployment, helmet_mini, spec, seed=5)
+
+    @pytest.mark.parametrize("window_s", BAD)
+    def test_bad_window_rejected(self, report, helmet_mini, window_s):
+        with pytest.raises(ConfigurationError, match="window_s"):
+            rolling_quality(report, helmet_mini, window_s=window_s)
+
+    @pytest.mark.parametrize("freshness_s", BAD)
+    def test_bad_freshness_rejected(self, report, helmet_mini, freshness_s):
+        with pytest.raises(ConfigurationError, match="freshness_s"):
+            rolling_quality(report, helmet_mini, freshness_s=freshness_s)
