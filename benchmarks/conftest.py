@@ -1,21 +1,18 @@
 """Shared benchmark fixtures.
 
-The benchmarks run at the *full* paper scale (all 4 952 / 4 914 / 1 000 test
-images, 5 000-image training subsets for the threshold fits).  A single
-session-scoped harness memoises detections and fits, and a persistent disk
-cache under ``.repro_cache/`` makes re-runs fast.
+Every file here times a kernel, a serving run or the suite scheduler; the
+paper's shape claims are checked by ``repro.experiments.claims`` instead.
+Benches that need experiment artifacts share one session-scoped harness at
+the *full* paper scale (all 4 952 / 4 914 / 1 000 test images, 5 000-image
+training subsets for the threshold fits); it memoises detections and fits,
+and a persistent disk cache under ``.repro_cache/`` makes re-runs fast.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.experiments import Harness, HarnessConfig
-from repro.experiments.formatting import format_figure, format_table
-
-OUTPUT_DIR = Path(__file__).parent / "_output"
 
 
 @pytest.fixture(scope="session")
@@ -28,20 +25,3 @@ def harness() -> Harness:
     """
     with Harness(HarnessConfig()) as shared:
         yield shared
-
-
-@pytest.fixture(scope="session")
-def emit():
-    """Write a rendered table/figure to benchmarks/_output/ and stdout."""
-    OUTPUT_DIR.mkdir(exist_ok=True)
-
-    def _emit(result, stem: str) -> None:
-        if hasattr(result, "table_id"):
-            rendered = format_table(result)
-        else:
-            rendered = format_figure(result)
-        (OUTPUT_DIR / f"{stem}.txt").write_text(rendered + "\n")
-        print()
-        print(rendered)
-
-    return _emit

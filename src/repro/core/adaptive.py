@@ -18,7 +18,6 @@ deployment needs:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +28,17 @@ from repro.core.thresholds import decide_one, decide_rule
 from repro.errors import CalibrationError, ConfigurationError
 from repro.metrics.classify import binary_metrics
 
-__all__ = ["BudgetFit", "fit_for_budget", "BudgetController"]
+__all__ = ["BudgetFit", "fit_for_budget", "BudgetController", "GAIN", "EMA_HALFLIFE", "AREA_BOUNDS"]
+
+#: :class:`BudgetController`'s integral gain: the area-threshold step per
+#: unit of upload-ratio error.
+GAIN = 0.05
+#: Halflife, in decisions, of the controller's realised-ratio EMA.
+EMA_HALFLIFE = 20
+#: The range the adapted area threshold is clamped to.
+AREA_BOUNDS = (0.0, 0.8)
+_AREA_LO, _AREA_HI = AREA_BOUNDS
+_ALPHA = 1.0 - 0.5 ** (1.0 / EMA_HALFLIFE)
 
 
 @dataclass(frozen=True)
@@ -100,12 +109,12 @@ class BudgetController:
     Wraps a fitted :class:`DifficultCaseDiscriminator` and adjusts its area
     threshold after every decision:
 
-    ``area += gain * (target - realised_ratio)``
+    ``area = clip(area + GAIN * (target - realised_ratio), *AREA_BOUNDS)``
 
     A higher area threshold uploads more (more images fail the "too small"
     test), so the sign is positive.  The realised ratio is tracked with an
-    exponential moving average, making the controller robust to drift in
-    the scene distribution.
+    exponential moving average of halflife :data:`EMA_HALFLIFE`, making the
+    controller robust to drift in the scene distribution.
 
     Only the area threshold ever moves, so an image's features are fixed
     for the controller's lifetime: callers serving a known split extract
@@ -113,33 +122,14 @@ class BudgetController:
     them from one image's detections first.
     """
 
-    def __init__(
-        self,
-        discriminator: DifficultCaseDiscriminator,
-        target_ratio: float,
-        *,
-        gain: float = 0.05,
-        ema_halflife: int = 50,
-        area_bounds: tuple[float, float] = (0.0, 0.8),
-    ) -> None:
-        # Every comparison is written so that NaN fails it.
-        if not 0.0 < target_ratio < 1.0:
+    def __init__(self, discriminator: DifficultCaseDiscriminator, target_ratio: float) -> None:
+        if not 0.0 < target_ratio < 1.0:  # also catches NaN
             raise ConfigurationError(f"target_ratio must be in (0, 1), got {target_ratio}")
-        if not 0.0 < gain < math.inf:
-            raise ConfigurationError(f"gain must be positive and finite, got {gain}")
-        if not 1 <= ema_halflife < math.inf:  # inf would freeze the EMA (alpha 0)
-            raise ConfigurationError(f"ema_halflife must be >= 1 and finite, got {ema_halflife}")
-        lo, hi = area_bounds
-        if not 0.0 <= lo < hi:
-            raise ConfigurationError(f"invalid area bounds {area_bounds}")
         self._initial = discriminator
         self._initial_target = target_ratio
         self._count_threshold = discriminator.count_threshold
         self._area = float(discriminator.area_threshold)
         self.target_ratio = target_ratio
-        self.gain = gain
-        self._alpha = 1.0 - 0.5 ** (1.0 / ema_halflife)
-        self._lo, self._hi = float(lo), float(hi)
         self._ema = target_ratio
         self.decisions = 0
         self.uploads = 0
@@ -187,8 +177,8 @@ class BudgetController:
         verdict = decide_one(n_predict, n_estimated, min_area, self._count_threshold, self._area)
         self.decisions += 1
         self.uploads += verdict
-        self._ema = (1.0 - self._alpha) * self._ema + self._alpha * float(verdict)
+        self._ema = (1.0 - _ALPHA) * self._ema + _ALPHA * float(verdict)
         error = self.target_ratio - self._ema
         # min/max in this order is np.clip bit for bit, signed zeros included.
-        self._area = min(max(self._area + self.gain * error, self._lo), self._hi)
+        self._area = min(max(self._area + GAIN * error, _AREA_LO), _AREA_HI)
         return verdict

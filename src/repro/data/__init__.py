@@ -10,7 +10,6 @@ from repro.data.datasets import (
     load_dataset,
 )
 from repro.data.degrade import PRISTINE, Degradation, DegradationModel
-from repro.data.io import save_dataset, save_detections
 from repro.data.render import brenner_gradient, render_image
 from repro.data.scene import Scene, SceneProfile, sample_scene
 from repro.data.stats import per_image_features
@@ -28,8 +27,6 @@ __all__ = [
     "PRISTINE",
     "Degradation",
     "DegradationModel",
-    "save_dataset",
-    "save_detections",
     "brenner_gradient",
     "render_image",
     "Scene",

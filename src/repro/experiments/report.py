@@ -1,15 +1,21 @@
-"""EXPERIMENTS.md generation: paper-vs-measured for every table and figure."""
+"""EXPERIMENTS.md generation: paper-vs-measured for every table and figure.
+
+``python -m repro.experiments.report`` also checks the paper's shape claims
+(:mod:`repro.experiments.claims`) on the suite it rendered and exits
+non-zero, naming each violated claim.
+"""
 
 from __future__ import annotations
 
 from pathlib import Path
 
+from repro.experiments.claims import CLAIMS, Claim, violated_claims
 from repro.experiments.formatting import format_table_markdown, sparkline
 from repro.experiments.harness import Harness, HarnessConfig
 from repro.experiments.results import FigureResult
-from repro.experiments.suite import run_suite
+from repro.experiments.suite import SuiteResult, run_suite
 
-__all__ = ["render_report", "write_report"]
+__all__ = ["render_report", "write_report", "check_claims"]
 
 _PREAMBLE = """# EXPERIMENTS — paper vs measured
 
@@ -30,7 +36,7 @@ Regenerate with:
 
 ```bash
 python -m repro.experiments.report              # full-size splits
-pytest benchmarks/bench_*.py --benchmark-only   # per-table benches
+pytest tests/test_claims.py                     # paper claims, quick scale
 ```
 
 Known deviations (and why they are inherent to the substitution):
@@ -92,13 +98,10 @@ def _figure_markdown(figure: FigureResult) -> str:
     return "\n".join(lines)
 
 
-def render_report(harness: Harness) -> str:
-    """Render the full EXPERIMENTS.md content from :func:`run_suite`'s
-    tables and figures (their detections fanned out across the harness's
-    worker pool first, a no-op when serial)."""
-    suite = run_suite(harness)
+def render_report(suite: SuiteResult, config: HarnessConfig) -> str:
+    """Render the full EXPERIMENTS.md content from a :func:`run_suite`
+    result and the harness configuration it ran at."""
     parts = [_PREAMBLE]
-    config = harness.config
     parts.append(
         f"\nRun configuration: seed {config.seed}, train images per setting "
         f"<= {config.train_images}, test fraction {config.test_fraction}.\n"
@@ -112,13 +115,23 @@ def render_report(harness: Harness) -> str:
     return "\n".join(parts)
 
 
-def write_report(path: str | Path) -> Path:
-    """Generate EXPERIMENTS.md at ``path`` from a fresh harness, closed
-    before returning, and return the path."""
-    path = Path(path)
+def write_report(path: str | Path) -> SuiteResult:
+    """Generate EXPERIMENTS.md at ``path`` from a fresh full-scale harness,
+    closed before returning, and return the suite it rendered (its
+    detections fanned out across the harness's worker pool first, a no-op
+    when serial)."""
     with Harness(HarnessConfig()) as harness:
-        path.write_text(render_report(harness))
-    return path
+        suite = run_suite(harness)
+        Path(path).write_text(render_report(suite, harness.config))
+    return suite
+
+
+def check_claims(suite: SuiteResult, config: HarnessConfig, claims: tuple[Claim, ...] = CLAIMS) -> None:
+    """Exit non-zero, naming each claim ``suite`` violates at ``config``'s
+    scale; return quietly when every claim holds."""
+    violated = violated_claims(suite, config, claims)
+    if violated:
+        raise SystemExit("violated paper claims:\n" + "\n".join(f"  {claim}" for claim in violated))
 
 
 def main() -> None:  # pragma: no cover - CLI entry point
@@ -126,8 +139,9 @@ def main() -> None:  # pragma: no cover - CLI entry point
     import sys
 
     target = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
-    written = write_report(target)
-    print(f"wrote {written}")
+    suite = write_report(target)
+    print(f"wrote {target}")
+    check_claims(suite, HarnessConfig())
 
 
 if __name__ == "__main__":  # pragma: no cover

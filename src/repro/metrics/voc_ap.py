@@ -86,6 +86,7 @@ def voc_ap_from_pr(recall: np.ndarray, precision: np.ndarray) -> float:
     """11-point average precision from a PR curve (VOC2007 devkit).
 
     The mean of the interpolated precision at recall 0, 0.1, ..., 1.0.
+    ``recall`` must be non-decreasing, as along every PR curve.
     """
     recall = np.asarray(recall, dtype=np.float64).reshape(-1)
     precision = np.asarray(precision, dtype=np.float64).reshape(-1)
@@ -93,22 +94,17 @@ def voc_ap_from_pr(recall: np.ndarray, precision: np.ndarray) -> float:
         raise ConfigurationError("recall and precision must have equal length")
     if recall.size == 0:
         return 0.0
-    points = np.linspace(0.0, 1.0, 11)
-    if np.all(recall[1:] >= recall[:-1]):
-        # Sorted recall (every PR curve): the interpolated precision at
-        # each point is a suffix maximum, found by one reversed running
-        # max plus a searchsorted — no per-point boolean scans.
-        suffix_max = np.maximum.accumulate(precision[::-1])[::-1]
-        first = np.searchsorted(recall, points, side="left")
-        interpolated = np.where(
-            first < recall.size,
-            suffix_max[np.minimum(first, recall.size - 1)],
-            0.0,
-        )
-    else:
-        interpolated = np.array(
-            [precision[recall >= point].max() if (recall >= point).any() else 0.0 for point in points]
-        )
+    if not np.all(recall[1:] >= recall[:-1]):
+        raise ConfigurationError("recall must be non-decreasing")
+    # The interpolated precision at each point is a suffix maximum, found
+    # by one reversed running max plus a searchsorted.
+    suffix_max = np.maximum.accumulate(precision[::-1])[::-1]
+    first = np.searchsorted(recall, np.linspace(0.0, 1.0, 11), side="left")
+    interpolated = np.where(
+        first < recall.size,
+        suffix_max[np.minimum(first, recall.size - 1)],
+        0.0,
+    )
     ap = 0.0
     for p in interpolated:
         ap += float(p) / 11.0

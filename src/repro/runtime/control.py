@@ -446,9 +446,6 @@ class UplinkCoordinator:
 # --------------------------------------------------------------------- #
 # adaptive offload quotas (the BudgetController, finally wired)
 # --------------------------------------------------------------------- #
-#: Halflife, in decisions, of each quota controller's realised-ratio EMA.
-_QUOTA_EMA_HALFLIFE = 20
-
 class AdaptiveQuota:
     """Per-camera adaptive offload quota around :class:`BudgetController`.
 
@@ -456,8 +453,8 @@ class AdaptiveQuota:
     by nudging the discriminator's area threshold after every decision —
     the drift robustness :mod:`repro.core.adaptive` promises, now actually
     reachable from the serving engines (it was dead public API before).
-    The controllers run at :class:`BudgetController`'s default gain and
-    area bounds, with a 20-decision EMA halflife.
+    The controllers run at :mod:`repro.core.adaptive`'s fixed gain, EMA
+    halflife and area bounds.
 
     ``small_detections`` must describe the records the camera serves (a
     degraded camera brings its own); ``reset()`` clears all per-camera
@@ -503,7 +500,7 @@ class AdaptiveQuota:
         """This camera's live integral controller (created on first use)."""
         controller = self._controllers.get(id(camera))
         if controller is None:
-            controller = BudgetController(self._discriminator, self.target_ratio, ema_halflife=_QUOTA_EMA_HALFLIFE)
+            controller = BudgetController(self._discriminator, self.target_ratio)
             self._controllers[id(camera)] = controller
         return controller
 

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _legacy_budget as legacy
+from repro.core import adaptive
 from repro.core.adaptive import BudgetController, fit_for_budget
+from repro.core.cases import label_cases
 from repro.core.discriminator import DifficultCaseDiscriminator
-from repro.core.features import extract_features
+from repro.core.features import extract_feature_arrays, extract_features
 from repro.core.thresholds import decide_rule
 from repro.detection.boxes import box_area
 from repro.detection.types import Detections
@@ -68,10 +70,31 @@ class TestFitForBudget:
             fit_for_budget(n_predict, counts, areas, labels, 0.0)
 
 
+def test_budget_fits_and_controller_on_the_harness(harness):
+    """The two deployment extensions on VOC07+12's small model 1: the
+    offline budget fit trades recall for bandwidth monotonically, and the
+    online controller holds the test stream near its upload target."""
+    discriminator, _ = harness.discriminator("small1", "ssd", "voc07+12")
+    small_train = harness.detections("small1", "voc07+12", "train")
+    labels = label_cases(small_train, harness.detections("ssd", "voc07+12", "train"))
+    features = extract_feature_arrays(small_train, discriminator.confidence_threshold)
+    recalls = []
+    for budget in (0.2, 0.35, 0.5, 0.7):
+        fit = fit_for_budget(*features, labels, budget)
+        assert fit.expected_upload_ratio <= budget + 1e-9
+        recalls.append(fit.recall)
+    assert all(b >= a - 1e-9 for a, b in zip(recalls, recalls[1:]))
+
+    controller = BudgetController(discriminator, target_ratio=0.3)
+    for dets in harness.detections("small1", "voc07+12", "test"):
+        controller.decide(dets)
+    assert controller.realised_ratio == np.clip(controller.realised_ratio, 0.2, 0.4)
+
+
 class TestBudgetController:
-    def _controller(self, target=0.3, area=0.3, gain=0.05):
+    def _controller(self, target=0.3, area=0.3):
         discriminator = DifficultCaseDiscriminator(confidence_threshold=0.15, count_threshold=2, area_threshold=area)
-        return BudgetController(discriminator, target, gain=gain)
+        return BudgetController(discriminator, target)
 
     def test_tracks_target_on_live_detections(self, small1_voc07, voc_test_small):
         controller = self._controller(target=0.3)
@@ -82,7 +105,7 @@ class TestBudgetController:
     def test_threshold_moves_toward_budget(self, small1_voc07, voc_test_small):
         # Start with an aggressive threshold; a small target must pull the
         # area threshold down over time.
-        controller = self._controller(target=0.1, area=0.6, gain=0.1)
+        controller = self._controller(target=0.1, area=0.6)
         start = controller.discriminator.area_threshold
         for record in voc_test_small.records:
             controller.decide(small1_voc07.detect(record))
@@ -96,41 +119,15 @@ class TestBudgetController:
         assert 0 <= controller.uploads <= 50
 
     def test_threshold_stays_in_bounds(self, small1_voc07, voc_test_small):
-        controller = BudgetController(
-            DifficultCaseDiscriminator(0.15, 2, 0.5),
-            target_ratio=0.05,
-            gain=0.5,
-            area_bounds=(0.0, 0.6),
-        )
+        controller = BudgetController(DifficultCaseDiscriminator(0.15, 2, 0.5), target_ratio=0.05)
         for record in voc_test_small.records:
             controller.decide(small1_voc07.detect(record))
-            assert 0.0 <= controller.discriminator.area_threshold <= 0.6
+            assert 0.0 <= controller.discriminator.area_threshold <= 0.8
 
-    def test_invalid_parameters_rejected(self):
-        discriminator = DifficultCaseDiscriminator(0.15, 2, 0.3)
+    @pytest.mark.parametrize("target", [0.0, 1.0, -0.1, math.nan])
+    def test_invalid_target_rejected(self, target):
         with pytest.raises(ConfigurationError):
-            BudgetController(discriminator, target_ratio=0.0)
-        with pytest.raises(ConfigurationError):
-            BudgetController(discriminator, target_ratio=0.5, gain=0.0)
-        with pytest.raises(ConfigurationError):
-            BudgetController(discriminator, 0.5, area_bounds=(0.5, 0.2))
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"gain": math.nan},
-            {"gain": math.inf},
-            {"ema_halflife": math.nan},
-            {"area_bounds": (math.nan, 0.5)},
-            {"area_bounds": (0.0, math.nan)},
-        ],
-    )
-    def test_nan_parameters_rejected(self, kwargs):
-        discriminator = DifficultCaseDiscriminator(0.15, 2, 0.3)
-        with pytest.raises(ConfigurationError):
-            BudgetController(discriminator, 0.5, **kwargs)
-        with pytest.raises(ConfigurationError):
-            BudgetController(discriminator, math.nan)
+            BudgetController(DifficultCaseDiscriminator(0.15, 2, 0.3), target)
 
     def test_discriminator_materialised_on_read(self):
         discriminator = DifficultCaseDiscriminator(0.15, 2, 0.3)
@@ -147,6 +144,14 @@ class TestBudgetController:
 # --------------------------------------------------------------------- #
 # bit-for-bit equivalence with the per-frame legacy controller
 # --------------------------------------------------------------------- #
+#: The settings the legacy oracle is given: ``BudgetController``'s constants.
+LEGACY_SETTINGS = {"gain": 0.05, "ema_halflife": 20, "area_bounds": (0.0, 0.8)}
+
+
+def test_legacy_settings_are_the_constants():
+    assert (adaptive.GAIN, adaptive.EMA_HALFLIFE, adaptive.AREA_BOUNDS) == tuple(LEGACY_SETTINGS.values())
+
+
 def _bits(value: float) -> str:
     """``repr`` tells -0.0 from 0.0, so equal strings are equal bits."""
     return repr(float(value))
@@ -180,26 +185,17 @@ def _controller_runs(draw):
         count_threshold=draw(st.integers(0, 4)),
         area_threshold=draw(st.floats(0.0, 1.0) | on_box),
     )
-    lo = draw(st.floats(0.0, 0.5) | on_box.filter(lambda area: area <= 0.5))
-    bounds = (lo, lo + draw(st.floats(0.01, 0.8)))
-    params = {
-        "target_ratio": draw(st.floats(0.01, 0.99)),
-        "gain": draw(st.sampled_from([1e-3, 0.05, 0.5, 3.0]) | st.floats(1e-4, 5.0)),
-        "ema_halflife": draw(st.integers(1, 60)),
-        "area_bounds": bounds,
-    }
+    target = draw(st.floats(0.01, 0.99))
     # Mid-run target moves: ``target_ratio`` is a public, writable attribute.
     retargets = draw(st.dictionaries(st.integers(0, 3 * len(images)), st.floats(0.02, 0.98), max_size=4))
-    return images, discriminator, params, retargets
+    return images, discriminator, target, retargets
 
 
-def _run_controllers(images, discriminator, params, retargets, passes=3):
+def _run_controllers(images, discriminator, target, retargets, passes=3):
     """Drive the legacy, detection and feature paths over the same stream."""
-    target = params["target_ratio"]
-    kwargs = {key: value for key, value in params.items() if key != "target_ratio"}
-    old = legacy.BudgetController(discriminator, target, **kwargs)
-    via_detections = BudgetController(discriminator, target, **kwargs)
-    via_features = BudgetController(discriminator, target, **kwargs)
+    old = legacy.BudgetController(discriminator, target, **LEGACY_SETTINGS)
+    via_detections = BudgetController(discriminator, target)
+    via_features = BudgetController(discriminator, target)
     features = []
     for image in images:
         f = extract_features(image, discriminator.confidence_threshold)
@@ -236,24 +232,23 @@ class TestLegacyEquivalence:
     def test_matches_legacy_controller(self, run):
         _run_controllers(*run)
 
-    @pytest.mark.parametrize("gain", [0.5, 3.0])
-    def test_clipping_at_both_bounds(self, gain):
-        """Alternating runs of difficult and easy images drive the area
-        threshold into both clamps; the trajectories still agree."""
+    def test_clipping_at_both_bounds(self):
+        """A run of difficult images under a low target, then easy ones
+        under a high target, drive the area threshold into both clamps;
+        the trajectories still agree."""
         difficult = Detections("hard", np.array([[0.0, 0.0, 0.1, 0.1]]), np.array([0.3]), np.array([0]))
         easy = Detections("easy", np.array([[0.0, 0.0, 0.9, 0.9]]), np.array([0.9]), np.array([0]))
-        images = ([difficult] * 30 + [easy] * 30) * 2
+        images = [difficult] * 60 + [easy] * 60
         discriminator = DifficultCaseDiscriminator(0.2, 3, 0.3)
-        params = {"target_ratio": 0.5, "gain": gain, "ema_halflife": 2, "area_bounds": (0.05, 0.6)}
-        areas = _run_controllers(images, discriminator, params, {}, passes=1)
-        assert min(areas) == 0.05 and max(areas) == 0.6
+        areas = _run_controllers(images, discriminator, 0.02, {60: 0.98}, passes=1)
+        assert (min(areas), max(areas)) == adaptive.AREA_BOUNDS
 
     def test_reset_reuse_matches_legacy(self):
         difficult = Detections("hard", np.array([[0.0, 0.0, 0.1, 0.1]]), np.array([0.3]), np.array([0]))
         easy = Detections("easy", np.array([[0.0, 0.0, 0.9, 0.9]]), np.array([0.9]), np.array([0]))
         discriminator = DifficultCaseDiscriminator(0.2, 3, 0.3)
-        old = legacy.BudgetController(discriminator, 0.3, gain=0.2)
-        new = BudgetController(discriminator, 0.3, gain=0.2)
+        old = legacy.BudgetController(discriminator, 0.3, **LEGACY_SETTINGS)
+        new = BudgetController(discriminator, 0.3)
         for _ in range(2):
             old.reset()
             new.reset()

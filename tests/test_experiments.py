@@ -1,7 +1,8 @@
 """Integration tests: harness caching, table/figure runners, report output.
 
-These run at the quick configuration (small splits) and assert the paper's
-*shape* properties rather than absolute values.
+These run at the quick configuration (small splits).  The paper's shape
+claims are declared once in ``repro.experiments.claims`` and checked by
+``test_claims.py``; the fleet tables' acceptance properties stay here.
 """
 
 from __future__ import annotations
@@ -17,20 +18,13 @@ from repro.experiments import (
     admission_policy_outcomes,
     availability_outcomes,
     control_plane_outcomes,
-    figure_04_case_scatter,
     figure_07_threshold_sweep,
-    figure_08_map_vs_upload,
-    figure_09_counts_vs_upload,
     format_figure,
     format_table,
     format_table_markdown,
     network_outcomes,
-    table_01_discriminator,
     table_02_model_zoo,
     table_03_map_small1,
-    table_04_counts_small1,
-    table_11_helmet_realworld,
-    table_12_random_map,
 )
 from repro.experiments.figures import difficulty_priority
 
@@ -69,86 +63,13 @@ class TestHarnessCaching:
         assert harness.model_map("ssd", "voc07") == value
 
 
-class TestTableShapes:
-    def test_table01_recall_high_on_ground_truth(self, harness):
-        result = table_01_discriminator(harness)
-        gt_row = result.row_for("features", "Ground Truth")
-        pred_row = result.row_for("features", "Predicted")
-        assert gt_row["recall"] > 85.0
-        assert gt_row["accuracy"] > 70.0
-        assert pred_row["accuracy"] <= gt_row["accuracy"] + 5.0
+class TestTableLayout:
+    """The paper's shape claims on these tables and figures are declared
+    in ``repro.experiments.claims`` and checked by ``test_claims.py``."""
 
-    def test_table02_pruned_above_80(self, harness):
-        result = table_02_model_zoo(harness)
-        for row in result.rows[:-1]:
-            assert row["pruned_percent"] > 80.0
-
-    def test_table03_orderings(self, harness):
-        result = table_03_map_small1(harness)
-        for row in result.rows[:-1]:
-            assert row["small_map"] < row["e2e_map"] <= row["big_map"] + 2.0
-            assert 20.0 < row["upload_percent"] < 80.0
-
-    def test_table03_average_row(self, harness):
-        result = table_03_map_small1(harness)
-        average = result.rows[-1]
-        assert average["setting"] == "Average"
+    def test_map_table_average_row_carries_only_upload(self, harness):
+        average = table_03_map_small1(harness).rows[-1]
         assert math.isnan(average["big_map"])
-
-    def test_table04_count_ratios(self, harness):
-        # Quick-scale splits make the threshold fit noisy; the strict >= 92 %
-        # shape criterion is asserted by the full-scale benchmarks.
-        result = table_04_counts_small1(harness)
-        for row in result.rows[:-1]:
-            assert row["small"] < row["e2e"] <= row["big"] * 1.02
-            assert row["e2e_over_big_percent"] > 75.0
-
-    def test_table11_runtime_ordering(self, harness):
-        result = table_11_helmet_realworld(harness)
-        times = result.row_for("metric", "total_inference_time_s")
-        assert times["edge_only"] < times["ours"] < times["cloud_only"]
-        maps = result.row_for("metric", "mAP")
-        assert maps["edge_only"] < maps["ours"] < maps["cloud_only"]
-
-    def test_table12_ours_beats_random(self, harness):
-        result = table_12_random_map(harness)
-        for row in result.rows:
-            assert row["ours_e2e_map"] > row["baseline_e2e_map"]
-
-
-class TestFigureShapes:
-    def test_fig04_separation(self, harness):
-        figure = figure_04_case_scatter(harness)
-        easy_counts = np.asarray(figure.series["easy_count"])
-        difficult_counts = np.asarray(figure.series["difficult_count"])
-        easy_areas = np.asarray(figure.series["easy_min_area"])
-        difficult_areas = np.asarray(figure.series["difficult_min_area"])
-        assert difficult_counts.mean() > easy_counts.mean()
-        assert np.median(difficult_areas) < np.median(easy_areas)
-
-    def test_fig07_recall_monotone(self, harness):
-        figure = figure_07_threshold_sweep(harness)
-        recalls = figure.series["recall"]
-        assert all(b >= a - 1e-9 for a, b in zip(recalls, recalls[1:]))
-
-    def test_fig08_concave_increasing_with_knee(self, harness):
-        figure = figure_08_map_vs_upload(harness)
-        maps = figure.series["e2e_map"]
-        assert maps[0] < maps[-1]
-        assert all(b >= a - 0.8 for a, b in zip(maps, maps[1:]))  # ~monotone
-        fraction = figure.series["fraction_of_cloud_only"]
-        # The paper's knee: at 50% upload, >= ~85% of cloud-only quality.
-        assert fraction[5] > 0.85
-        # Concavity: the first half of the climb gains more than the second.
-        first_half = maps[5] - maps[0]
-        second_half = maps[10] - maps[5]
-        assert first_half > second_half
-
-    def test_fig09_counts_knee(self, harness):
-        figure = figure_09_counts_vs_upload(harness)
-        fraction = figure.series["fraction_of_cloud_only"]
-        assert fraction[5] > 0.85
-        assert fraction[-1] == pytest.approx(1.0, abs=1e-6)
 
     def test_difficulty_priority_orders_uncertain_first(self):
         priority = difficulty_priority(np.array([1, 2]), np.array([2, 2]), np.array([0.4, 0.4]))

@@ -44,6 +44,11 @@ class TestVocApFromPr:
         with pytest.raises(ConfigurationError):
             voc_ap_from_pr(np.zeros(3), np.zeros(2))
 
+    @pytest.mark.parametrize("recall", [[0.5, 0.2], [0.1, np.nan, 0.3]])
+    def test_unsorted_recall_rejected(self, recall):
+        with pytest.raises(ConfigurationError, match="non-decreasing"):
+            voc_ap_from_pr(np.asarray(recall), np.ones(len(recall)))
+
     @settings(max_examples=50)
     @given(n=st.integers(1, 30), seed=st.integers(0, 10_000))
     def test_ap_bounded(self, n, seed):

@@ -110,6 +110,20 @@ class TestSearch:
         with pytest.raises(ConfigurationError):
             search_configuration(size_budget_mib=0.1)
 
+    def test_pareto_front_anchored_at_small_model_1(self):
+        """Sweeping the edge device's size budget yields a clean
+        capability/size front: budgets hold, compute never shrinks, the
+        predicted small-object response improves, and at small model 1's
+        own budget the search matches the hand design's compute."""
+        budgets = (4.0, 8.0, 12.0, 18.5, 30.0)
+        results = {budget: search_configuration(size_budget_mib=budget) for budget in budgets}
+        for budget, result in results.items():
+            assert result.spec.size_mib <= budget
+        gflops = [results[b].spec.gflops for b in budgets]
+        assert all(b >= a - 1e-9 for a, b in zip(gflops, gflops[1:]))
+        assert results[4.0].predicted_profile.area_half > results[30.0].predicted_profile.area_half
+        assert results[18.5].spec.gflops >= build_small_model_1().gflops * 0.8
+
 
 class TestFasterRcnn:
     def test_published_parameter_count(self):
