@@ -12,6 +12,7 @@ import pytest
 
 from repro.data import load_dataset
 from repro.experiments import Harness, HarnessConfig
+from repro.experiments.suite import SuiteResult, run_suite
 from repro.simulate import make_detector
 
 
@@ -33,6 +34,12 @@ def harness(quick_config) -> Harness:
     """Session-wide quick harness (worker pool shut down at session end)."""
     with Harness(quick_config) as shared:
         yield shared
+
+
+@pytest.fixture(scope="session")
+def suite(harness) -> SuiteResult:
+    """Every table and figure rendered once on the session harness."""
+    return run_suite(harness)
 
 
 @pytest.fixture(scope="session")

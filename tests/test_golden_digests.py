@@ -34,11 +34,11 @@ def _digest(markdown: str, exact: tuple) -> str:
     return hashlib.sha256((markdown + "\n" + repr(exact)).encode()).hexdigest()
 
 
-def quick_digests(harness) -> dict[str, str]:
+def quick_digests(harness, suite) -> dict[str, str]:
     """``{"table <id>" | "figure <id>" | "discriminator <pair>": sha256}``
-    for every rendered result and every fitted discriminator."""
+    for every result ``suite`` rendered on ``harness`` and every fitted
+    discriminator."""
     digests = {}
-    suite = run_suite(harness)
     for table in suite.tables:
         exact = (table.title, table.columns, table.rows, table.paper_rows, table.notes)
         digests[f"table {table.table_id}"] = _digest(format_table_markdown(table), exact)
@@ -56,9 +56,9 @@ def quick_digests(harness) -> dict[str, str]:
     return digests
 
 
-def test_quick_tables_and_figures_match_golden_digests(harness):
+def test_quick_tables_and_figures_match_golden_digests(harness, suite):
     expected = json.loads(GOLDEN.read_text())
-    assert quick_digests(harness) == expected
+    assert quick_digests(harness, suite) == expected
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
@@ -75,7 +75,7 @@ if __name__ == "__main__":  # pragma: no cover - regeneration entry point
             cache_dir=cache,
         )
         with Harness(config) as owned:
-            digests = quick_digests(owned)
+            digests = quick_digests(owned, run_suite(owned))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}")
