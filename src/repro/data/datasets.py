@@ -28,7 +28,9 @@ split's annotations are validated once as one
 :class:`GroundTruth` is a zero-copy view of its segment.  The batch is the
 dataset's ``truth_batch`` from the start, and ``subset`` and
 ``with_degradation`` slice or reuse it, so a generated split is never
-flattened again.
+flattened again.  Its annotation columns are read-only, because one split
+may serve many callers: :func:`extend_dataset` grows the head of a split
+into a longer one without generating the head's images again.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "DATASET_SETTINGS",
     "list_settings",
     "load_dataset",
+    "extend_dataset",
 ]
 
 
@@ -330,26 +333,75 @@ def load_dataset(
     except KeyError:
         raise DatasetError(f"unknown setting {setting!r}; available: {', '.join(list_settings())}") from None
 
+    return _generate(entry, split, seed, 0, _split_size(entry, split, fraction))
+
+
+def extend_dataset(prefix: Dataset, fraction: float, *, seed: int = DEFAULT_SEED) -> Dataset:
+    """``load_dataset(prefix.name, prefix.split, seed=seed, fraction=fraction)``,
+    reusing the images ``prefix`` already holds.
+
+    ``prefix`` must be the first images of that split under ``seed`` (a
+    :func:`load_dataset` result or a subset of one).  It is returned as is
+    when it has the requested size and truncated with :meth:`Dataset.subset`
+    when it has more; otherwise only the images past it are generated and
+    appended.  Image ``i`` depends only on ``(seed, scope, i)``, so the
+    result equals a fresh load field for field.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise DatasetError(f"fraction must be in (0, 1], got {fraction}")
+    entry = DATASET_SETTINGS[prefix.name]
+    size = _split_size(entry, prefix.split, fraction)
+    if size == len(prefix):
+        return prefix
+    if size < len(prefix):
+        return prefix.subset(size)
+    head, tail = prefix.truth_batch, _generate(entry, prefix.split, seed, len(prefix), size)
+    batch = GroundTruthBatch._trusted(
+        image_ids=head.image_ids + tail.truth_batch.image_ids,
+        boxes=np.concatenate([head.boxes, tail.truth_batch.boxes]),
+        labels=np.concatenate([head.labels, tail.truth_batch.labels]),
+        offsets=np.concatenate([head.offsets, tail.truth_batch.offsets[1:] + head.total_objects]),
+    )
+    _freeze(batch)
+    records = prefix.records + tail.records
+    dataset = Dataset(name=prefix.name, split=prefix.split, classes=entry.classes, records=records)
+    return dataset._with_truth_batch(batch)
+
+
+def _split_size(entry: DatasetSetting, split: str, fraction: float) -> int:
+    """Images a ``fraction`` of one of ``entry``'s splits holds."""
+    return int(np.ceil(entry.size_for(split) * fraction))
+
+
+def _freeze(batch: GroundTruthBatch) -> None:
+    """Make a generated split's annotation columns read-only."""
+    for column in (batch.boxes, batch.labels, batch.offsets):
+        column.flags.writeable = False
+
+
+def _generate(entry: DatasetSetting, split: str, seed: int, lo: int, hi: int) -> Dataset:
+    """Images ``[lo, hi)`` of one split, as a dataset of their own."""
     scope = entry.scope_for(split)
-    size = int(np.ceil(entry.size_for(split) * fraction))
     scenes = SceneDraws(entry.scene_profile, entry.num_classes)
     degradations: list[Degradation] = []
     render_seeds: list[int] = []
-    for rng in generators_for(seed, "scene", scope, ids=range(size)):
+    for rng in generators_for(seed, "scene", scope, ids=range(lo, hi)):
         scenes.draw(rng)
         degradations.append(entry.degradation.sample(rng))
         render_seeds.append(int(rng.integers(0, 2**31 - 1)))
     boxes, labels, offsets = scenes.scenes()
     batch = GroundTruthBatch(
-        image_ids=tuple(f"{scope}-{index:06d}" for index in range(size)),
+        image_ids=tuple(f"{scope}-{index:06d}" for index in range(lo, hi)),
         boxes=boxes,
         labels=labels,
         offsets=offsets,
     )
+    # Frozen before the records view it, so every view is read-only too.
+    _freeze(batch)
     records = [
         ImageRecord(truth=truth, degradation=degradation, render_seed=render_seed)
         for truth, degradation, render_seed in zip(
             batch.views(width=entry.image_width, height=entry.image_height), degradations, render_seeds
         )
     ]
-    return Dataset(name=setting, split=split, classes=entry.classes, records=records)._with_truth_batch(batch)
+    return Dataset(name=entry.name, split=split, classes=entry.classes, records=records)._with_truth_batch(batch)

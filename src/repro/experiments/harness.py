@@ -9,11 +9,15 @@ exactly once regardless of how many tables consume it.
 Detections are produced by one planner, :meth:`Harness.prefetch`;
 ``detections()`` is its one-key case and the suite scheduler in
 :mod:`repro.experiments.suite` hands it whole artifact lists.  No image is
-detected twice: calibrating a detector already detected the first
-:data:`~repro.simulate.presets.CALIBRATION_IMAGES` images of its setting's
-train split (:func:`repro.simulate.presets.calibration_detections`), and every harness
-train split starts with those images, so a train shard that lies wholly
-inside that sample is sliced from it.  Production is sharded two ways:
+generated or detected twice: calibrating a setting's detectors already
+generated the first :data:`~repro.simulate.presets.CALIBRATION_IMAGES`
+images of its train split (:func:`repro.simulate.presets.calibration_sample`)
+and detected them (:func:`repro.simulate.presets.calibration_detections`).
+Every harness train split is built on that sample — the sample itself, its
+head, or the sample followed by the images past it — and a train shard that
+lies wholly inside the sample is sliced from its detections, warm cache or
+cold: its cache file is written when missing and never read.  Production is
+sharded two ways:
 
 * **Disk cache shards** — the on-disk cache stores one ``.npz`` per
   contiguous image range of ``cache_shard_size`` images (fingerprinted over
@@ -21,9 +25,11 @@ inside that sample is sliced from it.  Production is sharded two ways:
   missing ranges and differently-sized subset runs share their common
   full shards.
 * **Worker processes** — the other missing shards of every requested
-  artifact go to :func:`repro.runtime.parallel.run_spans` together, on a
-  harness-lifetime :class:`~repro.runtime.pool.WorkerPool`, and each is
-  persisted the moment it completes.  The worker count comes from
+  artifact go to the pool together (:func:`repro.runtime.parallel.run_spans`'s
+  submit/drain halves), on a harness-lifetime
+  :class:`~repro.runtime.pool.WorkerPool`; the parent writes the sliced
+  shards' missing cache files while the workers detect, and persists each
+  detected shard the moment it completes.  The worker count comes from
   ``HarnessConfig.workers`` when set, else the ``REPRO_WORKERS``
   environment variable, else 1 (serial).  Detections are a pure function
   of ``(seed, profile, image id)``, so the parallel output is bit-for-bit
@@ -50,17 +56,18 @@ from repro._rng import DEFAULT_SEED
 from repro.core.cases import SERVING_THRESHOLD
 from repro.core.discriminator import DifficultCaseDiscriminator, DiscriminatorFitReport
 from repro.core.system import SmallBigSystem, SystemRun
-from repro.data.datasets import DATASET_SETTINGS, Dataset, ImageRecord, load_dataset
-from repro.detection.batch import DetectionBatch
+from repro.data.datasets import DATASET_SETTINGS, Dataset, extend_dataset, load_dataset
+from repro.detection.batch import DetectionBatch, GroundTruthBatch
 from repro.errors import ConfigurationError, GeometryError
 from repro.metrics.counting import CountSummary, count_summary
 from repro.metrics.voc_ap import mean_average_precision
-# ``detect_records`` is not called here: it is imported so that
-# perfbench/workloads.py can rebind both runner entry points on this module.
-from repro.runtime.parallel import detect_records, run_spans  # noqa: F401
+# ``detect_records`` and ``run_spans`` are not called here: they are imported
+# so that perfbench/workloads.py can rebind both runner entry points on this
+# module.  The planner submits through run_spans's private halves.
+from repro.runtime.parallel import _spans_in_flight, detect_records, run_spans  # noqa: F401
 from repro.runtime.pool import WorkerPool, resolve_workers
 from repro.simulate.detector import SimulatedDetector
-from repro.simulate.presets import calibration_detections, make_detector
+from repro.simulate.presets import calibration_detections, calibration_sample, make_detector
 
 __all__ = ["HarnessConfig", "Harness"]
 
@@ -177,15 +184,21 @@ class Harness:
     # artifacts
     # ------------------------------------------------------------------ #
     def dataset(self, setting: str, split: str) -> Dataset:
-        """Materialise (once) a split at the harness's configured size."""
+        """Materialise (once) a split at the harness's configured size.
+
+        A train split is built on the setting's calibration sample, which
+        is generated once per process: only images past it are generated.
+        """
         key = (setting, split)
         if key not in self._datasets:
             entry = DATASET_SETTINGS[setting]
+            seed = self.config.seed
             if split == "train":
                 fraction = min(1.0, self.config.train_images / entry.train_size)
+                dataset = extend_dataset(calibration_sample(setting, seed=seed), fraction, seed=seed)
             else:
-                fraction = self.config.test_fraction
-            self._datasets[key] = load_dataset(setting, split, seed=self.config.seed, fraction=fraction)
+                dataset = load_dataset(setting, split, seed=seed, fraction=self.config.test_fraction)
+            self._datasets[key] = dataset
         return self._datasets[key]
 
     def detector(self, model: str, setting: str) -> SimulatedDetector:
@@ -209,18 +222,21 @@ class Harness:
         """Produce (once) the detections of many ``(model, setting, split)``
         artifacts, returned in first-request order.
 
-        The disk cache is sharded by image range: warm shards load in the
-        parent.  A missing (or corrupt) train shard that lies wholly inside
-        the detector's calibration sample is sliced from the detections its
-        calibration already made.  The remaining missing shards across
-        *all* requested artifacts go to one :func:`run_spans` call, so
-        models, settings and splits overlap on the shared pool.  Each shard
-        is persisted the moment it is made, so an interrupted run keeps
-        every finished shard.
+        A train shard that lies wholly inside the detector's calibration
+        sample is sliced from the detections its calibration already made,
+        whether or not its cache file exists; a split inside the sample is
+        one view of it.  Every other shard loads from the disk cache when
+        warm.  The missing (or corrupt) ones across *all* requested
+        artifacts go to the pool together, so models, settings and splits
+        overlap on it, and the parent writes the sliced shards' missing
+        cache files while the workers detect.  Each detected shard is
+        persisted the moment it is made, so an interrupted run keeps every
+        finished shard.
         """
         plans: dict[tuple[str, str, str], tuple[SimulatedDetector, list]] = {}
         jobs: list[tuple[SimulatedDetector, Dataset, tuple[int, int]]] = []
-        slots: list[tuple[list, int]] = []
+        slots: list[tuple[list, int, Path | None]] = []
+        unwritten: list[tuple[Path, DetectionBatch]] = []
         for key in keys:
             if key in self._detections or key in plans:
                 continue
@@ -231,25 +247,34 @@ class Harness:
             # reads the memo that call filled.
             detector = self.detector(model, setting)
             sample = calibration_detections(model, setting, seed=self.config.seed) if split == "train" else None
-            spans = self._cache_spans(len(dataset))
-            shards = [self._load_shard(detector, dataset, span) for span in spans]
-            plans[key] = (detector, shards)
-            for index, (lo, hi) in enumerate(spans):
-                if shards[index] is not None:
+            covered = len(sample) if sample is not None else 0
+            shards: list[DetectionBatch | None] = []
+            for index, span in enumerate(self._cache_spans(len(dataset))):
+                lo, hi = span
+                path = self._shard_path(detector, dataset, span)
+                if hi <= covered:
+                    shards.append(sample[lo:hi])
+                    if path is not None and not path.exists():
+                        unwritten.append((path, shards[index]))
                     continue
-                if sample is not None and hi <= len(sample):
-                    shards[index] = sample[lo:hi]
-                    self._store_shard(detector, dataset, (lo, hi), shards[index])
-                else:
-                    jobs.append((detector, dataset, (lo, hi)))
-                    slots.append((shards, index))
+                shards.append(self._load_shard(path, dataset.image_ids[lo:hi], detector.name))
+                if shards[index] is None:
+                    jobs.append((detector, dataset, span))
+                    slots.append((shards, index, path))
+            if len(dataset) <= covered:
+                shards = [sample[: len(dataset)]]  # one view: no concatenated copy
+            plans[key] = (detector, shards)
 
         def store(position: int, batch: DetectionBatch) -> None:
             # Runs as each shard completes, so an interrupted cold run
             # keeps every shard already finished.
-            self._store_shard(*jobs[position], batch)
+            self._store_shard(slots[position][2], batch)
 
-        for (shards, index), batch in zip(slots, run_spans(jobs, pool=self.pool(), on_result=store)):
+        with _spans_in_flight(jobs, self.pool()) as drain:
+            for path, batch in unwritten:
+                self._store_shard(path, batch)
+            batches = drain(store)
+        for (shards, index, _), batch in zip(slots, batches):
             shards[index] = batch
         for key, (detector, shards) in plans.items():
             self._detections[key] = DetectionBatch.concat(shards, detector=detector.name)
@@ -340,29 +365,26 @@ class Harness:
         return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
     @staticmethod
-    def _records_digest(records: Sequence[ImageRecord]) -> bytes:
-        """Cheap content digest of an image range.
+    def _span_digest(truths: GroundTruthBatch, lo: int, hi: int) -> bytes:
+        """Cheap content digest of the image range ``[lo, hi)``.
 
-        Hashes every record's object *count* plus the full annotation of a
-        strided sample (~8 records per shard, endpoints included).  Any edit
+        Hashes every image's object *count* plus the full annotation of a
+        strided sample (~8 images per shard, endpoints included).  Any edit
         that changes a per-image count invalidates the shard wherever it
         lands; pure coordinate/label jitter is only caught on the sampled
-        records — hashing every box would cost as much as recomputing small
+        images — hashing every box would cost as much as recomputing small
         shards, and the experiment generators key every scene off the seed
         that is already part of the fingerprint."""
-        counts = np.fromiter(
-            (len(record.truth) for record in records),
-            dtype=np.int64,
-            count=len(records),
-        )
-        hasher = hashlib.sha256(counts.tobytes())
-        if records:
-            stride = max(1, len(records) // 8)
-            for index in list(range(0, len(records), stride)) + [len(records) - 1]:
-                record = records[index]
-                hasher.update(record.image_id.encode())
-                hasher.update(record.truth.boxes.tobytes())
-                hasher.update(record.truth.labels.tobytes())
+        offsets = truths.offsets
+        hasher = hashlib.sha256(np.diff(offsets[lo : hi + 1]).tobytes())
+        count = hi - lo
+        if count:
+            stride = max(1, count // 8)
+            for index in list(range(lo, hi, stride)) + [hi - 1]:
+                start, end = offsets[index], offsets[index + 1]
+                hasher.update(truths.image_ids[index].encode())
+                hasher.update(truths.boxes[start:end].tobytes())
+                hasher.update(truths.labels[start:end].tobytes())
         return hasher.digest()
 
     def _shard_path(
@@ -386,22 +408,16 @@ class Harness:
                     hi,
                 )
             ).encode()
-            + self._records_digest(dataset.records[lo:hi])
+            + self._span_digest(dataset.truth_batch, lo, hi)
         ).hexdigest()[:20]
         return root / f"det-{fingerprint}-{lo:06d}-{hi:06d}.npz"
 
-    def _load_shard(
-        self,
-        detector: SimulatedDetector,
-        dataset: Dataset,
-        span: tuple[int, int],
-    ) -> DetectionBatch | None:
-        path = self._shard_path(detector, dataset, span)
+    @staticmethod
+    def _load_shard(path: Path | None, image_ids: tuple[str, ...], detector: str) -> DetectionBatch | None:
         if path is None or not path.exists():
             return None
-        lo, hi = span
         try:
-            return DetectionBatch.load(path, dataset.image_ids[lo:hi], detector=detector.name)
+            return DetectionBatch.load(path, image_ids, detector=detector)
         except (
             OSError,
             KeyError,
@@ -412,14 +428,8 @@ class Harness:
         ):
             return None  # corrupt/stale cache entries are recomputed
 
-    def _store_shard(
-        self,
-        detector: SimulatedDetector,
-        dataset: Dataset,
-        span: tuple[int, int],
-        detections: DetectionBatch,
-    ) -> None:
-        path = self._shard_path(detector, dataset, span)
+    @staticmethod
+    def _store_shard(path: Path | None, detections: DetectionBatch) -> None:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -94,7 +94,8 @@ def voc_ap_from_pr(recall: np.ndarray, precision: np.ndarray) -> float:
         raise ConfigurationError("recall and precision must have equal length")
     if recall.size == 0:
         return 0.0
-    if not np.all(recall[1:] >= recall[:-1]):
+    # Neighbour comparisons catch a NaN anywhere but in a one-point curve.
+    if np.isnan(recall[0]) or not np.all(recall[1:] >= recall[:-1]):
         raise ConfigurationError("recall must be non-decreasing")
     # The interpolated precision at each point is a suffix maximum, found
     # by one reversed running max plus a searchsorted.

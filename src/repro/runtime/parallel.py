@@ -40,7 +40,8 @@ it, so process startup is paid at most once per pool lifetime.
 from __future__ import annotations
 
 from concurrent.futures import as_completed
-from typing import TYPE_CHECKING, Callable, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -131,11 +132,11 @@ def _materialize(result: "SharedBatchHandle | DetectionBatch") -> DetectionBatch
 
 
 def _discard_pending(futures) -> None:
-    """Error-path cleanup: drain outstanding futures, unlinking any
-    shared segments their results parked, so no ``/dev/shm`` name survives
-    an exception.  Waits for in-flight tasks (their segments must exist
+    """Cleanup of futures never drained: cancel them, unlinking any shared
+    segments their results parked, so no ``/dev/shm`` name survives an
+    exception.  Waits for in-flight tasks (their segments must exist
     before they can be removed); swallows their errors — the original
-    exception is already propagating."""
+    exception, if any, is already propagating."""
     for future in futures:
         future.cancel()
     for future in futures:
@@ -164,32 +165,51 @@ def run_spans(
     it to persist finished cache shards immediately, so an interrupted run
     loses at most the jobs still in flight.
     """
+    with _spans_in_flight(jobs, pool) as drain:
+        return drain(on_result)
+
+
+@contextmanager
+def _spans_in_flight(
+    jobs: "Sequence[SpanJob]",
+    pool: WorkerPool | None,
+) -> "Iterator[Callable[..., list[DetectionBatch]]]":
+    """:func:`run_spans` split in two: submit every piece on entry, and
+    yield ``drain(on_result)``, which collects the batches as
+    :func:`run_spans` returns them.
+
+    What the caller does between entry and ``drain`` overlaps the pool's
+    detection (inline, ``drain`` does all the work).  On exit, pieces not
+    drained (the block raised, or never called ``drain``) are waited for
+    and their shared segments unlinked, so no ``/dev/shm`` name survives.
+    """
     pieces: list[int] = []
     if pool is not None and pool.parallel and jobs:
         per_job = -(-pool.workers // len(jobs))  # ceil
         pieces = [min(per_job, (hi - lo) // DEFAULT_MIN_SHARD_IMAGES) for _, _, (lo, hi) in jobs]
-    results: list[DetectionBatch | None] = [None] * len(jobs)
+
     if sum(pieces) < 2:
-        for index, (detector, split, span) in enumerate(jobs):
-            results[index] = detect_records(detector, split, span)
-            if on_result is not None:
-                on_result(index, results[index])
-        return results
+
+        def inline(on_result):
+            results = []
+            for index, (detector, split, span) in enumerate(jobs):
+                results.append(detect_records(detector, split, span))
+                if on_result is not None:
+                    on_result(index, results[index])
+            return results
+
+        yield inline
+        return
+
     transport = pool.shm_transport
     parts: list[list[DetectionBatch | None]] = []
     pending = {}
-    for index, ((detector, split, (lo, hi)), count) in enumerate(zip(jobs, pieces)):
-        subs = shard_spans(hi - lo, max(1, count)) or [(0, 0)]
-        parts.append([None] * len(subs))
-        for position, (sub_lo, sub_hi) in enumerate(subs):
-            truths, qualities = split_columns(split, (lo + sub_lo, lo + sub_hi))
-            future = pool.submit(_detect_task, detector, truths, qualities, transport)
-            pending[future] = (index, position)
-    # Drain in completion order; on any error the outstanding futures are
-    # drained and their shared segments unlinked before the exception
-    # propagates.
-    outstanding = set(pending)
-    try:
+    outstanding: set = set()
+
+    def drain(on_result):
+        # Completion order; a job's batch is assembled once its last piece
+        # lands.
+        results: list[DetectionBatch | None] = [None] * len(jobs)
         for future in as_completed(pending):
             outstanding.discard(future)
             index, position = pending[future]
@@ -199,10 +219,20 @@ def run_spans(
                 results[index] = DetectionBatch.concat(job_parts, detector=jobs[index][0].name)
                 if on_result is not None:
                     on_result(index, results[index])
-    except BaseException:
+        return results
+
+    try:
+        for index, ((detector, split, (lo, hi)), count) in enumerate(zip(jobs, pieces)):
+            subs = shard_spans(hi - lo, max(1, count)) or [(0, 0)]
+            parts.append([None] * len(subs))
+            for position, (sub_lo, sub_hi) in enumerate(subs):
+                truths, qualities = split_columns(split, (lo + sub_lo, lo + sub_hi))
+                future = pool.submit(_detect_task, detector, truths, qualities, transport)
+                pending[future] = (index, position)
+                outstanding.add(future)
+        yield drain
+    finally:
         _discard_pending(outstanding)
-        raise
-    return results
 
 
 def run_split(

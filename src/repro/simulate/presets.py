@@ -13,6 +13,12 @@ Two ingredients combine here:
 The paper's mAP figures are *not* calibrated against — they are measured
 from the simulated detections and compared to the paper in EXPERIMENTS.md.
 
+Every detector of a setting calibrates on the same train sample, and the
+experiment harness builds its train splits on it too, so the process memo
+keeps it once per (setting, seed) (:func:`calibration_sample`), next to each
+detector's output on it (:func:`calibration_detections`): no train image is
+generated or detected twice.  Both are shared read-only.
+
 OCR note: the supplied paper text garbles which of Tables V/VII (and VI/VIII)
 belongs to MobileNetV1 vs V2.  We adopt the assignment consistent with the
 prose ("on the mAP of the small model, MobileNet v2 is down 5.81 %-11.53 %
@@ -26,7 +32,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro._rng import DEFAULT_SEED
-from repro.data.datasets import DATASET_SETTINGS, load_dataset
+from repro.data.datasets import DATASET_SETTINGS, Dataset, load_dataset
 from repro.detection.batch import DetectionBatch
 from repro.errors import RegistryError
 from repro.simulate.calibrate import calibrate_profile
@@ -41,6 +47,7 @@ __all__ = [
     "PAPER_COUNTS",
     "PAPER_GT_TOTALS",
     "make_detector",
+    "calibration_sample",
     "calibration_detections",
     "available_pairs",
 ]
@@ -225,6 +232,9 @@ CALIBRATION_IMAGES = 4000
 #: last calibration round's (read-only) detections on the train sample.
 _DETECTOR_CACHE: dict[tuple[str, str, int], tuple[SimulatedDetector, DetectionBatch]] = {}
 
+#: Calibration train samples keyed by (setting, seed).
+_SAMPLE_CACHE: dict[tuple[str, int], Dataset] = {}
+
 
 def available_pairs() -> list[tuple[str, str]]:
     """Every (model, setting) pair with a published operating point."""
@@ -240,11 +250,11 @@ def make_detector(
     """Build (and cache) a calibrated detector for a (model, setting) pair.
 
     Calibration runs against a deterministic sample of the setting's *train*
-    split, never the test split: its first :data:`CALIBRATION_IMAGES` images
-    (all of them when the split is smaller).  The process memo keeps the
-    detector's output on that sample, which its last calibration round
-    produced, next to the detector: :func:`calibration_detections` hands it
-    out, so the sample is never detected twice.
+    split, never the test split: :func:`calibration_sample`, which every
+    model of the setting shares.  The process memo keeps the detector's
+    output on that sample, which its last calibration round produced, next
+    to the detector: :func:`calibration_detections` hands it out, so the
+    sample is never detected twice.
     """
     key = (model, setting, seed)
     if key in _DETECTOR_CACHE:
@@ -257,8 +267,7 @@ def make_detector(
             f"available pairs: {available_pairs()}"
         )
     entry = DATASET_SETTINGS[setting]
-    fraction = min(1.0, CALIBRATION_IMAGES / entry.train_size)
-    train_sample = load_dataset(setting, "train", seed=seed, fraction=fraction)
+    train_sample = calibration_sample(setting, seed=seed)
     shape = SHAPE_PRESETS[model]
     overrides = SETTING_OVERRIDES.get((model, setting), {})
     if overrides:
@@ -293,6 +302,21 @@ def make_detector(
     detector = SimulatedDetector(profile=calibrated, num_classes=entry.num_classes, seed=seed)
     _DETECTOR_CACHE[key] = (detector, sample)
     return detector
+
+
+def calibration_sample(setting: str, *, seed: int = DEFAULT_SEED) -> Dataset:
+    """The train images every detector of ``setting`` calibrates on: the
+    first :data:`CALIBRATION_IMAGES` of its train split (all of them when
+    the split is smaller).
+
+    Generated once per process and shared by every caller; its annotation
+    arrays are read-only.
+    """
+    key = (setting, seed)
+    if key not in _SAMPLE_CACHE:
+        fraction = min(1.0, CALIBRATION_IMAGES / DATASET_SETTINGS[setting].train_size)
+        _SAMPLE_CACHE[key] = load_dataset(setting, "train", seed=seed, fraction=fraction)
+    return _SAMPLE_CACHE[key]
 
 
 def calibration_detections(model: str, setting: str, *, seed: int = DEFAULT_SEED) -> DetectionBatch:

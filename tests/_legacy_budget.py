@@ -116,8 +116,9 @@ class LegacyAdaptiveQuota(AdaptiveQuota):
 
     ``controller_for`` and ``decide`` are the historical bodies: one legacy
     :class:`BudgetController` per camera, fed a fresh ``Detections`` view of
-    the record on every frame.  Everything else (feedback, reset,
-    counters) is inherited unchanged.
+    the record on every frame, built with the controller settings the quota
+    fixes, as literals.  Everything else (feedback, reset, counters) is
+    inherited unchanged.
     """
 
     def __init__(self, discriminator, small_detections, target_ratio, **kwargs) -> None:
@@ -130,9 +131,9 @@ class LegacyAdaptiveQuota(AdaptiveQuota):
             controller = BudgetController(
                 self._discriminator,
                 self.target_ratio,
-                gain=self._gain,
-                ema_halflife=self._ema_halflife,
-                area_bounds=self._area_bounds,
+                gain=0.05,
+                ema_halflife=20,
+                area_bounds=(0.0, 0.8),
             )
             self._controllers[id(camera)] = controller
         return controller

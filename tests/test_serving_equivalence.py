@@ -696,7 +696,6 @@ class TestAdaptiveQuotaEquivalence:
         # that band instead of pinning it at a bound.
         discriminator = DifficultCaseDiscriminator(confidence_threshold=0.25, count_threshold=3, area_threshold=0.02)
         oracle = legacy.LegacyAdaptiveQuota(discriminator, small, 0.1)
-        oracle._gain, oracle._ema_halflife, oracle._area_bounds = 0.05, 20, (0.0, 0.8)
         quotas = [AdaptiveQuota(discriminator, small, 0.1), oracle]
         runs = []
         for quota in quotas:

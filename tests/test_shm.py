@@ -13,13 +13,15 @@ Three invariants, each enforced bit-for-bit or segment-for-segment:
 
 from __future__ import annotations
 
+from concurrent.futures import wait
+
 import numpy as np
 import pytest
 
 from repro.data import load_dataset
 from repro.detection import DetectionBatch
 from repro.errors import ConfigurationError, GeometryError
-from repro.runtime.parallel import detect_records, run_spans, shard_spans
+from repro.runtime.parallel import _spans_in_flight, detect_records, run_spans, shard_spans
 from repro.runtime.pool import WorkerPool
 from repro.runtime.shm import (
     SharedArena,
@@ -154,6 +156,22 @@ def test_worker_exception_leaves_no_segments(split_small):
         with pytest.raises(RuntimeError, match="boom"):
             run_spans(_jobs(_ExplodingDetector(), split_small, 3), pool=pool)
     assert leaked_segments(prefix) == ()
+
+
+def test_undrained_pieces_leave_no_segments(monkeypatch, split_small, small1_voc07):
+    """Work between submission and drain may raise: the pieces already on
+    the pool are waited for and their segments unlinked, pool still open."""
+    with WorkerPool(2) as pool:
+        prefix = pool.arena.prefix
+        futures = []
+        submit = pool.submit
+        monkeypatch.setattr(pool, "submit", lambda *args: futures.append(submit(*args)) or futures[-1])
+        with pytest.raises(RuntimeError, match="parent"):
+            with _spans_in_flight(_jobs(small1_voc07, split_small, 3), pool):
+                raise RuntimeError("parent")
+        wait(futures)  # every piece has parked its result
+        assert len(futures) == 3 and not pool.closed
+        assert leaked_segments(prefix) == ()
 
 
 def test_pool_exit_on_error_sweeps_arena(split_small, small1_voc07):

@@ -44,7 +44,7 @@ class TestVocApFromPr:
         with pytest.raises(ConfigurationError):
             voc_ap_from_pr(np.zeros(3), np.zeros(2))
 
-    @pytest.mark.parametrize("recall", [[0.5, 0.2], [0.1, np.nan, 0.3]])
+    @pytest.mark.parametrize("recall", [[0.5, 0.2], [0.1, np.nan, 0.3], [np.nan]])
     def test_unsorted_recall_rejected(self, recall):
         with pytest.raises(ConfigurationError, match="non-decreasing"):
             voc_ap_from_pr(np.asarray(recall), np.ones(len(recall)))
